@@ -61,6 +61,7 @@ void LongitudinalStudy::ensure_journal() {
   config.group_frames = options_.journal_group_frames;
   config.group_ms = options_.journal_group_ms;
   journal_ = std::make_unique<RunJournal>(std::move(config));
+  drain_journal_.store(journal_.get(), std::memory_order_release);
 }
 
 void LongitudinalStudy::drain_checkpoint() {
@@ -68,7 +69,9 @@ void LongitudinalStudy::drain_checkpoint() {
   // a signal watcher calling this mid-run therefore observes either a
   // fully-constructed journal or none at all (in which case there is
   // nothing to lose). flush() is thread-safe against concurrent append().
-  if (journal_ != nullptr) journal_->flush();
+  if (auto* journal = drain_journal_.load(std::memory_order_acquire)) {
+    journal->flush();
+  }
 }
 
 tls::analysis::RecoveryReport LongitudinalStudy::recovery() const {

@@ -209,6 +209,10 @@ class LongitudinalStudy {
   std::unique_ptr<tls::notary::PassiveMonitor> monitor_;
   std::unique_ptr<tls::scan::ActiveScanner> scanner_;
   std::unique_ptr<RunJournal> journal_;
+  /// journal_.get(), published with release once the journal is built: a
+  /// signal watcher thread (drain_checkpoint) has no other happens-before
+  /// edge to the run() thread that constructed it.
+  std::atomic<RunJournal*> drain_journal_{nullptr};
   std::unique_ptr<tls::faults::FaultInjector> frame_injector_;
   std::atomic<std::uint64_t> stuck_reruns_{0};
   /// One TrafficGenerator per worker thread, reused (re-seeded) across

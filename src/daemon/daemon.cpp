@@ -263,7 +263,7 @@ bool NotaryDaemon::start() {
     shard->monitor->set_observe_cache_capacity(config_.observe_cache_entries);
     shard->latency = &shard->registry.histogram(
         "tls_repro_daemon_ingest_latency_us",
-        tls::telemetry::duration_buckets_us(), {},
+        tls::telemetry::wide_latency_buckets_us(), {},
         "Admission-to-observe latency of ingested captures", true);
     if (config_.observability) {
       for (std::size_t s = 0; s < kStageCount; ++s) {
@@ -414,7 +414,10 @@ void NotaryDaemon::publish_stats_snapshot() {
 
   StatsSeqlock& s = *stats_seq_;
   const std::uint64_t seq = s.seq.load(std::memory_order_relaxed);
-  s.seq.store(seq + 1, std::memory_order_release);  // odd: write in flight
+  s.seq.store(seq + 1, std::memory_order_relaxed);  // odd: write in flight
+  // Pairs with snapshot_counters()' acquire fence: a reader that loads any
+  // word stored below also sees the odd sequence, and retries.
+  std::atomic_thread_fence(std::memory_order_release);
   const std::uint64_t words[12] = {
       c.offered,        c.admitted,       c.ingested,
       c.shed,           c.malformed,      c.credit_violations,
@@ -489,7 +492,7 @@ std::string NotaryDaemon::stats_text() {
     quarantined = wire_quarantine_.total_pushed();
   }
   tls::telemetry::Histogram latency;
-  latency.bounds = tls::telemetry::duration_buckets_us();
+  latency.bounds = tls::telemetry::wide_latency_buckets_us();
   latency.counts.assign(latency.bounds.size() + 1, 0);
   for (auto& shard : shards_) {
     std::lock_guard<std::mutex> lock(shard->telemetry_mutex);

@@ -66,18 +66,15 @@ void Md5::update(std::string_view text) {
 
 std::array<std::uint8_t, 16> Md5::digest() {
   if (finalized_) throw std::logic_error("Md5 already finalized");
+  // RFC 1321 §3.1-3.2 as one update: 0x80, zeros up to 56 mod 64, then the
+  // message length in bits as a little-endian u64.
   const std::uint64_t bit_len = total_len_ * 8;
-  const std::uint8_t pad = 0x80;
-  update(std::span<const std::uint8_t>(&pad, 1));
-  const std::uint8_t zero = 0;
-  while (buffer_len_ != 56) update(std::span<const std::uint8_t>(&zero, 1));
-  std::uint8_t len_le[8];
-  for (int i = 0; i < 8; ++i) {
-    len_le[i] = static_cast<std::uint8_t>(bit_len >> (8 * i));
+  const std::size_t zeros = (buffer_len_ < 56 ? 55 : 119) - buffer_len_;
+  std::uint8_t pad[72] = {0x80};
+  for (std::size_t i = 0; i < 8; ++i) {
+    pad[1 + zeros + i] = static_cast<std::uint8_t>(bit_len >> (8 * i));
   }
-  // The length bytes themselves shouldn't count toward total_len_, but we
-  // finalize immediately so the running count no longer matters.
-  update(std::span<const std::uint8_t>(len_le, 8));
+  update(std::span<const std::uint8_t>(pad, 1 + zeros + 8));
   finalized_ = true;
 
   std::array<std::uint8_t, 16> out{};

@@ -6,7 +6,6 @@
 
 #include "faults/injector.hpp"
 #include "fingerprint/fingerprint.hpp"
-#include "fingerprint/md5_multilane.hpp"
 #include "telemetry/metrics.hpp"
 #include "tlscore/grease.hpp"
 #include "wire/server_hello.hpp"
@@ -196,229 +195,7 @@ void PassiveMonitor::observe(const tls::population::ConnectionEvent& event) {
 
 void PassiveMonitor::observe_span(
     std::span<const tls::population::ConnectionEvent> events) {
-  // The injector's roll/apply calls must stay adjacent per event in stream
-  // order — batching would reorder its RNG draws — so chaos runs take the
-  // per-event path. Tiny spans aren't worth the phase bookkeeping.
-  if (injector_ != nullptr || events.size() < 2) {
-    for (const auto& event : events) observe(event);
-    return;
-  }
-
-  // Phase A — route every event and build features without mutating any
-  // aggregate. Fingerprint digests are deferred into span_canonicals_.
-  span_slots_.clear();
-  span_wire_.clear();
-  span_canonicals_.clear();
-  if (span_cf_.size() < events.size()) {
-    span_cf_.resize(events.size());
-    span_sf_.resize(events.size());
-  }
-  std::string canonical;
-  for (std::size_t i = 0; i < events.size(); ++i) {
-    const auto& event = events[i];
-    SpanSlot slot;
-    if (event.sslv2) {
-      slot.kind = SpanSlotKind::kSslv2;
-      span_slots_.push_back(slot);
-      continue;
-    }
-    if (fast_observe_ &&
-        fast_build(event, span_cf_[i], span_sf_[i], &canonical)) {
-      slot.kind = SpanSlotKind::kFast;
-      if (span_cf_[i].fingerprint_computed) {
-        slot.canon = static_cast<std::ptrdiff_t>(span_canonicals_.size());
-        span_canonicals_.push_back(std::move(canonical));
-      }
-      span_slots_.push_back(slot);
-      continue;
-    }
-    // Fast path declined (or disabled): serialize for the byte path,
-    // exactly as observe() does for an untouched (kNone) event.
-    slot.kind = SpanSlotKind::kWire;
-    span_slots_.push_back(slot);
-    WireCapture cap;
-    cap.month = event.month;
-    cap.day = event.day;
-    if (!event.client_record.empty()) {
-      cap.client = event.client_record;  // pre-serialized by the GenCache
-    } else {
-      event.hello.serialize_record_into(cap.client);
-    }
-    if (event.result.server_hello.has_value()) {
-      const auto& sh = *event.result.server_hello;
-      sh.serialize_record_into(cap.server);
-      if (event.result.negotiated_group != 0 &&
-          !sh.has_extension(tls::core::ExtensionType::kSupportedVersions)) {
-        tls::wire::EcdheServerKeyExchange::stub(event.result.negotiated_group)
-            .serialize_record_into(sh.legacy_version, cap.ske);
-      }
-    }
-    if (!event.result.success &&
-        event.result.failure != tls::handshake::FailureReason::kNone) {
-      tls::handshake::alert_for(event.result.failure)
-          .serialize_record_into(0x0301, cap.alert);
-    }
-    cap.success = event.result.success;
-    cap.used_fallback = event.used_fallback;
-    span_wire_.push_back(std::move(cap));
-  }
-
-  // Phase B — one multi-lane digest pass over the generation.
-  span_canonical_views_.clear();
-  for (const auto& c : span_canonicals_) span_canonical_views_.push_back(c);
-  span_digests_.resize(span_canonicals_.size());
-  tls::fp::md5_batch(span_canonical_views_, span_digests_);
-
-  // Phase C — apply per event in the original order. Byte-path events are
-  // applied after the fast ones (in order among themselves); the only
-  // cross-path reordering is over commutative folds, so exports match the
-  // per-event path bit for bit.
-  for (std::size_t i = 0; i < events.size(); ++i) {
-    const SpanSlot& slot = span_slots_[i];
-    switch (slot.kind) {
-      case SpanSlotKind::kSslv2:
-        observe_sslv2(events[i].month);
-        break;
-      case SpanSlotKind::kFast:
-        if (slot.canon >= 0) {
-          finalize_client_fingerprint(span_cf_[i], database_,
-                                      span_digests_[slot.canon]);
-        }
-        if (tel_fast_ != nullptr) tel_fast_->add();
-        fast_apply(events[i], span_cf_[i], span_sf_[i]);
-        break;
-      case SpanSlotKind::kWire:
-        break;
-    }
-  }
-  if (!span_wire_.empty()) observe_wire_batch(span_wire_);
-}
-
-void PassiveMonitor::observe_wire_batch(std::span<const WireCapture> caps) {
-  if (caps.empty()) return;
-  const bool cache_on = cache_.enabled();
-
-  // Lane-hash the bucket keys of every cacheable record (client and server
-  // sides in one batch) while the cache runs its production FNV-1a hash.
-  batch_hash_inputs_.clear();
-  if (cache_on && cache_.uses_default_hash()) {
-    for (const auto& cap : caps) {
-      if (!cap.cacheable) continue;
-      batch_hash_inputs_.push_back(cap.client);
-      if (!cap.server.empty()) batch_hash_inputs_.push_back(cap.server);
-    }
-    batch_hashes_.resize(batch_hash_inputs_.size());
-    tls::fp::fnv1a64_batch(batch_hash_inputs_, batch_hashes_);
-  }
-
-  // The find phase below hands out pointers into cache entries that must
-  // survive until each capture's apply completes; pre-flushing guarantees
-  // the insert phase cannot trigger a mid-batch generation flush.
-  if (cache_on) cache_.ensure_client_headroom(caps.size());
-
-  // Phase A — resolve every client record: lookup, or parse + feature
-  // build with the fingerprint digest deferred into wire_canonicals_.
-  wire_slots_.resize(caps.size());
-  wire_canonicals_.clear();
-  std::size_t hash_cursor = 0;
-  const bool laned_hashes = !batch_hash_inputs_.empty();
-  for (std::size_t i = 0; i < caps.size(); ++i) {
-    const WireCapture& cap = caps[i];
-    WireSlot& slot = wire_slots_[i];
-    slot.hello = nullptr;
-    slot.feats = nullptr;
-    slot.errors.clear();
-    slot.canon = -1;
-    slot.has_server_hash = false;
-    if (tel_byte_ != nullptr) tel_byte_->add();
-    slot.use_cache = cap.cacheable && cache_on;
-    if (!cap.cacheable && cache_on) cache_.count_bypass();
-    if (slot.use_cache) {
-      if (laned_hashes) {
-        slot.client_hash = batch_hashes_[hash_cursor++];
-        if (!cap.server.empty()) {
-          slot.server_hash = batch_hashes_[hash_cursor++];
-          slot.has_server_hash = true;
-        }
-      } else {
-        slot.client_hash = cache_.hash_bytes(cap.client);
-      }
-    }
-    const bool want_fp = cap.month >= fp_start();
-    if (slot.use_cache) {
-      if (const auto hit = cache_.find_client_hashed(
-              cap.client, slot.client_hash, want_fp)) {
-        slot.kind = WireSlot::Kind::kHit;
-        slot.hello = hit->hello;
-        slot.feats = hit->features;
-        continue;
-      }
-    }
-    try {
-      slot.owned_hello = ClientHello::parse_record(cap.client);
-    } catch (const tls::wire::ParseError& e) {
-      slot.kind = WireSlot::Kind::kQuarantine;
-      slot.parse_error = e.code();
-      continue;
-    }
-    slot.kind = WireSlot::Kind::kMiss;
-    std::string canonical;
-    build_client_features(slot.owned_hello, database_, want_fp,
-                          slot.owned_feats, slot.errors, &canonical);
-    if (slot.owned_feats.fingerprint_computed) {
-      slot.canon = static_cast<std::ptrdiff_t>(wire_canonicals_.size());
-      wire_canonicals_.push_back(std::move(canonical));
-    }
-  }
-
-  // Phase B — digest the generation's miss canonicals in SIMD lanes.
-  wire_canonical_views_.clear();
-  for (const auto& c : wire_canonicals_) wire_canonical_views_.push_back(c);
-  wire_digests_.resize(wire_canonicals_.size());
-  tls::fp::md5_batch(wire_canonical_views_, wire_digests_);
-
-  // Phase C — complete label/insert and ingest per capture in the original
-  // order; each capture's mutation sequence is exactly observe_wire's.
-  for (std::size_t i = 0; i < caps.size(); ++i) {
-    const WireCapture& cap = caps[i];
-    WireSlot& slot = wire_slots_[i];
-    bool client_clean = true;
-    switch (slot.kind) {
-      case WireSlot::Kind::kQuarantine:
-        note_error(cap.month, IngestStage::kClientHello, slot.parse_error,
-                   cap.client);
-        quarantine_capture(cap.month);
-        continue;
-      case WireSlot::Kind::kMiss: {
-        if (slot.canon >= 0) {
-          finalize_client_fingerprint(slot.owned_feats, database_,
-                                      wire_digests_[slot.canon]);
-        }
-        for (const auto code : slot.errors) {
-          note_error(cap.month, IngestStage::kClientHello, code, cap.client);
-        }
-        client_clean = slot.errors.empty();
-        if (slot.use_cache && client_clean) {
-          const auto inserted = cache_.insert_client_hashed(
-              cap.client, slot.client_hash, std::move(slot.owned_hello),
-              std::move(slot.owned_feats));
-          slot.hello = inserted.hello;
-          slot.feats = inserted.features;
-        } else {
-          if (slot.use_cache) cache_.count_uncacheable();
-          slot.hello = &slot.owned_hello;
-          slot.feats = &slot.owned_feats;
-        }
-        break;
-      }
-      case WireSlot::Kind::kHit:
-        break;
-    }
-    ingest_resolved(cap.month, cap.day, *slot.hello, *slot.feats,
-                    client_clean, cap.server, cap.ske, cap.success,
-                    cap.used_fallback, cap.alert, slot.use_cache,
-                    slot.has_server_hash ? &slot.server_hash : nullptr);
-  }
+  for (const auto& event : events) observe(event);
 }
 
 void PassiveMonitor::observe_flights(
@@ -578,8 +355,7 @@ void PassiveMonitor::apply_server_features(
 
 bool PassiveMonitor::observe_event_fast(
     const tls::population::ConnectionEvent& event) {
-  if (!fast_build(event, scratch_features_, scratch_server_features_,
-                  /*fp_canonical=*/nullptr)) {
+  if (!fast_build(event, scratch_features_, scratch_server_features_)) {
     return false;
   }
   fast_apply(event, scratch_features_, scratch_server_features_);
@@ -588,8 +364,7 @@ bool PassiveMonitor::observe_event_fast(
 
 bool PassiveMonitor::fast_build(const tls::population::ConnectionEvent& event,
                                 ClientHelloFeatures& cf,
-                                ServerHelloFeatures& sf,
-                                std::string* fp_canonical) {
+                                ServerHelloFeatures& sf) {
   const ClientHello& hello = event.hello;
   // The byte path quarantines hellos that fail the structural parse; the
   // only struct states that can trigger that are rejected here.
@@ -602,7 +377,7 @@ bool PassiveMonitor::fast_build(const tls::population::ConnectionEvent& event,
   // the slow path even if one did.
   scratch_errors_.clear();
   build_client_features(hello, database_, event.month >= fp_start(), cf,
-                        scratch_errors_, fp_canonical);
+                        scratch_errors_);
   if (!scratch_errors_.empty()) return false;
 
   if (event.result.server_hello.has_value() &&
@@ -720,7 +495,7 @@ void PassiveMonitor::observe_wire(
 
   ingest_resolved(m, day, *hello, *feats, client_clean, server_record,
                   server_key_exchange_record, success, used_fallback,
-                  alert_record, use_cache, /*server_hash=*/nullptr);
+                  alert_record, use_cache);
 }
 
 void PassiveMonitor::ingest_resolved(
@@ -729,7 +504,7 @@ void PassiveMonitor::ingest_resolved(
     std::span<const std::uint8_t> server_record,
     std::span<const std::uint8_t> server_key_exchange_record, bool success,
     bool used_fallback, std::span<const std::uint8_t> alert_record,
-    bool use_cache, const std::uint64_t* server_hash) {
+    bool use_cache) {
   using namespace tls::core;
   const ClientHello* hello = &hello_ref;
   const ClientHelloFeatures* feats = &feats_ref;
@@ -758,9 +533,7 @@ void PassiveMonitor::ingest_resolved(
   const ServerHello* sh = nullptr;
   const ServerHelloFeatures* sfeats = nullptr;
   const std::uint64_t sh_hash =
-      use_cache ? (server_hash != nullptr ? *server_hash
-                                          : cache_.hash_bytes(server_record))
-                : 0;
+      use_cache ? cache_.hash_bytes(server_record) : 0;
   if (use_cache) {
     if (const auto hit = cache_.find_server_hashed(server_record, sh_hash)) {
       sh = hit->hello;

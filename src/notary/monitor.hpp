@@ -5,14 +5,12 @@
 // paper, plus the fingerprint stream of §4.
 #pragma once
 
-#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <map>
 #include <optional>
 #include <span>
 #include <string>
-#include <string_view>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -270,42 +268,9 @@ class PassiveMonitor {
   /// touched bypass the observe cache.
   void observe(const tls::population::ConnectionEvent& event);
 
-  /// Batch entry point used by the sharded study runner. With a fault
-  /// injector attached it degrades to calling observe per event (the
-  /// injector's roll/apply RNG adjacency forbids reordering); otherwise it
-  /// runs the batched pipeline: per-event feature builds with deferred
-  /// fingerprint digests, one SIMD md5_batch over the generation's
-  /// canonical strings, then per-event application in the original order.
-  /// Exported aggregates are byte-identical to the per-event path — every
-  /// event contributes exactly the same increments, and the only
-  /// reordering is across commutative folds (counters, min/max lifetimes,
-  /// flag ORs).
+  /// Span entry point used by the sharded study runner: observe() per
+  /// event, in order.
   void observe_span(std::span<const tls::population::ConnectionEvent> events);
-
-  /// One pre-serialized capture for observe_wire_batch — the fields of an
-  /// observe_wire call, owned.
-  struct WireCapture {
-    tls::core::Month month;
-    tls::core::Date day;
-    std::vector<std::uint8_t> client;
-    std::vector<std::uint8_t> server;
-    std::vector<std::uint8_t> ske;
-    std::vector<std::uint8_t> alert;
-    bool success = false;
-    bool used_fallback = false;
-    bool cacheable = true;
-  };
-
-  /// Batched byte path: equivalent to calling observe_wire per capture, but
-  /// the cache-miss captures of the whole batch are resolved in phases —
-  /// lane-hashed bucket lookups (fnv1a64_batch), parse + feature build with
-  /// deferred digests, one md5_batch over the miss canonicals, then
-  /// parse/label/insert completed per capture in the original order. The
-  /// per-capture mutation sequence is identical to observe_wire's, so
-  /// exports stay byte-identical; only cache statistics may differ (a
-  /// within-batch duplicate counts as a second miss instead of a hit, and
-  /// generation flushes happen at batch boundaries).
-  void observe_wire_batch(std::span<const WireCapture> captures);
 
   /// The raw-tap entry point. `server_key_exchange_record` may be empty
   /// (RSA key transport, TLS 1.3, or failed handshakes). Never throws on
@@ -441,21 +406,16 @@ class PassiveMonitor {
 
   /// Pure half of the fast path: builds both feature sets without mutating
   /// any aggregate; returns false when the event must take the byte path.
-  /// `fp_canonical` (optional) defers the fingerprint digest exactly like
-  /// build_client_features.
   bool fast_build(const tls::population::ConnectionEvent& event,
-                  ClientHelloFeatures& cf, ServerHelloFeatures& sf,
-                  std::string* fp_canonical);
+                  ClientHelloFeatures& cf, ServerHelloFeatures& sf);
   /// Mutating half: applies a fast_build result, mirroring observe_wire's
-  /// mutation order. `cf` must have its fingerprint finalized.
+  /// mutation order.
   void fast_apply(const tls::population::ConnectionEvent& event,
                   const ClientHelloFeatures& cf,
                   const ServerHelloFeatures& sf);
 
-  /// Shared ingest tail of observe_wire / observe_wire_batch: everything
-  /// after the client record is resolved to (hello, features, clean).
-  /// `server_hash` optionally carries a lane-precomputed bucket hash for
-  /// the server record.
+  /// Ingest tail of observe_wire: everything after the client record is
+  /// resolved to (hello, features, clean).
   void ingest_resolved(tls::core::Month m, const tls::core::Date& day,
                        const tls::wire::ClientHello& hello,
                        const ClientHelloFeatures& feats, bool client_clean,
@@ -463,7 +423,7 @@ class PassiveMonitor {
                        std::span<const std::uint8_t> ske_record, bool success,
                        bool used_fallback,
                        std::span<const std::uint8_t> alert_record,
-                       bool use_cache, const std::uint64_t* server_hash);
+                       bool use_cache);
 
   /// Applies memoized client features to the month (pure increments).
   void apply_client_features(MonthlyStats& s, tls::core::Month m,
@@ -503,43 +463,6 @@ class PassiveMonitor {
   ServerHelloFeatures scratch_server_features_;
   std::vector<tls::wire::ParseErrorCode> scratch_errors_;
   std::vector<std::uint8_t> buf_client_, buf_server_, buf_ske_, buf_alert_;
-
-  // ---- batch scratch (allocations reused across generations) ----
-  // observe_span slots: how each event of the current batch is routed.
-  enum class SpanSlotKind : std::uint8_t { kSslv2, kFast, kWire };
-  struct SpanSlot {
-    SpanSlotKind kind = SpanSlotKind::kWire;
-    std::ptrdiff_t canon = -1;  // index into span_canonicals_ (kFast)
-  };
-  // observe_wire_batch slots: per-capture client-record resolution.
-  struct WireSlot {
-    enum class Kind : std::uint8_t { kQuarantine, kHit, kMiss };
-    Kind kind = Kind::kMiss;
-    tls::wire::ParseErrorCode parse_error{};  // kQuarantine
-    const tls::wire::ClientHello* hello = nullptr;
-    const ClientHelloFeatures* feats = nullptr;
-    tls::wire::ClientHello owned_hello;  // kMiss
-    ClientHelloFeatures owned_feats;
-    std::vector<tls::wire::ParseErrorCode> errors;
-    std::ptrdiff_t canon = -1;  // index into wire_canonicals_
-    std::uint64_t client_hash = 0;
-    std::uint64_t server_hash = 0;
-    bool has_server_hash = false;
-    bool use_cache = false;
-  };
-  std::vector<SpanSlot> span_slots_;
-  std::vector<ClientHelloFeatures> span_cf_;
-  std::vector<ServerHelloFeatures> span_sf_;
-  std::vector<WireCapture> span_wire_;
-  std::vector<std::string> span_canonicals_;
-  std::vector<std::string_view> span_canonical_views_;
-  std::vector<std::array<std::uint8_t, 16>> span_digests_;
-  std::vector<WireSlot> wire_slots_;
-  std::vector<std::string> wire_canonicals_;
-  std::vector<std::string_view> wire_canonical_views_;
-  std::vector<std::array<std::uint8_t, 16>> wire_digests_;
-  std::vector<std::span<const std::uint8_t>> batch_hash_inputs_;
-  std::vector<std::uint64_t> batch_hashes_;
 };
 
 /// Flattens the monitor's per-month partition + parse-error counters into

@@ -44,8 +44,7 @@ void ClientHelloFeatures::reset() {
 void build_client_features(const ClientHello& hello,
                            const tls::fp::FingerprintDatabase* db,
                            bool want_fingerprint, ClientHelloFeatures& out,
-                           std::vector<tls::wire::ParseErrorCode>& errors,
-                           std::string* fp_canonical_out) {
+                           std::vector<tls::wire::ParseErrorCode>& errors) {
   using namespace tls::core;
   out.reset();
 
@@ -183,21 +182,14 @@ void build_client_features(const ClientHello& hello,
         out.fp.ec_point_formats =
             tls::wire::parse_ec_point_formats(ext_formats->body);
       }
-      // Past this point nothing can throw, so deferring the digest (batch
-      // callers hash many canonicals in SIMD lanes) cannot change which
-      // errors the record produces.
-      if (fp_canonical_out != nullptr) {
-        *fp_canonical_out = out.fp.canonical();
-      } else {
-        out.fp_hash = tls::fp::Md5::hex(out.fp.canonical());
-      }
+      out.fp_hash = tls::fp::Md5::hex(out.fp.canonical());
       out.fingerprint_computed = true;
       if (out.adv_rc4) out.fp_flags |= kFpRc4;
       if (out.adv_des) out.fp_flags |= kFpDes;
       if (out.adv_3des) out.fp_flags |= kFp3Des;
       if (out.adv_aead) out.fp_flags |= kFpAead;
       if (out.adv_cbc) out.fp_flags |= kFpCbc;
-      if (fp_canonical_out == nullptr && db != nullptr) {
+      if (db != nullptr) {
         if (const auto* label = db->lookup(out.fp_hash)) {
           out.label_cls = label->cls;
         }
@@ -205,17 +197,6 @@ void build_client_features(const ClientHello& hello,
     } catch (const ParseError& e) {
       out.fingerprint_computed = false;
       errors.push_back(e.code());
-    }
-  }
-}
-
-void finalize_client_fingerprint(ClientHelloFeatures& out,
-                                 const tls::fp::FingerprintDatabase* db,
-                                 const std::array<std::uint8_t, 16>& digest) {
-  out.fp_hash = tls::fp::to_hex(digest);
-  if (db != nullptr) {
-    if (const auto* label = db->lookup(out.fp_hash)) {
-      out.label_cls = label->cls;
     }
   }
 }
@@ -307,23 +288,10 @@ void ObserveCache::flush_server() {
   server_size_ = 0;
 }
 
-void ObserveCache::ensure_client_headroom(std::size_t n) {
-  if (!enabled() || client_size_ == 0 || client_size_ + n <= capacity_) {
-    return;
-  }
-  flush_client();
-}
-
 std::optional<CachedClient> ObserveCache::find_client(
     std::span<const std::uint8_t> record, bool require_fingerprint) {
   if (!enabled()) return std::nullopt;
-  return find_client_hashed(record, hash_(record), require_fingerprint);
-}
-
-std::optional<CachedClient> ObserveCache::find_client_hashed(
-    std::span<const std::uint8_t> record, std::uint64_t hash,
-    bool require_fingerprint) {
-  if (!enabled()) return std::nullopt;
+  const std::uint64_t hash = hash_(record);
   const auto tag = static_cast<std::uint32_t>(hash >> 32);
   std::size_t pos = static_cast<std::size_t>(hash) & index_mask_;
   while (client_index_[pos].head1 != 0) {
@@ -359,14 +327,7 @@ std::optional<CachedClient> ObserveCache::find_client_hashed(
 CachedClient ObserveCache::insert_client(std::span<const std::uint8_t> record,
                                          const tls::wire::ClientHello& hello,
                                          const ClientHelloFeatures& features) {
-  return insert_client_hashed(record, hash_(record),
-                              tls::wire::ClientHello(hello),
-                              ClientHelloFeatures(features));
-}
-
-CachedClient ObserveCache::insert_client_hashed(
-    std::span<const std::uint8_t> record, std::uint64_t hash,
-    tls::wire::ClientHello&& hello, ClientHelloFeatures&& features) {
+  const std::uint64_t hash = hash_(record);
   const auto tag = static_cast<std::uint32_t>(hash >> 32);
   std::size_t pos = static_cast<std::size_t>(hash) & index_mask_;
   while (client_index_[pos].head1 != 0 && client_index_[pos].tag != tag) {
@@ -378,8 +339,8 @@ CachedClient ObserveCache::insert_client_hashed(
       auto& entry = client_slots_[idx];
       if (entry.hash != hash || !same_bytes(entry.key, record)) continue;
       // Fingerprint-era upgrade of a pre-era entry.
-      entry.hello = std::move(hello);
-      entry.features = std::move(features);
+      entry.hello = hello;
+      entry.features = features;
       return CachedClient{&entry.hello, &entry.features};
     }
   }
@@ -392,21 +353,18 @@ CachedClient ObserveCache::insert_client_hashed(
   const std::uint32_t next =
       client_index_[pos].head1 == 0 ? kNilSlot : client_index_[pos].head1 - 1;
   if (idx < client_slots_.size()) {
-    // Reuse the retired generation's slot. The hello moves (the parse that
-    // produced it allocates fresh buffers every record, so copying it here
-    // would be pure extra work); the features copy-assign into the slot's
-    // retained vector capacity because their producer reuses its scratch
-    // buffers and must keep them.
+    // Reuse the retired generation's slot: everything copy-assigns into
+    // the slot's retained vector/string capacity, because the caller
+    // reuses its scratch hello and features and must keep them.
     auto& slot = client_slots_[idx];
     slot.key.assign(record.begin(), record.end());
-    slot.hello = std::move(hello);
+    slot.hello = hello;
     slot.features = features;
     slot.hash = hash;
     slot.next = next;
   } else {
-    client_slots_.push_back(ClientSlot{{record.begin(), record.end()},
-                                       std::move(hello), std::move(features),
-                                       hash, next});
+    client_slots_.push_back(ClientSlot{{record.begin(), record.end()}, hello,
+                                       features, hash, next});
   }
   client_index_[pos] = IndexCell{tag, idx + 1};
   ++client_size_;

@@ -23,7 +23,6 @@
 //     thread scheduling.
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <deque>
 #include <optional>
@@ -103,26 +102,10 @@ struct ServerHelloFeatures {
 /// notes them (heartbeat, supported_versions, fingerprint extraction); a
 /// non-empty `errors` marks the record uncacheable. Single pass over the
 /// cipher-suite and extension lists.
-///
-/// `fp_canonical_out` (optional) defers the MD5 digest for batch hashing:
-/// when non-null and the fingerprint extracts cleanly, the canonical string
-/// is written there and `out` is left with fingerprint_computed=true but an
-/// empty fp_hash and no label — the caller must digest the canonical (e.g.
-/// via tls::fp::md5_batch) and call finalize_client_fingerprint before the
-/// features are applied or cached. Nothing after the canonical is built can
-/// throw, so deferral never changes the error stream.
 void build_client_features(const tls::wire::ClientHello& hello,
                            const tls::fp::FingerprintDatabase* db,
                            bool want_fingerprint, ClientHelloFeatures& out,
-                           std::vector<tls::wire::ParseErrorCode>& errors,
-                           std::string* fp_canonical_out = nullptr);
-
-/// Completes a deferred fingerprint (see build_client_features): sets
-/// fp_hash from the digest of the canonical string and resolves the
-/// database label. Byte-identical to the non-deferred path.
-void finalize_client_fingerprint(ClientHelloFeatures& out,
-                                 const tls::fp::FingerprintDatabase* db,
-                                 const std::array<std::uint8_t, 16>& digest);
+                           std::vector<tls::wire::ParseErrorCode>& errors);
 
 /// Derives the server-side feature set; returns false (out unspecified)
 /// when any lazy accessor throws — such records are never memoized.
@@ -218,35 +201,14 @@ class ObserveCache {
                              const tls::wire::ServerHello& hello,
                              const ServerHelloFeatures& features);
 
-  // ---- batched-path variants ----
-  // The batch observe path hashes a whole generation of records in SIMD
-  // lanes up front (tls::fp::fnv1a64_batch) and hands the hash back in, so
-  // each record is hashed exactly once across find + insert; the insert
-  // overloads take ownership instead of deep-copying the parsed hello.
-
-  /// True while the cache runs its production hash — the precondition for
-  /// feeding it hashes from fnv1a64_batch (tests may inject another HashFn).
-  [[nodiscard]] bool uses_default_hash() const { return hash_ == &fnv1a64; }
+  // ---- server side with a caller-held hash ----
+  // The monitor hashes a server record once and reuses the hash for the
+  // lookup and, on a miss, the insert; the insert takes ownership of the
+  // freshly parsed hello instead of deep-copying it.
   [[nodiscard]] std::uint64_t hash_bytes(
       std::span<const std::uint8_t> bytes) const {
     return hash_(bytes);
   }
-
-  /// Pre-flushes the client side so that up to `n` subsequent inserts
-  /// cannot trigger a generation flush. Batch callers hold CachedClient
-  /// pointers from a find phase across an insert phase; a flush between the
-  /// two would dangle them. (If the flush leaves the side empty and `n`
-  /// still exceeds capacity, every batched find misses, so no pointer can
-  /// outlive a later flush either way.)
-  void ensure_client_headroom(std::size_t n);
-
-  [[nodiscard]] std::optional<CachedClient> find_client_hashed(
-      std::span<const std::uint8_t> record, std::uint64_t hash,
-      bool require_fingerprint);
-  CachedClient insert_client_hashed(std::span<const std::uint8_t> record,
-                                    std::uint64_t hash,
-                                    tls::wire::ClientHello&& hello,
-                                    ClientHelloFeatures&& features);
 
   [[nodiscard]] std::optional<CachedServer> find_server_hashed(
       std::span<const std::uint8_t> record, std::uint64_t hash);

@@ -91,6 +91,12 @@ FlightRing::FlightRing(std::size_t capacity)
 void FlightRing::record(FlightEventKind kind, std::uint32_t a,
                         std::uint64_t b, std::uint64_t ts_us) {
   const std::uint64_t seq = head_.load(std::memory_order_relaxed);
+  // Announce event seq before touching its slot. The release fence pairs
+  // with snapshot()'s acquire fence: a reader that copies any word stored
+  // below also sees begun >= seq + 1, so it discards the slot's older event
+  // instead of keeping a half-overwritten copy.
+  begun_.store(seq + 1, std::memory_order_relaxed);
+  std::atomic_thread_fence(std::memory_order_release);
   Slot& s = slots_[seq % capacity_];
   s.w0.store(ts_us, std::memory_order_relaxed);
   s.w1.store(pack_w1(static_cast<std::uint8_t>(kind), a),
@@ -106,9 +112,9 @@ std::vector<FlightEvent> FlightRing::snapshot(std::uint16_t lane) const {
   const std::uint64_t resident = std::min<std::uint64_t>(h1, capacity_);
   std::vector<FlightEvent> out;
   out.reserve(resident);
-  // Copy the candidate slots, then re-read head: any slot whose sequence
-  // could have been overwritten while we copied (seq + capacity < h2) is
-  // discarded, so no torn event survives.
+  // Copy the candidate slots, then read how many events the writer has
+  // begun: any slot it may have touched while we copied is discarded, so
+  // no torn event survives.
   struct Raw {
     std::uint64_t w0, w1, w2;
   };
@@ -120,13 +126,17 @@ std::vector<FlightEvent> FlightRing::snapshot(std::uint16_t lane) const {
     raw[i].w1 = s.w1.load(std::memory_order_relaxed);
     raw[i].w2 = s.w2.load(std::memory_order_relaxed);
   }
-  const std::uint64_t h2 = head_.load(std::memory_order_acquire);
+  // Orders the relaxed slot loads above before the begun_ read: a copy that
+  // saw any word of event X also sees begun >= X + 1.
+  std::atomic_thread_fence(std::memory_order_acquire);
+  const std::uint64_t begun = begun_.load(std::memory_order_relaxed);
   for (std::uint64_t i = 0; i < resident; ++i) {
     const std::uint64_t seq = first + i;
-    // The writer reuses slot (seq % capacity) for event seq + capacity; if
-    // that newer event was published before our second head read, our copy
-    // of this slot may be torn — discard it.
-    if (h2 > capacity_ && seq < h2 - capacity_) continue;
+    // The writer reuses slot (seq % capacity) for event seq + capacity.
+    // Once that event has begun — published or still being filled — our
+    // copy of the slot may be torn: discard it. Comparing against head
+    // instead would keep the slot of the in-flight, unpublished event.
+    if (seq + capacity_ < begun) continue;
     FlightEvent e;
     e.ts_us = raw[i].w0;
     e.seq = seq;

@@ -130,7 +130,11 @@ class FlightRing {
 
   std::size_t capacity_;
   std::unique_ptr<Slot[]> slots_;
+  /// Events published (their three words are complete).
   std::atomic<std::uint64_t> head_{0};
+  /// Events whose slot writes have begun: head_, or head_ + 1 while the
+  /// writer is filling a slot.
+  std::atomic<std::uint64_t> begun_{0};
 };
 
 /// The recorder: a fixed set of lanes created up front (no lane is ever

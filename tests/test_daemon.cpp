@@ -516,6 +516,41 @@ TEST(DaemonEndToEnd, StatsAndMetricsQueriesServeLiveAggregates) {
   daemon.join();
 }
 
+/// The stats query's ingest quantiles read log-linear buckets: a pinned
+/// 2 ms observe cost must report a p50 near 2 ms, not the next decade.
+TEST(DaemonEndToEnd, IngestQuantilesResolveBelowADecade) {
+  auto& fix = fixture();
+  const auto captures = fix.make_captures(20, 0x9050);
+  DaemonConfig config;
+  config.shards = 1;
+  config.observe_delay_us_for_test = 2000;
+  config.database = &fix.database;
+  NotaryDaemon daemon(config);
+  ASSERT_TRUE(daemon.start()) << daemon.last_error();
+
+  BlockingClient client;
+  ASSERT_TRUE(client.connect_to(daemon.port()));
+  // One capture in flight at a time, so no sample includes queueing
+  // behind another capture's observe delay.
+  for (std::size_t i = 0; i < captures.size(); ++i) {
+    ASSERT_TRUE(client.send_capture(captures[i]));
+    for (int t = 0; t < 1000 && daemon.counters().ingested <= i; ++t) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    ASSERT_EQ(daemon.counters().ingested, i + 1);
+  }
+  std::string stats;
+  ASSERT_TRUE(client.query(FrameType::kQueryStats, FrameType::kStats, &stats));
+  const auto at = stats.find("ingest_p50_us=");
+  ASSERT_NE(at, std::string::npos) << stats;
+  const auto p50 = std::stoull(stats.substr(at + 14));
+  EXPECT_GE(p50, 2000u) << stats;
+  EXPECT_LE(p50, 3000u) << stats;
+
+  daemon.request_stop();
+  daemon.join();
+}
+
 TEST(DaemonEndToEnd, DrainWritesSnapshotAndResumeRestoresAggregate) {
   auto& fix = fixture();
   const auto captures = fix.make_captures(120, 0xCAFE);

@@ -1,13 +1,9 @@
 #include <gtest/gtest.h>
 
-#include <array>
 #include <string>
-#include <string_view>
-#include <vector>
 
 #include "fingerprint/fingerprint.hpp"
 #include "fingerprint/md5.hpp"
-#include "fingerprint/md5_multilane.hpp"
 #include "tlscore/grease.hpp"
 
 namespace tls::fp {
@@ -40,9 +36,7 @@ TEST(Fingerprint, HashIsMd5OfCanonical) {
 // independent MD5 implementation (GNU coreutils md5sum). 55/56/57 bytes
 // straddle the is-there-room-for-the-length boundary (len % 64 == 56 forces
 // a second padding block); 63/64/65 straddle the block boundary itself; the
-// 200-byte and repeated-"abc" cases cover multi-block compression. These
-// are the differential oracle for the multi-lane SIMD kernels: md5_batch
-// must reproduce every one of them bit-exactly in any lane position.
+// 200-byte and repeated-"abc" cases cover multi-block compression.
 TEST(Fingerprint, Md5PaddingBoundariesMatchIndependentOracle) {
   const auto hex_of_xs = [](std::size_t n) {
     return Md5::hex(std::string(n, 'x'));
@@ -57,26 +51,6 @@ TEST(Fingerprint, Md5PaddingBoundariesMatchIndependentOracle) {
   std::string abc;
   for (int i = 0; i < 100; ++i) abc += "abc";
   EXPECT_EQ(Md5::hex(abc), "f571117acbd8153c8dc3c81b8817773a");
-}
-
-// The same oracle digests through the batch entry point, one call covering
-// every padding class at once — lanes must not leak state across messages.
-TEST(Fingerprint, Md5BatchReproducesOracleDigests) {
-  const std::array<std::size_t, 7> lens = {55, 56, 57, 63, 64, 65, 200};
-  const std::array<const char*, 7> want = {
-      "04364420e25c512fd958a70738aa8f72", "668a72d5ba17f08e62dabcafad6db14b",
-      "693037871c4a9d3d8685018905cb530a", "7dc2ca208106a2f703567bdff99d8981",
-      "c1bb4f81d892b2d57947682aeb252456", "1bc932052302d074bdec39795fe00cf6",
-      "30a83621ce5422fbdfdd539777458c78"};
-  std::vector<std::string> msgs;
-  std::vector<std::string_view> views;
-  for (const auto n : lens) msgs.emplace_back(n, 'x');
-  for (const auto& m : msgs) views.emplace_back(m);
-  std::vector<std::array<std::uint8_t, 16>> digests(views.size());
-  md5_batch(views, digests);
-  for (std::size_t i = 0; i < lens.size(); ++i) {
-    EXPECT_EQ(to_hex(digests[i]), want[i]) << "len=" << lens[i];
-  }
 }
 
 TEST(Fingerprint, FieldOrderPreserved) {

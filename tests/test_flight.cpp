@@ -96,27 +96,47 @@ TEST(FlightRing, ConcurrentSnapshotNeverTears) {
     stop.store(true, std::memory_order_release);
   });
 
+  // Failures are recorded, not asserted, while the writer runs: a failed
+  // ASSERT would return with the writer still joinable (std::terminate).
   std::uint64_t snapshots = 0;
   std::uint64_t last_max_seq = 0;
+  std::uint64_t torn = 0, gaps = 0, regressions = 0;
+  std::string first_failure;
+  const auto fail = [&](std::uint64_t& counter, const std::string& what) {
+    ++counter;
+    if (first_failure.empty()) first_failure = what;
+  };
   while (!stop.load(std::memory_order_acquire)) {
     const auto events = ring.snapshot(0);
     ++snapshots;
     for (const auto& e : events) {
       // seq IS the write index, so every word must match it exactly.
-      ASSERT_EQ(e.a, static_cast<std::uint32_t>(e.seq & 0xffffffffu));
-      ASSERT_EQ(e.b, e.seq * 7);
-      ASSERT_EQ(e.ts_us, e.seq + 1);
+      if (e.a != static_cast<std::uint32_t>(e.seq & 0xffffffffu) ||
+          e.b != e.seq * 7 || e.ts_us != e.seq + 1) {
+        fail(torn, "torn event: seq=" + std::to_string(e.seq) +
+                       " a=" + std::to_string(e.a) +
+                       " b=" + std::to_string(e.b) +
+                       " ts=" + std::to_string(e.ts_us));
+      }
     }
     if (!events.empty()) {
       // Oldest-first ordering and monotonic progress between snapshots.
       for (std::size_t i = 1; i < events.size(); ++i) {
-        ASSERT_EQ(events[i].seq, events[i - 1].seq + 1);
+        if (events[i].seq != events[i - 1].seq + 1) {
+          fail(gaps, "gap after seq " + std::to_string(events[i - 1].seq));
+        }
       }
-      ASSERT_GE(events.back().seq + 1, last_max_seq);
+      if (events.back().seq + 1 < last_max_seq) {
+        fail(regressions,
+             "newest seq went back to " + std::to_string(events.back().seq));
+      }
       last_max_seq = events.back().seq + 1;
     }
   }
   writer.join();
+  EXPECT_EQ(torn, 0u) << first_failure;
+  EXPECT_EQ(gaps, 0u) << first_failure;
+  EXPECT_EQ(regressions, 0u) << first_failure;
   EXPECT_GT(snapshots, 0u);
   EXPECT_EQ(ring.total(), kWrites);
   EXPECT_EQ(ring.dropped(), kWrites - 64);

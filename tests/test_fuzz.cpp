@@ -5,18 +5,13 @@
 #include <gtest/gtest.h>
 
 #include <array>
-#include <optional>
 #include <span>
 #include <string>
-#include <string_view>
 
 #include "clients/catalog.hpp"
 #include "core/checkpoint.hpp"
 #include "daemon/protocol.hpp"
 #include "faults/injector.hpp"
-#include "fingerprint/md5.hpp"
-#include "fingerprint/md5_multilane.hpp"
-#include "notary/observe_cache.hpp"
 #include "population/traffic.hpp"
 #include "notary/snapshot.hpp"
 #include "telemetry/flight.hpp"
@@ -551,83 +546,6 @@ TEST(Fuzz, MonitorSnapshotGarbageAndStaleVersion) {
   }
 }
 
-// ---- SIMD hash differentials (ISSUE 7) ----------------------------------
-// The multi-lane kernels must be indistinguishable from the scalar
-// reference for every batch shape: the scalar path is the RFC-1321-audited
-// oracle (test_fingerprint pins its vectors), so scalar == laned digests
-// for random batches is the whole correctness argument for dispatch.
-
-// Restores the ambient dispatch (including any TLS_MD5_FORCE pin) on exit
-// so these tests can't leak a forced backend into the rest of the suite.
-class ForcedBackend {
- public:
-  explicit ForcedBackend(tls::fp::Md5Backend backend) {
-    tls::fp::md5_force_backend(backend);
-  }
-  ~ForcedBackend() { tls::fp::md5_force_backend(std::nullopt); }
-};
-
-std::vector<std::string> random_batch(tls::core::Rng& rng, std::size_t n) {
-  std::vector<std::string> msgs(n);
-  for (auto& m : msgs) {
-    // Bias toward the padding boundaries: raw uniform lengths would almost
-    // never land on 55/56/57/63/64/65, exactly where lane padding can break.
-    static constexpr std::size_t kEdges[] = {0,  1,  55, 56,  57,  63,
-                                             64, 65, 119, 120, 127, 128};
-    const std::size_t len = rng.below(3) == 0
-                                ? kEdges[rng.below(std::size(kEdges))]
-                                : rng.below(400);
-    m.resize(len);
-    for (auto& c : m) c = static_cast<char>(rng.next());
-  }
-  return msgs;
-}
-
-TEST(Fuzz, Md5BatchMatchesScalarForEveryBackend) {
-  tls::core::Rng rng(20260809);
-  for (int trial = 0; trial < 200; ++trial) {
-    const auto msgs = random_batch(rng, 1 + rng.below(64));
-    std::vector<std::string_view> views(msgs.begin(), msgs.end());
-
-    std::vector<std::array<std::uint8_t, 16>> want(views.size());
-    {
-      ForcedBackend forced(tls::fp::Md5Backend::kScalar);
-      tls::fp::md5_batch(views, want);
-    }
-    // The scalar batch path must itself agree with the incremental oracle.
-    for (std::size_t i = 0; i < views.size(); ++i) {
-      ASSERT_EQ(tls::fp::to_hex(want[i]), tls::fp::Md5::hex(views[i]))
-          << "trial=" << trial << " lane=" << i;
-    }
-
-    for (const auto backend :
-         {tls::fp::Md5Backend::kSse2, tls::fp::Md5Backend::kAvx2}) {
-      ForcedBackend forced(backend);
-      if (tls::fp::md5_active_backend() != backend) continue;  // host limit
-      std::vector<std::array<std::uint8_t, 16>> got(views.size());
-      tls::fp::md5_batch(views, got);
-      for (std::size_t i = 0; i < views.size(); ++i) {
-        ASSERT_EQ(tls::fp::to_hex(got[i]), tls::fp::to_hex(want[i]))
-            << "trial=" << trial << " lane=" << i << " backend="
-            << tls::fp::to_string(backend);
-      }
-    }
-  }
-}
-
-TEST(Fuzz, Md5ForcedScalarDispatchStaysExercised) {
-  // Guards the fallback on wide hosts: forcing scalar must actually take
-  // effect (CI runs the whole bench under TLS_MD5_FORCE=scalar and compares
-  // digests; this is the unit-level version of that gate).
-  ForcedBackend forced(tls::fp::Md5Backend::kScalar);
-  ASSERT_EQ(tls::fp::md5_active_backend(), tls::fp::Md5Backend::kScalar);
-  const std::string_view msg = "forced-scalar dispatch probe";
-  std::vector<std::string_view> views = {msg};
-  std::vector<std::array<std::uint8_t, 16>> got(1);
-  tls::fp::md5_batch(views, got);
-  EXPECT_EQ(tls::fp::to_hex(got[0]), tls::fp::Md5::hex(msg));
-}
-
 TEST(Fuzz, GenCacheTemplatePatchMatchesFromScratchSerialization) {
   // The GenCache fast path rests on one invariant: splicing the 32-byte
   // random (and, when present, a 32-byte session id) into the compiled
@@ -905,25 +823,6 @@ TEST(Fuzz, DaemonCreditMachinesHoldInvariantsUnderRandomOps) {
     EXPECT_EQ(consumed, resolved);
     EXPECT_EQ(granted_back, resolved);
     EXPECT_EQ(gate.returnable(), 0u);
-  }
-}
-
-TEST(Fuzz, Fnv1a64BatchMatchesScalarChain) {
-  tls::core::Rng rng(424242);
-  for (int trial = 0; trial < 200; ++trial) {
-    const auto msgs = random_batch(rng, 1 + rng.below(64));
-    std::vector<std::span<const std::uint8_t>> views;
-    views.reserve(msgs.size());
-    for (const auto& m : msgs) {
-      views.emplace_back(reinterpret_cast<const std::uint8_t*>(m.data()),
-                         m.size());
-    }
-    std::vector<std::uint64_t> got(views.size());
-    tls::fp::fnv1a64_batch(views, got);
-    for (std::size_t i = 0; i < views.size(); ++i) {
-      ASSERT_EQ(got[i], tls::notary::ObserveCache::fnv1a64(views[i]))
-          << "trial=" << trial << " lane=" << i;
-    }
   }
 }
 
