@@ -140,6 +140,12 @@ struct TableRow {
   int tdes;
 };
 
+// Without this gtest prints the row's raw bytes, pointers and padding
+// included, so the listed test names change from one process to the next.
+void PrintTo(const TableRow& row, std::ostream* os) {
+  *os << row.browser << " " << row.version;
+}
+
 class BrowserTableCounts : public ::testing::TestWithParam<TableRow> {};
 
 TEST_P(BrowserTableCounts, MatchesPaper) {
