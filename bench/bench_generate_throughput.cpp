@@ -34,7 +34,7 @@
 #include <vector>
 
 #include "bench_common.hpp"
-#include "notary/observe_cache.hpp"
+#include "tlscore/fnv.hpp"
 
 namespace {
 
@@ -47,19 +47,16 @@ std::size_t env_size(const char* name, std::size_t fallback) {
   return v == nullptr ? fallback : std::strtoull(v, nullptr, 10);
 }
 
-constexpr std::uint64_t kFnvPrime = 1099511628211ULL;
-
 void fold(std::uint64_t& acc, std::uint64_t v) {
-  acc = (acc ^ v) * kFnvPrime;
+  acc = (acc ^ v) * tls::core::kFnvPrime;
 }
 
 void fold_bytes(std::uint64_t& acc, const std::vector<std::uint8_t>& bytes) {
-  fold(acc, tls::notary::ObserveCache::fnv1a64(bytes));
+  fold(acc, tls::core::fnv1a64(bytes));
   fold(acc, bytes.size());
 }
 
-// Exhaustive text digest of a monitor's exported state (the established
-// byte-identity gate shape from bench_observe_throughput).
+// Exhaustive text digest of a monitor's exported state.
 std::string monitor_digest(const tls::notary::PassiveMonitor& mon) {
   std::ostringstream out;
   for (const auto& [m, s] : mon.months()) {

@@ -85,7 +85,7 @@ struct RecoveryReport {
   /// Telemetry covers only the recomputed slice of this run: checkpoint
   /// frames carry monitor state but not the metrics registry, so after a
   /// resume the phase timings / fault-trigger counters describe just the
-  /// tasks that actually re-ran. (Cache and error-taxonomy stats ARE
+  /// tasks that actually re-ran. (Error-taxonomy stats ARE
   /// frame-persisted and stay exact across resume.)
   bool telemetry_partial = false;
   /// Quarantine sidecar paths of every rejected frame, in replay order.

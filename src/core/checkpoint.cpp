@@ -14,12 +14,13 @@
 #include <system_error>
 
 #include "core/study.hpp"
-#include "notary/observe_cache.hpp"
+#include "tlscore/fnv.hpp"
 #include "wire/buffer.hpp"
 
 namespace tls::study {
 
 namespace fs = std::filesystem;
+using tls::core::fnv1a64;
 using tls::wire::ByteReader;
 using tls::wire::ByteWriter;
 using tls::wire::ParseError;
@@ -29,10 +30,6 @@ namespace {
 
 constexpr std::uint32_t kFrameMagic = 0x544c534a;     // "TLSJ"
 constexpr std::uint32_t kManifestMagic = 0x544c534d;  // "TLSM"
-
-std::uint64_t fnv1a64(std::span<const std::uint8_t> bytes) {
-  return tls::notary::ObserveCache::fnv1a64(bytes);
-}
 
 void write_double(ByteWriter& w, double v) {
   w.u64(std::bit_cast<std::uint64_t>(v));
@@ -77,9 +74,9 @@ std::uint64_t options_digest(const StudyOptions& options) {
   // Canonical encoding of every byte-affecting option. Field order is part
   // of the format: changing it (or what is included) orphans old journals,
   // which is the safe failure mode. Deliberately absent: the pure
-  // performance toggles (observe_cache_entries, fast_observe, gen_cache,
-  // telemetry, the journal knobs) — none of them changes an exported byte,
-  // so a run may resume with any of them flipped.
+  // performance toggles (fast_observe, gen_cache, telemetry, the journal
+  // knobs) — none of them changes an exported byte, so a run may resume
+  // with any of them flipped.
   ByteWriter w;
   w.u64(options.seed);
   w.u64(options.connections_per_month);

@@ -12,12 +12,13 @@
 #include <system_error>
 
 #include "faults/injector.hpp"
-#include "notary/observe_cache.hpp"
+#include "tlscore/fnv.hpp"
 #include "wire/buffer.hpp"
 
 namespace tls::study {
 
 namespace fs = std::filesystem;
+using tls::core::fnv1a64;
 using tls::wire::ByteReader;
 using tls::wire::ByteWriter;
 using tls::wire::ParseError;
@@ -39,10 +40,6 @@ constexpr std::size_t kIndexEntrySize = 4 + 4 + 8 + 8 + 8;
 // attempts; a persistent error then surfaces through the taxonomy.
 constexpr int kMaxIoRetries = 5;
 constexpr unsigned kRetrySleepUs = 500;
-
-std::uint64_t fnv1a64(std::span<const std::uint8_t> bytes) {
-  return tls::notary::ObserveCache::fnv1a64(bytes);
-}
 
 void book(JournalErrorTaxonomy* errors, JournalStage stage, int err) {
   if (errors != nullptr) errors->record(stage, classify_errno(err));

@@ -78,9 +78,9 @@ tls::analysis::RecoveryReport LongitudinalStudy::recovery() const {
   tls::analysis::RecoveryReport report;
   if (journal_ != nullptr) report = journal_->snapshot_report();
   report.stuck_reruns = stuck_reruns_.load();
-  // Checkpoint frames persist monitor state (including cache and taxonomy
-  // stats) but not the telemetry registry: after a resume the phase
-  // timings and fault-trigger counters cover only the recomputed tasks.
+  // Checkpoint frames persist monitor state (including taxonomy stats)
+  // but not the telemetry registry: after a resume the phase timings and
+  // fault-trigger counters cover only the recomputed tasks.
   report.telemetry_partial =
       options_.telemetry && report.resumed && report.tasks_skipped > 0;
   return report;
@@ -107,7 +107,6 @@ std::unique_ptr<tls::notary::PassiveMonitor> LongitudinalStudy::compute_shard(
   // did — determinism survives the discard.
   const auto attempt = [&](bool enforce_deadline, TaskTelemetry* tel) {
     auto mon = std::make_unique<tls::notary::PassiveMonitor>(&database_);
-    mon->set_observe_cache_capacity(options_.observe_cache_entries);
     mon->set_fast_observe(options_.fast_observe);
     if (tel != nullptr) mon->set_telemetry(&tel->registry);
     std::unique_ptr<tls::faults::FaultInjector> injector;
@@ -396,34 +395,6 @@ void LongitudinalStudy::run() {
 
 void LongitudinalStudy::collect_run_metrics(const tls::core::ThreadPool& pool) {
   if (!options_.telemetry) return;
-  // ---- observe-cache stat island (merged across shards by absorb) ----
-  const auto& cs = monitor_->observe_cache_stats();
-  const auto side = [&](const char* label,
-                        const tls::notary::CacheSideStats& s) {
-    const std::string lb = std::string("side=\"") + label + '"';
-    const std::pair<const char*, std::uint64_t> counters[] = {
-        {"tls_repro_observe_cache_hits_total", s.hits},
-        {"tls_repro_observe_cache_misses_total", s.misses},
-        {"tls_repro_observe_cache_inserts_total", s.inserts},
-        {"tls_repro_observe_cache_evictions_total", s.evictions},
-        {"tls_repro_observe_cache_flushes_total", s.flushes},
-        {"tls_repro_observe_cache_collisions_total", s.collisions},
-    };
-    for (const auto& [name, v] : counters) {
-      metrics_.counter(name, lb, "ObserveCache accounting, per side").value = v;
-    }
-  };
-  side("client", cs.client);
-  side("server", cs.server);
-  metrics_
-      .counter("tls_repro_observe_cache_bypasses_total", "",
-               "Captures routed around the cache (fault-touched records)")
-      .value = cs.bypasses;
-  metrics_
-      .counter("tls_repro_observe_cache_uncacheable_total", "",
-               "Captures with no cacheable record shape")
-      .value = cs.uncacheable;
-
   // ---- error taxonomy + quarantine ring ----
   for (std::size_t s = 0; s < tls::notary::kIngestStageCount; ++s) {
     const auto stage = static_cast<tls::notary::IngestStage>(s);

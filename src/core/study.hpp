@@ -61,9 +61,8 @@ struct StudyOptions {
   /// (it changes which rng stream feeds each connection), so changing it
   /// changes the sampled stream — changing `threads` never does.
   std::size_t shards_per_month = 8;
-  /// Per-side capacity of each shard monitor's ObserveCache (0 disables).
-  /// Cache state never changes any exported byte — only throughput.
-  std::size_t observe_cache_entries = tls::notary::ObserveCache::kDefaultCapacity;
+  /// Kept for `perfbench/` until the next `[benchmark]` PR. Not read.
+  std::size_t observe_cache_entries = 0;
   /// Struct-reuse fast path for fault-free observations (see
   /// PassiveMonitor::observe). Off forces the serialize→parse byte path;
   /// outputs are identical either way.
@@ -72,8 +71,8 @@ struct StudyOptions {
   /// hello wire templates + memoized negotiation plans. Off forces the
   /// build-from-scratch path; the RNG stream and every exported byte are
   /// identical either way (tested across threads and fault rates), so —
-  /// like the observe-cache knobs above — it is excluded from
-  /// options_digest and a checkpointed run may resume with it flipped.
+  /// like fast_observe above — it is excluded from options_digest and a
+  /// checkpointed run may resume with it flipped.
   bool gen_cache = true;
   /// Unified telemetry: collect the metrics registry and pipeline spans
   /// during run()/export_figures(). Observability only — enabling it may
@@ -166,8 +165,8 @@ class LongitudinalStudy {
 
   // ---- telemetry artifacts (populated when options.telemetry is set) ----
   /// The merged metrics registry: per-shard registries folded in plan
-  /// order, plus the post-run stat collection (cache, taxonomy,
-  /// quarantine, pool, recovery). Empty when telemetry is off.
+  /// order, plus the post-run stat collection (taxonomy, quarantine,
+  /// pool, recovery). Empty when telemetry is off.
   [[nodiscard]] const tls::telemetry::MetricsRegistry& metrics();
   /// Pipeline spans in plan order (one trace lane per shard task, lane 0
   /// for study-level phases). Empty when telemetry is off.
@@ -246,8 +245,8 @@ class LongitudinalStudy {
   std::unique_ptr<tls::notary::PassiveMonitor> compute_shard(
       tls::core::Month month, std::size_t shard, std::size_t count,
       TaskTelemetry* telemetry, std::uint32_t lane);
-  /// Post-run stat collection: migrates the subsystem stat islands (cache,
-  /// taxonomy, quarantine, monitor totals, pool accounting, recovery)
+  /// Post-run stat collection: migrates the subsystem stat islands
+  /// (taxonomy, quarantine, monitor totals, pool accounting, recovery)
   /// onto the registry. No-op when telemetry is off.
   void collect_run_metrics(const tls::core::ThreadPool& pool);
 };

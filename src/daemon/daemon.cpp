@@ -19,11 +19,11 @@
 
 #include "core/checkpoint.hpp"
 #include "core/journal.hpp"
-#include "notary/observe_cache.hpp"
 #include "notary/snapshot.hpp"
 #include "telemetry/export.hpp"
 #include "telemetry/flight.hpp"
 #include "telemetry/trace.hpp"
+#include "tlscore/fnv.hpp"
 
 namespace tls::daemon {
 namespace {
@@ -260,7 +260,6 @@ bool NotaryDaemon::start() {
     auto shard = std::make_unique<Shard>();
     shard->monitor =
         std::make_unique<tls::notary::PassiveMonitor>(config_.database);
-    shard->monitor->set_observe_cache_capacity(config_.observe_cache_entries);
     shard->latency = &shard->registry.histogram(
         "tls_repro_daemon_ingest_latency_us",
         tls::telemetry::wide_latency_buckets_us(), {},
@@ -295,12 +294,14 @@ bool NotaryDaemon::open_journal() {
 
   if (config_.resume) {
     // Scan-is-ground-truth replay: every checksummed group in every
-    // segment is a candidate; the newest valid epoch frame wins. Torn
+    // segment is a candidate; the newest epoch that decodes wins. Torn
     // tails and foreign frames are simply skipped — worst case the daemon
     // falls back one epoch and the sensors re-send.
-    std::vector<std::uint8_t> best_payload;
-    std::uint64_t best_slot = 0;
-    bool found = false;
+    struct Candidate {
+      std::uint64_t slot;
+      std::vector<std::uint8_t> payload;
+    };
+    std::vector<Candidate> candidates;
     for (auto id : segments) {
       std::vector<std::uint8_t> bytes;
       if (!journal_->backend.read_segment(id, bytes)) continue;
@@ -311,24 +312,32 @@ bool NotaryDaemon::open_journal() {
           if (frame.options_digest != kDaemonOptionsDigest) continue;
           if (frame.header.kind != tls::study::FrameKind::kPassiveShard)
             continue;
-          if (!found || frame.header.slot >= best_slot) {
-            best_slot = frame.header.slot;
-            best_payload = std::move(frame.payload);
-            found = true;
-          }
+          candidates.push_back({frame.header.slot, std::move(frame.payload)});
         } catch (const tls::wire::ParseError&) {
           // Corrupt frame inside a valid group: skip, older epochs remain.
         }
       }
     }
-    if (found) {
+    // Newest first; of two frames with one slot, the later-written wins.
+    std::reverse(candidates.begin(), candidates.end());
+    std::stable_sort(candidates.begin(), candidates.end(),
+                     [](const Candidate& a, const Candidate& b) {
+                       return a.slot > b.slot;
+                     });
+    // New epochs number above every slot seen, decodable or not, so a
+    // later resume never prefers an undecodable epoch over newer data.
+    if (!candidates.empty()) epoch_ = candidates.front().slot;
+    for (const auto& candidate : candidates) {
       try {
         baseline_ = std::make_unique<tls::notary::PassiveMonitor>(
-            tls::notary::decode_monitor_state(best_payload, config_.database));
-        resumed_epoch_ = best_slot;
-        epoch_ = best_slot;
+            tls::notary::decode_monitor_state(candidate.payload,
+                                              config_.database));
+        resumed_epoch_ = candidate.slot;
+        break;
       } catch (const tls::wire::ParseError&) {
-        baseline_.reset();
+        // Checksum-valid but undecodable (e.g. an older snapshot version):
+        // count it and fall back to the next older epoch.
+        ++resume_decode_failures_;
       }
     }
   } else {
@@ -512,6 +521,7 @@ std::string NotaryDaemon::stats_text() {
       << "ingested=" << c.ingested << '\n'
       << "malformed=" << c.malformed << '\n'
       << "offered=" << c.offered << '\n'
+      << "resume_decode_failures=" << resume_decode_failures_ << '\n'
       << "resumed_epoch=" << resumed_epoch_ << '\n'
       << "shed=" << c.shed << '\n'
       << "sslv2=" << c.sslv2 << '\n'
@@ -913,8 +923,7 @@ void NotaryDaemon::worker_loop(std::size_t shard_index) {
                                     job.capture.client, job.capture.server,
                                     job.capture.ske, job.capture.success,
                                     job.capture.used_fallback,
-                                    job.capture.alert,
-                                    /*cacheable=*/true);
+                                    job.capture.alert);
       }
     }
     const std::uint64_t observed_at = now_us();
@@ -1053,8 +1062,7 @@ void NotaryDaemon::handle_capture(Connection& conn,
   const std::size_t shard_index =
       capture.client.empty()
           ? capture.month_index % shards_.size()
-          : tls::notary::ObserveCache::fnv1a64(capture.client) %
-                shards_.size();
+          : tls::core::fnv1a64(capture.client) % shards_.size();
   auto& shard = *shards_[shard_index];
   bool admitted = false;
   std::size_t depth_at_refusal = 0;

@@ -2,7 +2,7 @@
 //
 // A resident process that accepts checksummed capture frames
 // (daemon/protocol.hpp) over TCP from many concurrent sensor clients and
-// feeds them through the existing PassiveMonitor + ObserveCache fast path
+// feeds them through the existing PassiveMonitor byte path (observe_wire)
 // on a sharded worker pool. The batch study pipeline stays the reference
 // implementation; the daemon is the serving story for the ROADMAP's
 // "heavy traffic from millions of users" north star, engineered so that
@@ -27,7 +27,7 @@
 // non-blocking IO, per-connection outbound buffers); `shards` worker
 // threads own one PassiveMonitor each and drain their bounded queue.
 // Captures are routed to a shard by FNV-1a-64 of the ClientHello record,
-// so identical hellos land on the same shard's ObserveCache. Workers
+// a pure function of the bytes, so routing is reproducible. Workers
 // report completions back through a wake pipe; the event loop batches the
 // resolved credits into grant frames.
 #pragma once
@@ -60,9 +60,9 @@ struct DaemonConfig {
   std::string bind_address = "127.0.0.1";
   /// 0 binds an ephemeral port; read the actual one back via port().
   std::uint16_t port = 0;
-  /// Worker threads / monitor shards. Shard routing is content-hashed, so
-  /// the shard count changes cache locality but never any aggregate byte
-  /// (absorb is arrival-order-invariant over integer counters).
+  /// Worker threads / monitor shards. Shard routing is content-hashed, and
+  /// the shard count never changes any aggregate byte (absorb is
+  /// arrival-order-invariant over integer counters).
   std::size_t shards = 4;
   /// Bounded depth of each shard's ingest queue — the admission-control
   /// knob. A capture arriving at a full queue is shed (and counted).
@@ -75,8 +75,8 @@ struct DaemonConfig {
   /// A connection stalled mid-frame longer than this is dropped.
   std::uint64_t idle_timeout_ms = 10000;
   std::size_t max_connections = 256;
-  /// Per-side ObserveCache capacity for each shard monitor (0 disables).
-  std::size_t observe_cache_entries = 1024;
+  /// Kept for `perfbench/` until the next `[benchmark]` PR. Not read.
+  std::size_t observe_cache_entries = 0;
   /// Labeled-coverage database for the shard monitors (nullable).
   const tls::fp::FingerprintDatabase* database = nullptr;
 
@@ -290,6 +290,8 @@ class NotaryDaemon {
   std::unique_ptr<JournalPlane> journal_;
   std::unique_ptr<tls::notary::PassiveMonitor> baseline_;
   std::uint64_t resumed_epoch_ = 0;
+  /// Checksum-valid epochs skipped on resume because they did not decode.
+  std::uint64_t resume_decode_failures_ = 0;
   std::uint64_t epoch_ = 0;
   std::uint64_t last_checkpoint_ingested_ = 0;
 };

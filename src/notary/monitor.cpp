@@ -115,7 +115,6 @@ void PassiveMonitor::absorb(const PassiveMonitor& other) {
   }
   taxonomy_.merge(other.taxonomy_);
   quarantine_.absorb(other.quarantine_);
-  cache_.stats().merge(other.cache_.stats());
 }
 
 const MonthlyStats* PassiveMonitor::month(Month m) const {
@@ -173,9 +172,6 @@ void PassiveMonitor::observe(const tls::population::ConnectionEvent& event) {
         .serialize_record_into(0x0301, buf_alert_);
   }
   bool client_only = false;
-  // Anything the tap touched must bypass the cache: the quarantine and
-  // error-taxonomy paths have to run for every corrupted repetition.
-  const bool cacheable = kind == FaultKind::kNone;
   if (kind != FaultKind::kNone) {
     injector_->apply_capture(kind, buf_client_, buf_server_);
     // SKE and alert records travel in the server direction: when that
@@ -188,8 +184,7 @@ void PassiveMonitor::observe(const tls::population::ConnectionEvent& event) {
     }
   }
   observe_wire(event.month, event.day, buf_client_, buf_server_, buf_ske_,
-               event.result.success, event.used_fallback, buf_alert_,
-               cacheable);
+               event.result.success, event.used_fallback, buf_alert_);
   if (client_only) ++stats(event.month).one_sided_client;
 }
 
@@ -445,75 +440,34 @@ void PassiveMonitor::observe_wire(
     std::span<const std::uint8_t> client_record,
     std::span<const std::uint8_t> server_record,
     std::span<const std::uint8_t> server_key_exchange_record, bool success,
-    bool used_fallback, std::span<const std::uint8_t> alert_record,
-    bool cacheable) {
+    bool used_fallback, std::span<const std::uint8_t> alert_record) {
   if (tel_byte_ != nullptr) tel_byte_->add();
   using namespace tls::core;
-  const bool use_cache = cacheable && cache_.enabled();
-  if (!cacheable && cache_.enabled()) cache_.count_bypass();
-  const bool want_fp = m >= fp_start();
 
-  // ---- client side: memoized feature extraction ----
-  const ClientHello* hello = nullptr;
-  const ClientHelloFeatures* feats = nullptr;
-  bool client_clean = true;
-  if (use_cache) {
-    if (const auto hit = cache_.find_client(client_record, want_fp)) {
-      hello = hit->hello;
-      feats = hit->features;
-    }
+  // ---- client side ----
+  try {
+    scratch_hello_ = ClientHello::parse_record(client_record);
+  } catch (const tls::wire::ParseError& e) {
+    note_error(m, IngestStage::kClientHello, e.code(), client_record);
+    quarantine_capture(m);
+    return;
   }
-  if (feats == nullptr) {
-    try {
-      scratch_hello_ = ClientHello::parse_record(client_record);
-    } catch (const tls::wire::ParseError& e) {
-      note_error(m, IngestStage::kClientHello, e.code(), client_record);
-      quarantine_capture(m);
-      return;
-    }
-    scratch_errors_.clear();
-    build_client_features(scratch_hello_, database_, want_fp,
-                          scratch_features_, scratch_errors_);
-    for (const auto code : scratch_errors_) {
-      note_error(m, IngestStage::kClientHello, code, client_record);
-    }
-    client_clean = scratch_errors_.empty();
-    if (use_cache && client_clean) {
-      // Only error-free extractions are memoized: repetitions of a record
-      // that produces errors must replay the taxonomy/quarantine writes.
-      const auto inserted =
-          cache_.insert_client(client_record, scratch_hello_,
-                               scratch_features_);
-      hello = inserted.hello;
-      feats = inserted.features;
-    } else {
-      if (use_cache) cache_.count_uncacheable();
-      hello = &scratch_hello_;
-      feats = &scratch_features_;
-    }
+  const ClientHello& hello = scratch_hello_;
+  const ClientHelloFeatures& feats = scratch_features_;
+  scratch_errors_.clear();
+  build_client_features(hello, database_, m >= fp_start(), scratch_features_,
+                        scratch_errors_);
+  for (const auto code : scratch_errors_) {
+    note_error(m, IngestStage::kClientHello, code, client_record);
   }
+  const bool client_clean = scratch_errors_.empty();
 
-  ingest_resolved(m, day, *hello, *feats, client_clean, server_record,
-                  server_key_exchange_record, success, used_fallback,
-                  alert_record, use_cache);
-}
-
-void PassiveMonitor::ingest_resolved(
-    Month m, const tls::core::Date& day, const ClientHello& hello_ref,
-    const ClientHelloFeatures& feats_ref, bool client_clean,
-    std::span<const std::uint8_t> server_record,
-    std::span<const std::uint8_t> server_key_exchange_record, bool success,
-    bool used_fallback, std::span<const std::uint8_t> alert_record,
-    bool use_cache) {
-  using namespace tls::core;
-  const ClientHello* hello = &hello_ref;
-  const ClientHelloFeatures* feats = &feats_ref;
   MonthlyStats& s = stats(m);
   ++s.total;
   ++total_;
   if (used_fallback) ++s.fallbacks;
 
-  apply_client_features(s, m, day, *feats);
+  apply_client_features(s, m, day, feats);
 
   // ---- alerts on failed handshakes ----
   if (!alert_record.empty()) {
@@ -530,51 +484,24 @@ void PassiveMonitor::ingest_resolved(
     ++s.failures;
     return;
   }
-  const ServerHello* sh = nullptr;
-  const ServerHelloFeatures* sfeats = nullptr;
-  const std::uint64_t sh_hash =
-      use_cache ? cache_.hash_bytes(server_record) : 0;
-  if (use_cache) {
-    if (const auto hit = cache_.find_server_hashed(server_record, sh_hash)) {
-      sh = hit->hello;
-      sfeats = hit->features;
-    }
+  try {
+    scratch_server_hello_ = ServerHello::parse_record(server_record);
+  } catch (const tls::wire::ParseError& e) {
+    note_error(m, IngestStage::kServerHello, e.code(), server_record);
+    ++s.failures;
+    return;
   }
-  if (sh == nullptr) {
-    try {
-      scratch_server_hello_ = ServerHello::parse_record(server_record);
-    } catch (const tls::wire::ParseError& e) {
-      note_error(m, IngestStage::kServerHello, e.code(), server_record);
-      ++s.failures;
-      return;
-    }
-    // Records whose lazy accessors throw are never memoized — every
-    // repetition must replay the guarded harvest below with its partial
-    // counting and error notes.
-    const bool derived =
-        build_server_features(scratch_server_hello_, scratch_server_features_);
-    sh = &scratch_server_hello_;
-    if (derived) {
-      if (use_cache) {
-        // Move the parsed hello into the entry (scratch is reassigned on
-        // its next use); the hash computed for the lookup is reused.
-        const auto inserted = cache_.insert_server_hashed(
-            server_record, sh_hash, std::move(scratch_server_hello_),
-            scratch_server_features_);
-        sh = inserted.hello;
-        sfeats = inserted.features;
-      } else {
-        sfeats = &scratch_server_features_;
-      }
-    } else if (use_cache) {
-      cache_.count_uncacheable();
-    }
-  }
+  const ServerHello& sh = scratch_server_hello_;
+  const ServerHelloFeatures& sfeats = scratch_server_features_;
+  // Records whose lazy accessors throw take the guarded harvest below,
+  // with its partial counting and error notes.
+  const bool server_clean =
+      build_server_features(sh, scratch_server_features_);
 
   // Spec check: did the server pick something the client never offered?
   const bool offered =
-      std::find(hello->cipher_suites.begin(), hello->cipher_suites.end(),
-                sh->cipher_suite) != hello->cipher_suites.end();
+      std::find(hello.cipher_suites.begin(), hello.cipher_suites.end(),
+                sh.cipher_suite) != hello.cipher_suites.end();
   if (!offered) ++s.spec_violations;
 
   if (!success) {
@@ -583,11 +510,11 @@ void PassiveMonitor::ingest_resolved(
   }
   ++s.successful;
 
-  if (sfeats != nullptr && client_clean) {
+  if (server_clean && client_clean) {
     // Both sides extracted error-free: no accessor can throw, so the
-    // memoized mirror of the guarded block below applies.
+    // feature-based mirror of the guarded block below applies.
     std::optional<std::uint16_t> ske_group;
-    if (!sfeats->key_share_group && !server_key_exchange_record.empty()) {
+    if (!sfeats.key_share_group && !server_key_exchange_record.empty()) {
       try {
         ske_group = tls::wire::EcdheServerKeyExchange::parse_record(
                         server_key_exchange_record)
@@ -597,22 +524,22 @@ void PassiveMonitor::ingest_resolved(
                    server_key_exchange_record);
       }
     }
-    apply_server_features(s, *hello, *feats, *sh, *sfeats, ske_group);
+    apply_server_features(s, hello, feats, sh, sfeats, ske_group);
     return;
   }
 
   try {
-    const std::uint16_t version = sh->negotiated_version();
-    if (!hello->session_id.empty() && sh->session_id == hello->session_id &&
+    const std::uint16_t version = sh.negotiated_version();
+    if (!hello.session_id.empty() && sh.session_id == hello.session_id &&
         !is_tls13_version(version)) {
       ++s.resumed;
     }
     s.count_version(version);
     if (is_tls13_version(version)) ++s.negotiated_tls13;
 
-    const auto* suite = find_cipher_suite(sh->cipher_suite);
+    const auto* suite = find_cipher_suite(sh.cipher_suite);
     if (suite != nullptr) {
-      if (is_rc4(*suite) && feats->adv_aead) ++s.rc4_despite_aead;
+      if (is_rc4(*suite) && feats.adv_aead) ++s.rc4_despite_aead;
       s.count_class(cipher_class(*suite));
       s.count_kex(kex_class(*suite));
       if (is_aead(*suite)) s.count_aead(aead_kind(*suite));
@@ -623,7 +550,7 @@ void PassiveMonitor::ingest_resolved(
       if (is_null_with_null_null(*suite)) ++s.negotiated_null_with_null_null;
     }
 
-    if (const auto group = sh->key_share_group()) {
+    if (const auto group = sh.key_share_group()) {
       s.count_group(*group);
     } else if (!server_key_exchange_record.empty()) {
       try {
@@ -636,14 +563,14 @@ void PassiveMonitor::ingest_resolved(
       }
     }
 
-    if (sh->heartbeat_mode().has_value() &&
-        hello->heartbeat_mode().has_value()) {
+    if (sh.heartbeat_mode().has_value() &&
+        hello.heartbeat_mode().has_value()) {
       ++s.heartbeat_negotiated;
     }
     s.reneg_info_negotiated +=
-        sh->has_extension(ExtensionType::kRenegotiationInfo);
-    s.etm_negotiated += sh->has_extension(ExtensionType::kEncryptThenMac);
-    s.ems_negotiated += sh->has_extension(ExtensionType::kExtendedMasterSecret);
+        sh.has_extension(ExtensionType::kRenegotiationInfo);
+    s.etm_negotiated += sh.has_extension(ExtensionType::kEncryptThenMac);
+    s.ems_negotiated += sh.has_extension(ExtensionType::kExtendedMasterSecret);
   } catch (const tls::wire::ParseError& e) {
     // A lazy ServerHello accessor hit a corrupt extension body: the
     // connection stays successful, the remaining server-side stats for it

@@ -19,6 +19,7 @@
 #include "fingerprint/database.hpp"
 #include "fingerprint/duration.hpp"
 #include "notary/counters.hpp"
+#include "notary/features.hpp"
 #include "notary/observe_cache.hpp"
 #include "notary/quarantine.hpp"
 #include "population/traffic.hpp"
@@ -264,8 +265,7 @@ class PassiveMonitor {
   /// already-built structs directly — serializing and re-parsing them would
   /// be a pure round trip (the codecs are inverses; proven byte-identical
   /// by test). With an injector attached, the event is serialized, run
-  /// through the chaos tap, and ingested via observe_wire; records the tap
-  /// touched bypass the observe cache.
+  /// through the chaos tap, and ingested via observe_wire.
   void observe(const tls::population::ConnectionEvent& event);
 
   /// Span entry point used by the sharded study runner: observe() per
@@ -276,15 +276,12 @@ class PassiveMonitor {
   /// (RSA key transport, TLS 1.3, or failed handshakes). Never throws on
   /// hostile input: unparseable ClientHellos quarantine the capture, and
   /// record-level failures elsewhere are counted per stage and code.
-  /// `cacheable=false` routes the capture around the observe cache (used
-  /// for fault-injected records).
   void observe_wire(tls::core::Month month, const tls::core::Date& day,
                     std::span<const std::uint8_t> client_hello_record,
                     std::span<const std::uint8_t> server_hello_record,
                     std::span<const std::uint8_t> server_key_exchange_record,
                     bool success, bool used_fallback = false,
-                    std::span<const std::uint8_t> alert_record = {},
-                    bool cacheable = true);
+                    std::span<const std::uint8_t> alert_record = {});
 
   /// Full-transcript entry point: parses both directions' record streams
   /// (hellos, ServerKeyExchange, alerts, ChangeCipherSpec) and applies the
@@ -314,11 +311,10 @@ class PassiveMonitor {
   void set_telemetry(tls::telemetry::MetricsRegistry* registry);
 
   /// Shard merge: folds another monitor's entire state (monthly stats,
-  /// duration tracker, dataset tallies, error taxonomy, quarantine ring,
-  /// observe-cache statistics) into this one. Absorbing per-shard monitors
-  /// in a fixed (month, shard) order makes the result independent of which
-  /// threads ran the shards — the determinism contract of the parallel
-  /// study runner.
+  /// duration tracker, dataset tallies, error taxonomy, quarantine ring)
+  /// into this one. Absorbing per-shard monitors in a fixed (month, shard)
+  /// order makes the result independent of which threads ran the shards —
+  /// the determinism contract of the parallel study runner.
   void absorb(const PassiveMonitor& other);
 
   [[nodiscard]] const std::map<tls::core::Month, MonthlyStats>& months()
@@ -338,23 +334,13 @@ class PassiveMonitor {
     return tls::core::Month(2014, 10);
   }
 
-  // ---- observe-cache control / observability ----
-  /// Per-direction entry budget; 0 disables memoization. Any setting
-  /// yields identical aggregates — the cache memoizes a pure function of
-  /// the record bytes.
-  void set_observe_cache_capacity(std::size_t entries) {
-    cache_.set_capacity(entries);
-  }
-  [[nodiscard]] const ObserveCacheStats& observe_cache_stats() const {
-    return cache_.stats();
-  }
+  /// Kept for `perfbench/` until the next `[benchmark]` PR. Does nothing.
+  void set_observe_cache_capacity(std::size_t) {}
+  /// Kept for `perfbench/` until the next `[benchmark]` PR. All zero.
+  [[nodiscard]] ObserveCacheStats observe_cache_stats() const { return {}; }
   /// Test seam: disabling forces observe() onto the serialize→parse byte
   /// path even without a fault injector.
   void set_fast_observe(bool enabled) { fast_observe_ = enabled; }
-  /// Test seam: degenerate hash functions force 64-bit key collisions.
-  void set_observe_cache_hash_for_test(ObserveCache::HashFn hash) {
-    cache_.set_hash_for_test(hash);
-  }
 
   // ---- dataset-wide tallies ----
   [[nodiscard]] std::uint64_t total_connections() const { return total_; }
@@ -414,23 +400,12 @@ class PassiveMonitor {
                   const ClientHelloFeatures& cf,
                   const ServerHelloFeatures& sf);
 
-  /// Ingest tail of observe_wire: everything after the client record is
-  /// resolved to (hello, features, clean).
-  void ingest_resolved(tls::core::Month m, const tls::core::Date& day,
-                       const tls::wire::ClientHello& hello,
-                       const ClientHelloFeatures& feats, bool client_clean,
-                       std::span<const std::uint8_t> server_record,
-                       std::span<const std::uint8_t> ske_record, bool success,
-                       bool used_fallback,
-                       std::span<const std::uint8_t> alert_record,
-                       bool use_cache);
-
-  /// Applies memoized client features to the month (pure increments).
+  /// Applies extracted client features to the month (pure increments).
   void apply_client_features(MonthlyStats& s, tls::core::Month m,
                              const tls::core::Date& day,
                              const ClientHelloFeatures& f);
-  /// Applies memoized server features; only valid when both sides' feature
-  /// extraction was error-free (no accessor can throw then).
+  /// Applies extracted server features; only valid when both sides'
+  /// feature extraction was error-free (no accessor can throw then).
   void apply_server_features(MonthlyStats& s,
                              const tls::wire::ClientHello& hello,
                              const ClientHelloFeatures& cf,
@@ -448,7 +423,6 @@ class PassiveMonitor {
   QuarantineRing quarantine_;
   tls::faults::FaultInjector* injector_ = nullptr;
 
-  ObserveCache cache_;
   bool fast_observe_ = true;
   // Telemetry counter handles (null = telemetry detached). Registry map
   // nodes have stable addresses, so caching the pointers is safe.

@@ -237,18 +237,6 @@ struct MonitorSnapshotCodec {
       w.bytes(rec.prefix);
     }
     w.u64(ring.total_pushed());
-
-    const ObserveCacheStats& cs = mon.cache_.stats();
-    for (const CacheSideStats* side : {&cs.client, &cs.server}) {
-      w.u64(side->hits);
-      w.u64(side->misses);
-      w.u64(side->inserts);
-      w.u64(side->evictions);
-      w.u64(side->flushes);
-      w.u64(side->collisions);
-    }
-    w.u64(cs.bypasses);
-    w.u64(cs.uncacheable);
   }
 
   static PassiveMonitor decode(ByteReader& r,
@@ -314,18 +302,6 @@ struct MonitorSnapshotCodec {
     }
     mon.quarantine_.add_unretained(total_pushed -
                                    mon.quarantine_.total_pushed());
-
-    ObserveCacheStats& cs = mon.cache_.stats();
-    for (CacheSideStats* side : {&cs.client, &cs.server}) {
-      side->hits = r.u64();
-      side->misses = r.u64();
-      side->inserts = r.u64();
-      side->evictions = r.u64();
-      side->flushes = r.u64();
-      side->collisions = r.u64();
-    }
-    cs.bypasses = r.u64();
-    cs.uncacheable = r.u64();
     return mon;
   }
 };

@@ -1,10 +1,10 @@
 // Snapshot codec for the passive monitor: serializes the complete
 // absorb-state of one shard monitor — monthly stats (every counter, the
 // Fig. 5 position accumulators bit-exactly, the fingerprint flag maps),
-// the duration tracker, dataset tallies, the error taxonomy, the
-// quarantine ring, and observe-cache statistics — into a deterministic
-// byte string, and rebuilds a monitor whose absorb() behaviour is
-// indistinguishable from the original's. This is the payload format of
+// the duration tracker, dataset tallies, the error taxonomy and the
+// quarantine ring — into a deterministic byte string, and rebuilds a
+// monitor whose absorb() behaviour is indistinguishable from the
+// original's. This is the payload format of
 // the crash-safe checkpoint journal (core/checkpoint.hpp): a journaled
 // (month, shard) task is replayed by decoding its snapshot instead of
 // regenerating its traffic.
@@ -20,8 +20,9 @@ namespace tls::notary {
 
 /// Monitor-state wire format version. Bumped on any layout change; decode
 /// rejects every other version with ParseError(kUnsupported), which the
-/// journal treats as a corrupt frame (quarantine + recompute).
-inline constexpr std::uint32_t kMonitorSnapshotVersion = 1;
+/// journal treats as a corrupt frame (quarantine + recompute). Version 2
+/// dropped version 1's trailing 14 observe-cache counter words.
+inline constexpr std::uint32_t kMonitorSnapshotVersion = 2;
 
 /// Serializes `monitor`'s absorb-state. Deterministic: unordered
 /// containers are emitted in sorted key order, doubles as their exact bit

@@ -61,8 +61,9 @@ struct ConnectionFlights {
 };
 ConnectionFlights synthesize_flights(const ConnectionEvent& event);
 
-/// Producer-side template cache (the ObserveCache philosophy applied to
-/// generation). Each live ClientConfig is compiled once into a **wire
+/// Producer-side template cache, keyed on what actually repeats in
+/// generation: the client configuration, not the per-connection bytes.
+/// Each live ClientConfig is compiled once into a **wire
 /// template** — the ClientHello struct plus its serialized record bytes
 /// with the RNG-filled fields zeroed — so a connection becomes a memcpy
 /// plus patches at fixed offsets instead of a rebuild + reserialize.

@@ -10,20 +10,10 @@
 #include <cstring>
 #include <sstream>
 
+#include "tlscore/fnv.hpp"
+
 namespace tls::telemetry {
 namespace {
-
-constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ULL;
-constexpr std::uint64_t kFnvPrime = 0x100000001b3ULL;
-
-std::uint64_t fnv1a64_step(std::uint64_t h, const std::uint8_t* p,
-                           std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) {
-    h ^= p[i];
-    h *= kFnvPrime;
-  }
-  return h;
-}
 
 void append_u32(std::vector<std::uint8_t>& out, std::uint32_t v) {
   std::uint8_t raw[4];
@@ -189,7 +179,7 @@ std::vector<std::uint8_t> FlightRecorder::serialize() const {
     }
     for (const std::uint64_t w : words) append_u64(out, w);
   }
-  append_u64(out, fnv1a64_step(kFnvOffset, out.data(), out.size()));
+  append_u64(out, tls::core::fnv1a64(out));
   return out;
 }
 
@@ -223,7 +213,7 @@ namespace {
 // only), folding the FNV checksum as bytes stream out.
 struct SignalSafeWriter {
   int fd = -1;
-  std::uint64_t fnv = kFnvOffset;
+  std::uint64_t fnv = tls::core::kFnvOffset;
   std::uint8_t buf[512] = {};
   std::size_t used = 0;
   bool failed = false;
@@ -243,7 +233,7 @@ struct SignalSafeWriter {
   }
   void push(const void* p, std::size_t n, bool checksum = true) {
     const std::uint8_t* b = static_cast<const std::uint8_t*>(p);
-    if (checksum) fnv = fnv1a64_step(fnv, b, n);
+    if (checksum) fnv = tls::core::fnv1a64({b, n}, fnv);
     while (n > 0) {
       const std::size_t take = std::min(n, sizeof(buf) - used);
       std::memcpy(buf + used, b, take);
@@ -307,7 +297,7 @@ FlightDump decode_flight(std::span<const std::uint8_t> bytes) {
   dump.ok = true;
   const std::uint64_t stored = read_u64(p + bytes.size() - 8);
   dump.checksum_ok =
-      stored == fnv1a64_step(kFnvOffset, p, bytes.size() - 8);
+      stored == tls::core::fnv1a64(bytes.first(bytes.size() - 8));
 
   std::size_t off = kFlightHeaderBytes;
   for (std::uint32_t r = 0; r < ring_count; ++r) {

@@ -1,5 +1,5 @@
 // Unified metrics registry — the single interface every subsystem's
-// observability counters report through (ObserveCache hit/miss stats,
+// observability counters report through (GenCache hit/miss stats,
 // ErrorTaxonomy totals, QuarantineRing occupancy, checkpoint frame counts,
 // ThreadPool task accounting, fault-injector triggers, pipeline phase
 // timers). Three metric kinds:

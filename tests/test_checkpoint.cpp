@@ -29,6 +29,7 @@
 #include "core/checkpoint.hpp"
 #include "core/study.hpp"
 #include "faults/injector.hpp"
+#include "wire/buffer.hpp"
 #include "wire/errors.hpp"
 
 namespace fs = std::filesystem;
@@ -398,7 +399,6 @@ TEST(CheckpointCodec, OptionsDigestTracksByteAffectingFieldsOnly) {
   // Pure accelerator / checkpoint knobs must NOT orphan a journal.
   o = base;
   o.threads = 8;
-  o.observe_cache_entries = 0;
   o.fast_observe = false;
   o.checkpoint_dir = "/anywhere";
   o.resume = true;
@@ -674,6 +674,55 @@ TEST(CheckpointStudy, CorruptFramesAreRecomputedToIdenticalBytes) {
   EXPECT_GT(report.tasks_skipped, 0u);
   EXPECT_EQ(report.quarantined.size(), 3u);
   for (const auto& q : report.quarantined) EXPECT_TRUE(fs::exists(q)) << q;
+  fs::remove_all(ckpt);
+}
+
+TEST(CheckpointStudy, VersionOneSnapshotIsRecomputedToIdenticalBytes) {
+  // A journal written before the monitor snapshot format dropped its
+  // observe-cache counters (version 1) holds well-formed frames whose
+  // payload no longer decodes. Resume must recompute exactly those shards
+  // and still export the same bytes.
+  const auto ckpt = fresh_dir("study_snapshot_v1");
+  auto opts = journal_options(ckpt.string());
+  // Per-frame files make one shard's frame easy to rewrite in place.
+  opts.journal_mode = JournalMode::kPerFrame;
+
+  auto plain = opts;
+  plain.checkpoint_dir.clear();
+  LongitudinalStudy reference(plain);
+  const auto ref_csv = chart_csv(reference);
+
+  {
+    LongitudinalStudy first(opts);
+    (void)first.monitor();
+  }
+  const auto files = frame_files(ckpt);
+  ASSERT_GE(files.size(), 2u);
+  {
+    const auto bytes = slurp(files[1].string());
+    const auto frame = tls::study::decode_frame(std::span<const std::uint8_t>(
+        reinterpret_cast<const std::uint8_t*>(bytes.data()), bytes.size()));
+    // Version 1 = version 2's layout plus 14 trailing cache-counter words.
+    tls::wire::ByteWriter w;
+    w.u32(1);
+    w.bytes(std::span<const std::uint8_t>(frame.payload).subspan(4));
+    for (int i = 0; i < 14; ++i) w.u64(0);
+    const auto v1 =
+        tls::study::encode_frame(frame.options_digest, frame.header, w.data());
+    std::ofstream(files[1], std::ios::binary)
+        .write(reinterpret_cast<const char*>(v1.data()),
+               static_cast<std::streamsize>(v1.size()));
+  }
+
+  auto ropts = opts;
+  ropts.resume = true;
+  LongitudinalStudy resumed(ropts);
+  EXPECT_EQ(chart_csv(resumed), ref_csv);
+  const auto report = resumed.recovery();
+  EXPECT_TRUE(report.resumed);
+  EXPECT_EQ(report.frames_corrupt, 1u);
+  EXPECT_EQ(report.tasks_recomputed, 1u);
+  EXPECT_EQ(report.tasks_skipped + 1, files.size());
   fs::remove_all(ckpt);
 }
 

@@ -10,6 +10,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdlib>
@@ -21,6 +22,8 @@
 #include <vector>
 
 #include "clients/catalog.hpp"
+#include "core/checkpoint.hpp"
+#include "core/journal.hpp"
 #include "core/study.hpp"
 #include "daemon/capture.hpp"
 #include "daemon/daemon.hpp"
@@ -32,6 +35,7 @@
 #include "servers/population.hpp"
 #include "telemetry/export.hpp"
 #include "telemetry/flight.hpp"
+#include "wire/buffer.hpp"
 
 namespace {
 
@@ -350,7 +354,6 @@ TEST(DaemonEndToEnd, DeterministicAgainstBatchMode) {
 
   DaemonConfig config;
   config.shards = 1;
-  config.observe_cache_entries = 256;
   config.database = &fix.database;
   NotaryDaemon daemon(config);
   ASSERT_TRUE(daemon.start()) << daemon.last_error();
@@ -373,7 +376,6 @@ TEST(DaemonEndToEnd, DeterministicAgainstBatchMode) {
   // monitor configured exactly like the daemon's shard, absorbed the same
   // way the daemon aggregates.
   tls::notary::PassiveMonitor reference(&fix.database);
-  reference.set_observe_cache_capacity(256);
   for (const auto& c : captures) {
     const auto month = tls::core::Month(
         static_cast<int>(c.month_index / 12),
@@ -382,7 +384,7 @@ TEST(DaemonEndToEnd, DeterministicAgainstBatchMode) {
       reference.observe_sslv2(month);
     } else {
       reference.observe_wire(month, c.day, c.client, c.server, c.ske,
-                             c.success, c.used_fallback, c.alert, true);
+                             c.success, c.used_fallback, c.alert);
     }
   }
   tls::notary::PassiveMonitor expected(&fix.database);
@@ -608,6 +610,102 @@ TEST(DaemonEndToEnd, DrainWritesSnapshotAndResumeRestoresAggregate) {
   std::filesystem::remove_all(dir);
 }
 
+/// A version-1 monitor snapshot of `mon`: version 2's layout followed by
+/// the 14 observe-cache counter words that version 2 dropped.
+std::vector<std::uint8_t> version1_payload(
+    const tls::notary::PassiveMonitor& mon) {
+  const auto v2 = tls::notary::encode_monitor_state(mon);
+  tls::wire::ByteWriter w;
+  w.u32(1);
+  w.bytes(std::span<const std::uint8_t>(v2).subspan(4));
+  for (int i = 0; i < 14; ++i) w.u64(0);
+  return w.take();
+}
+
+/// A checksum-valid newest epoch whose payload no longer decodes must not
+/// cost the older epochs: resume falls back to the newest decodable one,
+/// counts the skip, and numbers its next epoch above the bad slot so a
+/// later resume does not pick the bad slot again.
+TEST(DaemonEndToEnd, ResumeFallsBackPastAnUndecodableNewestEpoch) {
+  auto& fix = fixture();
+  const auto captures = fix.make_captures(120, 0xE90C);
+  const auto dir = std::filesystem::temp_directory_path() /
+                   "tls_daemon_resume_fallback_test";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+
+  DaemonConfig config;
+  config.shards = 2;
+  config.database = &fix.database;
+  config.checkpoint_dir = dir.string();
+
+  std::vector<std::uint8_t> epoch1_state;
+  {
+    NotaryDaemon daemon(config);
+    ASSERT_TRUE(daemon.start()) << daemon.last_error();
+    BlockingClient client;
+    ASSERT_TRUE(client.connect_to(daemon.port()));
+    for (const auto& capture : captures) {
+      ASSERT_TRUE(client.send_capture(capture));
+    }
+    std::string body;
+    ASSERT_TRUE(client.query(FrameType::kQueryStats, FrameType::kStats, &body));
+    daemon.request_stop();
+    daemon.join();  // the drain journals epoch 1
+    ASSERT_EQ(daemon.counters().ingested, captures.size());
+    epoch1_state =
+        tls::notary::encode_monitor_state(daemon.aggregate_monitor());
+  }
+  {
+    // Epoch 2: a well-formed frame in a fresh segment, but its payload is
+    // an (empty) version-1 monitor snapshot.
+    tls::study::PosixJournalBackend backend(dir.string());
+    const auto segments = backend.list_segments();
+    ASSERT_FALSE(segments.empty());
+    tls::study::GroupCommitWriter::Config wcfg;
+    wcfg.group_frames = 1;
+    wcfg.options_digest = tls::daemon::kDaemonOptionsDigest;
+    wcfg.first_segment_id =
+        *std::max_element(segments.begin(), segments.end()) + 1;
+    wcfg.fallback_dir = (dir / "fallback").string();
+    tls::study::GroupCommitWriter writer(&backend, wcfg, nullptr);
+    tls::study::FrameHeader header;
+    header.kind = tls::study::FrameKind::kPassiveShard;
+    header.slot = 2;
+    writer.enqueue(
+        "epoch_2.frame",
+        tls::study::encode_frame(
+            tls::daemon::kDaemonOptionsDigest, header,
+            version1_payload(tls::notary::PassiveMonitor(&fix.database))));
+    writer.stop();
+    ASSERT_FALSE(writer.degraded());
+  }
+  config.resume = true;
+  {
+    NotaryDaemon daemon(config);
+    ASSERT_TRUE(daemon.start()) << daemon.last_error();
+    EXPECT_EQ(daemon.resumed_epoch(), 1u);
+    EXPECT_NE(daemon.stats_text().find("resume_decode_failures=1\n"),
+              std::string::npos);
+    EXPECT_EQ(tls::notary::encode_monitor_state(daemon.aggregate_monitor()),
+              epoch1_state);
+    daemon.request_stop();
+    daemon.join();  // the drain journals epoch 3, above the bad slot
+  }
+  {
+    NotaryDaemon daemon(config);
+    ASSERT_TRUE(daemon.start()) << daemon.last_error();
+    EXPECT_EQ(daemon.resumed_epoch(), 3u);
+    EXPECT_NE(daemon.stats_text().find("resume_decode_failures=0\n"),
+              std::string::npos);
+    EXPECT_EQ(tls::notary::encode_monitor_state(daemon.aggregate_monitor()),
+              epoch1_state);
+    daemon.request_stop();
+    daemon.join();
+  }
+  std::filesystem::remove_all(dir);
+}
+
 TEST(DaemonEndToEnd, CreditViolationShedsAndCloses) {
   auto& fix = fixture();
   const auto captures = fix.make_captures(8, 0xBAD);
@@ -656,7 +754,6 @@ TEST(DaemonObservability, OnVersusOffMonitorStateIsByteIdentical) {
   const auto run = [&](bool observability) {
     DaemonConfig config;
     config.shards = 1;
-    config.observe_cache_entries = 128;
     config.observability = observability;
     config.database = &fix.database;
     NotaryDaemon daemon(config);

@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
+#include "clients/catalog.hpp"
 #include "notary/monitor.hpp"
+#include "population/market.hpp"
+#include "population/traffic.hpp"
+#include "servers/population.hpp"
 #include "wire/server_key_exchange.hpp"
 
 namespace tls::notary {
@@ -246,6 +250,90 @@ TEST(Monitor, PositionSkipsGreaseAndScsv) {
   // Effective list: [c02f, 0005] -> AEAD at 0/2, RC4 at 1/2.
   EXPECT_DOUBLE_EQ(s->pos_aead.average(), 0.0);
   EXPECT_DOUBLE_EQ(s->pos_rc4.average(), 0.5);
+}
+
+// ---- struct fast path vs byte path ----
+
+void expect_stats_equal(const PassiveMonitor& a, const PassiveMonitor& b) {
+  EXPECT_EQ(a.total_connections(), b.total_connections());
+  EXPECT_EQ(a.fingerprintable_connections(), b.fingerprintable_connections());
+  EXPECT_EQ(a.labeled_connections(), b.labeled_connections());
+  EXPECT_EQ(a.errors().total(), b.errors().total());
+  EXPECT_EQ(a.quarantine().total_pushed(), b.quarantine().total_pushed());
+  ASSERT_EQ(a.months().size(), b.months().size());
+  for (const auto& [m, sa] : a.months()) {
+    const auto* sb = b.month(m);
+    ASSERT_NE(sb, nullptr) << m.to_string();
+    EXPECT_EQ(sa.total, sb->total) << m.to_string();
+    EXPECT_EQ(sa.successful, sb->successful) << m.to_string();
+    EXPECT_EQ(sa.failures, sb->failures) << m.to_string();
+    EXPECT_EQ(sa.quarantined, sb->quarantined) << m.to_string();
+    EXPECT_EQ(sa.spec_violations, sb->spec_violations) << m.to_string();
+    EXPECT_EQ(sa.resumed, sb->resumed) << m.to_string();
+    EXPECT_EQ(sa.adv_aead, sb->adv_aead) << m.to_string();
+    EXPECT_EQ(sa.adv_rc4, sb->adv_rc4) << m.to_string();
+    EXPECT_EQ(sa.adv_tls13, sb->adv_tls13) << m.to_string();
+    EXPECT_EQ(sa.heartbeat_negotiated, sb->heartbeat_negotiated)
+        << m.to_string();
+    EXPECT_EQ(sa.parse_errors(), sb->parse_errors()) << m.to_string();
+    EXPECT_EQ(sa.negotiated_version(), sb->negotiated_version())
+        << m.to_string();
+    EXPECT_EQ(sa.negotiated_class(), sb->negotiated_class()) << m.to_string();
+    EXPECT_EQ(sa.negotiated_kex(), sb->negotiated_kex()) << m.to_string();
+    EXPECT_EQ(sa.negotiated_aead(), sb->negotiated_aead()) << m.to_string();
+    EXPECT_EQ(sa.negotiated_group(), sb->negotiated_group()) << m.to_string();
+    EXPECT_EQ(sa.adv_tls13_versions(), sb->adv_tls13_versions())
+        << m.to_string();
+    EXPECT_EQ(sa.alerts(), sb->alerts()) << m.to_string();
+    EXPECT_EQ(sa.fingerprints, sb->fingerprints) << m.to_string();
+    EXPECT_EQ(sa.pos_aead.sum, sb->pos_aead.sum) << m.to_string();
+    EXPECT_EQ(sa.pos_aead.n, sb->pos_aead.n) << m.to_string();
+    EXPECT_EQ(sa.pos_cbc.sum, sb->pos_cbc.sum) << m.to_string();
+  }
+}
+
+TEST(FastObserve, ByteIdenticalToSerializeParsePath) {
+  // Satellite proof for the documented fast path: the struct-reuse route
+  // and the serialize→parse route must produce identical monitor state on
+  // a real generated stream (resumption ids, fallback dances, TLS 1.3,
+  // failed handshakes, SSLv2 — everything the generator emits).
+  const auto catalog = tls::clients::Catalog::core_only();
+  const auto servers = tls::servers::ServerPopulation::standard();
+  const auto market = tls::population::MarketModel::standard(catalog);
+
+  PassiveMonitor fast, slow;
+  fast.set_fast_observe(true);
+  slow.set_fast_observe(false);
+
+  for (auto* mon : {&fast, &slow}) {
+    tls::population::TrafficGenerator gen(market, servers, 4242);
+    gen.generate_range({Month(2014, 8), Month(2015, 2)}, 600,
+                       [&](const tls::population::ConnectionEvent& ev) {
+                         mon->observe(ev);
+                       });
+  }
+  EXPECT_GT(fast.total_connections(), 0u);
+  expect_stats_equal(slow, fast);
+}
+
+TEST(FastObserve, SpanEntryPointMatchesPerEventObserve) {
+  const auto catalog = tls::clients::Catalog::core_only();
+  const auto servers = tls::servers::ServerPopulation::standard();
+  const auto market = tls::population::MarketModel::standard(catalog);
+
+  PassiveMonitor one_by_one, spans;
+  tls::population::TrafficGenerator gen_a(market, servers, 77);
+  gen_a.generate_month(Month(2015, 6), 500,
+                       [&](const tls::population::ConnectionEvent& ev) {
+                         one_by_one.observe(ev);
+                       });
+  tls::population::TrafficGenerator gen_b(market, servers, 77);
+  gen_b.generate_month_batched(
+      Month(2015, 6), 500, 64,
+      [&](std::span<const tls::population::ConnectionEvent> events) {
+        spans.observe_span(events);
+      });
+  expect_stats_equal(one_by_one, spans);
 }
 
 }  // namespace

@@ -147,10 +147,11 @@ TEST(ParallelStudy, FastObserveUnderFaultsByteIdentical) {
 }
 
 TEST(ParallelStudy, CacheOnOffByteIdenticalAcrossThreadsAndFaults) {
-  // The ObserveCache and the struct-reuse fast path are pure accelerators:
-  // every figure CSV must be byte-identical with the cache on or off, at
-  // every thread count, with and without fault injection. The reference
-  // run disables both accelerators (pure serialize→parse byte path).
+  // The struct-reuse fast path is a pure accelerator: every figure CSV
+  // must be byte-identical on the byte path and the fast path, at every
+  // thread count, with and without fault injection. The reference run is
+  // serial on the pure serialize→parse byte path. (The name predates the
+  // removal of the byte-keyed observe cache this test also toggled.)
   for (const double fault_rate : {0.0, 0.10}) {
     SCOPED_TRACE(fault_rate);
     auto base = small_options();
@@ -159,28 +160,24 @@ TEST(ParallelStudy, CacheOnOffByteIdenticalAcrossThreadsAndFaults) {
       base.faults = tls::faults::FaultConfig::uniform(fault_rate);
     }
     auto ref_opts = base;
-    ref_opts.observe_cache_entries = 0;
     ref_opts.fast_observe = false;
     tls::study::LongitudinalStudy ref(ref_opts);
     const auto ref_csv = chart_csv(ref);
 
     for (const unsigned threads : {0u, 1u, 8u}) {
-      for (const bool cache_on : {false, true}) {
+      for (const bool fast : {false, true}) {
         SCOPED_TRACE(std::to_string(threads) +
-                     (cache_on ? " cache-on" : " cache-off"));
+                     (fast ? " fast-path" : " byte-path"));
         auto o = base;
         o.threads = threads;
-        o.observe_cache_entries = cache_on ? 4096 : 0;
-        // Keep the byte path so the cache is exercised even at 0% faults
-        // (the fast path would otherwise skip serialization entirely).
-        o.fast_observe = false;
+        o.fast_observe = fast;
         tls::study::LongitudinalStudy study(o);
         EXPECT_EQ(chart_csv(study), ref_csv);
         expect_monitors_equal(ref.monitor(), study.monitor());
       }
     }
 
-    // Default configuration (fast path + cache, parallel) too.
+    // Default configuration (fast path, parallel) too.
     auto dflt_opts = base;
     dflt_opts.threads = 8;
     tls::study::LongitudinalStudy dflt(dflt_opts);
@@ -190,20 +187,23 @@ TEST(ParallelStudy, CacheOnOffByteIdenticalAcrossThreadsAndFaults) {
 }
 
 TEST(ParallelStudy, ExportedFilesByteIdenticalCacheOnVsOff) {
+  // Exported files, not just chart CSVs, are byte-identical on the byte
+  // path (serial) and the fast path (parallel). The name predates the
+  // removal of the byte-keyed observe cache this test used to toggle.
   namespace fs = std::filesystem;
   const fs::path base = fs::path(::testing::TempDir()) / "tls_cache_csv";
   fs::remove_all(base);
 
   auto opts = small_options();
   opts.connections_per_month = 600;
-  opts.fast_observe = false;
   auto off_opts = opts;
-  off_opts.observe_cache_entries = 0;
+  off_opts.fast_observe = false;
   tls::study::LongitudinalStudy off(off_opts);
   const auto off_files = off.export_figures((base / "off").string());
 
   auto on_opts = opts;
-  on_opts.observe_cache_entries = 4096;
+  on_opts.fast_observe = true;
+  on_opts.threads = 8;
   tls::study::LongitudinalStudy on(on_opts);
   const auto on_files = on.export_figures((base / "on").string());
 

@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <span>
+#include <string_view>
+
+#include "tlscore/fnv.hpp"
 #include "tlscore/rng.hpp"
 #include "tlscore/series.hpp"
 
@@ -97,6 +101,23 @@ TEST(Splitmix, KnownProgression) {
   const auto b = splitmix64(s);
   EXPECT_NE(a, b);
   EXPECT_EQ(s, 2 * 0x9e3779b97f4a7c15ull);
+}
+
+std::span<const std::uint8_t> ascii(std::string_view s) {
+  return {reinterpret_cast<const std::uint8_t*>(s.data()), s.size()};
+}
+
+TEST(Fnv1a64, StandardVectors) {
+  // Journal frames, checkpoint manifests, flight dumps and daemon shard
+  // routing all depend on these exact values.
+  EXPECT_EQ(fnv1a64(ascii("")), 0xcbf29ce484222325ULL);
+  EXPECT_EQ(fnv1a64(ascii("a")), 0xaf63dc4c8601ec8cULL);
+  EXPECT_EQ(fnv1a64(ascii("foobar")), 0x85944171f73967e8ULL);
+}
+
+TEST(Fnv1a64, SeedChainsPiecewiseInput) {
+  EXPECT_EQ(fnv1a64(ascii("bar"), fnv1a64(ascii("foo"))),
+            fnv1a64(ascii("foobar")));
 }
 
 }  // namespace
