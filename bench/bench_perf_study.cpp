@@ -9,13 +9,11 @@
 // attribution (generate vs observe vs absorb vs checkpoint share of summed
 // task time) from the study's own metrics registry.
 //
-// A fourth section compares the two journal modes: the legacy per-frame
-// store (one durable file + fsync pair per frame) against the group-commit
-// segmented journal (one fsync per group). Both runs must stay
-// bit-identical to the serial figures, and the grouped run must issue
+// A fourth section measures the group-commit journal (one fsync per
+// group). The run must stay bit-identical to the serial figures and issue
 // strictly fewer fsyncs than it commits frames — that structural gate is
-// machine-independent; the measured checkpoint-share drop is logged
-// against the <15% target rather than hard-asserted.
+// machine-independent; the measured checkpoint share is logged against
+// the <15% target rather than hard-asserted.
 //
 // Environment knobs (shared with the figure benches):
 //   TLS_STUDY_CPM      connections per month (default 20000 here)
@@ -210,37 +208,29 @@ int main() {
   }
   std::printf("telemetry run figures: bit-identical\n");
 
-  // ---- journal modes: per-frame fsync wall vs group commit ----
+  // ---- journal: group commit ----
   // Checkpoint share = (encode + append + writer flush) / total summed
-  // phase time. In per-frame mode `append` holds the durable write+fsync
-  // pair; in grouped mode `append` is just the enqueue and the write+fsync
-  // cost lives in the writer's flush histogram.
-  std::printf("\n== journal modes: per-frame vs group commit ==\n");
-  struct Lane {
-    const char* label;
-    tls::study::JournalMode mode;
+  // phase time. `append` is just the enqueue; the write+fsync cost lives
+  // in the writer's flush histogram.
+  std::printf("\n== journal: group commit ==\n");
+  struct Journal {
     double wall = 0;
     double share = 0;
     std::uint64_t fsyncs = 0;
     std::uint64_t frames = 0;
     bool identical = false;
-  };
-  Lane lanes[] = {
-      {"per-frame", tls::study::JournalMode::kPerFrame},
-      {"group commit", tls::study::JournalMode::kGrouped},
-  };
-  for (Lane& lane : lanes) {
+  } grouped;
+  {
     std::filesystem::remove_all(ckpt_dir);
     auto lopts = topts;
-    lopts.journal_mode = lane.mode;
-    // Serial lanes: summed task time on oversubscribed thread pools
-    // absorbs scheduler preemption into whichever phase got descheduled,
-    // which makes the share comparison noise. One worker gives exact
-    // attribution (the writer thread still runs concurrently).
+    // Serial: summed task time on oversubscribed thread pools absorbs
+    // scheduler preemption into whichever phase got descheduled, which
+    // makes the share noise. One worker gives exact attribution (the
+    // writer thread still runs concurrently).
     lopts.threads = 0;
     tls::study::LongitudinalStudy study(lopts);
-    lane.wall = bench::timed_seconds([&] { study.run(); });
-    lane.identical =
+    grouped.wall = bench::timed_seconds([&] { study.run(); });
+    grouped.identical =
         tls::analysis::to_csv(study.figure2_negotiated_classes()) ==
         serial_csv;
     const auto& reg = study.metrics();
@@ -253,41 +243,31 @@ int main() {
         hist_sum_us(reg, "tls_repro_pipeline_generate_us") +
         hist_sum_us(reg, "tls_repro_pipeline_observe_us") +
         hist_sum_us(reg, "tls_repro_pipeline_absorb_us") + ckpt_us;
-    lane.share = total_us > 0 ? 100.0 * static_cast<double>(ckpt_us) /
-                                    static_cast<double>(total_us)
-                              : 0.0;
+    grouped.share = total_us > 0 ? 100.0 * static_cast<double>(ckpt_us) /
+                                       static_cast<double>(total_us)
+                                 : 0.0;
     const auto* fsync = reg.find("tls_repro_journal_fsync_total");
-    lane.fsyncs = fsync == nullptr ? 0 : fsync->counter.value;
-    lane.frames = study.recovery().tasks_recomputed;
+    grouped.fsyncs = fsync == nullptr ? 0 : fsync->counter.value;
+    grouped.frames = study.recovery().tasks_recomputed;
   }
   std::filesystem::remove_all(ckpt_dir);
 
-  std::vector<std::vector<std::string>> mrows;
-  mrows.push_back(
-      {"mode", "wall (s)", "ckpt share", "journal fsyncs", "frames",
-       "figures"});
-  for (const Lane& lane : lanes) {
+  {
     char wall_b[32], share_b[32];
-    std::snprintf(wall_b, sizeof(wall_b), "%.3f", lane.wall);
-    std::snprintf(share_b, sizeof(share_b), "%.1f%%", lane.share);
-    mrows.push_back({lane.label, wall_b, share_b,
-                     lane.mode == tls::study::JournalMode::kGrouped
-                         ? std::to_string(lane.fsyncs)
-                         : "2/frame",
-                     std::to_string(lane.frames),
-                     lane.identical ? "bit-identical" : "MISMATCH"});
+    std::snprintf(wall_b, sizeof(wall_b), "%.3f", grouped.wall);
+    std::snprintf(share_b, sizeof(share_b), "%.1f%%", grouped.share);
+    const std::vector<std::vector<std::string>> mrows = {
+        {"wall (s)", "ckpt share", "journal fsyncs", "frames", "figures"},
+        {wall_b, share_b, std::to_string(grouped.fsyncs),
+         std::to_string(grouped.frames),
+         grouped.identical ? "bit-identical" : "MISMATCH"}};
+    std::fputs(tls::analysis::render_table(mrows).c_str(), stdout);
   }
-  std::fputs(tls::analysis::render_table(mrows).c_str(), stdout);
-  const Lane& per_frame = lanes[0];
-  const Lane& grouped = lanes[1];
-  std::printf(
-      "checkpoint share: %.1f%% (per-frame) -> %.1f%% (grouped); "
-      "target < 15%%: %s\n",
-      per_frame.share, grouped.share,
-      grouped.share < 15.0 ? "met" : "missed (logged, not gated)");
+  std::printf("checkpoint share: %.1f%%; target < 15%%: %s\n", grouped.share,
+              grouped.share < 15.0 ? "met" : "missed (logged, not gated)");
 
-  if (!per_frame.identical || !grouped.identical) {
-    std::fprintf(stderr, "FAIL: journal-mode run changed exported bytes\n");
+  if (!grouped.identical) {
+    std::fprintf(stderr, "FAIL: journaled run changed exported bytes\n");
     return 1;
   }
 

@@ -3,22 +3,18 @@
 //   study_cli figure <1..10>          render one paper figure as ASCII
 //   study_cli scan [YYYY-MM]          one Censys-style sweep (default window)
 //   study_cli export <dir> [--checkpoint-dir <ckpt>] [--resume]
-//                    [--journal-mode <frame|group>] [--gen-cache <on|off>]
+//                    [--gen-cache <on|off>]
 //                    [--journal-group-frames <n>] [--journal-group-ms <t>]
 //                    [--metrics-out <file>] [--trace-out <file>]
 //                                     write all figures + scans as CSV;
 //                                     with a checkpoint dir the run is
 //                                     journaled (crash-safe) and --resume
 //                                     replays verified work after a crash;
-//                                     --journal-mode picks the durability
-//                                     store: "group" (default) batches
-//                                     frames through the group-commit
-//                                     segmented journal (one fsync per
-//                                     group; size/age thresholds set by the
-//                                     --journal-group-* knobs), "frame" is
-//                                     the legacy one-durable-file-per-frame
-//                                     store. Either mode resumes a journal
-//                                     written by the other;
+//                                     the journal batches frames through
+//                                     the group-commit segmented journal
+//                                     (one fsync per group; size/age
+//                                     thresholds set by the
+//                                     --journal-group-* knobs);
 //                                     --gen-cache toggles the producer-side
 //                                     template/negotiation cache (default
 //                                     on; off is a byte-identical slow
@@ -135,7 +131,7 @@ int usage() {
   std::fputs(
       "usage: study_cli figure <1..10> | scan [YYYY-MM] |\n"
       "       export <dir> [--checkpoint-dir <ckpt>] [--resume]\n"
-      "              [--journal-mode <frame|group>] [--gen-cache <on|off>]\n"
+      "              [--gen-cache <on|off>]\n"
       "              [--journal-group-frames <n>] [--journal-group-ms <t>]\n"
       "              [--metrics-out <file>] [--trace-out <file>] |\n"
       "       fingerprints <file> | identify <hex-client-hello-record>\n",
@@ -198,7 +194,7 @@ std::string prometheus_path(const std::string& metrics_path) {
 }
 
 int cmd_export(const char* dir, const char* checkpoint_dir, bool resume,
-               const char* journal_mode, const char* gen_cache,
+               const char* gen_cache,
                long journal_group_frames, long journal_group_ms,
                const char* metrics_out, const char* trace_out) {
   auto opts = options_from_env();
@@ -213,17 +209,6 @@ int cmd_export(const char* dir, const char* checkpoint_dir, bool resume,
       opts.gen_cache = false;
     } else {
       std::fprintf(stderr, "export: unknown --gen-cache '%s'\n", gen_cache);
-      return 2;
-    }
-  }
-  if (journal_mode != nullptr) {
-    if (std::strcmp(journal_mode, "frame") == 0) {
-      opts.journal_mode = tls::study::JournalMode::kPerFrame;
-    } else if (std::strcmp(journal_mode, "group") == 0) {
-      opts.journal_mode = tls::study::JournalMode::kGrouped;
-    } else {
-      std::fprintf(stderr, "export: unknown --journal-mode '%s'\n",
-                   journal_mode);
       return 2;
     }
   }
@@ -329,7 +314,6 @@ int main(int argc, char** argv) {
     const char* checkpoint_dir = nullptr;
     const char* metrics_out = nullptr;
     const char* trace_out = nullptr;
-    const char* journal_mode = nullptr;
     const char* gen_cache = nullptr;
     long journal_group_frames = 0;  // 0 = keep the StudyOptions default
     long journal_group_ms = -1;     // -1 = keep the StudyOptions default
@@ -339,9 +323,6 @@ int main(int argc, char** argv) {
         checkpoint_dir = argv[++i];
       } else if (std::strcmp(argv[i], "--resume") == 0) {
         resume = true;
-      } else if (std::strcmp(argv[i], "--journal-mode") == 0 &&
-                 i + 1 < argc) {
-        journal_mode = argv[++i];
       } else if (std::strcmp(argv[i], "--gen-cache") == 0 && i + 1 < argc) {
         gen_cache = argv[++i];
       } else if (std::strcmp(argv[i], "--journal-group-frames") == 0 &&
@@ -363,9 +344,9 @@ int main(int argc, char** argv) {
         return usage();
       }
     }
-    return cmd_export(argv[2], checkpoint_dir, resume, journal_mode,
-                      gen_cache, journal_group_frames, journal_group_ms,
-                      metrics_out, trace_out);
+    return cmd_export(argv[2], checkpoint_dir, resume, gen_cache,
+                      journal_group_frames, journal_group_ms, metrics_out,
+                      trace_out);
   }
   if (cmd == "fingerprints" && argc == 3) return cmd_fingerprints(argv[2]);
   if (cmd == "identify" && argc == 3) return cmd_identify(argv[2]);

@@ -169,7 +169,6 @@ std::string render_recovery_table(const RecoveryReport& report) {
   table.push_back({"recovery", "count"});
   table.push_back({"resumed", report.resumed ? "yes" : "no"});
   table.push_back({"frames replayed", std::to_string(report.frames_replayed)});
-  table.push_back({"frames torn", std::to_string(report.frames_torn)});
   table.push_back({"frames corrupt", std::to_string(report.frames_corrupt)});
   table.push_back(
       {"frames mismatched", std::to_string(report.frames_mismatched)});
@@ -179,21 +178,12 @@ std::string render_recovery_table(const RecoveryReport& report) {
   table.push_back(
       {"tasks recomputed", std::to_string(report.tasks_recomputed)});
   table.push_back({"stuck reruns", std::to_string(report.stuck_reruns)});
-  // Group-commit rows appear only when the journal actually ran grouped
-  // (or hit IO trouble), keeping legacy per-frame reports byte-stable.
-  if (report.groups_committed != 0 || report.groups_torn != 0 ||
-      report.torn_bytes != 0 || report.index_stale != 0 ||
-      report.fallback_frames != 0 || report.degraded_per_frame) {
-    table.push_back(
-        {"groups committed", std::to_string(report.groups_committed)});
-    table.push_back({"groups torn", std::to_string(report.groups_torn)});
-    table.push_back({"torn bytes", std::to_string(report.torn_bytes)});
-    table.push_back({"index stale", std::to_string(report.index_stale)});
-    table.push_back(
-        {"fallback frames", std::to_string(report.fallback_frames)});
-    table.push_back(
-        {"degraded per-frame", report.degraded_per_frame ? "yes" : "no"});
-  }
+  table.push_back(
+      {"groups committed", std::to_string(report.groups_committed)});
+  table.push_back({"groups torn", std::to_string(report.groups_torn)});
+  table.push_back({"torn bytes", std::to_string(report.torn_bytes)});
+  table.push_back({"index stale", std::to_string(report.index_stale)});
+  table.push_back({"frames dropped", std::to_string(report.frames_dropped)});
   if (report.io_retries != 0 || report.io_errors != 0) {
     table.push_back({"io retries", std::to_string(report.io_retries)});
     table.push_back({"io errors", std::to_string(report.io_errors)});

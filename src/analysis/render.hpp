@@ -64,24 +64,22 @@ std::string render_loss_table(const std::vector<LossRow>& rows);
 struct RecoveryReport {
   bool resumed = false;  // a usable manifest was found and accepted
   std::uint64_t frames_replayed = 0;   // verified and absorbed
-  std::uint64_t frames_torn = 0;       // leftover .tmp (interrupted write)
   std::uint64_t frames_corrupt = 0;    // checksum/decode failure
   std::uint64_t frames_mismatched = 0; // wrong options digest or version
   std::uint64_t frames_duplicate = 0;  // same (kind, month, slot) twice
   std::uint64_t tasks_skipped = 0;     // satisfied from the journal
   std::uint64_t tasks_recomputed = 0;  // run (fresh, or frame unusable)
   std::uint64_t stuck_reruns = 0;      // watchdog-discarded shard attempts
-  // Group-commit journal accounting (zero in per-frame mode).
+  // Group-commit journal accounting.
   std::uint64_t groups_committed = 0;  // checksummed groups written/replayed
   std::uint64_t groups_torn = 0;       // segments with a torn tail
   std::uint64_t torn_bytes = 0;        // bytes scan-truncated off tails
   std::uint64_t index_stale = 0;       // INDEX entries contradicted by scan
   std::uint64_t io_retries = 0;        // transient IO errors recovered
   std::uint64_t io_errors = 0;         // terminal IO failures (per-stage)
-  std::uint64_t fallback_frames = 0;   // frames written per-frame (degraded)
-  /// The writer hit repeated backend failures and fell back to the legacy
-  /// per-frame durable path for the rest of the run.
-  bool degraded_per_frame = false;
+  /// Frames of groups the writer could not make durable even on a retry;
+  /// their tasks are recomputed on the next resume.
+  std::uint64_t frames_dropped = 0;
   /// Telemetry covers only the recomputed slice of this run: checkpoint
   /// frames carry monitor state but not the metrics registry, so after a
   /// resume the phase timings / fault-trigger counters describe just the

@@ -1,11 +1,9 @@
 #include "core/checkpoint.hpp"
 
-#include <fcntl.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <bit>
-#include <cerrno>
 #include <csignal>
 #include <cstdio>
 #include <filesystem>
@@ -36,37 +34,6 @@ void write_double(ByteWriter& w, double v) {
 }
 
 double read_double(ByteReader& r) { return std::bit_cast<double>(r.u64()); }
-
-/// Reads a whole file; returns false on any IO error (caller treats the
-/// frame as unreadable, i.e. corrupt).
-bool slurp_file(const fs::path& path, std::vector<std::uint8_t>& out) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return false;
-  out.assign(std::istreambuf_iterator<char>(in),
-             std::istreambuf_iterator<char>());
-  return !in.bad();
-}
-
-/// EINTR/short-write-hardened temp+fsync+rename recipe (core/journal.cpp);
-/// the journal's IO taxonomy parameter is unused on this legacy path.
-bool write_file_atomic(const fs::path& path,
-                       std::span<const std::uint8_t> bytes) {
-  return write_file_durable(path.string(), bytes);
-}
-
-char frame_prefix(FrameKind kind) {
-  return kind == FrameKind::kPassiveShard ? 'p' : 's';
-}
-
-/// `p_000123_0004.frame` — lexicographic directory order IS (kind, month,
-/// slot) plan order, with all passive frames sorting before scan frames.
-std::string frame_file_name(FrameKind kind, std::uint32_t month_index,
-                            std::uint32_t slot) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%c_%06u_%04u.frame", frame_prefix(kind),
-                month_index, slot);
-  return buf;
-}
 
 }  // namespace
 
@@ -283,11 +250,7 @@ tls::scan::SegmentProbe decode_segment_probe(
 }
 
 RunJournal::RunJournal(Config config) : config_(std::move(config)) {
-  const fs::path dir(config_.directory);
-  frames_dir_ = (dir / "frames").string();
-  quarantine_dir_ = (dir / "quarantine").string();
-  std::error_code ec;
-  fs::create_directories(frames_dir_, ec);
+  quarantine_dir_ = (fs::path(config_.directory) / "quarantine").string();
   if (config_.backend != nullptr) {
     backend_ = config_.backend;
   } else {
@@ -295,114 +258,59 @@ RunJournal::RunJournal(Config config) : config_(std::move(config)) {
     backend_ = owned_backend_.get();
   }
   replay();
-  if (config_.mode == JournalMode::kGrouped) {
-    GroupCommitWriter::Config wc;
-    wc.group_frames = std::max<std::size_t>(1, config_.group_frames);
-    wc.group_ms = config_.group_ms;
-    wc.options_digest = config_.manifest.options_digest;
-    wc.first_segment_id = next_segment_id_;
-    // Degraded mode writes straight into the legacy frame store, which
-    // replay always reads — so a fallback frame resumes like any other.
-    wc.fallback_dir = frames_dir_;
-    wc.kill_after_frames = config_.kill_after_frames;
-    wc.faults_mutex = &mutex_;
-    writer_ = std::make_unique<GroupCommitWriter>(backend_, wc,
-                                                  config_.frame_faults);
-  }
+  GroupCommitWriter::Config wc;
+  wc.group_frames = config_.group_frames;  // the writer clamps 0 to 1
+  wc.group_ms = config_.group_ms;
+  wc.options_digest = config_.manifest.options_digest;
+  wc.first_segment_id = next_segment_id_;
+  wc.kill_after_frames = config_.kill_after_frames;
+  wc.faults_mutex = &mutex_;
+  writer_ = std::make_unique<GroupCommitWriter>(backend_, wc,
+                                                config_.frame_faults);
 }
 
-RunJournal::~RunJournal() {
-  if (writer_ != nullptr) writer_->stop();
-}
+RunJournal::~RunJournal() { writer_->stop(); }
 
 void RunJournal::replay() {
-  const fs::path dir(config_.directory);
-  const fs::path manifest_path = dir / "MANIFEST";
   const std::vector<std::uint8_t> manifest_bytes = encode_manifest(
       config_.manifest);
-
-  bool accept_frames = false;
-  if (config_.resume && fs::exists(manifest_path)) {
-    std::vector<std::uint8_t> on_disk;
-    if (slurp_file(manifest_path, on_disk)) {
-      try {
-        accept_frames = decode_manifest(on_disk) == config_.manifest;
-      } catch (const ParseError&) {
-        accept_frames = false;
-      }
-    }
-    report_.resumed = accept_frames;
-  }
-
-  // Directory listing in sorted (== plan) order, .tmp leftovers included.
-  std::vector<std::string> names;
-  std::error_code ec;
-  for (const auto& entry : fs::directory_iterator(frames_dir_, ec)) {
-    names.push_back(entry.path().filename().string());
-  }
-  std::sort(names.begin(), names.end());
-
   if (!config_.resume) {
-    // Cold start: wipe whatever is there — legacy frames, segments, and
-    // the index — and lay down a fresh manifest.
-    for (const auto& name : names) {
-      fs::remove(fs::path(frames_dir_) / name, ec);
-    }
+    // Cold start: wipe the segments and the index, and lay down a fresh
+    // manifest.
     for (const auto id : backend_->list_segments()) {
       backend_->remove_segment(id);
     }
     backend_->clear_index();
-    write_file_atomic(manifest_path, manifest_bytes);
+    backend_->write_manifest(manifest_bytes);
     return;
   }
 
-  for (const auto& name : names) {
-    const fs::path path = fs::path(frames_dir_) / name;
-    if (name.size() >= 4 && name.ends_with(".tmp")) {
-      // A temp file survived: the writer died mid-frame.
-      ++report_.frames_torn;
-      quarantine_file(name);
-      continue;
+  bool accept_frames = false;
+  std::vector<std::uint8_t> on_disk;
+  if (backend_->read_manifest(on_disk)) {
+    try {
+      accept_frames = decode_manifest(on_disk) == config_.manifest;
+    } catch (const ParseError&) {
+      accept_frames = false;
     }
-    if (!accept_frames) {
-      // Foreign or absent manifest: every frame describes different work.
-      ++report_.frames_mismatched;
-      quarantine_file(name);
-      continue;
-    }
-    std::vector<std::uint8_t> bytes;
-    if (!slurp_file(path, bytes)) {
-      ++report_.frames_corrupt;
-      quarantine_file(name);
-      continue;
-    }
-    accept_frame(name, std::move(bytes), true);
   }
-
-  // Then the segment store: frames recovered from committed groups run
-  // through the same acceptance pipeline, so a journal written in either
-  // mode resumes under the other.
+  report_.resumed = accept_frames;
   replay_segments(accept_frames);
 
   // Re-stamp the manifest: on a clean resume it is byte-identical; after a
   // manifest mismatch this adopts the journal for the current options.
-  if (!accept_frames) write_file_atomic(manifest_path, manifest_bytes);
+  if (!accept_frames) backend_->write_manifest(manifest_bytes);
 }
 
-void RunJournal::accept_frame(const std::string& name,
-                              std::vector<std::uint8_t>&& bytes,
+void RunJournal::accept_frame(std::vector<std::uint8_t>&& bytes,
                               bool accept_any) {
-  const bool from_file = !name.empty();
   const auto reject = [&](const char* reason) {
-    if (from_file) {
-      quarantine_file(name);
-    } else {
-      char buf[48];
-      std::snprintf(buf, sizeof(buf), "seg_frame_%s.frame", reason);
-      quarantine_bytes(buf, bytes);
-    }
+    char buf[48];
+    std::snprintf(buf, sizeof(buf), "seg_frame_%s.frame", reason);
+    quarantine_bytes(buf, bytes);
   };
   if (!accept_any) {
+    // Foreign or absent manifest: every frame describes different work.
     ++report_.frames_mismatched;
     reject("mismatched");
     return;
@@ -428,7 +336,6 @@ void RunJournal::accept_frame(const std::string& name,
     // an independently-written copy may still verify.
     if (!inserted) ++report_.frames_duplicate;
     it->second.payload = std::move(frame.payload);
-    it->second.file_name = name;  // empty for segment-sourced frames
     it->second.usable = true;
     ++report_.frames_replayed;
   } else {
@@ -459,7 +366,7 @@ void RunJournal::replay_segments(bool accept_frames) {
     SegmentScan scan = scan_segment(bytes);
     report_.groups_committed += scan.groups;
     for (auto& frame : scan.frames) {
-      accept_frame({}, std::move(frame), accept_frames);
+      accept_frame(std::move(frame), accept_frames);
     }
     if (scan.torn_bytes > 0) {
       // The crash rule in action: an un-fsynced (or damaged) tail is as
@@ -513,18 +420,12 @@ const std::vector<std::uint8_t>* RunJournal::replayed(
   return &it->second.payload;
 }
 
-void RunJournal::write_frame_file(const std::string& name,
-                                  std::span<const std::uint8_t> bytes) {
-  write_file_atomic(fs::path(frames_dir_) / name, bytes);
-}
-
 void RunJournal::append(FrameKind kind, std::uint32_t month_index,
                         std::uint32_t slot,
                         std::span<const std::uint8_t> payload) {
   FrameHeader header{kind, month_index, slot};
   std::vector<std::uint8_t> bytes =
       encode_frame(config_.manifest.options_digest, header, payload);
-  const std::string name = frame_file_name(kind, month_index, slot);
 
   std::lock_guard<std::mutex> lock(mutex_);
   bool duplicate = false;
@@ -532,31 +433,16 @@ void RunJournal::append(FrameKind kind, std::uint32_t month_index,
     const auto fault = config_.frame_faults->corrupt_frame(bytes);
     duplicate = fault == tls::faults::FaultKind::kFrameDuplicate;
   }
-  if (writer_ != nullptr) {
-    // Grouped mode: hand the frame to the group-commit writer and return;
-    // durability arrives with the frame's group (flush() to wait for it).
-    // The crash-matrix kill seam lives in the writer, after the fsync.
-    ++appended_;
-    if (duplicate) {
-      // A replayed append: the same frame enters the journal twice; replay
-      // dedupes on (kind, month, slot).
-      writer_->enqueue(name, std::vector<std::uint8_t>(bytes));
-    }
-    writer_->enqueue(name, std::move(bytes));
-    fire_term_seam();
-    return;
-  }
-  write_frame_file(name, bytes);
-  if (duplicate) {
-    // A replayed append: the same frame lands twice under sibling names.
-    write_frame_file(name + ".dup.frame", bytes);
-  }
+  // Hand the frame to the group-commit writer and return; durability
+  // arrives with the frame's group (flush() to wait for it). The
+  // crash-matrix kill seam lives in the writer, after the fsync.
   ++appended_;
-  if (config_.kill_after_frames != 0 &&
-      appended_ >= config_.kill_after_frames) {
-    // Crash-matrix seam: die exactly here, after N durable frames.
-    std::raise(SIGKILL);
+  if (duplicate) {
+    // A replayed append: the same frame enters the journal twice; replay
+    // dedupes on (kind, month, slot).
+    writer_->enqueue(std::vector<std::uint8_t>(bytes));
   }
+  writer_->enqueue(std::move(bytes));
   fire_term_seam();
 }
 
@@ -581,12 +467,7 @@ void RunJournal::invalidate(FrameKind kind, std::uint32_t month_index,
   std::lock_guard<std::mutex> lock(mutex_);
   --report_.frames_replayed;
   ++report_.frames_corrupt;
-  if (it->second.file_name.empty()) {
-    // Segment-sourced frame: no file to move, quarantine the payload.
-    quarantine_bytes("seg_frame_invalidated.bin", it->second.payload);
-  } else {
-    quarantine_file(it->second.file_name);
-  }
+  quarantine_bytes("seg_frame_invalidated.bin", it->second.payload);
 }
 
 void RunJournal::note_task(bool replayed_from_journal) {
@@ -596,23 +477,6 @@ void RunJournal::note_task(bool replayed_from_journal) {
   } else {
     ++report_.tasks_recomputed;
   }
-}
-
-void RunJournal::quarantine_file(const std::string& name) {
-  std::error_code ec;
-  fs::create_directories(quarantine_dir_, ec);
-  char seq[16];
-  std::snprintf(seq, sizeof(seq), "q%04zu_", report_.quarantined.size());
-  const fs::path from = fs::path(frames_dir_) / name;
-  const fs::path to = fs::path(quarantine_dir_) / (seq + name);
-  fs::rename(from, to, ec);
-  if (ec) {
-    // Cross-device or racing remove: fall back to copy+delete, and if even
-    // that fails just remove the bad frame — never abort a recovery.
-    fs::copy_file(from, to, fs::copy_options::overwrite_existing, ec);
-    fs::remove(from, ec);
-  }
-  report_.quarantined.push_back(to.string());
 }
 
 void RunJournal::quarantine_bytes(const std::string& name,
@@ -630,14 +494,11 @@ void RunJournal::quarantine_bytes(const std::string& name,
   report_.quarantined.push_back(to.string());
 }
 
-void RunJournal::flush() {
-  if (writer_ != nullptr) writer_->flush();
-}
+void RunJournal::flush() { writer_->flush(); }
 
 void RunJournal::collect_metrics(tls::telemetry::MetricsRegistry& out) const {
-  if (writer_ != nullptr) writer_->collect_metrics(out);
-  JournalErrorTaxonomy errors = backend_->errors();
-  if (writer_ != nullptr) errors.merge(writer_->fallback_errors());
+  writer_->collect_metrics(out);
+  const JournalErrorTaxonomy& errors = backend_->errors();
   for (std::size_t s = 0; s < kJournalStageCount; ++s) {
     for (std::size_t c = 0; c < kJournalErrorClassCount; ++c) {
       const auto stage = static_cast<JournalStage>(s);
@@ -669,14 +530,10 @@ void RunJournal::collect_metrics(tls::telemetry::MetricsRegistry& out) const {
 tls::analysis::RecoveryReport RunJournal::snapshot_report() const {
   std::lock_guard<std::mutex> lock(mutex_);
   tls::analysis::RecoveryReport report = report_;
-  if (writer_ != nullptr) {
-    const auto stats = writer_->stats();
-    report.groups_committed += stats.groups;
-    report.fallback_frames = stats.fallback_frames;
-    report.degraded_per_frame = stats.degraded;
-  }
-  JournalErrorTaxonomy errors = backend_->errors();
-  if (writer_ != nullptr) errors.merge(writer_->fallback_errors());
+  const auto stats = writer_->stats();
+  report.groups_committed += stats.groups;
+  report.frames_dropped = stats.dropped_frames;
+  const JournalErrorTaxonomy& errors = backend_->errors();
   for (std::size_t s = 0; s < kJournalStageCount; ++s) {
     report.io_retries += errors.count(static_cast<JournalStage>(s),
                                       JournalErrorClass::kRetried);

@@ -8,22 +8,14 @@
 // recomputed — a half-written journal can degrade a resume back toward a
 // cold run, but can never corrupt a result or crash the study.
 //
-// Two durability modes share the frame format:
-//
-//   kPerFrame (legacy): one frame per file — write `<name>.tmp`, fsync,
-//   atomically rename to `<name>.frame`, fsync the directory. A power cut
-//   leaves either no file or a `.tmp` (counted as torn); a visible
-//   `.frame` is complete bar in-place media corruption, which the
-//   per-frame FNV-1a-64 checksum catches on replay.
-//
-//   kGrouped (default for studies): completed frames are handed to a
-//   group-commit writer (core/journal.hpp) that batches them into
-//   append-only segment files and pays ONE fsync per group. An un-fsynced
-//   group is as if never written: replay scans each segment, truncates at
-//   the last checksummed group boundary, quarantines the torn tail and
-//   recomputes the affected tasks. Replay always reads BOTH stores, so a
-//   journal written in either mode (or by the degraded per-frame fallback)
-//   resumes under the other.
+// Completed frames are handed to a group-commit writer (core/journal.hpp)
+// that batches them into append-only segment files and pays ONE fsync per
+// group. An un-fsynced group is as if never written: replay scans each
+// segment, truncates at the last checksummed group boundary, quarantines
+// the torn tail and recomputes the affected tasks. A group the writer
+// cannot make durable is dropped and counted (RecoveryReport::
+// frames_dropped); its tasks are recomputed on resume, because a
+// checkpoint is only an aid.
 #pragma once
 
 #include <cstdint>
@@ -58,10 +50,10 @@ inline constexpr std::uint32_t kCheckpointFormatVersion = 1;
 /// allocation-driven OOM.
 inline constexpr std::uint32_t kDefaultMaxFramePayload = 64u << 20;
 
-/// How completed frames reach durable storage (see file header).
+/// The journal's one durability mode: segmented group commit, one fsync
+/// per group. Kept for `perfbench/` until the next `[benchmark]` PR.
 enum class JournalMode : std::uint8_t {
-  kPerFrame = 0,  // one durable file per frame (legacy)
-  kGrouped = 1,   // segmented group-commit journal, one fsync per group
+  kGrouped = 1,
 };
 
 /// What a frame's payload holds.
@@ -146,8 +138,8 @@ struct DecodedFrame {
 /// holds (see Config::resume); append() persists one completed task.
 /// Thread-safety: append() may be called concurrently from pool workers;
 /// replayed() reads are lock-free because the replay map is immutable
-/// after construction (invalidate() moves the file and books the stats but
-/// never erases a map entry — callers consume each key once).
+/// after construction (invalidate() quarantines the payload and books the
+/// stats but never erases a map entry — callers consume each key once).
 class RunJournal {
  public:
   struct Config {
@@ -159,10 +151,10 @@ class RunJournal {
     /// Optional chaos tap for the frame path (frame_* rates); applied to
     /// every appended frame's bytes before they hit the disk.
     tls::faults::FaultInjector* frame_faults = nullptr;
-    /// Test seam: raise SIGKILL immediately after the Nth successful
-    /// append (1-based; in grouped mode, after the group containing the
-    /// Nth frame becomes durable). 0 disables. This is how the crash
-    /// matrix murders the process at deterministic journal offsets.
+    /// Test seam: raise SIGKILL right after the group containing the Nth
+    /// appended frame becomes durable (1-based; 0 disables). This is how
+    /// the crash matrix murders the process at deterministic journal
+    /// offsets.
     std::size_t kill_after_frames = 0;
     /// Test seam: send the process SIGTERM (::kill, not raise — the
     /// signal must route through whatever sigwait watcher the host
@@ -176,12 +168,10 @@ class RunJournal {
     /// allocating the claimed size (defends replay against hostile or
     /// bit-rotted length fields).
     std::uint32_t max_frame_bytes = kDefaultMaxFramePayload;
-    /// Durability mode. Defaults to the legacy per-frame store so direct
-    /// constructions stay byte-compatible; studies opt into kGrouped via
-    /// StudyOptions::journal_mode.
-    JournalMode mode = JournalMode::kPerFrame;
-    /// Grouped-mode knobs: flush when this many frames are pending, or
-    /// when the oldest pending frame is this old — whichever first.
+    /// Unread. Kept for `perfbench/` until the next `[benchmark]` PR.
+    JournalMode mode = JournalMode::kGrouped;
+    /// Flush when this many frames are pending, or when the oldest
+    /// pending frame is this old — whichever first.
     std::size_t group_frames = 64;
     std::uint64_t group_ms = 50;
     /// Optional backend override (tests inject MemoryJournalBackend);
@@ -197,14 +187,15 @@ class RunJournal {
   [[nodiscard]] const std::vector<std::uint8_t>* replayed(
       FrameKind kind, std::uint32_t month_index, std::uint32_t slot) const;
 
-  /// Persists one completed task's payload (durable before return).
-  /// Thread-safe. IO failures are counted, never thrown: checkpointing is
-  /// an aid, losing a frame only costs recompute time on the next run.
+  /// Hands one completed task's payload to the writer; it is durable once
+  /// its group commits (flush() waits for that). Thread-safe. IO failures
+  /// are counted, never thrown: checkpointing is an aid, losing a frame
+  /// only costs recompute time on the next run.
   void append(FrameKind kind, std::uint32_t month_index, std::uint32_t slot,
               std::span<const std::uint8_t> payload);
 
   /// Discards a replayed frame whose payload failed downstream decoding:
-  /// quarantines the file and books it corrupt. The task is then
+  /// quarantines its payload and books it corrupt. The task is then
   /// recomputed by the caller.
   void invalidate(FrameKind kind, std::uint32_t month_index,
                   std::uint32_t slot);
@@ -212,8 +203,7 @@ class RunJournal {
   /// Books one task outcome for the report (true = served from journal).
   void note_task(bool replayed_from_journal);
 
-  /// Blocks until every frame appended so far is durable (grouped mode;
-  /// a no-op per-frame, where append() is already durable-before-return).
+  /// Blocks until every frame appended so far is durable (or dropped).
   /// Call at phase boundaries before trusting the journal's contents.
   void flush();
 
@@ -231,7 +221,6 @@ class RunJournal {
  private:
   struct ReplayedFrame {
     std::vector<std::uint8_t> payload;
-    std::string file_name;
     bool usable = false;  // false after invalidate()
   };
   using FrameKey = std::tuple<std::uint8_t, std::uint32_t, std::uint32_t>;
@@ -240,29 +229,20 @@ class RunJournal {
   /// Fires the term_after_frames signal-drain seam (no-op when disabled).
   /// Called with mutex_ held, right after appended_ is bumped.
   void fire_term_seam();
-  /// Replays one candidate frame (from a file or a scanned segment group)
-  /// through the acceptance pipeline: decode, digest check, dedupe.
-  /// `name` is the frame's legacy file name when it came from a file
-  /// (quarantined by rename), empty for segment-sourced frames
-  /// (quarantined by writing the bytes out).
-  void accept_frame(const std::string& name,
-                    std::vector<std::uint8_t>&& bytes, bool accept_any);
+  /// Replays one frame from a scanned segment group through the
+  /// acceptance pipeline: decode, digest check, dedupe. Rejects are
+  /// quarantined.
+  void accept_frame(std::vector<std::uint8_t>&& bytes, bool accept_any);
   /// Scans every segment: frames of checksummed groups feed
   /// accept_frame(); torn tails are quarantined and scan-truncated; INDEX
   /// entries are cross-checked against the scan and stale ones counted.
   void replay_segments(bool accept_frames);
-  /// Moves `frames/<name>` into the quarantine sidecar, recording the
-  /// destination path in the report.
-  void quarantine_file(const std::string& name);
-  /// Quarantines raw bytes (segment-sourced rejects and torn tails have
-  /// no file of their own to move).
+  /// Writes rejected bytes into the quarantine sidecar, recording the
+  /// path in the report.
   void quarantine_bytes(const std::string& name,
-                        std::span<const std::uint8_t> bytes);
-  void write_frame_file(const std::string& name,
                         std::span<const std::uint8_t> bytes);
 
   Config config_;
-  std::string frames_dir_;
   std::string quarantine_dir_;
   std::unique_ptr<JournalBackend> owned_backend_;
   JournalBackend* backend_ = nullptr;

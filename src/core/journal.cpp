@@ -532,12 +532,11 @@ GroupCommitWriter::GroupCommitWriter(JournalBackend* backend, Config config,
 
 GroupCommitWriter::~GroupCommitWriter() { stop(); }
 
-void GroupCommitWriter::enqueue(std::string name,
-                                std::vector<std::uint8_t> frame) {
+void GroupCommitWriter::enqueue(std::vector<std::uint8_t> frame) {
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    pending_.push_back(Pending{std::move(name), std::move(frame),
-                               std::chrono::steady_clock::now()});
+    pending_.push_back(
+        Pending{std::move(frame), std::chrono::steady_clock::now()});
     ++enqueued_;
   }
   wake_cv_.notify_all();
@@ -561,31 +560,15 @@ void GroupCommitWriter::stop() {
   if (thread_.joinable()) thread_.join();
 }
 
-bool GroupCommitWriter::degraded() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return degraded_;
-}
-
 GroupCommitWriter::Stats GroupCommitWriter::stats() const {
   std::lock_guard<std::mutex> lock(mutex_);
-  Stats s = stats_;
-  s.degraded = degraded_;
-  return s;
+  return stats_;
 }
 
 void GroupCommitWriter::collect_metrics(
     tls::telemetry::MetricsRegistry& out) const {
   std::lock_guard<std::mutex> lock(mutex_);
   out.merge(metrics_);
-  out.gauge("tls_repro_journal_degraded", {},
-            "1 when the group-commit writer fell back to per-frame mode",
-            true)
-      .set(degraded_ ? 1 : 0);
-}
-
-JournalErrorTaxonomy GroupCommitWriter::fallback_errors() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return fallback_errors_;
 }
 
 void GroupCommitWriter::writer_loop() {
@@ -618,27 +601,15 @@ void GroupCommitWriter::writer_loop() {
       batch.push_back(std::move(pending_.front()));
       pending_.pop_front();
     }
-    const bool already_degraded = degraded_;
     lock.unlock();
 
-    bool ok = false;
-    if (!already_degraded) {
-      ok = commit_group(batch);
-      if (!ok) ok = commit_group(batch);  // one whole-group retry
-    }
-    if (!ok) write_fallback(batch);
+    // One whole-group retry (commit_group already rolled to a fresh
+    // segment); a second failure drops the group, whose tasks are then
+    // recomputed on resume.
+    const bool ok = commit_group(batch) || commit_group(batch);
 
     lock.lock();
-    if (!already_degraded) {
-      if (ok) {
-        consecutive_failures_ = 0;
-      } else {
-        ++consecutive_failures_;
-        if (consecutive_failures_ >= config_.max_consecutive_failures) {
-          degraded_ = true;
-        }
-      }
-    }
+    if (!ok) stats_.dropped_frames += batch.size();
     completed_ += batch.size();
     done_cv_.notify_all();
   }
@@ -668,24 +639,24 @@ bool GroupCommitWriter::commit_group(std::vector<Pending>& batch) {
     }
   }
 
+  if (segment_open_ && segment_bytes_ > 0 &&
+      segment_bytes_ + bytes.size() > config_.max_segment_bytes) {
+    roll_segment();
+  }
   if (!segment_open_) {
     if (!backend_->open_segment(segment_id_)) return false;
     segment_open_ = true;
     segment_bytes_ = 0;
-  } else if (segment_bytes_ > 0 &&
-             segment_bytes_ + bytes.size() > config_.max_segment_bytes) {
-    backend_->close_segment();
-    ++segment_id_;
-    if (!backend_->open_segment(segment_id_)) {
-      segment_open_ = false;
-      return false;
-    }
-    segment_bytes_ = 0;
   }
 
   const std::uint64_t offset = segment_bytes_;
-  if (!backend_->append(bytes)) return false;
-  if (!backend_->sync()) return false;
+  if (!backend_->append(bytes) || !backend_->sync()) {
+    // The failed call may have left part of the group in the segment, and
+    // the replay scan stops at the first bad record: anything appended
+    // behind it would be unrecoverable. Later groups go to a fresh segment.
+    roll_segment();
+    return false;
+  }
   segment_bytes_ += bytes.size();
 
   const auto us = static_cast<std::uint64_t>(
@@ -746,34 +717,20 @@ bool GroupCommitWriter::commit_group(std::vector<Pending>& batch) {
     // failure): cut somewhere inside what we believed durable, then roll
     // to a fresh segment so later groups stay recoverable.
     backend_->truncate_segment(segment_id_, chaos_roll % segment_bytes_);
-    backend_->close_segment();
-    segment_open_ = false;
-    ++segment_id_;
+    roll_segment();
   } else if (fault == FaultKind::kGroupTornTail) {
     // The group bytes were already cut short before the append (a torn
     // write). Roll to a fresh segment: a real torn tail ends a segment,
     // and later groups appended after garbage would be unreachable.
-    backend_->close_segment();
-    segment_open_ = false;
-    ++segment_id_;
+    roll_segment();
   }
   return true;
 }
 
-void GroupCommitWriter::write_fallback(std::vector<Pending>& batch) {
-  namespace fsn = std::filesystem;
-  std::error_code ec;
-  fsn::create_directories(config_.fallback_dir, ec);
-  JournalErrorTaxonomy errors;
-  std::size_t written = 0;
-  for (auto& p : batch) {
-    const std::string path =
-        (fsn::path(config_.fallback_dir) / p.name).string();
-    if (write_file_durable(path, p.frame, &errors)) ++written;
-  }
-  std::lock_guard<std::mutex> lock(mutex_);
-  stats_.fallback_frames += written;
-  fallback_errors_.merge(errors);
+void GroupCommitWriter::roll_segment() {
+  backend_->close_segment();
+  segment_open_ = false;
+  ++segment_id_;
 }
 
 // ---- shared durable-file helper -----------------------------------------

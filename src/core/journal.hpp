@@ -1,13 +1,10 @@
 // Segmented, append-only, group-commit journal — the storage engine under
 // the study's crash-safe checkpoint layer (core/checkpoint.hpp).
 //
-// PR 5's phase attribution showed the per-frame write+fsync+rename recipe
-// at 66% of summed task time: every completed (month, shard) task paid one
-// file create, one fsync, one rename, and one directory fsync. This layer
-// replaces that with large append-only segment files into which a
-// dedicated writer thread batches completed frames as *group records*,
-// amortizing ONE fsync per group (flush when N frames are pending or the
-// oldest has waited T ms, whichever first).
+// A dedicated writer thread batches completed frames as *group records*
+// into large append-only segment files, amortizing ONE fsync per group
+// (flush when N frames are pending or the oldest has waited T ms,
+// whichever first).
 //
 // Crash-consistency rule (the durability contract, stated once): a group
 // that was never fsynced is as if it was never written. Each group record
@@ -22,9 +19,9 @@
 // production (EINTR/short-write retries with bounded backoff; persistent
 // errors surface through a per-stage JournalErrorTaxonomy, never as
 // exceptions out of the writer thread) and an in-memory backend for tests
-// (simulated power cuts via drop_unsynced(), injected write failures for
-// the graceful-degradation path). On repeated backend failure the writer
-// degrades to the legacy one-file-per-frame durable mode and records it.
+// (simulated power cuts via drop_unsynced(), injected write failures).
+// A group the backend cannot make durable, even on a retry in a fresh
+// segment, is dropped and counted; its tasks are recomputed on resume.
 #pragma once
 
 #include <chrono>
@@ -126,7 +123,7 @@ class JournalErrorTaxonomy {
 /// Storage interface the journal writes through. One segment is open for
 /// append at a time; replay reads whole segments back. All operations
 /// return false on failure (after booking the error in the taxonomy) —
-/// the journal layer decides whether to retry, degrade, or recompute.
+/// the journal layer decides whether to retry or drop (and recompute).
 /// Implementations need not be thread-safe: the group-commit writer is the
 /// single append-side caller, and replay happens before the writer starts.
 class JournalBackend {
@@ -200,7 +197,7 @@ class PosixJournalBackend : public JournalBackend {
 /// tests can simulate a power cut: bytes appended after the last sync()
 /// vanish on drop_unsynced(), exactly as an un-fsynced page-cache tail
 /// would. fail_appends_after() injects persistent write failures to drive
-/// the graceful-degradation path.
+/// the writer's drop-and-count path.
 class MemoryJournalBackend : public JournalBackend {
  public:
   bool open_segment(std::uint32_t id) override;
@@ -320,12 +317,11 @@ struct IndexEntry {
 /// writer wakes when kGroupFrames are pending or the oldest pending frame
 /// is group_ms old, writes one group, and pays ONE fsync for it.
 ///
-/// Failure policy: a failed group write/sync is retried once as a whole;
-/// after `max_consecutive_failures` consecutive group failures the writer
-/// DEGRADES — every pending and future frame is written through the
-/// legacy per-frame durable path into `fallback_dir` instead, and the
-/// degradation is reported (RecoveryReport::degraded_per_frame). Frames
-/// are never silently dropped while the fallback path still works.
+/// Failure policy: any failed append or sync closes the segment (a partial
+/// group in it would hide every later group from the replay scan) and the
+/// whole group is retried once in a fresh segment. If the retry fails too,
+/// the group is dropped and its frames are counted in
+/// Stats::dropped_frames; their tasks are recomputed on resume.
 class GroupCommitWriter {
  public:
   struct Config {
@@ -339,9 +335,6 @@ class GroupCommitWriter {
     std::uint64_t max_segment_bytes = 64ull << 20;
     std::uint64_t options_digest = 0;
     std::uint32_t first_segment_id = 1;
-    /// Legacy one-file-per-frame directory for the degraded mode.
-    std::string fallback_dir;
-    std::size_t max_consecutive_failures = 3;
     /// Crash-matrix seam: raise SIGKILL right after the group containing
     /// the Nth frame becomes durable (1-based; 0 disables). Killing after
     /// the fsync guarantees ≥ N frames of forward progress per run, so a
@@ -361,42 +354,32 @@ class GroupCommitWriter {
   GroupCommitWriter(const GroupCommitWriter&) = delete;
   GroupCommitWriter& operator=(const GroupCommitWriter&) = delete;
 
-  /// Hands one encoded frame to the writer. `name` is the frame's legacy
-  /// file name, used only if this frame ends up on the degraded path.
-  /// Returns immediately; durability arrives with the frame's group.
-  void enqueue(std::string name, std::vector<std::uint8_t> frame);
+  /// Hands one encoded frame to the writer. Returns immediately;
+  /// durability arrives with the frame's group.
+  void enqueue(std::vector<std::uint8_t> frame);
 
-  /// Blocks until everything enqueued so far is durable (or has been
-  /// written through the degraded fallback).
+  /// Blocks until everything enqueued so far is durable (or dropped).
   void flush();
 
   /// flush() + join the writer thread. Idempotent; the destructor calls it.
   void stop();
-
-  [[nodiscard]] bool degraded() const;
 
   struct Stats {
     std::uint64_t frames = 0;  // frames committed through groups
     std::uint64_t groups = 0;
     std::uint64_t fsyncs = 0;
     std::uint64_t bytes = 0;   // segment bytes written
-    std::uint64_t fallback_frames = 0;  // frames written per-frame (degraded)
-    bool degraded = false;
+    std::uint64_t dropped_frames = 0;  // frames of groups that failed twice
   };
   [[nodiscard]] Stats stats() const;
 
   /// Folds the writer's telemetry (group-size and flush-latency
-  /// histograms, fsync/byte counters, degradation gauge) into `out`.
-  /// All wall-clock-derived metrics are registered timing=true.
+  /// histograms, fsync/byte counters) into `out`. All wall-clock-derived
+  /// metrics are registered timing=true.
   void collect_metrics(tls::telemetry::MetricsRegistry& out) const;
-
-  /// IO errors booked by the degraded per-frame fallback path (the
-  /// backend's own taxonomy is separate; see JournalBackend::errors()).
-  [[nodiscard]] JournalErrorTaxonomy fallback_errors() const;
 
  private:
   struct Pending {
-    std::string name;
     std::vector<std::uint8_t> frame;
     std::chrono::steady_clock::time_point enqueued_at;
   };
@@ -405,7 +388,8 @@ class GroupCommitWriter {
   /// Writes one group of `batch` frames (write + fsync + index entry),
   /// applying any rolled chaos faults. Returns false on backend failure.
   bool commit_group(std::vector<Pending>& batch);
-  void write_fallback(std::vector<Pending>& batch);
+  /// Closes the open segment; the next group goes to a fresh one.
+  void roll_segment();
 
   JournalBackend* backend_;
   Config config_;
@@ -416,11 +400,9 @@ class GroupCommitWriter {
   std::condition_variable done_cv_;   // flush() waiters sleep here
   std::deque<Pending> pending_;
   std::uint64_t enqueued_ = 0;
-  std::uint64_t completed_ = 0;  // durable or fallback-written
+  std::uint64_t completed_ = 0;  // durable or dropped
   bool flush_pending_ = false;   // flush() wants an immediate commit
   bool stop_ = false;
-  bool degraded_ = false;
-  std::size_t consecutive_failures_ = 0;
 
   // Writer-thread-only state (no lock needed).
   std::uint32_t segment_id_ = 0;
@@ -429,15 +411,15 @@ class GroupCommitWriter {
 
   Stats stats_;                                 // guarded by mutex_
   tls::telemetry::MetricsRegistry metrics_;     // guarded by mutex_
-  JournalErrorTaxonomy fallback_errors_;        // guarded by mutex_
   std::thread thread_;
 };
 
 // ---- shared durable-file helper -----------------------------------------
 
-/// The legacy per-frame durability recipe, hardened: write `<path>.tmp`
-/// (retrying EINTR and short writes with bounded backoff), fsync, rename
-/// atomically over `path`, fsync the directory. Returns false on failure
+/// Durable whole-file write for small sidecars (the manifest, the daemon's
+/// snapshot and flight dumps): write `<path>.tmp` (retrying EINTR and
+/// short writes with bounded backoff), fsync, rename atomically over
+/// `path`, fsync the directory. Returns false on failure
 /// (partial temp files removed best-effort); errors are booked into
 /// `errors` when non-null.
 bool write_file_durable(const std::string& path,

@@ -57,7 +57,6 @@ void LongitudinalStudy::ensure_journal() {
   config.kill_after_frames = options_.checkpoint_kill_after_frames;
   config.term_after_frames = options_.checkpoint_term_after_frames;
   config.max_frame_bytes = options_.checkpoint_max_frame_bytes;
-  config.mode = options_.journal_mode;
   config.group_frames = options_.journal_group_frames;
   config.group_ms = options_.journal_group_ms;
   journal_ = std::make_unique<RunJournal>(std::move(config));
@@ -352,7 +351,7 @@ void LongitudinalStudy::run() {
         tel->registry
             .histogram("tls_repro_checkpoint_append_us",
                        tls::telemetry::duration_buckets_us(), "",
-                       "Durable frame write+fsync time per frame")
+                       "Frame hand-off to the journal writer, per frame")
             .record(app_us);
         tel->trace.add({"checkpoint_append", "checkpoint", app.start_us(),
                         app_us, lane_id, {}});
@@ -362,7 +361,7 @@ void LongitudinalStudy::run() {
     shard_monitors[i] = std::move(mon);
   });
   // Phase boundary: everything the passive phase appended is durable (or
-  // has been written through the degraded fallback) before we aggregate.
+  // dropped, to be recomputed on resume) before we aggregate.
   if (journal_ != nullptr) journal_->flush();
 
   // Late aggregation in plan order — the only place shard results meet.
@@ -467,10 +466,9 @@ void LongitudinalStudy::collect_run_metrics(const tls::core::ThreadPool& pool) {
       .set(rep.frames_replayed);
   metrics_
       .gauge("tls_repro_checkpoint_frames_quarantined", "",
-             "Journal frames rejected (torn/corrupt/mismatched/duplicate)",
+             "Journal frames rejected (corrupt/mismatched/duplicate)",
              /*timing=*/true)
-      .set(rep.frames_torn + rep.frames_corrupt + rep.frames_mismatched +
-           rep.frames_duplicate);
+      .set(rep.frames_corrupt + rep.frames_mismatched + rep.frames_duplicate);
   metrics_
       .gauge("tls_repro_checkpoint_tasks_skipped", "",
              "Tasks satisfied from the journal", /*timing=*/true)
@@ -487,9 +485,11 @@ void LongitudinalStudy::collect_run_metrics(const tls::core::ThreadPool& pool) {
              /*timing=*/true)
       .set(rep.groups_committed);
   metrics_
-      .gauge("tls_repro_checkpoint_fallback_frames", "",
-             "Frames the degraded writer stored per-frame", /*timing=*/true)
-      .set(rep.fallback_frames);
+      .gauge("tls_repro_checkpoint_frames_dropped", "",
+             "Frames the journal writer could not make durable (recomputed "
+             "on resume)",
+             /*timing=*/true)
+      .set(rep.frames_dropped);
 }
 
 const tls::telemetry::MetricsRegistry& LongitudinalStudy::metrics() {

@@ -114,15 +114,12 @@ struct StudyOptions {
   /// only — like every checkpoint knob it is excluded from
   /// options_digest and never changes an exported byte.
   std::uint32_t checkpoint_max_frame_bytes = kDefaultMaxFramePayload;
-  /// How completed frames reach durable storage. kGrouped (default)
-  /// batches frames through the group-commit segmented journal — one
-  /// fsync per group instead of per frame; kPerFrame is the legacy
-  /// one-durable-file-per-frame store. Like every checkpoint knob, the
-  /// mode and the group_* tunables below are EXCLUDED from
-  /// options_digest: they never change an exported byte, so switching
-  /// them must not orphan a journal (replay reads both stores).
+  /// Unread. Kept for `perfbench/` until the next `[benchmark]` PR.
   JournalMode journal_mode = JournalMode::kGrouped;
-  /// Grouped mode: flush when this many frames are pending...
+  /// Journal group commit. Like every checkpoint knob these are EXCLUDED
+  /// from options_digest (they never change an exported byte, so changing
+  /// them must not orphan a journal). Flush when this many frames are
+  /// pending...
   std::size_t journal_group_frames = 64;
   /// ...or when the oldest pending frame is this old (ms), whichever
   /// comes first. The linger bounds how much completed work a crash can

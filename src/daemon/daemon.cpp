@@ -351,7 +351,6 @@ bool NotaryDaemon::open_journal() {
   wcfg.group_ms = config_.journal_group_ms;
   wcfg.options_digest = kDaemonOptionsDigest;
   wcfg.first_segment_id = next_segment;
-  wcfg.fallback_dir = config_.checkpoint_dir + "/fallback";
   journal_->writer = std::make_unique<tls::study::GroupCommitWriter>(
       &journal_->backend, wcfg, nullptr);
   return true;
@@ -507,6 +506,8 @@ std::string NotaryDaemon::stats_text() {
     std::lock_guard<std::mutex> lock(shard->telemetry_mutex);
     latency.merge(*shard->latency);
   }
+  const std::uint64_t journal_dropped =
+      journal_ ? journal_->writer->stats().dropped_frames : 0;
   std::ostringstream out;
   out << "admitted=" << c.admitted << '\n'
       << "checkpoint_epochs=" << c.checkpoint_epochs << '\n'
@@ -519,6 +520,7 @@ std::string NotaryDaemon::stats_text() {
       << "ingest_p99_us=" << bucket_quantile(latency, 0.99) << '\n'
       << "ingest_p999_us=" << bucket_quantile(latency, 0.999) << '\n'
       << "ingested=" << c.ingested << '\n'
+      << "journal_dropped_frames=" << journal_dropped << '\n'
       << "malformed=" << c.malformed << '\n'
       << "offered=" << c.offered << '\n'
       << "resume_decode_failures=" << resume_decode_failures_ << '\n'
@@ -854,8 +856,7 @@ void NotaryDaemon::checkpoint_epoch(bool final_epoch) {
   header.month_index = 0;
   header.slot = static_cast<std::uint32_t>(epoch_);
   auto frame = tls::study::encode_frame(kDaemonOptionsDigest, header, state);
-  journal_->writer->enqueue("epoch_" + std::to_string(epoch_) + ".frame",
-                            std::move(frame));
+  journal_->writer->enqueue(std::move(frame));
   journal_->writer->flush();
   counters_->checkpoint_epochs.fetch_add(1, std::memory_order_relaxed);
   flight(0, tls::telemetry::FlightEventKind::kCheckpointEpoch,
@@ -1309,10 +1310,14 @@ void NotaryDaemon::event_loop() {
     if (config_.observability) {
       const std::uint64_t now = now_ms();
       sample_gauges(now);
-      if (journal_ && journal_->writer && !journal_degrade_booked_ &&
-          journal_->writer->degraded()) {
-        journal_degrade_booked_ = true;
-        flight(0, tls::telemetry::FlightEventKind::kJournalDegrade, 0, 0);
+      if (journal_ && journal_->writer && !journal_drop_booked_) {
+        const std::uint64_t dropped =
+            journal_->writer->stats().dropped_frames;
+        if (dropped != 0) {
+          journal_drop_booked_ = true;
+          flight(0, tls::telemetry::FlightEventKind::kJournalDrop,
+                 static_cast<std::uint32_t>(dropped), 0);
+        }
       }
       if (flight_ && config_.flight_autodump_ms > 0 &&
           !config_.checkpoint_dir.empty() &&

@@ -274,7 +274,7 @@ class NotaryDaemon {
   std::unique_ptr<StatsSeqlock> stats_seq_;
   std::uint64_t start_us_ = 0;
   std::uint64_t last_flight_dump_ms_ = 0;
-  bool journal_degrade_booked_ = false;
+  bool journal_drop_booked_ = false;
   bool crash_handler_installed_ = false;
 
   // Wire-level loss accounting (event thread writes; stats readers lock).

@@ -66,7 +66,7 @@ const char* flight_event_kind_name(std::uint8_t kind) {
     case FlightEventKind::kCreditGrant: return "credit_grant";
     case FlightEventKind::kIdleTimeout: return "idle_timeout";
     case FlightEventKind::kCheckpointEpoch: return "checkpoint_epoch";
-    case FlightEventKind::kJournalDegrade: return "journal_degrade";
+    case FlightEventKind::kJournalDrop: return "journal_drop";
     case FlightEventKind::kDrainStart: return "drain_start";
     case FlightEventKind::kFlightDump: return "flight_dump";
     case FlightEventKind::kCrashSignal: return "crash_signal";

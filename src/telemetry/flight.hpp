@@ -62,7 +62,7 @@ enum class FlightEventKind : std::uint8_t {
   kCreditGrant = 9,      // a=conn id, b=credits granted
   kIdleTimeout = 10,     // a=conn id
   kCheckpointEpoch = 11, // a=epoch, b=ingested at epoch
-  kJournalDegrade = 12,  // journal writer fell back to per-frame mode
+  kJournalDrop = 12,     // journal writer first dropped a group; a=frames
   kDrainStart = 13,
   kFlightDump = 14,      // a=reason (0 ticker, 1 drain, 2 query)
   kCrashSignal = 15,     // never recorded in a ring; rendered from header

@@ -27,6 +27,7 @@
 #include <vector>
 
 #include "core/checkpoint.hpp"
+#include "core/journal.hpp"
 #include "core/study.hpp"
 #include "faults/injector.hpp"
 #include "wire/buffer.hpp"
@@ -40,11 +41,12 @@ using tls::core::Month;
 using tls::study::CheckpointManifest;
 using tls::study::FrameHeader;
 using tls::study::FrameKind;
-using tls::study::JournalMode;
 using tls::study::LongitudinalStudy;
 using tls::study::RunJournal;
 using tls::study::StudyOptions;
 using tls::wire::ParseError;
+
+using Bytes = std::vector<std::uint8_t>;
 
 std::string slurp(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
@@ -95,21 +97,49 @@ fs::path fresh_dir(const std::string& name) {
   return dir;
 }
 
-std::vector<fs::path> frame_files(const fs::path& ckpt) {
-  std::vector<fs::path> out;
-  for (const auto& e : fs::directory_iterator(ckpt / "frames")) {
-    out.push_back(e.path());
+/// Every frame the segment store under `ckpt` holds, in append order.
+std::vector<Bytes> journal_frames(const fs::path& ckpt) {
+  tls::study::PosixJournalBackend backend(ckpt.string());
+  std::vector<Bytes> frames;
+  for (const auto id : backend.list_segments()) {
+    Bytes bytes;
+    if (!backend.read_segment(id, bytes)) continue;
+    for (auto& frame : tls::study::scan_segment(bytes).frames) {
+      frames.push_back(std::move(frame));
+    }
   }
-  std::sort(out.begin(), out.end());
-  return out;
+  return frames;
+}
+
+/// Replaces the segment store under `ckpt` with one segment holding
+/// `frames` as one checksummed group, followed by the raw bytes `tail`.
+/// Damage forged into a frame passes the group checksum, so replay meets
+/// it frame by frame.
+void rewrite_journal(const fs::path& ckpt, std::uint64_t digest,
+                     const std::vector<Bytes>& frames, const Bytes& tail) {
+  tls::study::PosixJournalBackend backend(ckpt.string());
+  for (const auto id : backend.list_segments()) backend.remove_segment(id);
+  backend.clear_index();
+  ASSERT_TRUE(backend.open_segment(1));
+  ASSERT_TRUE(backend.append(tls::study::encode_group(digest, frames)));
+  ASSERT_TRUE(backend.append(tail));
+  ASSERT_TRUE(backend.sync());
+  backend.close_segment();
+}
+
+/// The first half of a group holding `frame`: a write torn by a crash.
+Bytes torn_group(std::uint64_t digest, const Bytes& frame) {
+  const auto group =
+      tls::study::encode_group(digest, std::vector<Bytes>{frame});
+  return Bytes(group.begin(),
+               group.begin() + static_cast<std::ptrdiff_t>(group.size() / 2));
 }
 
 // ---- child side of the crash matrix ------------------------------------
 
 /// `<exe> --checkpoint-child <ckpt> <threads> <fault_milli> <kill> <out>
-/// <group_frames>`: journals an export, possibly SIGKILLing itself after
-/// <kill> durable frames. group_frames == 0 selects the legacy per-frame
-/// store; > 0 selects the group-commit journal with that flush threshold.
+/// <group_frames>`: journals an export with that group-commit flush
+/// threshold, possibly SIGKILLing itself after <kill> durable frames.
 int run_checkpoint_child(int argc, char** argv) {
   if (argc != 8) return 2;
   auto opts = matrix_options(std::atoi(argv[4]));
@@ -118,13 +148,7 @@ int run_checkpoint_child(int argc, char** argv) {
   opts.threads = static_cast<unsigned>(std::atoi(argv[3]));
   opts.checkpoint_kill_after_frames =
       static_cast<std::size_t>(std::atol(argv[5]));
-  const long group_frames = std::atol(argv[7]);
-  if (group_frames > 0) {
-    opts.journal_mode = JournalMode::kGrouped;
-    opts.journal_group_frames = static_cast<std::size_t>(group_frames);
-  } else {
-    opts.journal_mode = JournalMode::kPerFrame;
-  }
+  opts.journal_group_frames = static_cast<std::size_t>(std::atol(argv[7]));
   LongitudinalStudy study(opts);
   study.export_figures(argv[6]);
   return 0;
@@ -151,7 +175,6 @@ int run_signal_drain_child(int argc, char** argv) {
   opts.threads = 4;
   opts.checkpoint_term_after_frames =
       static_cast<std::size_t>(std::atol(argv[3]));
-  opts.journal_mode = JournalMode::kGrouped;
   // Thresholds no export of this size can reach: only a drain (flush +
   // fsync) can make the lingering frames durable, so every frame the
   // parent later replays is proof the signal path flushed.
@@ -406,9 +429,8 @@ TEST(CheckpointCodec, OptionsDigestTracksByteAffectingFieldsOnly) {
   o.checkpoint_faults = tls::faults::FaultConfig::frames_only(0.5);
   o.checkpoint_fault_seed ^= 1;
   o.checkpoint_kill_after_frames = 3;
-  // Journal-mode knobs route the same frames through a different store;
-  // switching them mid-project must resume, not orphan.
-  o.journal_mode = JournalMode::kPerFrame;
+  // Group-commit knobs only change how frames are batched; switching them
+  // mid-project must resume, not orphan.
   o.journal_group_frames = 1;
   o.journal_group_ms = 0;
   EXPECT_EQ(tls::study::options_digest(o), digest);
@@ -447,10 +469,11 @@ TEST(RunJournal, ColdStartWipesExistingFrames) {
     RunJournal journal({dir.string(), false, manifest});
     journal.append(FrameKind::kPassiveShard, 1, 0, {{1}});
   }
+  ASSERT_EQ(journal_frames(dir).size(), 1u);
   RunJournal cold({dir.string(), /*resume=*/false, manifest});
   EXPECT_EQ(cold.replayed(FrameKind::kPassiveShard, 1, 0), nullptr);
   EXPECT_FALSE(cold.snapshot_report().resumed);
-  EXPECT_TRUE(frame_files(dir).empty());
+  EXPECT_TRUE(journal_frames(dir).empty());
   fs::remove_all(dir);
 }
 
@@ -465,38 +488,30 @@ TEST(RunJournal, DamagedFramesAreQuarantinedNeverFatal) {
                      std::vector<std::uint8_t>(32, std::uint8_t(s)));
     }
   }
-  auto files = frame_files(dir);
-  ASSERT_EQ(files.size(), 4u);
-  {  // bit-rot frame 0
-    auto bytes = slurp(files[0].string());
-    bytes[bytes.size() / 2] ^= 0x01;
-    std::ofstream(files[0], std::ios::binary) << bytes;
-  }
-  {  // tear frame 1 (simulated partial write that was renamed by old code)
-    auto bytes = slurp(files[1].string());
-    std::ofstream(files[1], std::ios::binary)
-        << bytes.substr(0, bytes.size() / 3);
-  }
-  {  // a crash mid-write leaves a .tmp behind
-    std::ofstream(dir / "frames" / "p_000050_0009.frame.tmp") << "partial";
-  }
-  {  // frame 2 rewritten under a different options digest
-    const auto foreign = tls::study::encode_frame(
-        manifest.options_digest + 1, {FrameKind::kPassiveShard, 50, 2},
-        std::vector<std::uint8_t>(8, 0xcc));
-    std::ofstream(files[2], std::ios::binary)
-        .write(reinterpret_cast<const char*>(foreign.data()),
-               static_cast<std::streamsize>(foreign.size()));
-  }
+  auto frames = journal_frames(dir);
+  ASSERT_EQ(frames.size(), 4u);
+  frames[0][frames[0].size() / 2] ^= 0x01;  // bit-rot frame 0
+  frames[1].resize(frames[1].size() / 3);   // tear frame 1
+  // Frame 2 rewritten under a different options digest.
+  frames[2] = tls::study::encode_frame(
+      manifest.options_digest + 1, {FrameKind::kPassiveShard, 50, 2},
+      Bytes(8, 0xcc));
+  // A crash mid-write leaves half of a later group behind.
+  rewrite_journal(
+      dir, manifest.options_digest, frames,
+      torn_group(manifest.options_digest,
+                 tls::study::encode_frame(manifest.options_digest,
+                                          {FrameKind::kPassiveShard, 50, 9},
+                                          Bytes(8, 0x99))));
 
   RunJournal resumed({dir.string(), /*resume=*/true, manifest});
   const auto report = resumed.snapshot_report();
   EXPECT_TRUE(report.resumed);
   EXPECT_EQ(report.frames_replayed, 1u);  // only frame 3 survived
   EXPECT_EQ(report.frames_corrupt, 2u);   // bit-rot + tear
-  EXPECT_EQ(report.frames_torn, 1u);      // the .tmp
+  EXPECT_EQ(report.groups_torn, 1u);      // the half group
   EXPECT_EQ(report.frames_mismatched, 1u);
-  EXPECT_EQ(report.quarantined.size(), 4u);
+  EXPECT_EQ(report.quarantined.size(), 4u);  // 3 frames + the torn tail
   for (const auto& q : report.quarantined) {
     EXPECT_TRUE(fs::exists(q)) << q;
   }
@@ -504,6 +519,7 @@ TEST(RunJournal, DamagedFramesAreQuarantinedNeverFatal) {
   EXPECT_EQ(resumed.replayed(FrameKind::kPassiveShard, 50, 1), nullptr);
   EXPECT_EQ(resumed.replayed(FrameKind::kPassiveShard, 50, 2), nullptr);
   EXPECT_NE(resumed.replayed(FrameKind::kPassiveShard, 50, 3), nullptr);
+  EXPECT_EQ(resumed.replayed(FrameKind::kPassiveShard, 50, 9), nullptr);
   fs::remove_all(dir);
 }
 
@@ -554,6 +570,7 @@ TEST(RunJournal, ManifestMismatchInvalidatesEveryFrame) {
   // The journal was re-stamped for the new run: appending then resuming
   // under `other` works.
   resumed.append(FrameKind::kPassiveShard, 7, 0, {{3, 4}});
+  resumed.flush();
   RunJournal again({dir.string(), /*resume=*/true, other});
   EXPECT_TRUE(again.snapshot_report().resumed);
   ASSERT_NE(again.replayed(FrameKind::kPassiveShard, 7, 0), nullptr);
@@ -583,18 +600,17 @@ TEST(CheckpointStudy, JournalingChangesNoExportedByte) {
         << plain_files[i];
   }
 
-  // The journal actually materialized — manifest plus, in the default
-  // grouped mode, checksummed groups in the segment store (the legacy
-  // frames/ dir stays empty unless the writer degrades).
+  // The journal actually materialized — manifest plus checksummed groups
+  // in the segment store, the only store there is.
   EXPECT_TRUE(fs::exists(ckpt / "MANIFEST"));
   const auto report = journaled.recovery();
   EXPECT_FALSE(report.resumed);
   EXPECT_GT(report.tasks_recomputed, 0u);
   EXPECT_EQ(report.tasks_skipped, 0u);
   EXPECT_GT(report.groups_committed, 0u);
-  EXPECT_FALSE(report.degraded_per_frame);
-  EXPECT_TRUE(frame_files(ckpt).empty());
-  EXPECT_TRUE(fs::exists(ckpt / "segments"));
+  EXPECT_EQ(report.frames_dropped, 0u);
+  EXPECT_EQ(journal_frames(ckpt).size(), report.tasks_recomputed);
+  EXPECT_FALSE(fs::exists(ckpt / "frames"));
 
   // Resume in a fresh process-equivalent: every task served from journal.
   auto ropts = jopts;
@@ -619,11 +635,8 @@ TEST(CheckpointStudy, JournalingChangesNoExportedByte) {
 
 TEST(CheckpointStudy, CorruptFramesAreRecomputedToIdenticalBytes) {
   const auto ckpt = fresh_dir("study_corrupt");
-  auto opts = journal_options(ckpt.string());
-  // This test forges damage inside individual frame files, so it pins the
-  // legacy per-frame store; segment-level damage is covered by the journal
-  // suite (test_journal.cpp) and the fuzz/crash-matrix lanes.
-  opts.journal_mode = JournalMode::kPerFrame;
+  const auto opts = journal_options(ckpt.string());
+  const auto digest = tls::study::options_digest(opts);
 
   auto plain = opts;
   plain.checkpoint_dir.clear();
@@ -635,32 +648,17 @@ TEST(CheckpointStudy, CorruptFramesAreRecomputedToIdenticalBytes) {
     (void)first.monitor();
     EXPECT_GT(first.recovery().tasks_recomputed, 0u);
   }
-  auto files = frame_files(ckpt);
-  ASSERT_GE(files.size(), 3u);
-  {  // bit-rot one frame (outer checksum catches it on replay)
-    auto bytes = slurp(files[0].string());
-    bytes[bytes.size() - 9] ^= 0x40;
-    std::ofstream(files[0], std::ios::binary) << bytes;
-  }
-  {  // valid wrapper, garbage payload: survives replay, fails the monitor
-     // decode inside run(), and must take the invalidate() path
-    const auto digest = tls::study::options_digest(opts);
-    const auto name = files[1].filename().string();
-    // p_%06u_%04u.frame
-    const auto month_index =
-        static_cast<std::uint32_t>(std::stoul(name.substr(2, 6)));
-    const auto slot = static_cast<std::uint32_t>(std::stoul(name.substr(9, 4)));
-    const auto evil = tls::study::encode_frame(
-        digest, {FrameKind::kPassiveShard, month_index, slot},
-        std::vector<std::uint8_t>(40, 0xee));
-    std::ofstream(files[1], std::ios::binary)
-        .write(reinterpret_cast<const char*>(evil.data()),
-               static_cast<std::streamsize>(evil.size()));
-  }
-  {  // and one torn temp file
-    std::ofstream(ckpt / "frames" / (files[2].filename().string() + ".tmp"))
-        << "torn";
-  }
+  // The damage is forged inside the segment's group, frame by frame.
+  auto frames = journal_frames(ckpt);
+  ASSERT_GE(frames.size(), 3u);
+  // Bit-rot one frame (its frame checksum catches it on replay).
+  frames[0][frames[0].size() - 9] ^= 0x40;
+  // Valid wrapper, garbage payload: survives replay, fails the monitor
+  // decode inside run(), and must take the invalidate() path.
+  frames[1] = tls::study::encode_frame(
+      digest, tls::study::decode_frame(frames[1]).header, Bytes(40, 0xee));
+  // And a torn copy of frame 2 in a half-written later group.
+  rewrite_journal(ckpt, digest, frames, torn_group(digest, frames[2]));
 
   auto ropts = opts;
   ropts.resume = true;
@@ -669,7 +667,7 @@ TEST(CheckpointStudy, CorruptFramesAreRecomputedToIdenticalBytes) {
   const auto report = resumed.recovery();
   EXPECT_TRUE(report.resumed);
   EXPECT_EQ(report.frames_corrupt, 2u);  // bit-rot + invalidated payload
-  EXPECT_EQ(report.frames_torn, 1u);
+  EXPECT_EQ(report.groups_torn, 1u);
   EXPECT_EQ(report.tasks_recomputed, 2u);
   EXPECT_GT(report.tasks_skipped, 0u);
   EXPECT_EQ(report.quarantined.size(), 3u);
@@ -683,9 +681,7 @@ TEST(CheckpointStudy, VersionOneSnapshotIsRecomputedToIdenticalBytes) {
   // payload no longer decodes. Resume must recompute exactly those shards
   // and still export the same bytes.
   const auto ckpt = fresh_dir("study_snapshot_v1");
-  auto opts = journal_options(ckpt.string());
-  // Per-frame files make one shard's frame easy to rewrite in place.
-  opts.journal_mode = JournalMode::kPerFrame;
+  const auto opts = journal_options(ckpt.string());
 
   auto plain = opts;
   plain.checkpoint_dir.clear();
@@ -696,23 +692,17 @@ TEST(CheckpointStudy, VersionOneSnapshotIsRecomputedToIdenticalBytes) {
     LongitudinalStudy first(opts);
     (void)first.monitor();
   }
-  const auto files = frame_files(ckpt);
-  ASSERT_GE(files.size(), 2u);
-  {
-    const auto bytes = slurp(files[1].string());
-    const auto frame = tls::study::decode_frame(std::span<const std::uint8_t>(
-        reinterpret_cast<const std::uint8_t*>(bytes.data()), bytes.size()));
-    // Version 1 = version 2's layout plus 14 trailing cache-counter words.
-    tls::wire::ByteWriter w;
-    w.u32(1);
-    w.bytes(std::span<const std::uint8_t>(frame.payload).subspan(4));
-    for (int i = 0; i < 14; ++i) w.u64(0);
-    const auto v1 =
-        tls::study::encode_frame(frame.options_digest, frame.header, w.data());
-    std::ofstream(files[1], std::ios::binary)
-        .write(reinterpret_cast<const char*>(v1.data()),
-               static_cast<std::streamsize>(v1.size()));
-  }
+  auto frames = journal_frames(ckpt);
+  ASSERT_GE(frames.size(), 2u);
+  const auto frame = tls::study::decode_frame(frames[1]);
+  // Version 1 = version 2's layout plus 14 trailing cache-counter words.
+  tls::wire::ByteWriter w;
+  w.u32(1);
+  w.bytes(std::span<const std::uint8_t>(frame.payload).subspan(4));
+  for (int i = 0; i < 14; ++i) w.u64(0);
+  frames[1] =
+      tls::study::encode_frame(frame.options_digest, frame.header, w.data());
+  rewrite_journal(ckpt, frame.options_digest, frames, {});
 
   auto ropts = opts;
   ropts.resume = true;
@@ -722,8 +712,66 @@ TEST(CheckpointStudy, VersionOneSnapshotIsRecomputedToIdenticalBytes) {
   EXPECT_TRUE(report.resumed);
   EXPECT_EQ(report.frames_corrupt, 1u);
   EXPECT_EQ(report.tasks_recomputed, 1u);
-  EXPECT_EQ(report.tasks_skipped + 1, files.size());
+  EXPECT_EQ(report.tasks_skipped + 1, frames.size());
   fs::remove_all(ckpt);
+}
+
+TEST(CheckpointStudy, FrameFilesFromAnOlderBuildAreIgnored) {
+  // Older builds could also keep one file per frame under frames/. That
+  // store is gone: a frame file left there is neither read nor trusted,
+  // and its task is recomputed.
+  const auto ckpt = fresh_dir("study_old_frames");
+  const auto out_plain = fresh_dir("study_old_frames_plain");
+  const auto out_first = fresh_dir("study_old_frames_first");
+  const auto out_resumed = fresh_dir("study_old_frames_resumed");
+  const auto opts = journal_options(ckpt.string());
+  const auto digest = tls::study::options_digest(opts);
+
+  auto plain = opts;
+  plain.checkpoint_dir.clear();
+  LongitudinalStudy reference(plain);
+  const auto ref_files = reference.export_figures(out_plain.string());
+  ASSERT_EQ(ref_files.size(), 11u);
+  {
+    LongitudinalStudy first(opts);
+    (void)first.export_figures(out_first.string());
+  }
+
+  // Move one passive task out of the segment store into a frames/ file,
+  // carrying another shard's payload: trusting it would change bytes.
+  auto frames = journal_frames(ckpt);
+  ASSERT_GE(frames.size(), 2u);
+  const auto moved = tls::study::decode_frame(frames[0]);
+  const auto other = tls::study::decode_frame(frames[1]);
+  ASSERT_EQ(moved.header.kind, FrameKind::kPassiveShard);
+  ASSERT_EQ(other.header.kind, FrameKind::kPassiveShard);
+  frames.erase(frames.begin());
+  rewrite_journal(ckpt, digest, frames, {});
+  char name[32];
+  std::snprintf(name, sizeof(name), "p_%06u_%04u.frame",
+                moved.header.month_index, moved.header.slot);
+  fs::create_directories(ckpt / "frames");
+  ASSERT_TRUE(tls::study::write_file_durable(
+      (ckpt / "frames" / name).string(),
+      tls::study::encode_frame(digest, moved.header, other.payload)));
+
+  auto ropts = opts;
+  ropts.resume = true;
+  LongitudinalStudy resumed(ropts);
+  std::vector<std::string> files;
+  ASSERT_NO_THROW(files = resumed.export_figures(out_resumed.string()));
+  ASSERT_EQ(files.size(), ref_files.size());
+  for (std::size_t i = 0; i < files.size(); ++i) {
+    EXPECT_EQ(slurp(files[i]), slurp(ref_files[i])) << ref_files[i];
+  }
+  const auto report = resumed.recovery();
+  EXPECT_TRUE(report.resumed);
+  EXPECT_EQ(report.frames_replayed, frames.size());
+  EXPECT_EQ(report.tasks_skipped, frames.size());
+  EXPECT_EQ(report.tasks_recomputed, 1u);  // the moved task
+  for (const auto& d : {ckpt, out_plain, out_first, out_resumed}) {
+    fs::remove_all(d);
+  }
 }
 
 TEST(CheckpointStudy, OptionChangeOrphansJournalGracefully) {
@@ -779,8 +827,8 @@ TEST(CheckpointStudy, FrameFaultSoakNeverChangesBytes) {
   const auto report = resumed.recovery();
   EXPECT_TRUE(report.resumed);
   // At a 90% combined frame-fault rate, the damage must actually land.
-  EXPECT_GT(report.frames_corrupt + report.frames_torn +
-                report.frames_duplicate + report.frames_mismatched,
+  EXPECT_GT(report.frames_corrupt + report.frames_duplicate +
+                report.frames_mismatched,
             0u);
   const auto n_tasks = static_cast<std::size_t>(opts.window.size()) *
                        opts.shards_per_month;
@@ -825,21 +873,22 @@ TEST(CheckpointCrashMatrix, KillResumeByteIdenticalAcrossThreadsAndFaults) {
     const auto ref_files = reference.export_figures(ref_dir.string());
     ASSERT_EQ(ref_files.size(), 11u);
 
-    // One complete journaled child establishes the total frame count so
-    // the kill offsets below provably land inside the journal — early in
-    // the passive phase, mid-run, and inside the scan phase. It runs in
-    // per-frame mode so the count is observable as files; the task plan
-    // (and hence the frame count) is identical in grouped mode.
+    // One complete journaled run establishes the total frame count (one
+    // frame per computed task) so the kill offsets below provably land
+    // inside the journal — early in the passive phase, mid-run, and inside
+    // the scan phase.
     const auto probe_ckpt =
         fresh_dir("crash_probe_" + std::to_string(fault_milli));
     const auto probe_out =
         fresh_dir("crash_probe_out_" + std::to_string(fault_milli));
+    std::size_t total_frames = 0;
     {
-      const int status = spawn_child(probe_ckpt.string(), probe_out.string(),
-                                     0, fault_milli, 0, /*group_frames=*/0);
-      ASSERT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0);
+      auto probe_opts = matrix_options(fault_milli);
+      probe_opts.checkpoint_dir = probe_ckpt.string();
+      LongitudinalStudy probe(probe_opts);
+      (void)probe.export_figures(probe_out.string());
+      total_frames = probe.recovery().tasks_recomputed;
     }
-    const std::size_t total_frames = frame_files(probe_ckpt).size();
     ASSERT_GT(total_frames, 4u);
     for (const auto& f : ref_files) {
       const auto name = fs::path(f).filename();
@@ -848,12 +897,11 @@ TEST(CheckpointCrashMatrix, KillResumeByteIdenticalAcrossThreadsAndFaults) {
     fs::remove_all(probe_ckpt);
     fs::remove_all(probe_out);
 
-    // Journal-mode lanes: the legacy per-frame store (0), the group-commit
-    // journal at its default flush threshold (64), and degenerate
+    // Group-size lanes: the default flush threshold (64) and degenerate
     // one-frame groups (1) — the latter as a cheap smoke lane; CI runs the
     // full matrix at both group sizes.
     const std::size_t offsets[] = {1, total_frames / 2, total_frames - 2};
-    for (const long group_frames : {0L, 64L, 1L}) {
+    for (const long group_frames : {64L, 1L}) {
       SCOPED_TRACE("group_frames=" + std::to_string(group_frames));
       for (const unsigned threads : {0u, 8u}) {
         for (const std::size_t kill_after : offsets) {
@@ -875,20 +923,15 @@ TEST(CheckpointCrashMatrix, KillResumeByteIdenticalAcrossThreadsAndFaults) {
           const auto out = fresh_dir("crash_out_" + tag);
 
           // Phase 1: the child is SIGKILLed mid-journal — no atexit, no
-          // stack unwinding, exactly like a power cut. In grouped mode
-          // the seam fires in the writer right after a group fsync, so
-          // at least kill_after frames are durable here too — inside
-          // segments, where only replay can count them.
+          // stack unwinding, exactly like a power cut. The seam fires in
+          // the writer right after a group fsync, so at least kill_after
+          // frames are durable in the segments.
           const int killed = spawn_child(ckpt.string(), out.string(),
                                          threads, fault_milli, kill_after,
                                          group_frames);
           ASSERT_TRUE(WIFSIGNALED(killed)) << "status " << killed;
           EXPECT_EQ(WTERMSIG(killed), SIGKILL);
-          if (group_frames > 0) {
-            EXPECT_TRUE(fs::exists(ckpt / "segments"));
-          } else {
-            EXPECT_GE(frame_files(ckpt).size(), kill_after);
-          }
+          EXPECT_GE(journal_frames(ckpt).size(), kill_after);
 
           // Phase 2: resume to completion in a fresh process.
           const int resumed = spawn_child(ckpt.string(), out.string(),
@@ -946,7 +989,6 @@ TEST(CheckpointSignalDrain, SigtermFlushesLingeringGroupAndResumeCompletes) {
     const auto report = probe.snapshot_report();
     EXPECT_TRUE(report.resumed);
     EXPECT_GE(report.frames_replayed, kTermAfter);
-    EXPECT_EQ(report.frames_torn, 0u);
     EXPECT_EQ(report.frames_corrupt, 0u);
   }
 

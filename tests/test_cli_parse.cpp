@@ -69,9 +69,8 @@ TEST(GroupWriterConfig, ZeroGroupFramesIsClampedToOne) {
   tls::study::GroupCommitWriter writer(&backend, wc, nullptr);
 
   std::vector<std::uint8_t> payload(16, 0xabu);
-  writer.enqueue("lone", tls::study::encode_frame(
-                             7, {tls::study::FrameKind::kPassiveShard, 1, 0},
-                             payload));
+  writer.enqueue(tls::study::encode_frame(
+      7, {tls::study::FrameKind::kPassiveShard, 1, 0}, payload));
   bool committed = false;
   for (int i = 0; i < 2000 && !committed; ++i) {
     committed = writer.stats().frames == 1;

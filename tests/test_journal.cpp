@@ -1,9 +1,9 @@
 // The group-commit segmented journal (core/journal.hpp): group/index
 // codecs, segment scanning, the two backends, the writer's batching and
-// graceful degradation, and RunJournal-level recovery semantics — power
-// cuts, torn tails, stale index entries, duplicated groups, and resuming a
-// journal across durability modes. Study-level soak: group-fault chaos may
-// never change an exported byte.
+// its drop-and-count failure policy, and RunJournal-level recovery
+// semantics — power cuts, torn tails, torn appends, stale index entries
+// and duplicated groups. Study-level soak: group-fault chaos may never
+// change an exported byte.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -32,7 +32,6 @@ using tls::study::GroupCommitWriter;
 using tls::study::IndexEntry;
 using tls::study::JournalErrorClass;
 using tls::study::JournalErrorTaxonomy;
-using tls::study::JournalMode;
 using tls::study::JournalStage;
 using tls::study::MemoryJournalBackend;
 using tls::study::RunJournal;
@@ -300,14 +299,14 @@ TEST(GroupWriter, BatchesManyFramesIntoOneFsync) {
   wc.options_digest = 21;
   GroupCommitWriter writer(&backend, wc, nullptr);
   for (std::uint32_t i = 0; i < 8; ++i) {
-    writer.enqueue("f" + std::to_string(i), make_frame(21, 1, i, 64));
+    writer.enqueue(make_frame(21, 1, i, 64));
   }
   writer.flush();
   const auto stats = writer.stats();
   EXPECT_EQ(stats.frames, 8u);
   EXPECT_EQ(stats.groups, 1u);
   EXPECT_EQ(stats.fsyncs, 1u);
-  EXPECT_FALSE(stats.degraded);
+  EXPECT_EQ(stats.dropped_frames, 0u);
   writer.stop();
   EXPECT_EQ(backend.sync_calls(), 1u);
 
@@ -327,46 +326,49 @@ TEST(GroupWriter, TimeThresholdCommitsATrickleWithoutFlush) {
   wc.group_ms = 1;
   wc.options_digest = 3;
   GroupCommitWriter writer(&backend, wc, nullptr);
-  writer.enqueue("lone", make_frame(3, 2, 0, 32));
+  writer.enqueue(make_frame(3, 2, 0, 32));
   EXPECT_TRUE(eventually([&] { return writer.stats().frames == 1; }));
   EXPECT_EQ(writer.stats().groups, 1u);
   writer.stop();
 }
 
-TEST(GroupWriter, DegradesToPerFrameFallbackAfterRepeatedFailures) {
-  const auto fallback = fresh_dir("journal_degrade_fallback");
+TEST(GroupWriter, BrokenBackendDropsAndCountsFrames) {
   MemoryJournalBackend backend;
   backend.fail_appends_after(0);  // the device is broken from the start
   GroupCommitWriter::Config wc;
-  wc.group_frames = 1;  // one batch per frame -> failures accumulate fast
+  wc.group_frames = 1;  // one group per frame
   wc.group_ms = 1;
   wc.options_digest = 17;
-  wc.fallback_dir = fallback.string();
-  wc.max_consecutive_failures = 2;
   GroupCommitWriter writer(&backend, wc, nullptr);
   for (std::uint32_t i = 0; i < 4; ++i) {
-    writer.enqueue("frame_" + std::to_string(i) + ".frame",
-                   make_frame(17, 6, i, 48));
+    writer.enqueue(make_frame(17, 6, i, 48));
   }
-  writer.flush();
-  const auto stats = writer.stats();
-  EXPECT_TRUE(stats.degraded);
-  EXPECT_TRUE(writer.degraded());
-  EXPECT_EQ(stats.fallback_frames, 4u);
+  writer.flush();  // returns: a dropped group counts as done
+  auto stats = writer.stats();
+  EXPECT_EQ(stats.dropped_frames, 4u);
   EXPECT_EQ(stats.frames, 0u);  // nothing made it into a group
-  writer.stop();
+  EXPECT_EQ(stats.groups, 0u);
+  // Each group was tried twice — once, then once more in a fresh segment.
+  EXPECT_EQ(backend.errors().stage_total(JournalStage::kWrite), 8u);
 
-  // Every frame survived through the legacy path, byte-identical.
-  EXPECT_GT(backend.errors().stage_total(JournalStage::kWrite), 0u);
-  for (std::uint32_t i = 0; i < 4; ++i) {
-    const auto path = fallback / ("frame_" + std::to_string(i) + ".frame");
-    ASSERT_TRUE(fs::exists(path)) << path;
-    const auto text = slurp(path);
-    const Bytes bytes(text.begin(), text.end());
-    const auto frame = tls::study::decode_frame(bytes);
-    EXPECT_EQ(frame.header.slot, i);
+  // The device recovers: later frames commit, the dropped ones stay gone
+  // (their tasks are recomputed on resume).
+  backend.fail_appends_after(static_cast<std::size_t>(-1));
+  writer.enqueue(make_frame(17, 6, 4, 48));
+  writer.flush();
+  stats = writer.stats();
+  EXPECT_EQ(stats.frames, 1u);
+  EXPECT_EQ(stats.dropped_frames, 4u);
+  writer.stop();
+  std::size_t replayable = 0;
+  for (const auto id : backend.list_segments()) {
+    Bytes segment;
+    ASSERT_TRUE(backend.read_segment(id, segment));
+    const auto scan = tls::study::scan_segment(segment);
+    EXPECT_EQ(scan.torn_bytes, 0u);
+    replayable += scan.frames.size();
   }
-  fs::remove_all(fallback);
+  EXPECT_EQ(replayable, 1u);
 }
 
 // ---- RunJournal over the segment store ----------------------------------
@@ -377,22 +379,20 @@ RunJournal::Config grouped_config(const fs::path& dir,
   RunJournal::Config cfg;
   cfg.directory = dir.string();
   cfg.manifest = manifest;
-  cfg.mode = JournalMode::kGrouped;
   cfg.group_frames = 2;
   cfg.group_ms = 1;
   cfg.backend = backend;
   return cfg;
 }
 
-TEST(RunJournalGrouped, AppendFlushResumeAcrossBothModes) {
-  const auto dir = fresh_dir("journal_grouped_modes");
+TEST(RunJournalGrouped, AppendFlushResumeReplaysEveryFrame) {
+  const auto dir = fresh_dir("journal_grouped_resume");
   CheckpointManifest manifest;
   manifest.options_digest = 31;
   {
     RunJournal::Config cfg;
     cfg.directory = dir.string();
     cfg.manifest = manifest;
-    cfg.mode = JournalMode::kGrouped;
     cfg.group_frames = 4;
     RunJournal journal(cfg);
     for (std::uint32_t s = 0; s < 10; ++s) {
@@ -400,28 +400,24 @@ TEST(RunJournalGrouped, AppendFlushResumeAcrossBothModes) {
                      Bytes(20 + s, static_cast<std::uint8_t>(s)));
     }
   }  // dtor stops the writer, flushing every pending group
-  // Frames live inside segments; the legacy frame store stays empty.
-  EXPECT_TRUE(fs::is_empty(dir / "frames"));
+  // Frames live inside segments; there is no other store.
   EXPECT_TRUE(fs::exists(dir / "segments"));
+  EXPECT_FALSE(fs::exists(dir / "frames"));
 
-  for (const auto mode : {JournalMode::kGrouped, JournalMode::kPerFrame}) {
-    RunJournal::Config cfg;
-    cfg.directory = dir.string();
-    cfg.resume = true;
-    cfg.manifest = manifest;
-    cfg.mode = mode;
-    RunJournal resumed(cfg);
-    const auto report = resumed.snapshot_report();
-    EXPECT_TRUE(report.resumed);
-    EXPECT_EQ(report.frames_replayed, 10u);
-    EXPECT_EQ(report.frames_corrupt, 0u);
-    EXPECT_GT(report.groups_committed, 0u);
-    for (std::uint32_t s = 0; s < 10; ++s) {
-      const auto* payload =
-          resumed.replayed(FrameKind::kPassiveShard, 60, s);
-      ASSERT_NE(payload, nullptr) << "slot " << s;
-      EXPECT_EQ(*payload, Bytes(20 + s, static_cast<std::uint8_t>(s)));
-    }
+  RunJournal::Config cfg;
+  cfg.directory = dir.string();
+  cfg.resume = true;
+  cfg.manifest = manifest;
+  RunJournal resumed(cfg);
+  const auto report = resumed.snapshot_report();
+  EXPECT_TRUE(report.resumed);
+  EXPECT_EQ(report.frames_replayed, 10u);
+  EXPECT_EQ(report.frames_corrupt, 0u);
+  EXPECT_GT(report.groups_committed, 0u);
+  for (std::uint32_t s = 0; s < 10; ++s) {
+    const auto* payload = resumed.replayed(FrameKind::kPassiveShard, 60, s);
+    ASSERT_NE(payload, nullptr) << "slot " << s;
+    EXPECT_EQ(*payload, Bytes(20 + s, static_cast<std::uint8_t>(s)));
   }
   fs::remove_all(dir);
 }
@@ -453,6 +449,9 @@ TEST(RunJournalGrouped, PowerCutLosesOnlyTheUnsyncedTail) {
   cfg.resume = true;
   RunJournal resumed(cfg);
   const auto report = resumed.snapshot_report();
+  // The manifest lives in the backend too: nothing was written to disk,
+  // yet the resume accepts the journal.
+  EXPECT_FALSE(fs::exists(dir / "MANIFEST"));
   EXPECT_TRUE(report.resumed);
   EXPECT_EQ(report.frames_replayed, 4u);
   EXPECT_EQ(report.groups_torn, 0u);  // clean cut at a group boundary
@@ -506,6 +505,53 @@ TEST(RunJournalGrouped, TornTailIsQuarantinedTruncatedAndRecomputable) {
   RunJournal again(cfg);
   EXPECT_EQ(again.snapshot_report().groups_torn, 0u);
   EXPECT_EQ(again.snapshot_report().frames_replayed, 4u);
+  fs::remove_all(dir);
+}
+
+/// A device whose second append writes half the group and then fails.
+class TearOnceBackend : public MemoryJournalBackend {
+ public:
+  bool append(std::span<const std::uint8_t> bytes) override {
+    if (++appends_ != 2) return MemoryJournalBackend::append(bytes);
+    (void)MemoryJournalBackend::append(bytes.first(bytes.size() / 2));
+    return false;
+  }
+
+ private:
+  int appends_ = 0;
+};
+
+TEST(RunJournalGrouped, TornAppendDoesNotHideLaterGroups) {
+  // The failed append leaves half a group in the segment, and the replay
+  // scan stops there. The retry and every later group must therefore go
+  // to a fresh segment, or they are lost.
+  const auto dir = fresh_dir("journal_grouped_torn_append");
+  CheckpointManifest manifest;
+  manifest.options_digest = 59;
+  TearOnceBackend backend;
+  {
+    auto cfg = grouped_config(dir, manifest, &backend);
+    cfg.group_frames = 1;
+    RunJournal journal(cfg);
+    for (std::uint32_t s = 0; s < 4; ++s) {
+      journal.append(FrameKind::kPassiveShard, 85, s, Bytes(16, 0xdd));
+      journal.flush();
+    }
+    const auto report = journal.snapshot_report();
+    EXPECT_EQ(report.groups_committed, 4u);
+    EXPECT_EQ(report.frames_dropped, 0u);
+  }
+  auto cfg = grouped_config(dir, manifest, &backend);
+  cfg.resume = true;
+  RunJournal resumed(cfg);
+  const auto report = resumed.snapshot_report();
+  EXPECT_TRUE(report.resumed);
+  EXPECT_EQ(report.frames_replayed, 4u);
+  EXPECT_EQ(report.groups_torn, 1u);  // the half group, in its own segment
+  for (std::uint32_t s = 0; s < 4; ++s) {
+    EXPECT_NE(resumed.replayed(FrameKind::kPassiveShard, 85, s), nullptr)
+        << "slot " << s;
+  }
   fs::remove_all(dir);
 }
 
