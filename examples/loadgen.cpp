@@ -25,8 +25,9 @@
 //
 // Exit gates (for CI): --expect-closure asserts the daemon's
 // offered == ingested + shed + malformed ledger; --p99-bound-us bounds
-// the daemon-side admitted-capture ingest latency; --min-ingested
-// guards against a silently dead pipeline.
+// the daemon-side p99 of each ingested capture's ingress->grant latency
+// (the `total` stage: frame received to credit grant queued);
+// --min-ingested guards against a silently dead pipeline.
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
@@ -533,7 +534,8 @@ int main(int argc, char** argv) {
   }
   if (opt.p99_bound_us > 0 && stat("ingested") > 0 &&
       stat("ingest_p99_us") > opt.p99_bound_us) {
-    std::cerr << "loadgen: p99 ingest latency " << stat("ingest_p99_us")
+    std::cerr << "loadgen: p99 ingress->grant latency "
+              << stat("ingest_p99_us")
               << "us exceeds bound " << opt.p99_bound_us << "us\n";
     rc = 1;
   }

@@ -182,7 +182,6 @@ std::string render_recovery_table(const RecoveryReport& report) {
       {"groups committed", std::to_string(report.groups_committed)});
   table.push_back({"groups torn", std::to_string(report.groups_torn)});
   table.push_back({"torn bytes", std::to_string(report.torn_bytes)});
-  table.push_back({"index stale", std::to_string(report.index_stale)});
   table.push_back({"frames dropped", std::to_string(report.frames_dropped)});
   if (report.io_retries != 0 || report.io_errors != 0) {
     table.push_back({"io retries", std::to_string(report.io_retries)});

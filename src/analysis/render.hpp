@@ -74,7 +74,6 @@ struct RecoveryReport {
   std::uint64_t groups_committed = 0;  // checksummed groups written/replayed
   std::uint64_t groups_torn = 0;       // segments with a torn tail
   std::uint64_t torn_bytes = 0;        // bytes scan-truncated off tails
-  std::uint64_t index_stale = 0;       // INDEX entries contradicted by scan
   std::uint64_t io_retries = 0;        // transient IO errors recovered
   std::uint64_t io_errors = 0;         // terminal IO failures (per-stage)
   /// Frames of groups the writer could not make durable even on a retry;

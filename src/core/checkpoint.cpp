@@ -275,12 +275,10 @@ void RunJournal::replay() {
   const std::vector<std::uint8_t> manifest_bytes = encode_manifest(
       config_.manifest);
   if (!config_.resume) {
-    // Cold start: wipe the segments and the index, and lay down a fresh
-    // manifest.
+    // Cold start: wipe the segments and lay down a fresh manifest.
     for (const auto id : backend_->list_segments()) {
       backend_->remove_segment(id);
     }
-    backend_->clear_index();
     backend_->write_manifest(manifest_bytes);
     return;
   }
@@ -347,15 +345,7 @@ void RunJournal::accept_frame(std::vector<std::uint8_t>&& bytes,
 }
 
 void RunJournal::replay_segments(bool accept_frames) {
-  std::vector<std::uint8_t> index_bytes;
-  std::vector<IndexEntry> index;
-  if (backend_->read_index(index_bytes)) {
-    index = decode_index(index_bytes);
-  }
-
-  std::vector<IndexEntry> rebuilt;
-  const auto ids = backend_->list_segments();
-  for (const auto id : ids) {
+  for (const auto id : backend_->list_segments()) {
     next_segment_id_ = std::max(next_segment_id_, id + 1);
     std::vector<std::uint8_t> bytes;
     if (!backend_->read_segment(id, bytes)) {
@@ -381,34 +371,6 @@ void RunJournal::replay_segments(bool accept_frames) {
                    static_cast<std::size_t>(scan.valid_bytes)));
       backend_->truncate_segment(id, scan.valid_bytes);
     }
-    // Cross-check INDEX entries against the scan: the index is a hint and
-    // a stale pointer (wrong offset/length, or past the durable tail) is
-    // counted and ignored — the scan above is the ground truth.
-    for (const auto& entry : index) {
-      if (entry.segment != id) continue;
-      const bool matches = std::any_of(
-          scan.boundaries.begin(), scan.boundaries.end(),
-          [&](const SegmentScan::GroupSpan& g) {
-            return g.offset == entry.offset && g.length == entry.length;
-          });
-      if (!matches) ++report_.index_stale;
-    }
-    for (const auto& g : scan.boundaries) {
-      rebuilt.push_back(IndexEntry{id, g.offset, g.length});
-    }
-  }
-  // Entries naming segments that no longer exist are stale too.
-  for (const auto& entry : index) {
-    if (std::find(ids.begin(), ids.end(), entry.segment) == ids.end()) {
-      ++report_.index_stale;
-    }
-  }
-  // Rebuild the index to match post-truncation reality.
-  if (!ids.empty() || !index.empty()) {
-    backend_->clear_index();
-    for (const auto& entry : rebuilt) {
-      backend_->append_index(encode_index_entry(entry));
-    }
   }
 }
 
@@ -418,6 +380,19 @@ const std::vector<std::uint8_t>* RunJournal::replayed(
       FrameKey{static_cast<std::uint8_t>(kind), month_index, slot});
   if (it == frames_.end() || !it->second.usable) return nullptr;
   return &it->second.payload;
+}
+
+std::vector<std::uint32_t> RunJournal::replayed_slots(
+    FrameKind kind, std::uint32_t month_index) const {
+  const auto k = static_cast<std::uint8_t>(kind);
+  std::vector<std::uint32_t> slots;
+  for (auto it = frames_.lower_bound(FrameKey{k, month_index, 0});
+       it != frames_.end() && std::get<0>(it->first) == k &&
+       std::get<1>(it->first) == month_index;
+       ++it) {
+    if (it->second.usable) slots.push_back(std::get<2>(it->first));
+  }
+  return slots;
 }
 
 void RunJournal::append(FrameKind kind, std::uint32_t month_index,
@@ -540,6 +515,10 @@ tls::analysis::RecoveryReport RunJournal::snapshot_report() const {
   }
   report.io_errors = errors.failures();
   return report;
+}
+
+std::uint64_t RunJournal::dropped_frames() const {
+  return writer_->stats().dropped_frames;
 }
 
 }  // namespace tls::study

@@ -1,12 +1,15 @@
-// Crash-safe checkpoint journal for study runs. Each completed (month,
-// shard) passive task and each (month, segment) scan probe is persisted as
-// one checksummed frame; a manifest pins the run's identity (options
-// digest, seed, shard plan, format version). On restart the journal
-// replays: frames that verify are absorbed in plan order and their tasks
-// skipped, while torn, corrupt, mismatched, or duplicate frames are
-// quarantined to a sidecar directory and their tasks deterministically
-// recomputed — a half-written journal can degrade a resume back toward a
-// cold run, but can never corrupt a result or crash the study.
+// Crash-safe checkpoint journal for study runs and the live daemon. Each
+// completed (month, shard) passive task and each (month, segment) scan
+// probe is persisted as one checksummed frame; a manifest pins the run's
+// identity (options digest, seed, shard plan, format version). The daemon
+// journals its aggregate epochs through the same class under a manifest of
+// its own, so the two kinds of journal never replay each other's frames.
+// On restart the journal replays: frames that verify are absorbed in plan
+// order and their tasks skipped, while torn, corrupt, mismatched, or
+// duplicate frames are quarantined to a sidecar directory and their tasks
+// deterministically recomputed — a half-written journal can degrade a
+// resume back toward a cold run, but can never corrupt a result or crash
+// the study.
 //
 // Completed frames are handed to a group-commit writer (core/journal.hpp)
 // that batches them into append-only segment files and pays ONE fsync per
@@ -187,6 +190,11 @@ class RunJournal {
   [[nodiscard]] const std::vector<std::uint8_t>* replayed(
       FrameKind kind, std::uint32_t month_index, std::uint32_t slot) const;
 
+  /// Slots of (kind, month_index) that hold a verified payload, ascending.
+  /// Lock-free, like replayed().
+  [[nodiscard]] std::vector<std::uint32_t> replayed_slots(
+      FrameKind kind, std::uint32_t month_index) const;
+
   /// Hands one completed task's payload to the writer; it is durable once
   /// its group commits (flush() waits for that). Thread-safe. IO failures
   /// are counted, never thrown: checkpointing is an aid, losing a frame
@@ -214,6 +222,10 @@ class RunJournal {
 
   [[nodiscard]] tls::analysis::RecoveryReport snapshot_report() const;
 
+  /// Frames of groups the writer dropped so far (snapshot_report()'s
+  /// frames_dropped without copying the report).
+  [[nodiscard]] std::uint64_t dropped_frames() const;
+
   [[nodiscard]] const std::string& directory() const {
     return config_.directory;
   }
@@ -234,8 +246,7 @@ class RunJournal {
   /// quarantined.
   void accept_frame(std::vector<std::uint8_t>&& bytes, bool accept_any);
   /// Scans every segment: frames of checksummed groups feed
-  /// accept_frame(); torn tails are quarantined and scan-truncated; INDEX
-  /// entries are cross-checked against the scan and stale ones counted.
+  /// accept_frame(); torn tails are quarantined and scan-truncated.
   void replay_segments(bool accept_frames);
   /// Writes rejected bytes into the quarantine sidecar, recording the
   /// path in the report.

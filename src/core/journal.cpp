@@ -27,13 +27,11 @@ using tls::wire::ParseErrorCode;
 namespace {
 
 constexpr std::uint32_t kGroupMagic = 0x544c5347;  // "TLSG"
-constexpr std::uint32_t kIndexMagic = 0x544c5358;  // "TLSX"
 constexpr std::uint32_t kGroupFormatVersion = 1;
 // A group holds at most one writer batch; anything past these bounds is a
 // corrupt header, not a plausible record — reject before trusting lengths.
 constexpr std::uint32_t kMaxGroupFrames = 4096;
 constexpr std::uint32_t kMaxGroupPayload = 256u * 1024u * 1024u;
-constexpr std::size_t kIndexEntrySize = 4 + 4 + 8 + 8 + 8;
 
 // Bounded backoff for transient IO errors: EINTR and short writes are
 // retried up to this many times with a short linear sleep between
@@ -113,7 +111,6 @@ std::string_view journal_stage_name(JournalStage stage) {
     case JournalStage::kSync: return "sync";
     case JournalStage::kRead: return "read";
     case JournalStage::kTruncate: return "truncate";
-    case JournalStage::kIndex: return "index";
     case JournalStage::kRemove: return "remove";
   }
   return "?";
@@ -155,10 +152,7 @@ PosixJournalBackend::PosixJournalBackend(std::string directory)
   fs::create_directories(segments_dir_, ec);
 }
 
-PosixJournalBackend::~PosixJournalBackend() {
-  close_segment();
-  if (index_fd_ >= 0) ::close(index_fd_);
-}
+PosixJournalBackend::~PosixJournalBackend() { close_segment(); }
 
 std::string PosixJournalBackend::segment_path(std::uint32_t id) const {
   char buf[32];
@@ -251,34 +245,6 @@ bool PosixJournalBackend::read_manifest(std::vector<std::uint8_t>& out) {
   return slurp(fs::path(directory_) / "MANIFEST", out);
 }
 
-bool PosixJournalBackend::append_index(std::span<const std::uint8_t> bytes) {
-  if (index_fd_ < 0) {
-    index_fd_ = ::open((fs::path(segments_dir_) / "INDEX").c_str(),
-                       O_WRONLY | O_CREAT | O_APPEND, 0644);
-    if (index_fd_ < 0) {
-      book(&errors_, JournalStage::kIndex, errno);
-      return false;
-    }
-  }
-  // Buffered, deliberately not fsynced: the index is a hint, the segment
-  // scan is the ground truth.
-  return full_write(index_fd_, bytes, JournalStage::kIndex, &errors_);
-}
-
-bool PosixJournalBackend::read_index(std::vector<std::uint8_t>& out) {
-  return slurp(fs::path(segments_dir_) / "INDEX", out);
-}
-
-bool PosixJournalBackend::clear_index() {
-  if (index_fd_ >= 0) {
-    ::close(index_fd_);
-    index_fd_ = -1;
-  }
-  std::error_code ec;
-  fs::remove(fs::path(segments_dir_) / "INDEX", ec);
-  return !ec;
-}
-
 // ---- in-memory backend --------------------------------------------------
 
 bool MemoryJournalBackend::open_segment(std::uint32_t id) {
@@ -365,21 +331,6 @@ bool MemoryJournalBackend::write_manifest(
 bool MemoryJournalBackend::read_manifest(std::vector<std::uint8_t>& out) {
   if (!has_manifest_) return false;
   out = manifest_;
-  return true;
-}
-
-bool MemoryJournalBackend::append_index(std::span<const std::uint8_t> bytes) {
-  index_.insert(index_.end(), bytes.begin(), bytes.end());
-  return true;
-}
-
-bool MemoryJournalBackend::read_index(std::vector<std::uint8_t>& out) {
-  out = index_;
-  return true;
-}
-
-bool MemoryJournalBackend::clear_index() {
-  index_.clear();
   return true;
 }
 
@@ -477,7 +428,6 @@ SegmentScan scan_segment(std::span<const std::uint8_t> bytes) {
     } catch (const ParseError&) {
       break;  // first bad record: everything from here is a torn tail
     }
-    scan.boundaries.push_back({at, consumed});
     for (auto& frame : group.frames) {
       scan.frames.push_back(std::move(frame));
     }
@@ -487,37 +437,6 @@ SegmentScan scan_segment(std::span<const std::uint8_t> bytes) {
   scan.valid_bytes = at;
   scan.torn_bytes = bytes.size() - at;
   return scan;
-}
-
-// ---- INDEX codec --------------------------------------------------------
-
-std::vector<std::uint8_t> encode_index_entry(const IndexEntry& entry) {
-  ByteWriter w;
-  w.u32(kIndexMagic);
-  w.u32(entry.segment);
-  w.u64(entry.offset);
-  w.u64(entry.length);
-  w.u64(fnv1a64(w.data()));
-  return w.take();
-}
-
-std::vector<IndexEntry> decode_index(std::span<const std::uint8_t> bytes) {
-  std::vector<IndexEntry> entries;
-  std::size_t at = 0;
-  while (at + kIndexEntrySize <= bytes.size()) {
-    const auto record = bytes.subspan(at, kIndexEntrySize);
-    const std::uint64_t expected = fnv1a64(record.first(kIndexEntrySize - 8));
-    ByteReader r(record);
-    if (r.u32() != kIndexMagic) break;
-    IndexEntry entry;
-    entry.segment = r.u32();
-    entry.offset = r.u64();
-    entry.length = r.u64();
-    if (r.u64() != expected) break;
-    entries.push_back(entry);
-    at += kIndexEntrySize;
-  }
-  return entries;
 }
 
 // ---- group-commit writer ------------------------------------------------
@@ -626,17 +545,12 @@ bool GroupCommitWriter::commit_group(std::vector<Pending>& batch) {
   // Chaos tap: at most one segment-level fault per committed group.
   using tls::faults::FaultKind;
   FaultKind fault = FaultKind::kNone;
-  std::uint64_t chaos_roll = 0;
   if (faults_ != nullptr) {
     std::unique_lock<std::mutex> fault_lock;
     if (config_.faults_mutex != nullptr) {
       fault_lock = std::unique_lock<std::mutex>(*config_.faults_mutex);
     }
     fault = faults_->corrupt_group(bytes);
-    if (fault == FaultKind::kSegmentTruncate ||
-        fault == FaultKind::kIndexStale) {
-      chaos_roll = faults_->rng().next();
-    }
   }
 
   if (segment_open_ && segment_bytes_ > 0 &&
@@ -649,7 +563,6 @@ bool GroupCommitWriter::commit_group(std::vector<Pending>& batch) {
     segment_bytes_ = 0;
   }
 
-  const std::uint64_t offset = segment_bytes_;
   if (!backend_->append(bytes) || !backend_->sync()) {
     // The failed call may have left part of the group in the segment, and
     // the replay scan stops at the first bad record: anything appended
@@ -696,27 +609,17 @@ bool GroupCommitWriter::commit_group(std::vector<Pending>& batch) {
   }
 
   // Crash-matrix seam: die right after the group containing the Nth frame
-  // became durable — before the index entry, so resume also exercises the
-  // scan-over-index path.
+  // became durable.
   if (config_.kill_after_frames != 0 &&
       durable_frames >= config_.kill_after_frames) {
     std::raise(SIGKILL);
   }
 
-  IndexEntry entry{segment_id_, offset,
-                   static_cast<std::uint64_t>(bytes.size())};
-  if (fault == FaultKind::kIndexStale) {
-    // A stale pointer: offset drifts somewhere wrong. Replay must detect
-    // and ignore it via the scan cross-check.
-    entry.offset += 1 + (chaos_roll % 4096);
-  }
-  backend_->append_index(encode_index_entry(entry));
-
-  if (fault == FaultKind::kSegmentTruncate && segment_bytes_ > 0) {
-    // Lose an arbitrary tail of the segment after the commit (media/fs
-    // failure): cut somewhere inside what we believed durable, then roll
-    // to a fresh segment so later groups stay recoverable.
-    backend_->truncate_segment(segment_id_, chaos_roll % segment_bytes_);
+  if (fault == FaultKind::kSegmentTruncate) {
+    // Lose the back half of the segment after the commit (media/fs
+    // failure): the cut lands inside what we believed durable. Roll to a
+    // fresh segment so later groups stay recoverable.
+    backend_->truncate_segment(segment_id_, segment_bytes_ / 2);
     roll_segment();
   } else if (fault == FaultKind::kGroupTornTail) {
     // The group bytes were already cut short before the append (a torn

@@ -57,11 +57,10 @@ enum class JournalStage : std::uint8_t {
   kSync,      // fsync durability barrier
   kRead,      // replay-side segment read
   kTruncate,  // scan-truncation of a torn tail
-  kIndex,     // INDEX sidecar maintenance
   kRemove,    // segment removal (cold start / cleanup)
 };
 
-inline constexpr std::size_t kJournalStageCount = 7;
+inline constexpr std::size_t kJournalStageCount = 6;
 
 std::string_view journal_stage_name(JournalStage stage);
 
@@ -148,11 +147,6 @@ class JournalBackend {
   // -- small sidecar files --
   virtual bool write_manifest(std::span<const std::uint8_t> bytes) = 0;
   virtual bool read_manifest(std::vector<std::uint8_t>& out) = 0;
-  /// Appends one record to the INDEX sidecar (buffered, non-durable — the
-  /// index is a hint; segment scans are the ground truth).
-  virtual bool append_index(std::span<const std::uint8_t> bytes) = 0;
-  virtual bool read_index(std::vector<std::uint8_t>& out) = 0;
-  virtual bool clear_index() = 0;
 
   [[nodiscard]] const JournalErrorTaxonomy& errors() const { return errors_; }
 
@@ -160,8 +154,8 @@ class JournalBackend {
   JournalErrorTaxonomy errors_;
 };
 
-/// Buffered POSIX files under `<directory>/segments/`: `seg_<id>.seg` plus
-/// an `INDEX` sidecar; the manifest lives at `<directory>/MANIFEST`.
+/// Buffered POSIX files under `<directory>/segments/`: `seg_<id>.seg`; the
+/// manifest lives at `<directory>/MANIFEST`.
 /// Short writes and EINTR are retried with bounded backoff; ENOSPC and
 /// other persistent errors are booked in the taxonomy and surfaced as a
 /// false return.
@@ -180,9 +174,6 @@ class PosixJournalBackend : public JournalBackend {
   bool remove_segment(std::uint32_t id) override;
   bool write_manifest(std::span<const std::uint8_t> bytes) override;
   bool read_manifest(std::vector<std::uint8_t>& out) override;
-  bool append_index(std::span<const std::uint8_t> bytes) override;
-  bool read_index(std::vector<std::uint8_t>& out) override;
-  bool clear_index() override;
 
  private:
   [[nodiscard]] std::string segment_path(std::uint32_t id) const;
@@ -190,7 +181,6 @@ class PosixJournalBackend : public JournalBackend {
   std::string directory_;
   std::string segments_dir_;
   int fd_ = -1;
-  int index_fd_ = -1;
 };
 
 /// Everything in RAM, with an explicit durable watermark per segment so
@@ -210,9 +200,6 @@ class MemoryJournalBackend : public JournalBackend {
   bool remove_segment(std::uint32_t id) override;
   bool write_manifest(std::span<const std::uint8_t> bytes) override;
   bool read_manifest(std::vector<std::uint8_t>& out) override;
-  bool append_index(std::span<const std::uint8_t> bytes) override;
-  bool read_index(std::vector<std::uint8_t>& out) override;
-  bool clear_index() override;
 
   /// Power-cut simulation: every segment loses its un-synced tail.
   void drop_unsynced();
@@ -229,7 +216,6 @@ class MemoryJournalBackend : public JournalBackend {
   std::map<std::uint32_t, Segment> segments_;
   std::vector<std::uint8_t> manifest_;
   bool has_manifest_ = false;
-  std::vector<std::uint8_t> index_;
   std::uint32_t open_id_ = 0;
   bool open_ = false;
   std::size_t appends_before_failure_ = static_cast<std::size_t>(-1);
@@ -267,15 +253,8 @@ struct DecodedGroup {
 
 /// Result of scanning one segment for committed groups.
 struct SegmentScan {
-  struct GroupSpan {
-    std::uint64_t offset = 0;
-    std::uint64_t length = 0;
-  };
   /// Frames of every checksummed group, in append order.
   std::vector<std::vector<std::uint8_t>> frames;
-  /// (offset, length) of each valid group — what INDEX entries are
-  /// cross-checked against.
-  std::vector<GroupSpan> boundaries;
   std::uint64_t groups = 0;       // checksum-valid groups found
   std::uint64_t valid_bytes = 0;  // last valid group boundary (offset)
   std::uint64_t torn_bytes = 0;   // bytes past it (torn tail / garbage)
@@ -286,29 +265,6 @@ struct SegmentScan {
 /// after is a torn tail. Never throws — a segment full of garbage is just
 /// a scan with zero groups and size() torn bytes.
 [[nodiscard]] SegmentScan scan_segment(std::span<const std::uint8_t> bytes);
-
-// ---- INDEX sidecar codec -------------------------------------------------
-// The manifest-side pointer set: one entry per committed group, naming
-// where its bytes live. Entries are a replay HINT cross-checked against
-// the segment scan — a stale entry (pointing past durable data, or at a
-// boundary that is not a committed group) is counted and ignored, never
-// trusted. Entry: magic u32 "TLSX", segment u32, offset u64, length u64,
-// fnv1a64 u64.
-
-struct IndexEntry {
-  std::uint32_t segment = 0;
-  std::uint64_t offset = 0;
-  std::uint64_t length = 0;
-
-  friend bool operator==(const IndexEntry&, const IndexEntry&) = default;
-};
-
-[[nodiscard]] std::vector<std::uint8_t> encode_index_entry(
-    const IndexEntry& entry);
-/// Decodes as many valid entries as the blob holds, stopping at the first
-/// damaged one (the index is append-only; a torn tail is expected).
-[[nodiscard]] std::vector<IndexEntry> decode_index(
-    std::span<const std::uint8_t> bytes);
 
 // ---- group-commit writer -------------------------------------------------
 
@@ -385,8 +341,8 @@ class GroupCommitWriter {
   };
 
   void writer_loop();
-  /// Writes one group of `batch` frames (write + fsync + index entry),
-  /// applying any rolled chaos faults. Returns false on backend failure.
+  /// Writes one group of `batch` frames (write + fsync), applying any
+  /// rolled chaos faults. Returns false on backend failure.
   bool commit_group(std::vector<Pending>& batch);
   /// Closes the open segment; the next group goes to a fresh one.
   void roll_segment();

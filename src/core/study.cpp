@@ -446,9 +446,10 @@ void LongitudinalStudy::collect_run_metrics(const tls::core::ThreadPool& pool) {
                "Summed run() grid durations", /*timing=*/true)
       .value = ps.wall_us;
   metrics_
-      .gauge("tls_repro_pool_threads", "", "Configured worker threads",
+      .gauge("tls_repro_pool_threads_running", "",
+             "Threads that run tasks: the workers plus the draining caller",
              /*timing=*/true)
-      .set(options_.threads);
+      .set(pool.size() + 1);
   metrics_
       .counter("tls_repro_watchdog_stuck_reruns_total", "",
                "Shard attempts discarded by the stuck-shard watchdog",

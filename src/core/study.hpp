@@ -51,11 +51,12 @@ struct StudyOptions {
   std::uint64_t fault_seed = 0xc4a05;
   /// Network model + retry budget for the active plane (default: ideal).
   tls::scan::ScanPolicy scan_policy{};
-  /// Worker threads for the sharded runner. 0 (default) keeps everything
-  /// on the calling thread. Any value yields the same bytes: the shard
-  /// plan, the per-shard rng_stream(seed, month, shard) derivations, and
-  /// the (month, shard) merge order are all independent of thread count,
-  /// which only decides how shards are scheduled.
+  /// Worker threads for the sharded runner, on top of the calling thread,
+  /// which drains tasks too: N runs N + 1 threads, and 0 (default) keeps
+  /// everything on the calling thread. Any value yields the same bytes:
+  /// the shard plan, the per-shard rng_stream(seed, month, shard)
+  /// derivations, and the (month, shard) merge order are all independent
+  /// of thread count, which only decides how shards are scheduled.
   unsigned threads = 0;
   /// Fixed shard fan-out per month. Part of the deterministic shard plan
   /// (it changes which rng stream feeds each connection), so changing it

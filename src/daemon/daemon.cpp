@@ -84,7 +84,6 @@ struct NotaryDaemon::StageStamps {
 struct NotaryDaemon::Job {
   CapturePayload capture;
   std::uint64_t conn_id = 0;
-  std::uint64_t admit_us = 0;
   StageStamps at;
 };
 
@@ -150,7 +149,6 @@ struct NotaryDaemon::Shard {
   // Telemetry island, merged on demand.
   std::mutex telemetry_mutex;
   tls::telemetry::MetricsRegistry registry;
-  tls::telemetry::Histogram* latency = nullptr;
   /// Wide-dynamic-range stage histograms (one per kStageNames entry),
   /// resolved once at start() so the hot path never does a map lookup.
   tls::telemetry::Histogram* stage[kStageCount] = {};
@@ -173,12 +171,6 @@ struct NotaryDaemon::Connection {
              std::uint32_t window, std::uint64_t now)
       : fd(fd_), id(id_), decoder(max_frame), gate(window),
         last_progress_ms(now) {}
-};
-
-struct NotaryDaemon::JournalPlane {
-  explicit JournalPlane(const std::string& dir) : backend(dir) {}
-  tls::study::PosixJournalBackend backend;
-  std::unique_ptr<tls::study::GroupCommitWriter> writer;
 };
 
 NotaryDaemon::NotaryDaemon(DaemonConfig config)
@@ -238,7 +230,7 @@ bool NotaryDaemon::start() {
   wake_rx_ = pipefd[0];
   wake_tx_ = pipefd[1];
 
-  if (!config_.checkpoint_dir.empty() && !open_journal()) return false;
+  if (!config_.checkpoint_dir.empty()) open_journal();
 
   start_us_ = now_us();
   stats_seq_ = std::make_unique<StatsSeqlock>();
@@ -260,20 +252,14 @@ bool NotaryDaemon::start() {
     auto shard = std::make_unique<Shard>();
     shard->monitor =
         std::make_unique<tls::notary::PassiveMonitor>(config_.database);
-    shard->latency = &shard->registry.histogram(
-        "tls_repro_daemon_ingest_latency_us",
-        tls::telemetry::wide_latency_buckets_us(), {},
-        "Admission-to-observe latency of ingested captures", true);
-    if (config_.observability) {
-      for (std::size_t s = 0; s < kStageCount; ++s) {
-        std::string labels = "shard=\"" + std::to_string(i) + "\",stage=\"";
-        labels += kStageNames[s];
-        labels += "\"";
-        shard->stage[s] = &shard->registry.histogram(
-            "tls_repro_daemon_stage_us",
-            tls::telemetry::wide_latency_buckets_us(), labels,
-            "Per-stage frame latency (log-linear wide-range buckets)", true);
-      }
+    for (std::size_t s = 0; s < kStageCount; ++s) {
+      std::string labels = "shard=\"" + std::to_string(i) + "\",stage=\"";
+      labels += kStageNames[s];
+      labels += "\"";
+      shard->stage[s] = &shard->registry.histogram(
+          "tls_repro_daemon_stage_us",
+          tls::telemetry::wide_latency_buckets_us(), labels,
+          "Per-stage frame latency (log-linear wide-range buckets)", true);
     }
     shards_.push_back(std::move(shard));
   }
@@ -285,75 +271,34 @@ bool NotaryDaemon::start() {
   return true;
 }
 
-bool NotaryDaemon::open_journal() {
-  journal_ = std::make_unique<JournalPlane>(config_.checkpoint_dir);
-  auto segments = journal_->backend.list_segments();
-  std::sort(segments.begin(), segments.end());
-  std::uint32_t next_segment = 1;
-  if (!segments.empty()) next_segment = segments.back() + 1;
+void NotaryDaemon::open_journal() {
+  tls::study::RunJournal::Config jc;
+  jc.directory = config_.checkpoint_dir;
+  jc.resume = config_.resume;
+  jc.manifest.options_digest = kDaemonOptionsDigest;
+  jc.group_frames = config_.journal_group_frames;
+  jc.group_ms = config_.journal_group_ms;
+  journal_ = std::make_unique<tls::study::RunJournal>(jc);
 
-  if (config_.resume) {
-    // Scan-is-ground-truth replay: every checksummed group in every
-    // segment is a candidate; the newest epoch that decodes wins. Torn
-    // tails and foreign frames are simply skipped — worst case the daemon
-    // falls back one epoch and the sensors re-send.
-    struct Candidate {
-      std::uint64_t slot;
-      std::vector<std::uint8_t> payload;
-    };
-    std::vector<Candidate> candidates;
-    for (auto id : segments) {
-      std::vector<std::uint8_t> bytes;
-      if (!journal_->backend.read_segment(id, bytes)) continue;
-      auto scan = tls::study::scan_segment(bytes);
-      for (const auto& frame_bytes : scan.frames) {
-        try {
-          auto frame = tls::study::decode_frame(frame_bytes);
-          if (frame.options_digest != kDaemonOptionsDigest) continue;
-          if (frame.header.kind != tls::study::FrameKind::kPassiveShard)
-            continue;
-          candidates.push_back({frame.header.slot, std::move(frame.payload)});
-        } catch (const tls::wire::ParseError&) {
-          // Corrupt frame inside a valid group: skip, older epochs remain.
-        }
-      }
+  // The newest verified epoch that decodes wins; one that does not (e.g.
+  // an older snapshot version) is invalidated and the next older tried.
+  // New epochs number above every verified slot, decodable or not, so a
+  // later resume never prefers an undecodable epoch over newer data.
+  constexpr auto kEpoch = tls::study::FrameKind::kPassiveShard;
+  const auto slots = journal_->replayed_slots(kEpoch, 0);
+  if (!slots.empty()) epoch_ = slots.back();
+  for (auto it = slots.rbegin(); it != slots.rend(); ++it) {
+    try {
+      baseline_ = std::make_unique<tls::notary::PassiveMonitor>(
+          tls::notary::decode_monitor_state(*journal_->replayed(kEpoch, 0, *it),
+                                            config_.database));
+      resumed_epoch_ = *it;
+      break;
+    } catch (const tls::wire::ParseError&) {
+      journal_->invalidate(kEpoch, 0, *it);
+      ++resume_decode_failures_;
     }
-    // Newest first; of two frames with one slot, the later-written wins.
-    std::reverse(candidates.begin(), candidates.end());
-    std::stable_sort(candidates.begin(), candidates.end(),
-                     [](const Candidate& a, const Candidate& b) {
-                       return a.slot > b.slot;
-                     });
-    // New epochs number above every slot seen, decodable or not, so a
-    // later resume never prefers an undecodable epoch over newer data.
-    if (!candidates.empty()) epoch_ = candidates.front().slot;
-    for (const auto& candidate : candidates) {
-      try {
-        baseline_ = std::make_unique<tls::notary::PassiveMonitor>(
-            tls::notary::decode_monitor_state(candidate.payload,
-                                              config_.database));
-        resumed_epoch_ = candidate.slot;
-        break;
-      } catch (const tls::wire::ParseError&) {
-        // Checksum-valid but undecodable (e.g. an older snapshot version):
-        // count it and fall back to the next older epoch.
-        ++resume_decode_failures_;
-      }
-    }
-  } else {
-    for (auto id : segments) journal_->backend.remove_segment(id);
-    journal_->backend.clear_index();
-    next_segment = 1;
   }
-
-  tls::study::GroupCommitWriter::Config wcfg;
-  wcfg.group_frames = config_.journal_group_frames;
-  wcfg.group_ms = config_.journal_group_ms;
-  wcfg.options_digest = kDaemonOptionsDigest;
-  wcfg.first_segment_id = next_segment;
-  journal_->writer = std::make_unique<tls::study::GroupCommitWriter>(
-      &journal_->backend, wcfg, nullptr);
-  return true;
 }
 
 void NotaryDaemon::request_stop() {
@@ -470,26 +415,6 @@ DaemonCounters NotaryDaemon::snapshot_counters() const {
   return counters();  // pathological contention; raw read beats livelock
 }
 
-namespace {
-
-/// Upper-bound quantile from histogram buckets: the smallest bucket bound
-/// covering fraction `q` of the samples (conservative — never understates).
-std::uint64_t bucket_quantile(const tls::telemetry::Histogram& h, double q) {
-  if (h.count == 0) return 0;
-  const auto target = static_cast<std::uint64_t>(
-      q * static_cast<double>(h.count) + 0.5);
-  std::uint64_t seen = 0;
-  for (std::size_t i = 0; i < h.counts.size(); ++i) {
-    seen += h.counts[i];
-    if (seen >= target) {
-      return i < h.bounds.size() ? h.bounds[i] : h.max;
-    }
-  }
-  return h.max;
-}
-
-}  // namespace
-
 std::string NotaryDaemon::stats_text() {
   // Seqlock snapshot, not the raw atomics: a query racing a worker must
   // never see a ledger that transiently violates closure.
@@ -499,15 +424,16 @@ std::string NotaryDaemon::stats_text() {
     std::lock_guard<std::mutex> lock(wire_mutex_);
     quarantined = wire_quarantine_.total_pushed();
   }
+  // Ingest latency is the merged ingress->grant `total` stage.
   tls::telemetry::Histogram latency;
   latency.bounds = tls::telemetry::wide_latency_buckets_us();
   latency.counts.assign(latency.bounds.size() + 1, 0);
   for (auto& shard : shards_) {
     std::lock_guard<std::mutex> lock(shard->telemetry_mutex);
-    latency.merge(*shard->latency);
+    latency.merge(*shard->stage[kStageCount - 1]);
   }
   const std::uint64_t journal_dropped =
-      journal_ ? journal_->writer->stats().dropped_frames : 0;
+      journal_ ? journal_->dropped_frames() : 0;
   std::ostringstream out;
   out << "admitted=" << c.admitted << '\n'
       << "checkpoint_epochs=" << c.checkpoint_epochs << '\n'
@@ -516,9 +442,9 @@ std::string NotaryDaemon::stats_text() {
       << "credit_violations=" << c.credit_violations << '\n'
       << "frame_errors=" << c.frame_errors << '\n'
       << "idle_timeouts=" << c.idle_timeouts << '\n'
-      << "ingest_p50_us=" << bucket_quantile(latency, 0.50) << '\n'
-      << "ingest_p99_us=" << bucket_quantile(latency, 0.99) << '\n'
-      << "ingest_p999_us=" << bucket_quantile(latency, 0.999) << '\n'
+      << "ingest_p50_us=" << latency.quantile(0.50) << '\n'
+      << "ingest_p99_us=" << latency.quantile(0.99) << '\n'
+      << "ingest_p999_us=" << latency.quantile(0.999) << '\n'
       << "ingested=" << c.ingested << '\n'
       << "journal_dropped_frames=" << journal_dropped << '\n'
       << "malformed=" << c.malformed << '\n'
@@ -603,6 +529,7 @@ tls::telemetry::MetricsRegistry NotaryDaemon::merged_metrics() {
     std::lock_guard<std::mutex> lock(ticker_->mutex);
     reg.merge(ticker_->registry);
   }
+  if (journal_) journal_->collect_metrics(reg);
   if (flight_) {
     std::uint64_t recorded = 0, dropped = 0;
     for (std::size_t i = 0; i < flight_->lanes(); ++i) {
@@ -657,6 +584,7 @@ void NotaryDaemon::finalize_completion(const Completion& done,
     }
   }
 
+  if (!trace_) return;
   std::lock_guard<std::mutex> lock(trace_->mutex);
   const std::uint64_t now = now_ms();
   if (now - trace_->window_start_ms >= config_.trace_window_ms) {
@@ -700,7 +628,7 @@ std::string NotaryDaemon::trace_text() {
   for (auto& shard : shards_) {
     std::lock_guard<std::mutex> lock(shard->telemetry_mutex);
     for (std::size_t s = 0; s < kStageCount; ++s) {
-      if (shard->stage[s] != nullptr) merged[s].merge(*shard->stage[s]);
+      merged[s].merge(*shard->stage[s]);
     }
   }
   std::vector<Exemplar> exemplars;
@@ -727,9 +655,9 @@ std::string NotaryDaemon::trace_text() {
       << " prev_window_events=" << prev_window_events << '\n';
   for (std::size_t s = 0; s < kStageCount; ++s) {
     out << "stage " << kStageNames[s] << " count=" << merged[s].count
-        << " p50_us=" << bucket_quantile(merged[s], 0.50)
-        << " p99_us=" << bucket_quantile(merged[s], 0.99)
-        << " p999_us=" << bucket_quantile(merged[s], 0.999)
+        << " p50_us=" << merged[s].quantile(0.50)
+        << " p99_us=" << merged[s].quantile(0.99)
+        << " p999_us=" << merged[s].quantile(0.999)
         << " max_us=" << merged[s].max << '\n';
   }
   for (std::size_t i = 0; i < exemplars.size(); ++i) {
@@ -846,25 +774,18 @@ tls::notary::PassiveMonitor NotaryDaemon::aggregate_monitor() {
   return aggregate_locked();
 }
 
-void NotaryDaemon::checkpoint_epoch(bool final_epoch) {
-  if (!journal_ || !journal_->writer) return;
-  auto aggregate = aggregate_locked();
-  const auto state = tls::notary::encode_monitor_state(aggregate);
+void NotaryDaemon::checkpoint_epoch() {
+  const auto state = tls::notary::encode_monitor_state(aggregate_locked());
   ++epoch_;
-  tls::study::FrameHeader header;
-  header.kind = tls::study::FrameKind::kPassiveShard;
-  header.month_index = 0;
-  header.slot = static_cast<std::uint32_t>(epoch_);
-  auto frame = tls::study::encode_frame(kDaemonOptionsDigest, header, state);
-  journal_->writer->enqueue(std::move(frame));
-  journal_->writer->flush();
+  journal_->append(tls::study::FrameKind::kPassiveShard, 0,
+                   static_cast<std::uint32_t>(epoch_), state);
+  journal_->flush();
   counters_->checkpoint_epochs.fetch_add(1, std::memory_order_relaxed);
   flight(0, tls::telemetry::FlightEventKind::kCheckpointEpoch,
          static_cast<std::uint32_t>(epoch_),
          counters_->ingested.load(std::memory_order_relaxed));
   last_checkpoint_ingested_ =
       counters_->ingested.load(std::memory_order_relaxed);
-  if (final_epoch) journal_->writer->stop();
 }
 
 void NotaryDaemon::write_snapshot_files() {
@@ -908,7 +829,7 @@ void NotaryDaemon::worker_loop(std::size_t shard_index) {
       job = std::move(shard.queue.front());
       shard.queue.pop_front();
     }
-    if (config_.observability) job.at.dequeue = now_us();
+    job.at.dequeue = now_us();
     if (config_.observe_delay_us_for_test != 0) {
       std::this_thread::sleep_for(
           std::chrono::microseconds(config_.observe_delay_us_for_test));
@@ -927,16 +848,11 @@ void NotaryDaemon::worker_loop(std::size_t shard_index) {
                                     job.capture.alert);
       }
     }
-    const std::uint64_t observed_at = now_us();
-    if (config_.observability) job.at.observe = observed_at;
-    const std::uint64_t latency = observed_at - job.admit_us;
-    {
-      std::lock_guard<std::mutex> lock(shard.telemetry_mutex);
-      shard.latency->record(latency);
-    }
+    job.at.observe = now_us();
     // This lane's ring belongs to this worker alone (lane 1 + shard).
     flight(1 + shard_index, tls::telemetry::FlightEventKind::kIngest,
-           static_cast<std::uint32_t>(shard_index), latency);
+           static_cast<std::uint32_t>(shard_index),
+           job.at.observe - job.at.enqueue);
     counters_->ingested.fetch_add(1, std::memory_order_release);
     {
       std::lock_guard<std::mutex> lock(completion_mutex_);
@@ -1028,7 +944,7 @@ void NotaryDaemon::accept_ready() {
 
 void NotaryDaemon::handle_capture(Connection& conn,
                                   std::vector<std::uint8_t> payload) {
-  const std::uint64_t ingress_us = config_.observability ? now_us() : 0;
+  const std::uint64_t ingress_us = now_us();
   const auto conn_a = static_cast<std::uint32_t>(conn.id);
   counters_->offered.fetch_add(1, std::memory_order_relaxed);
   if (!conn.gate.consume()) {
@@ -1058,7 +974,7 @@ void NotaryDaemon::handle_capture(Connection& conn,
     conn.gate.complete();
     return;
   }
-  const std::uint64_t decode_us = config_.observability ? now_us() : 0;
+  const std::uint64_t decode_us = now_us();
   conn.last_month = month_from_index(capture.month_index);
   const std::size_t shard_index =
       capture.client.empty()
@@ -1073,12 +989,9 @@ void NotaryDaemon::handle_capture(Connection& conn,
       Job job;
       job.capture = std::move(capture);
       job.conn_id = conn.id;
-      job.admit_us = now_us();
-      if (config_.observability) {
-        job.at.ingress = ingress_us;
-        job.at.decode = decode_us;
-        job.at.enqueue = job.admit_us;
-      }
+      job.at.ingress = ingress_us;
+      job.at.decode = decode_us;
+      job.at.enqueue = now_us();
       shard.queue.push_back(std::move(job));
       admitted = true;
     } else {
@@ -1195,8 +1108,7 @@ void NotaryDaemon::drain_completions() {
     std::lock_guard<std::mutex> lock(completion_mutex_);
     resolved.swap(completions_);
   }
-  const std::uint64_t complete_us =
-      config_.observability && !resolved.empty() ? now_us() : 0;
+  const std::uint64_t complete_us = resolved.empty() ? 0 : now_us();
   for (const auto& done : resolved) {
     auto it = conns_.find(done.conn_id);
     if (it == conns_.end()) continue;  // connection already gone
@@ -1222,7 +1134,7 @@ void NotaryDaemon::drain_completions() {
     }
   }
   for (const auto id : to_close) close_connection(id);
-  if (config_.observability && !resolved.empty()) {
+  if (!resolved.empty()) {
     // The batch's grant frames are all queued by now; one stamp closes the
     // `grant` edge for every completion in the batch (documented
     // approximation — grants are batched, so the edge is batch-grained).
@@ -1310,9 +1222,8 @@ void NotaryDaemon::event_loop() {
     if (config_.observability) {
       const std::uint64_t now = now_ms();
       sample_gauges(now);
-      if (journal_ && journal_->writer && !journal_drop_booked_) {
-        const std::uint64_t dropped =
-            journal_->writer->stats().dropped_frames;
+      if (journal_ && !journal_drop_booked_) {
+        const std::uint64_t dropped = journal_->dropped_frames();
         if (dropped != 0) {
           journal_drop_booked_ = true;
           flight(0, tls::telemetry::FlightEventKind::kJournalDrop,
@@ -1332,7 +1243,7 @@ void NotaryDaemon::event_loop() {
       const auto ingested =
           counters_->ingested.load(std::memory_order_relaxed);
       if (ingested - last_checkpoint_ingested_ >= config_.checkpoint_every) {
-        checkpoint_epoch(false);
+        checkpoint_epoch();
       }
     }
 
@@ -1364,7 +1275,7 @@ void NotaryDaemon::event_loop() {
   for (auto& worker : workers_) worker.join();
   workers_.clear();
 
-  if (journal_) checkpoint_epoch(true);
+  if (journal_) checkpoint_epoch();
   publish_stats_snapshot();  // final: readers after join() see the ledger
   write_snapshot_files();
   write_flight_files();

@@ -19,9 +19,9 @@
 //   * slow-loris defense — a connection stalled mid-frame past
 //     idle_timeout_ms is booked and dropped
 //   * clean SIGTERM drain — stop accepting, quiesce the queues, flush
-//     the group-commit journal (core/journal.hpp), emit a final
-//     checksummed snapshot, exit 0; kill -9 at any point still resumes
-//     from the last durable journal group (scan-is-ground-truth replay)
+//     the checkpoint journal (the study's RunJournal, core/checkpoint.hpp),
+//     emit a final checksummed snapshot, exit 0; kill -9 at any point
+//     still resumes from the last durable journal group
 //
 // Threading model: one event-loop thread owns every socket (poll(2),
 // non-blocking IO, per-connection outbound buffers); `shards` worker
@@ -47,6 +47,10 @@
 
 namespace tls::fp {
 class FingerprintDatabase;
+}
+
+namespace tls::study {
+class RunJournal;
 }
 
 namespace tls::telemetry {
@@ -100,9 +104,11 @@ struct DaemonConfig {
   std::uint64_t checkpoint_every = 0;
 
   // ---- observability (DESIGN.md §17) ----
-  /// Stage-latency attribution + flight recorder. On by default; turning
-  /// it off must leave monitor aggregates byte-identical (tested) — it
-  /// only removes the telemetry, never changes an outcome.
+  /// Flight recorder, slowest-frame exemplars and the gauge ticker. On by
+  /// default; turning it off must leave monitor aggregates byte-identical
+  /// (tested) — it only removes the telemetry, never changes an outcome.
+  /// Stage-latency histograms (and the stats query's ingest quantiles)
+  /// are kept either way.
   bool observability = true;
   /// Flight-ring capacity per lane (lane 0 = event loop, one per shard).
   std::size_t flight_events = 4096;
@@ -142,9 +148,10 @@ struct DaemonCounters {
   std::uint64_t checkpoint_epochs = 0;
 };
 
-/// Pins daemon journal frames to the daemon's epoch format (they carry
-/// aggregate snapshots, not per-(month,shard) study tasks, so a study
-/// journal can never be mistaken for a daemon journal or vice versa).
+/// The options digest of the daemon journal's MANIFEST and frames. Daemon
+/// frames carry aggregate snapshots, not per-(month,shard) study tasks;
+/// the distinct digest makes a study journal and a daemon journal book
+/// each other's frames as mismatched instead of replaying them.
 inline constexpr std::uint64_t kDaemonOptionsDigest = 0xdae302e9a11dull;
 
 class NotaryDaemon {
@@ -182,7 +189,8 @@ class NotaryDaemon {
   [[nodiscard]] std::string stats_text();
 
   /// Daemon + per-shard telemetry folded into one registry (counters,
-  /// ingest-latency histogram, queue gauges, wire-error taxonomy).
+  /// stage-latency histograms, queue gauges, wire-error taxonomy, journal
+  /// health).
   [[nodiscard]] tls::telemetry::MetricsRegistry merged_metrics();
 
   /// The live aggregate: resume baseline + every shard monitor absorbed
@@ -226,7 +234,8 @@ class NotaryDaemon {
   void sweep_idle(std::uint64_t now_ms);
   void wake();
 
-  // Observability plane (all no-ops when config_.observability is off).
+  // Observability plane (flight, exemplars and gauges are no-ops when
+  // config_.observability is off; stage histograms are always kept).
   void flight(std::size_t lane, tls::telemetry::FlightEventKind kind,
               std::uint32_t a, std::uint64_t b);
   void finalize_completion(const Completion& done, std::uint64_t complete_us,
@@ -238,8 +247,10 @@ class NotaryDaemon {
   void publish_stats_snapshot();
   [[nodiscard]] DaemonCounters snapshot_counters() const;
 
-  bool open_journal();
-  void checkpoint_epoch(bool final_epoch);
+  /// Opens (or, with resume, replays) the journal under checkpoint_dir and
+  /// restores the newest decodable epoch as the aggregate baseline.
+  void open_journal();
+  void checkpoint_epoch();
   void write_snapshot_files();
   [[nodiscard]] tls::notary::PassiveMonitor aggregate_locked();
 
@@ -286,8 +297,7 @@ class NotaryDaemon {
   std::unique_ptr<AtomicCounters> counters_;
 
   // Durability plane (created by open_journal when checkpoint_dir set).
-  struct JournalPlane;
-  std::unique_ptr<JournalPlane> journal_;
+  std::unique_ptr<tls::study::RunJournal> journal_;
   std::unique_ptr<tls::notary::PassiveMonitor> baseline_;
   std::uint64_t resumed_epoch_ = 0;
   /// Checksum-valid epochs skipped on resume because they did not decode.

@@ -21,7 +21,6 @@ std::string_view fault_kind_name(FaultKind kind) {
     case FaultKind::kGroupTornTail: return "group_torn_tail";
     case FaultKind::kGroupBitFlip: return "group_bit_flip";
     case FaultKind::kSegmentTruncate: return "segment_truncate";
-    case FaultKind::kIndexStale: return "index_stale";
   }
   return "?";
 }
@@ -50,9 +49,9 @@ FaultConfig FaultConfig::frames_only(double rate) {
 }
 
 FaultConfig FaultConfig::groups_only(double rate) {
-  const double r = rate / 4.0;
+  const double r = rate / 3.0;
   FaultConfig c;
-  c.group_torn_tail = c.group_bit_flip = c.segment_truncate = c.index_stale = r;
+  c.group_torn_tail = c.group_bit_flip = c.segment_truncate = r;
   return c;
 }
 
@@ -110,7 +109,6 @@ void FaultInjector::apply_bytes(FaultKind kind,
     case FaultKind::kGroupTornTail:
     case FaultKind::kGroupBitFlip:
     case FaultKind::kSegmentTruncate:
-    case FaultKind::kIndexStale:
       break;  // journal kinds are handled by corrupt_frame/corrupt_group
   }
 }
@@ -204,7 +202,6 @@ FaultKind FaultInjector::corrupt_group(std::vector<std::uint8_t>& group) {
       {FaultKind::kGroupTornTail, config_.group_torn_tail},
       {FaultKind::kGroupBitFlip, config_.group_bit_flip},
       {FaultKind::kSegmentTruncate, config_.segment_truncate},
-      {FaultKind::kIndexStale, config_.index_stale},
   };
   FaultKind kind = FaultKind::kNone;
   for (const auto& [k, w] : weights) {
@@ -228,8 +225,7 @@ FaultKind FaultInjector::corrupt_group(std::vector<std::uint8_t>& group) {
       }
       break;
     case FaultKind::kSegmentTruncate:
-    case FaultKind::kIndexStale:
-      break;  // decisions only; the journal writer executes them
+      break;  // a decision only; the journal writer executes it
     default:
       break;
   }

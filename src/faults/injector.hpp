@@ -35,14 +35,13 @@ enum class FaultKind : std::uint8_t {
   kFrameDuplicate,   // frame written twice (replayed append)
 
   // Segment-level journal faults (group-commit path only; rolled by
-  // corrupt_group / roll_segment, so existing RNG streams are untouched).
+  // corrupt_group, so existing RNG streams are untouched).
   kGroupTornTail,    // group record cut mid-write (power cut during append)
   kGroupBitFlip,     // one byte corrupted inside a committed group
-  kSegmentTruncate,  // whole segment tail lost after the group landed
-  kIndexStale,       // INDEX entry pointing at a wrong (offset, length)
+  kSegmentTruncate,  // back half of the segment lost after the group landed
 };
 
-inline constexpr std::size_t kFaultKindCount = 16;
+inline constexpr std::size_t kFaultKindCount = 15;
 
 std::string_view fault_kind_name(FaultKind kind);
 
@@ -65,12 +64,11 @@ struct FaultConfig {
   double frame_bit_flip = 0;
   double frame_duplicate = 0;
 
-  // Segment-level journal fault rates, drawn only by corrupt_group /
-  // roll_segment on the group-commit path.
+  // Segment-level journal fault rates, drawn only by corrupt_group on the
+  // group-commit path.
   double group_torn_tail = 0;
   double group_bit_flip = 0;
   double segment_truncate = 0;
-  double index_stale = 0;
 
   /// Total capture/stream fault rate (probability any fault fires per
   /// capture). Frame rates are separate; see frame_total().
@@ -84,10 +82,10 @@ struct FaultConfig {
     return frame_truncate + frame_bit_flip + frame_duplicate;
   }
 
-  /// Total segment-level fault rate (probability corrupt_group or
-  /// roll_segment acts per committed group).
+  /// Total segment-level fault rate (probability corrupt_group acts per
+  /// committed group).
   [[nodiscard]] double group_total() const {
-    return group_torn_tail + group_bit_flip + segment_truncate + index_stale;
+    return group_torn_tail + group_bit_flip + segment_truncate;
   }
 
   /// Splits `rate` evenly over all eight capture fault kinds.
@@ -99,7 +97,7 @@ struct FaultConfig {
   /// frame_bit_flip, frame_duplicate.
   static FaultConfig frames_only(double rate);
   /// Segment-level faults only: even split over group_torn_tail,
-  /// group_bit_flip, segment_truncate, index_stale.
+  /// group_bit_flip, segment_truncate.
   static FaultConfig groups_only(double rate);
 };
 
@@ -154,11 +152,10 @@ class FaultInjector {
   FaultKind corrupt_frame(std::vector<std::uint8_t>& frame);
 
   /// Possibly applies one segment-level fault to an encoded group record,
-  /// drawing from the group_*/segment_*/index_* rates only.
-  /// kGroupTornTail cuts the record short and kGroupBitFlip corrupts one
-  /// byte, both in place; kSegmentTruncate and kIndexStale perform no
-  /// mutation here — they are decisions the journal writer executes
-  /// (dropping the segment tail / corrupting the INDEX entry).
+  /// drawing from the group_*/segment_* rates only. kGroupTornTail cuts
+  /// the record short and kGroupBitFlip corrupts one byte, both in place;
+  /// kSegmentTruncate performs no mutation here — it is a decision the
+  /// journal writer executes (dropping the segment tail).
   FaultKind corrupt_group(std::vector<std::uint8_t>& group);
 
   [[nodiscard]] const FaultStats& stats() const { return stats_; }

@@ -39,6 +39,18 @@ void Histogram::merge(const Histogram& other) {
   sum += other.sum;
 }
 
+std::uint64_t Histogram::quantile(double q) const {
+  if (count == 0) return 0;
+  const auto target =
+      static_cast<std::uint64_t>(q * static_cast<double>(count) + 0.5);
+  std::uint64_t seen = 0;
+  for (std::size_t i = 0; i < counts.size(); ++i) {
+    seen += counts[i];
+    if (seen >= target) return i < bounds.size() ? bounds[i] : max;
+  }
+  return max;
+}
+
 std::vector<std::uint64_t> duration_buckets_us() {
   return {10,     100,     1'000,     10'000,
           100'000, 1'000'000, 10'000'000};

@@ -68,6 +68,10 @@ struct Histogram {
     return count == 0 ? 0.0
                       : static_cast<double>(sum) / static_cast<double>(count);
   }
+  /// Upper-bound quantile: the smallest bucket bound covering fraction `q`
+  /// of the samples (conservative — never understates); `max` when that
+  /// is the +Inf bucket, 0 when empty.
+  [[nodiscard]] std::uint64_t quantile(double q) const;
 };
 
 /// Power-of-ten duration buckets in microseconds: 10us .. 10s.

@@ -30,6 +30,7 @@
 #include "core/journal.hpp"
 #include "core/study.hpp"
 #include "faults/injector.hpp"
+#include "tlscore/fnv.hpp"
 #include "wire/buffer.hpp"
 #include "wire/errors.hpp"
 
@@ -119,7 +120,6 @@ void rewrite_journal(const fs::path& ckpt, std::uint64_t digest,
                      const std::vector<Bytes>& frames, const Bytes& tail) {
   tls::study::PosixJournalBackend backend(ckpt.string());
   for (const auto id : backend.list_segments()) backend.remove_segment(id);
-  backend.clear_index();
   ASSERT_TRUE(backend.open_segment(1));
   ASSERT_TRUE(backend.append(tls::study::encode_group(digest, frames)));
   ASSERT_TRUE(backend.append(tail));
@@ -769,6 +769,60 @@ TEST(CheckpointStudy, FrameFilesFromAnOlderBuildAreIgnored) {
   EXPECT_EQ(report.frames_replayed, frames.size());
   EXPECT_EQ(report.tasks_skipped, frames.size());
   EXPECT_EQ(report.tasks_recomputed, 1u);  // the moved task
+  for (const auto& d : {ckpt, out_plain, out_first, out_resumed}) {
+    fs::remove_all(d);
+  }
+}
+
+TEST(CheckpointStudy, IndexFileFromAnOlderBuildIsIgnored) {
+  // Older builds also kept an INDEX sidecar of {segment, offset, length}
+  // entries next to the segments. Nothing reads it any more: a leftover
+  // one, even pointing at a wrong offset and trailed by garbage, changes
+  // neither what replays nor a single exported byte.
+  const auto ckpt = fresh_dir("study_old_index");
+  const auto out_plain = fresh_dir("study_old_index_plain");
+  const auto out_first = fresh_dir("study_old_index_first");
+  const auto out_resumed = fresh_dir("study_old_index_resumed");
+  const auto opts = journal_options(ckpt.string());
+
+  auto plain = opts;
+  plain.checkpoint_dir.clear();
+  LongitudinalStudy reference(plain);
+  const auto ref_files = reference.export_figures(out_plain.string());
+  ASSERT_EQ(ref_files.size(), 11u);
+  {
+    LongitudinalStudy first(opts);
+    (void)first.export_figures(out_first.string());
+  }
+  const std::size_t n_frames = journal_frames(ckpt).size();
+  ASSERT_GT(n_frames, 0u);
+
+  // The old entry layout: magic "TLSX", segment u32, offset u64,
+  // length u64, fnv1a64 of the preceding bytes.
+  tls::wire::ByteWriter w;
+  w.u32(0x544c5358);
+  w.u32(1);
+  w.u64(999999);
+  w.u64(5);
+  w.u64(tls::core::fnv1a64(w.data()));
+  for (int i = 0; i < 19; ++i) w.u8(static_cast<std::uint8_t>(i * 37 + 11));
+  ASSERT_TRUE(tls::study::write_file_durable(
+      (ckpt / "segments" / "INDEX").string(), w.data()));
+
+  auto ropts = opts;
+  ropts.resume = true;
+  LongitudinalStudy resumed(ropts);
+  std::vector<std::string> files;
+  ASSERT_NO_THROW(files = resumed.export_figures(out_resumed.string()));
+  ASSERT_EQ(files.size(), ref_files.size());
+  for (std::size_t i = 0; i < files.size(); ++i) {
+    EXPECT_EQ(slurp(files[i]), slurp(ref_files[i])) << ref_files[i];
+  }
+  const auto report = resumed.recovery();
+  EXPECT_TRUE(report.resumed);
+  EXPECT_EQ(report.frames_replayed, n_frames);
+  EXPECT_EQ(report.tasks_skipped, n_frames);
+  EXPECT_EQ(report.tasks_recomputed, 0u);
   for (const auto& d : {ckpt, out_plain, out_first, out_resumed}) {
     fs::remove_all(d);
   }

@@ -706,6 +706,85 @@ TEST(DaemonEndToEnd, ResumeFallsBackPastAnUndecodableNewestEpoch) {
   std::filesystem::remove_all(dir);
 }
 
+/// Study and daemon journals share one segment format but never replay
+/// each other's frames: each kind's MANIFEST marks the other's frames as
+/// mismatched. A daemon resumed on a study checkpoint starts at epoch 0;
+/// a study resumed on a daemon's journal recomputes every task and
+/// exports the same bytes as an unjournaled run.
+TEST(DaemonEndToEnd, StudyAndDaemonJournalsStayApart) {
+  auto& fix = fixture();
+  const auto dir =
+      std::filesystem::temp_directory_path() / "tls_daemon_study_apart_test";
+  const auto out_plain = dir.string() + "_plain";
+  const auto out_resumed = dir.string() + "_resumed";
+  for (const auto& d : {dir.string(), out_plain, out_resumed}) {
+    std::filesystem::remove_all(d);
+  }
+
+  tls::study::StudyOptions opts;
+  opts.connections_per_month = 300;
+  opts.full_catalog = false;
+  opts.window = {tls::core::Month(2015, 1), tls::core::Month(2015, 4)};
+  auto plain = opts;
+  tls::study::LongitudinalStudy reference(plain);
+  const auto ref_files = reference.export_figures(out_plain);
+  ASSERT_EQ(ref_files.size(), 11u);
+  opts.checkpoint_dir = dir.string();
+  std::uint64_t study_frames = 0;
+  {
+    tls::study::LongitudinalStudy study(opts);
+    (void)study.monitor();
+    study_frames = study.recovery().tasks_recomputed;  // one frame per task
+    ASSERT_GT(study_frames, 0u);
+  }
+
+  DaemonConfig config;
+  config.shards = 1;
+  config.database = &fix.database;
+  config.checkpoint_dir = dir.string();
+  config.resume = true;
+  {
+    NotaryDaemon daemon(config);
+    ASSERT_TRUE(daemon.start()) << daemon.last_error();
+    EXPECT_EQ(daemon.resumed_epoch(), 0u);
+    EXPECT_EQ(daemon.aggregate_monitor().total_connections(), 0u);
+    BlockingClient client;
+    ASSERT_TRUE(client.connect_to(daemon.port()));
+    for (const auto& capture : fix.make_captures(20, 0xA9A7)) {
+      ASSERT_TRUE(client.send_capture(capture));
+    }
+    std::string body;
+    ASSERT_TRUE(client.query(FrameType::kQueryStats, FrameType::kStats, &body));
+    daemon.request_stop();
+    daemon.join();  // the drain journals epoch 1 under the daemon's manifest
+  }
+
+  opts.resume = true;
+  tls::study::LongitudinalStudy resumed(opts);
+  std::vector<std::string> files;
+  ASSERT_NO_THROW(files = resumed.export_figures(out_resumed));
+  ASSERT_EQ(files.size(), ref_files.size());
+  for (std::size_t i = 0; i < files.size(); ++i) {
+    std::ifstream a(files[i], std::ios::binary);
+    std::ifstream b(ref_files[i], std::ios::binary);
+    const std::string got((std::istreambuf_iterator<char>(a)),
+                          std::istreambuf_iterator<char>());
+    const std::string want((std::istreambuf_iterator<char>(b)),
+                           std::istreambuf_iterator<char>());
+    EXPECT_EQ(got, want) << ref_files[i];
+  }
+  const auto report = resumed.recovery();
+  EXPECT_FALSE(report.resumed);
+  EXPECT_EQ(report.frames_replayed, 0u);
+  // The study's own frames (now under the daemon's manifest) and the
+  // daemon's epoch.
+  EXPECT_EQ(report.frames_mismatched, study_frames + 1);
+  EXPECT_EQ(report.tasks_skipped, 0u);
+  for (const auto& d : {dir.string(), out_plain, out_resumed}) {
+    std::filesystem::remove_all(d);
+  }
+}
+
 TEST(DaemonEndToEnd, CreditViolationShedsAndCloses) {
   auto& fix = fixture();
   const auto captures = fix.make_captures(8, 0xBAD);

@@ -92,7 +92,6 @@ TEST(FaultInjector, FullRateAppliesEveryKindEventually) {
   config.group_torn_tail = groups.group_torn_tail;
   config.group_bit_flip = groups.group_bit_flip;
   config.segment_truncate = groups.segment_truncate;
-  config.index_stale = groups.index_stale;
   FaultInjector inj(config, 7);
   for (int i = 0; i < 2000; ++i) {
     Bytes c = sample_stream();

@@ -29,7 +29,6 @@ namespace {
 using tls::study::CheckpointManifest;
 using tls::study::FrameKind;
 using tls::study::GroupCommitWriter;
-using tls::study::IndexEntry;
 using tls::study::JournalErrorClass;
 using tls::study::JournalErrorTaxonomy;
 using tls::study::JournalStage;
@@ -87,7 +86,7 @@ TEST(JournalTaxonomy, ClassifiesErrnoAndExcludesRetriesFromFailures) {
   t.record(JournalStage::kWrite, JournalErrorClass::kRetried);
   t.record(JournalStage::kWrite, JournalErrorClass::kRetried);
   t.record(JournalStage::kSync, JournalErrorClass::kIo);
-  t.record(JournalStage::kIndex, JournalErrorClass::kNoSpace);
+  t.record(JournalStage::kRemove, JournalErrorClass::kNoSpace);
   EXPECT_EQ(t.total(), 4u);
   EXPECT_EQ(t.failures(), 2u);  // retried-and-recovered excluded
   EXPECT_EQ(t.count(JournalStage::kWrite, JournalErrorClass::kRetried), 2u);
@@ -166,7 +165,6 @@ TEST(GroupCodec, EveryTruncationAndSingleFlipIsRejected) {
 TEST(SegmentScan, FindsGroupsAndTruncatesAtTornTail) {
   const std::uint64_t digest = 11;
   Bytes segment;
-  std::vector<tls::study::SegmentScan::GroupSpan> spans;
   std::size_t n_frames = 0;
   for (std::uint32_t g = 0; g < 3; ++g) {
     std::vector<Bytes> frames;
@@ -175,7 +173,6 @@ TEST(SegmentScan, FindsGroupsAndTruncatesAtTornTail) {
       ++n_frames;
     }
     const auto group = tls::study::encode_group(digest, frames);
-    spans.push_back({segment.size(), group.size()});
     segment.insert(segment.end(), group.begin(), group.end());
   }
   const std::size_t committed = segment.size();
@@ -190,11 +187,6 @@ TEST(SegmentScan, FindsGroupsAndTruncatesAtTornTail) {
   EXPECT_EQ(scan.frames.size(), n_frames);
   EXPECT_EQ(scan.valid_bytes, committed);
   EXPECT_EQ(scan.torn_bytes, segment.size() - committed);
-  ASSERT_EQ(scan.boundaries.size(), spans.size());
-  for (std::size_t i = 0; i < spans.size(); ++i) {
-    EXPECT_EQ(scan.boundaries[i].offset, spans[i].offset);
-    EXPECT_EQ(scan.boundaries[i].length, spans[i].length);
-  }
 }
 
 TEST(SegmentScan, GarbageAndEmptySegmentsNeverThrow) {
@@ -230,31 +222,6 @@ TEST(SegmentScan, StopsAtFirstDamagedGroupMidSegment) {
   EXPECT_EQ(scan.torn_bytes, segment.size() - a.size());
 }
 
-// ---- INDEX sidecar codec ------------------------------------------------
-
-TEST(IndexCodec, RoundTripAndTornTailStopsCleanly) {
-  const std::vector<IndexEntry> entries = {
-      {1, 0, 100}, {1, 100, 250}, {2, 0, 64}};
-  Bytes blob;
-  for (const auto& e : entries) {
-    const auto one = tls::study::encode_index_entry(e);
-    blob.insert(blob.end(), one.begin(), one.end());
-  }
-  EXPECT_EQ(tls::study::decode_index(blob), entries);
-
-  // A torn final entry yields the intact prefix.
-  Bytes torn = blob;
-  torn.resize(torn.size() - 5);
-  EXPECT_EQ(tls::study::decode_index(torn).size(), 2u);
-
-  // A corrupt middle entry stops the decode there (append-only sidecar:
-  // nothing after the damage is trusted).
-  Bytes bad = blob;
-  bad[40] ^= 0x80;
-  EXPECT_EQ(tls::study::decode_index(bad).size(), 1u);
-  EXPECT_TRUE(tls::study::decode_index({}).empty());
-}
-
 // ---- in-memory backend --------------------------------------------------
 
 TEST(MemoryBackend, SyncWatermarkSurvivesPowerCutUnsyncedTailDoesNot) {
@@ -279,14 +246,6 @@ TEST(MemoryBackend, SyncWatermarkSurvivesPowerCutUnsyncedTailDoesNot) {
   EXPECT_EQ(out, Bytes{1});
   ASSERT_TRUE(backend.remove_segment(4));
   EXPECT_TRUE(backend.list_segments().empty());
-
-  const Bytes idx = {5, 6, 7};
-  ASSERT_TRUE(backend.append_index(idx));
-  ASSERT_TRUE(backend.read_index(out));
-  EXPECT_EQ(out, idx);
-  ASSERT_TRUE(backend.clear_index());
-  ASSERT_TRUE(backend.read_index(out));
-  EXPECT_TRUE(out.empty());
 }
 
 // ---- group-commit writer ------------------------------------------------
@@ -555,53 +514,6 @@ TEST(RunJournalGrouped, TornAppendDoesNotHideLaterGroups) {
   fs::remove_all(dir);
 }
 
-TEST(RunJournalGrouped, StaleIndexEntriesAreCountedAndIgnored) {
-  const auto dir = fresh_dir("journal_grouped_stale");
-  CheckpointManifest manifest;
-  manifest.options_digest = 67;
-  MemoryJournalBackend backend;
-  {
-    RunJournal journal(grouped_config(dir, manifest, &backend));
-    for (std::uint32_t s = 0; s < 4; ++s) {
-      journal.append(FrameKind::kPassiveShard, 90, s, Bytes(16, 0xcc));
-    }
-    journal.flush();
-  }
-  // Two lies: an entry pointing into a committed segment at a non-boundary
-  // offset, and one naming a segment that does not exist.
-  const auto seg_id = backend.list_segments().front();
-  ASSERT_TRUE(backend.append_index(
-      tls::study::encode_index_entry({seg_id, 999999, 5})));
-  ASSERT_TRUE(backend.append_index(
-      tls::study::encode_index_entry({4040, 0, 64})));
-
-  auto cfg = grouped_config(dir, manifest, &backend);
-  cfg.resume = true;
-  RunJournal resumed(cfg);
-  const auto report = resumed.snapshot_report();
-  EXPECT_TRUE(report.resumed);
-  EXPECT_EQ(report.frames_replayed, 4u);  // the scan is the ground truth
-  EXPECT_GE(report.index_stale, 2u);
-
-  // The index was rebuilt to match the scan exactly.
-  Bytes index_bytes;
-  ASSERT_TRUE(backend.read_index(index_bytes));
-  Bytes segment;
-  ASSERT_TRUE(backend.read_segment(seg_id, segment));
-  const auto scan = tls::study::scan_segment(segment);
-  std::size_t entries_for_seg = 0;
-  for (const auto& e : tls::study::decode_index(index_bytes)) {
-    if (e.segment != seg_id) continue;
-    ++entries_for_seg;
-    EXPECT_TRUE(std::any_of(
-        scan.boundaries.begin(), scan.boundaries.end(), [&](const auto& g) {
-          return g.offset == e.offset && g.length == e.length;
-        }));
-  }
-  EXPECT_EQ(entries_for_seg, scan.boundaries.size());
-  fs::remove_all(dir);
-}
-
 TEST(RunJournalGrouped, DuplicatedGroupRecordsDedupeOnReplay) {
   const auto dir = fresh_dir("journal_grouped_dup");
   CheckpointManifest manifest;
@@ -651,8 +563,8 @@ TEST(DurableFile, WritesAtomicallyAndBooksFailures) {
 // ---- study-level group-fault soak ---------------------------------------
 
 TEST(JournalStudy, GroupFaultSoakNeverChangesBytes) {
-  // Hostile segment store: most committed groups are torn, bit-flipped,
-  // truncated, or get a stale index entry. Neither the soaked run nor a
+  // Hostile segment store: most committed groups are torn, bit-flipped or
+  // truncated. Neither the soaked run nor a
   // resume over the damaged journal may change one exported byte — the
   // damage only costs recompute on resume.
   const auto ckpt = fresh_dir("journal_group_soak");
@@ -693,8 +605,7 @@ TEST(JournalStudy, GroupFaultSoakNeverChangesBytes) {
   const auto report = resumed.recovery();
   EXPECT_TRUE(report.resumed);
   // At a 90% group-fault rate the damage must actually land somewhere.
-  EXPECT_GT(report.groups_torn + report.torn_bytes + report.index_stale +
-                report.tasks_recomputed,
+  EXPECT_GT(report.groups_torn + report.torn_bytes + report.tasks_recomputed,
             0u);
   fs::remove_all(ckpt);
 }

@@ -77,6 +77,18 @@ TEST(Histogram, MergeIntoEmptyAdoptsMinMax) {
   EXPECT_EQ(a.count, 2u);
 }
 
+TEST(Histogram, QuantileIsTheCoveringBucketBound) {
+  Histogram h;
+  h.bounds = {10, 100, 1000};
+  EXPECT_EQ(h.quantile(0.5), 0u);  // empty
+  for (int i = 0; i < 10; ++i) h.record(5);
+  for (int i = 0; i < 9; ++i) h.record(50);
+  h.record(5000);
+  EXPECT_EQ(h.quantile(0.50), 10u);    // 10 of 20 samples are <= 10
+  EXPECT_EQ(h.quantile(0.90), 100u);   // 18 of 20 are <= 100
+  EXPECT_EQ(h.quantile(0.99), 5000u);  // the +Inf bucket reports max
+}
+
 // ---- registry semantics ----
 
 MetricsRegistry make_registry(std::uint64_t counter_v, std::uint64_t gauge_v,
@@ -420,6 +432,11 @@ TEST(TelemetryStudy, MetricsAndTraceArePopulatedAndValid) {
   const auto* conns = reg.find("tls_repro_notary_connections_total");
   ASSERT_NE(conns, nullptr);
   EXPECT_EQ(conns->counter.value, study.monitor().total_connections());
+  // The pool gauge counts the threads that ran tasks: the workers plus
+  // the caller, which drains the grid too.
+  const auto* running = reg.find("tls_repro_pool_threads_running");
+  ASSERT_NE(running, nullptr);
+  EXPECT_EQ(running->gauge.value, 1u);  // threads = 0: the caller alone
 
   // Spans: one task span per shard task, valid Chrome JSON.
   const auto& trace = study.trace();
@@ -436,6 +453,13 @@ TEST(TelemetryStudy, MetricsAndTraceArePopulatedAndValid) {
   EXPECT_TRUE(
       tls::telemetry::lint_prometheus(tls::telemetry::to_prometheus(reg))
           .empty());
+
+  o.threads = 2;
+  tls::study::LongitudinalStudy pooled(o);
+  pooled.run();
+  running = pooled.metrics().find("tls_repro_pool_threads_running");
+  ASSERT_NE(running, nullptr);
+  EXPECT_EQ(running->gauge.value, 3u);
 }
 
 TEST(TelemetryStudy, DisabledKeepsRegistryAndTraceEmpty) {
