@@ -272,32 +272,28 @@ RunJournal::RunJournal(Config config) : config_(std::move(config)) {
 RunJournal::~RunJournal() { writer_->stop(); }
 
 void RunJournal::replay() {
-  const std::vector<std::uint8_t> manifest_bytes = encode_manifest(
-      config_.manifest);
-  if (!config_.resume) {
-    // Cold start: wipe the segments and lay down a fresh manifest.
-    for (const auto id : backend_->list_segments()) {
-      backend_->remove_segment(id);
+  if (config_.resume) {
+    bool accept_frames = false;
+    std::vector<std::uint8_t> on_disk;
+    if (backend_->read_manifest(on_disk)) {
+      try {
+        accept_frames = decode_manifest(on_disk) == config_.manifest;
+      } catch (const ParseError&) {
+        accept_frames = false;
+      }
     }
-    backend_->write_manifest(manifest_bytes);
-    return;
+    report_.resumed = accept_frames;
+    replay_segments(accept_frames);
+    if (accept_frames) return;  // the manifest on disk is already ours
   }
-
-  bool accept_frames = false;
-  std::vector<std::uint8_t> on_disk;
-  if (backend_->read_manifest(on_disk)) {
-    try {
-      accept_frames = decode_manifest(on_disk) == config_.manifest;
-    } catch (const ParseError&) {
-      accept_frames = false;
-    }
+  // Cold start, or a foreign or absent manifest whose frames were just
+  // quarantined as mismatched: wipe the segments, then lay down the
+  // manifest. Segments go first, so the journal never adopts frames it
+  // rejected — not even when a crash lands between the two steps.
+  for (const auto id : backend_->list_segments()) {
+    backend_->remove_segment(id);
   }
-  report_.resumed = accept_frames;
-  replay_segments(accept_frames);
-
-  // Re-stamp the manifest: on a clean resume it is byte-identical; after a
-  // manifest mismatch this adopts the journal for the current options.
-  if (!accept_frames) backend_->write_manifest(manifest_bytes);
+  backend_->write_manifest(encode_manifest(config_.manifest));
 }
 
 void RunJournal::accept_frame(std::vector<std::uint8_t>&& bytes,

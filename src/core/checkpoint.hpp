@@ -74,7 +74,8 @@ struct FrameHeader {
 
 /// Everything that pins a journal to one specific run. A manifest whose
 /// digest, seed, or plan differs from the current options invalidates every
-/// frame (they describe different work).
+/// frame (they describe different work); resume quarantines them and wipes
+/// their segments before stamping the current manifest.
 struct CheckpointManifest {
   std::uint32_t format_version = kCheckpointFormatVersion;
   std::uint64_t options_digest = 0;

@@ -1271,7 +1271,12 @@ void NotaryDaemon::event_loop() {
   }
 
   workers_stop_.store(true, std::memory_order_release);
-  for (auto& shard : shards_) shard->cv.notify_all();
+  for (auto& shard : shards_) {
+    // Pass through the queue lock: a worker that checked the predicate
+    // before the store is then already waiting, so the notify reaches it.
+    { std::lock_guard<std::mutex> lock(shard->queue_mutex); }
+    shard->cv.notify_all();
+  }
   for (auto& worker : workers_) worker.join();
   workers_.clear();
 

@@ -706,6 +706,90 @@ TEST(DaemonEndToEnd, ResumeFallsBackPastAnUndecodableNewestEpoch) {
   std::filesystem::remove_all(dir);
 }
 
+/// A daemon journal written before the daemon stamped a MANIFEST resumes
+/// at epoch 0 once; its epochs must not come back on the next resume. The
+/// old epochs use the same digest and (kind, month, slot) keys as the new
+/// ones, so if they stayed on disk, old epoch 1 would shadow new epoch 1
+/// and old epoch 3 would be restored over everything since the upgrade.
+TEST(DaemonEndToEnd, OldLayoutEpochsNeverReturnAfterTheFirstResume) {
+  auto& fix = fixture();
+  const auto dir =
+      std::filesystem::temp_directory_path() / "tls_daemon_old_layout_test";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+
+  DaemonConfig config;
+  config.shards = 1;
+  config.database = &fix.database;
+
+  // The old build's payload: a real aggregate, distinct from what the
+  // upgraded daemon ingests below.
+  std::vector<std::uint8_t> old_state;
+  {
+    NotaryDaemon daemon(config);
+    ASSERT_TRUE(daemon.start()) << daemon.last_error();
+    BlockingClient client;
+    ASSERT_TRUE(client.connect_to(daemon.port()));
+    for (const auto& capture : fix.make_captures(60, 0x01D)) {
+      ASSERT_TRUE(client.send_capture(capture));
+    }
+    std::string body;
+    ASSERT_TRUE(client.query(FrameType::kQueryStats, FrameType::kStats, &body));
+    daemon.request_stop();
+    daemon.join();
+    old_state = tls::notary::encode_monitor_state(daemon.aggregate_monitor());
+  }
+  {
+    // Epochs 1..3 in segments written straight to the store, no MANIFEST.
+    tls::study::PosixJournalBackend backend(dir.string());
+    tls::study::GroupCommitWriter::Config wcfg;
+    wcfg.group_frames = 1;
+    wcfg.options_digest = tls::daemon::kDaemonOptionsDigest;
+    tls::study::GroupCommitWriter writer(&backend, wcfg, nullptr);
+    for (std::uint32_t epoch = 1; epoch <= 3; ++epoch) {
+      tls::study::FrameHeader header;
+      header.kind = tls::study::FrameKind::kPassiveShard;
+      header.slot = epoch;
+      writer.enqueue(tls::study::encode_frame(
+          tls::daemon::kDaemonOptionsDigest, header, old_state));
+    }
+    writer.stop();
+    ASSERT_EQ(writer.stats().frames, 3u);
+  }
+  ASSERT_FALSE(std::filesystem::exists(dir / "MANIFEST"));
+
+  config.checkpoint_dir = dir.string();
+  config.resume = true;
+  std::vector<std::uint8_t> new_state;
+  {
+    NotaryDaemon daemon(config);
+    ASSERT_TRUE(daemon.start()) << daemon.last_error();
+    EXPECT_EQ(daemon.resumed_epoch(), 0u);
+    EXPECT_EQ(daemon.aggregate_monitor().total_connections(), 0u);
+    BlockingClient client;
+    ASSERT_TRUE(client.connect_to(daemon.port()));
+    for (const auto& capture : fix.make_captures(20, 0x2E3)) {
+      ASSERT_TRUE(client.send_capture(capture));
+    }
+    std::string body;
+    ASSERT_TRUE(client.query(FrameType::kQueryStats, FrameType::kStats, &body));
+    daemon.request_stop();
+    daemon.join();  // the drain journals epoch 1
+    new_state = tls::notary::encode_monitor_state(daemon.aggregate_monitor());
+  }
+  ASSERT_NE(new_state, old_state);
+  {
+    NotaryDaemon daemon(config);
+    ASSERT_TRUE(daemon.start()) << daemon.last_error();
+    EXPECT_EQ(daemon.resumed_epoch(), 1u);
+    EXPECT_EQ(tls::notary::encode_monitor_state(daemon.aggregate_monitor()),
+              new_state);
+    daemon.request_stop();
+    daemon.join();
+  }
+  std::filesystem::remove_all(dir);
+}
+
 /// Study and daemon journals share one segment format but never replay
 /// each other's frames: each kind's MANIFEST marks the other's frames as
 /// mismatched. A daemon resumed on a study checkpoint starts at epoch 0;
@@ -776,9 +860,9 @@ TEST(DaemonEndToEnd, StudyAndDaemonJournalsStayApart) {
   const auto report = resumed.recovery();
   EXPECT_FALSE(report.resumed);
   EXPECT_EQ(report.frames_replayed, 0u);
-  // The study's own frames (now under the daemon's manifest) and the
-  // daemon's epoch.
-  EXPECT_EQ(report.frames_mismatched, study_frames + 1);
+  // Only the daemon's epoch: the daemon's resume deleted the study's
+  // segments after rejecting their frames.
+  EXPECT_EQ(report.frames_mismatched, 1u);
   EXPECT_EQ(report.tasks_skipped, 0u);
   for (const auto& d : {dir.string(), out_plain, out_resumed}) {
     std::filesystem::remove_all(d);
