@@ -1,5 +1,7 @@
 #include "fingerprint/fingerprint.hpp"
 
+#include <span>
+
 #include "fingerprint/md5.hpp"
 #include "tlscore/grease.hpp"
 
@@ -7,12 +9,24 @@ namespace tls::fp {
 
 namespace {
 
-void append_list(std::string& out, const std::vector<std::uint16_t>& vals) {
-  bool first = true;
-  for (const auto v : vals) {
-    if (!first) out.push_back('-');
-    out += std::to_string(v);
-    first = false;
+/// The plain digit writer behind every fingerprint string: `v` in decimal.
+void append_decimal(std::string& out, unsigned v) {
+  char digits[10];
+  char* const end = digits + sizeof(digits);
+  char* p = end;
+  do {
+    *--p = static_cast<char>('0' + v % 10);
+    v /= 10;
+  } while (v != 0);
+  out.append(p, end);
+}
+
+/// Appends "v1-v2-..." (nothing for an empty list).
+template <typename T>
+void append_list(std::string& out, std::span<const T> vals) {
+  for (std::size_t i = 0; i < vals.size(); ++i) {
+    if (i != 0) out.push_back('-');
+    append_decimal(out, vals[i]);
   }
 }
 
@@ -23,25 +37,24 @@ std::vector<std::uint16_t> strip_grease(std::vector<std::uint16_t> vals) {
 
 }  // namespace
 
+void Fingerprint::append_canonical(std::string& out) const {
+  append_list<std::uint16_t>(out, cipher_suites);
+  out.push_back(',');
+  append_list<std::uint16_t>(out, extensions);
+  out.push_back(',');
+  append_list<std::uint16_t>(out, groups);
+  out.push_back(',');
+  append_list<std::uint8_t>(out, ec_point_formats);
+}
+
 std::string Fingerprint::canonical() const {
   std::string out;
   // Each id renders as at most 5 digits plus a separator; reserving up front
-  // keeps the hot fingerprint path to a single allocation.
+  // keeps this to a single allocation.
   out.reserve(6 * (cipher_suites.size() + extensions.size() + groups.size() +
                    ec_point_formats.size()) +
               3);
-  append_list(out, cipher_suites);
-  out.push_back(',');
-  append_list(out, extensions);
-  out.push_back(',');
-  append_list(out, groups);
-  out.push_back(',');
-  bool first = true;
-  for (const auto f : ec_point_formats) {
-    if (!first) out.push_back('-');
-    out += std::to_string(f);
-    first = false;
-  }
+  append_canonical(out);
   return out;
 }
 
@@ -68,9 +81,9 @@ std::string ja3_string(const tls::wire::ClientHello& hello) {
   std::string out;
   out.reserve(8 + 6 * (fp.cipher_suites.size() + fp.extensions.size() +
                        fp.groups.size() + fp.ec_point_formats.size()));
-  out += std::to_string(hello.legacy_version);
+  append_decimal(out, hello.legacy_version);
   out.push_back(',');
-  out += fp.canonical();
+  fp.append_canonical(out);
   return out;
 }
 
@@ -79,26 +92,18 @@ std::string ja3_hash(const tls::wire::ClientHello& hello) {
 }
 
 std::string extended_fingerprint_string(const tls::wire::ClientHello& hello) {
-  std::string out = std::to_string(hello.legacy_version);
+  std::string out;
+  append_decimal(out, hello.legacy_version);
   out.push_back('|');
-  out += extract_fingerprint(hello).canonical();
+  extract_fingerprint(hello).append_canonical(out);
   out.push_back('|');
-  bool first = true;
-  for (const auto c : hello.compression_methods) {
-    if (!first) out.push_back('-');
-    out += std::to_string(c);
-    first = false;
-  }
+  append_list<std::uint8_t>(out, hello.compression_methods);
   out.push_back('|');
   const auto* sig = tls::wire::find_extension(
       hello.extensions, tls::core::ExtensionType::kSignatureAlgorithms);
   if (sig != nullptr) {
-    first = true;
-    for (const auto v : tls::wire::parse_signature_algorithms(sig->body)) {
-      if (!first) out.push_back('-');
-      out += std::to_string(v);
-      first = false;
-    }
+    append_list<std::uint16_t>(out,
+                               tls::wire::parse_signature_algorithms(sig->body));
   }
   return out;
 }

@@ -25,6 +25,10 @@ struct Fingerprint {
 
   /// Canonical text: "c1-c2-...,e1-e2-...,g1-...,f1-..." (decimal values).
   [[nodiscard]] std::string canonical() const;
+  /// Appends canonical() to `out`: the one writer of the canonical text,
+  /// shared by JA3, the extended fingerprint and the monitor's reused
+  /// buffer.
+  void append_canonical(std::string& out) const;
 
   /// MD5 of canonical(), lowercase hex — the database key.
   [[nodiscard]] std::string hash() const;

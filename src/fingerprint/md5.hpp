@@ -24,6 +24,9 @@ class Md5 {
   /// One-shot helpers.
   static std::array<std::uint8_t, 16> hash(std::span<const std::uint8_t> data);
   static std::string hex(std::string_view text);
+  /// hex() into an existing string, replacing its contents and keeping
+  /// its capacity.
+  static void hex_into(std::string_view text, std::string& out);
 
  private:
   void process_block(const std::uint8_t* block);

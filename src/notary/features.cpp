@@ -1,7 +1,5 @@
 #include "notary/features.hpp"
 
-#include <algorithm>
-
 #include "fingerprint/md5.hpp"
 #include "tlscore/grease.hpp"
 #include "wire/extension_codec.hpp"
@@ -32,6 +30,7 @@ void ClientHelloFeatures::reset() {
   fp.extensions.clear();
   fp.groups.clear();
   fp.ec_point_formats.clear();
+  fp_canonical.clear();
   fp_hash.clear();
   fp_flags = 0;
   label_cls.reset();
@@ -153,8 +152,9 @@ void build_client_features(const ClientHello& hello,
 
   if (ext_sv != nullptr) {
     try {
-      for (const auto v :
-           tls::wire::parse_supported_versions_client(ext_sv->body)) {
+      const auto raw = tls::wire::supported_versions_client_list(ext_sv->body);
+      for (std::size_t i = 0; i < raw.size(); i += 2) {
+        const std::uint16_t v = tls::wire::load_u16(raw.data() + i);
         if (is_grease_version(v)) continue;
         if (v == 0x0304 || (v & 0xff00) == 0x7f00 ||
             (v & 0xff00) == 0x7e00) {
@@ -170,15 +170,19 @@ void build_client_features(const ClientHello& hello,
   if (want_fingerprint) {
     try {
       if (ext_groups != nullptr) {
-        out.fp.groups = tls::wire::parse_supported_groups(ext_groups->body);
-        std::erase_if(out.fp.groups,
-                      [](std::uint16_t v) { return is_grease(v); });
+        const auto raw = tls::wire::supported_groups_list(ext_groups->body);
+        for (std::size_t i = 0; i < raw.size(); i += 2) {
+          const std::uint16_t g = tls::wire::load_u16(raw.data() + i);
+          if (!is_grease(g)) out.fp.groups.push_back(g);
+        }
       }
       if (ext_formats != nullptr) {
-        out.fp.ec_point_formats =
-            tls::wire::parse_ec_point_formats(ext_formats->body);
+        const auto formats =
+            tls::wire::ec_point_formats_list(ext_formats->body);
+        out.fp.ec_point_formats.assign(formats.begin(), formats.end());
       }
-      out.fp_hash = tls::fp::Md5::hex(out.fp.canonical());
+      out.fp.append_canonical(out.fp_canonical);
+      tls::fp::Md5::hex_into(out.fp_canonical, out.fp_hash);
       out.fingerprint_computed = true;
       if (out.adv_rc4) out.fp_flags |= kFpRc4;
       if (out.adv_des) out.fp_flags |= kFpDes;

@@ -55,6 +55,9 @@ struct ClientHelloFeatures {
   // requested" from "extraction failed" (the latter also records an error).
   bool fingerprint_computed = false;
   tls::fp::Fingerprint fp;
+  /// fp's canonical text; fp_hash is its MD5 hex. Both are rewritten in
+  /// place, so a reused instance hashes without allocating.
+  std::string fp_canonical;
   std::string fp_hash;
   std::uint8_t fp_flags = 0;
   std::optional<tls::fp::SoftwareClass> label_cls;

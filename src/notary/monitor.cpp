@@ -446,7 +446,7 @@ void PassiveMonitor::observe_wire(
 
   // ---- client side ----
   try {
-    scratch_hello_ = ClientHello::parse_record(client_record);
+    ClientHello::parse_record_into(client_record, scratch_hello_);
   } catch (const tls::wire::ParseError& e) {
     note_error(m, IngestStage::kClientHello, e.code(), client_record);
     quarantine_capture(m);
@@ -485,7 +485,7 @@ void PassiveMonitor::observe_wire(
     return;
   }
   try {
-    scratch_server_hello_ = ServerHello::parse_record(server_record);
+    ServerHello::parse_record_into(server_record, scratch_server_hello_);
   } catch (const tls::wire::ParseError& e) {
     note_error(m, IngestStage::kServerHello, e.code(), server_record);
     ++s.failures;
@@ -516,9 +516,9 @@ void PassiveMonitor::observe_wire(
     std::optional<std::uint16_t> ske_group;
     if (!sfeats.key_share_group && !server_key_exchange_record.empty()) {
       try {
-        ske_group = tls::wire::EcdheServerKeyExchange::parse_record(
-                        server_key_exchange_record)
-                        .named_curve;
+        tls::wire::EcdheServerKeyExchange::parse_record_into(
+            server_key_exchange_record, scratch_ske_);
+        ske_group = scratch_ske_.named_curve;
       } catch (const tls::wire::ParseError& e) {
         note_error(m, IngestStage::kServerKeyExchange, e.code(),
                    server_key_exchange_record);
@@ -554,9 +554,9 @@ void PassiveMonitor::observe_wire(
       s.count_group(*group);
     } else if (!server_key_exchange_record.empty()) {
       try {
-        const auto ske = tls::wire::EcdheServerKeyExchange::parse_record(
-            server_key_exchange_record);
-        s.count_group(ske.named_curve);
+        tls::wire::EcdheServerKeyExchange::parse_record_into(
+            server_key_exchange_record, scratch_ske_);
+        s.count_group(scratch_ske_.named_curve);
       } catch (const tls::wire::ParseError& e) {
         note_error(m, IngestStage::kServerKeyExchange, e.code(),
                    server_key_exchange_record);

@@ -26,6 +26,7 @@
 #include "tlscore/cipher_suites.hpp"
 #include "tlscore/dates.hpp"
 #include "wire/errors.hpp"
+#include "wire/server_key_exchange.hpp"
 
 namespace tls::faults {
 class FaultInjector;
@@ -430,9 +431,13 @@ class PassiveMonitor {
   tls::telemetry::Counter* tel_byte_ = nullptr;
   tls::telemetry::Counter* tel_sslv2_ = nullptr;
   // Reusable scratch for the per-connection hot path (a monitor is
-  // single-threaded; shard parallelism uses one monitor per shard).
+  // single-threaded; shard parallelism uses one monitor per shard). The
+  // records decode into these in place, so observe_wire allocates nothing
+  // once they have grown; each holds a valid message only after a parse
+  // that returned, never after one that threw.
   tls::wire::ClientHello scratch_hello_;
   tls::wire::ServerHello scratch_server_hello_;
+  tls::wire::EcdheServerKeyExchange scratch_ske_;
   ClientHelloFeatures scratch_features_;
   ServerHelloFeatures scratch_server_features_;
   std::vector<tls::wire::ParseErrorCode> scratch_errors_;

@@ -47,20 +47,17 @@ void Alert::serialize_record_into(std::uint16_t record_version,
 }
 
 Alert Alert::parse_record(std::span<const std::uint8_t> data) {
-  const Record rec = Record::parse(data);
-  if (rec.type != ContentType::kAlert) {
-    throw ParseError(ParseErrorCode::kBadValue, "not an alert record");
-  }
-  if (rec.fragment.size() != 2) {
+  const auto fragment = record_fragment_view(data, ContentType::kAlert);
+  if (fragment.size() != 2) {
     throw ParseError(ParseErrorCode::kBadLength, "alert body != 2 bytes");
   }
-  const auto level = rec.fragment[0];
+  const auto level = fragment[0];
   if (level != 1 && level != 2) {
     throw ParseError(ParseErrorCode::kBadValue, "alert level");
   }
   Alert a;
   a.level = static_cast<AlertLevel>(level);
-  a.description = static_cast<AlertDescription>(rec.fragment[1]);
+  a.description = static_cast<AlertDescription>(fragment[1]);
   return a;
 }
 

@@ -22,8 +22,7 @@ std::uint8_t ByteReader::u8() {
 
 std::uint16_t ByteReader::u16() {
   need(2);
-  const std::uint16_t v =
-      static_cast<std::uint16_t>(data_[pos_] << 8 | data_[pos_ + 1]);
+  const std::uint16_t v = load_u16(data_.data() + pos_);
   pos_ += 2;
   return v;
 }
@@ -77,18 +76,22 @@ std::span<const std::uint8_t> ByteReader::length_prefixed_u24() {
 }
 
 std::vector<std::uint16_t> ByteReader::u16_list_u16len() {
+  std::vector<std::uint16_t> out;
+  u16_list_u16len(out);
+  return out;
+}
+
+void ByteReader::u16_list_u16len(std::vector<std::uint16_t>& out) {
   const auto raw = length_prefixed_u16();
   if (raw.size() % 2 != 0) {
     throw ParseError(ParseErrorCode::kBadLength,
                      "u16 list has odd byte count " +
                          std::to_string(raw.size()));
   }
-  std::vector<std::uint16_t> out;
-  out.reserve(raw.size() / 2);
-  for (std::size_t i = 0; i < raw.size(); i += 2) {
-    out.push_back(static_cast<std::uint16_t>(raw[i] << 8 | raw[i + 1]));
+  out.resize(raw.size() / 2);
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    out[i] = load_u16(raw.data() + 2 * i);
   }
-  return out;
 }
 
 void ByteReader::expect_empty(const char* context) const {

@@ -13,6 +13,11 @@
 
 namespace tls::wire {
 
+/// The big-endian u16 at `p`.
+inline std::uint16_t load_u16(const std::uint8_t* p) {
+  return static_cast<std::uint16_t>(p[0] << 8 | p[1]);
+}
+
 class ByteReader {
  public:
   explicit ByteReader(std::span<const std::uint8_t> data) : data_(data) {}
@@ -39,6 +44,9 @@ class ByteReader {
   /// shape for cipher suites / groups / versions). Throws kBadLength when
   /// the byte count is odd.
   std::vector<std::uint16_t> u16_list_u16len();
+  /// u16_list_u16len into an existing vector, replacing its contents and
+  /// keeping its capacity.
+  void u16_list_u16len(std::vector<std::uint16_t>& out);
 
   /// Throws kTrailingBytes unless fully consumed.
   void expect_empty(const char* context) const;

@@ -6,6 +6,41 @@
 
 namespace tls::wire {
 
+namespace {
+
+/// Extension bodies dropped by a ClientHello decode, kept for the next
+/// longer one on this thread (see decode_extensions).
+thread_local std::vector<std::vector<std::uint8_t>> spare_bodies;
+
+/// The one ClientHello decoder: overwrites every field of `out`, keeping
+/// vector capacity. `out` is unspecified after a throw.
+void decode_body(std::span<const std::uint8_t> body, ClientHello& out) {
+  ByteReader r(body);
+  out.legacy_version = r.u16();
+  const auto rnd = r.bytes(32);
+  std::copy(rnd.begin(), rnd.end(), out.random.begin());
+  const auto sid = r.length_prefixed_u8();
+  out.session_id.assign(sid.begin(), sid.end());
+  r.u16_list_u16len(out.cipher_suites);
+  if (out.cipher_suites.empty()) {
+    throw ParseError(ParseErrorCode::kBadLength, "empty cipher suite list");
+  }
+  const auto comp = r.length_prefixed_u8();
+  out.compression_methods.assign(comp.begin(), comp.end());
+  if (out.compression_methods.empty()) {
+    throw ParseError(ParseErrorCode::kBadLength, "empty compression list");
+  }
+  std::span<const std::uint8_t> block;  // absent block: no extensions
+  if (!r.empty()) {
+    block = r.length_prefixed_u16();
+    r.expect_empty("client hello");
+  }
+  ByteReader exts(block);
+  decode_extensions(exts, out.extensions, spare_bodies);
+}
+
+}  // namespace
+
 bool ClientHello::has_extension(std::uint16_t type) const {
   return find_extension(extensions, type) != nullptr;
 }
@@ -90,33 +125,8 @@ std::vector<std::uint8_t> ClientHello::serialize_body() const {
 }
 
 ClientHello ClientHello::parse_body(std::span<const std::uint8_t> body) {
-  ByteReader r(body);
   ClientHello ch;
-  ch.legacy_version = r.u16();
-  const auto rnd = r.bytes(32);
-  std::copy(rnd.begin(), rnd.end(), ch.random.begin());
-  const auto sid = r.length_prefixed_u8();
-  ch.session_id.assign(sid.begin(), sid.end());
-  ch.cipher_suites = r.u16_list_u16len();
-  if (ch.cipher_suites.empty()) {
-    throw ParseError(ParseErrorCode::kBadLength, "empty cipher suite list");
-  }
-  const auto comp = r.length_prefixed_u8();
-  ch.compression_methods.assign(comp.begin(), comp.end());
-  if (ch.compression_methods.empty()) {
-    throw ParseError(ParseErrorCode::kBadLength, "empty compression list");
-  }
-  if (!r.empty()) {
-    ByteReader exts(r.length_prefixed_u16());
-    r.expect_empty("client hello");
-    while (!exts.empty()) {
-      Extension e;
-      e.type = exts.u16();
-      const auto b = exts.length_prefixed_u16();
-      e.body.assign(b.begin(), b.end());
-      ch.extensions.push_back(std::move(e));
-    }
-  }
+  decode_body(body, ch);
   return ch;
 }
 
@@ -149,7 +159,14 @@ void ClientHello::serialize_record_into(std::vector<std::uint8_t>& out) const {
 }
 
 ClientHello ClientHello::parse_record(std::span<const std::uint8_t> data) {
-  return parse_body(unwrap_handshake(data, HandshakeType::kClientHello));
+  ClientHello ch;
+  parse_record_into(data, ch);
+  return ch;
+}
+
+void ClientHello::parse_record_into(std::span<const std::uint8_t> data,
+                                    ClientHello& out) {
+  decode_body(handshake_body_view(data, HandshakeType::kClientHello), out);
 }
 
 }  // namespace tls::wire

@@ -70,6 +70,12 @@ struct ClientHello {
   /// body/fragment vectors, byte-identical output. `out` is replaced.
   void serialize_record_into(std::vector<std::uint8_t>& out) const;
   static ClientHello parse_record(std::span<const std::uint8_t> data);
+  /// parse_record into an existing hello, keeping the capacity of its
+  /// vectors and extension bodies, so decoding into one reused hello stops
+  /// allocating. Same checks and error codes as parse_record; `out` holds a
+  /// valid hello only after a call that returned, never after a throw.
+  static void parse_record_into(std::span<const std::uint8_t> data,
+                                ClientHello& out);
 
   friend bool operator==(const ClientHello&, const ClientHello&) = default;
 };

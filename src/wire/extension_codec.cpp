@@ -10,6 +10,14 @@ Extension ext(ExtensionType t, ByteWriter&& w) {
   return Extension{tls::core::wire_value(t), w.take()};
 }
 
+std::vector<std::uint16_t> u16s(std::span<const std::uint8_t> raw) {
+  std::vector<std::uint16_t> out(raw.size() / 2);
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    out[i] = load_u16(raw.data() + 2 * i);
+  }
+  return out;
+}
+
 }  // namespace
 
 Extension make_server_name(std::string_view host) {
@@ -163,21 +171,42 @@ std::string parse_server_name(std::span<const std::uint8_t> body) {
 
 std::vector<std::uint16_t> parse_supported_groups(
     std::span<const std::uint8_t> body) {
-  ByteReader r(body);
-  auto groups = r.u16_list_u16len();
-  r.expect_empty("supported_groups");
-  return groups;
+  return u16s(supported_groups_list(body));
 }
 
 std::vector<std::uint8_t> parse_ec_point_formats(
     std::span<const std::uint8_t> body) {
-  ByteReader r(body);
-  const auto formats = r.length_prefixed_u8();
-  r.expect_empty("ec_point_formats");
+  const auto formats = ec_point_formats_list(body);
   return {formats.begin(), formats.end()};
 }
 
 std::vector<std::uint16_t> parse_supported_versions_client(
+    std::span<const std::uint8_t> body) {
+  return u16s(supported_versions_client_list(body));
+}
+
+std::span<const std::uint8_t> supported_groups_list(
+    std::span<const std::uint8_t> body) {
+  ByteReader r(body);
+  const auto raw = r.length_prefixed_u16();
+  if (raw.size() % 2 != 0) {
+    throw ParseError(ParseErrorCode::kBadLength,
+                     "u16 list has odd byte count " +
+                         std::to_string(raw.size()));
+  }
+  r.expect_empty("supported_groups");
+  return raw;
+}
+
+std::span<const std::uint8_t> ec_point_formats_list(
+    std::span<const std::uint8_t> body) {
+  ByteReader r(body);
+  const auto formats = r.length_prefixed_u8();
+  r.expect_empty("ec_point_formats");
+  return formats;
+}
+
+std::span<const std::uint8_t> supported_versions_client_list(
     std::span<const std::uint8_t> body) {
   ByteReader r(body);
   const auto raw = r.length_prefixed_u8();
@@ -185,11 +214,7 @@ std::vector<std::uint16_t> parse_supported_versions_client(
   if (raw.size() % 2 != 0) {
     throw ParseError(ParseErrorCode::kBadLength, "odd supported_versions");
   }
-  std::vector<std::uint16_t> out;
-  for (std::size_t i = 0; i < raw.size(); i += 2) {
-    out.push_back(static_cast<std::uint16_t>(raw[i] << 8 | raw[i + 1]));
-  }
-  return out;
+  return raw;
 }
 
 std::uint16_t parse_supported_versions_server(
@@ -250,6 +275,31 @@ std::uint16_t parse_key_share_server_group(
   r.length_prefixed_u16();
   r.expect_empty("key_share(server)");
   return group;
+}
+
+void decode_extensions(ByteReader& list, std::vector<Extension>& out,
+                       std::vector<std::vector<std::uint8_t>>& spare) {
+  std::size_t n = 0;
+  while (!list.empty()) {
+    const auto type = list.u16();
+    const auto body = list.length_prefixed_u16();
+    if (n == out.size()) {
+      out.emplace_back();
+      if (!spare.empty()) {
+        out.back().body = std::move(spare.back());
+        spare.pop_back();
+      }
+    }
+    Extension& e = out[n++];
+    e.type = type;
+    e.body.assign(body.begin(), body.end());
+  }
+  // Park the dropped slots' bodies last slot first, so the first dropped
+  // slot's buffer is on top when the list grows back.
+  for (std::size_t i = out.size(); i > n; --i) {
+    spare.push_back(std::move(out[i - 1].body));
+  }
+  out.resize(n);
 }
 
 const Extension* find_extension(std::span<const Extension> exts,

@@ -70,6 +70,26 @@ std::vector<std::uint16_t> parse_key_share_client_groups(
     std::span<const std::uint8_t> body);
 std::uint16_t parse_key_share_server_group(std::span<const std::uint8_t> body);
 
+// ---- in-place parsers: the validated list inside a body, as a span into
+//      it. Each runs the checks of the parser above that wraps it, in the
+//      same order; u16 lists have even length (read them with load_u16).
+
+std::span<const std::uint8_t> supported_groups_list(
+    std::span<const std::uint8_t> body);
+std::span<const std::uint8_t> ec_point_formats_list(
+    std::span<const std::uint8_t> body);
+std::span<const std::uint8_t> supported_versions_client_list(
+    std::span<const std::uint8_t> body);
+
+/// Decodes the contents of an extensions block, (type, u16-length body)*,
+/// into `out`, replacing its contents. Slot i reuses out[i]'s body buffer.
+/// The bodies of slots a shorter list drops are parked in `spare`, and a
+/// later, longer list takes them back for the same slots, so a hello
+/// decoded over and over stops allocating once every slot has held its
+/// largest body. `out` is unspecified after a throw.
+void decode_extensions(ByteReader& list, std::vector<Extension>& out,
+                       std::vector<std::vector<std::uint8_t>>& spare);
+
 /// Finds the first extension of `type`; nullptr when absent.
 const Extension* find_extension(std::span<const Extension> exts,
                                 std::uint16_t type);

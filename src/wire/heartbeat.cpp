@@ -20,11 +20,7 @@ std::vector<std::uint8_t> HeartbeatMessage::serialize_record(
 
 HeartbeatMessage HeartbeatMessage::parse_record(
     std::span<const std::uint8_t> data) {
-  const Record rec = Record::parse(data);
-  if (rec.type != ContentType::kHeartbeat) {
-    throw ParseError(ParseErrorCode::kBadValue, "not a heartbeat record");
-  }
-  ByteReader r(rec.fragment);
+  ByteReader r(record_fragment_view(data, ContentType::kHeartbeat));
   HeartbeatMessage m;
   const auto type = r.u8();
   if (type != 1 && type != 2) {

@@ -2,6 +2,54 @@
 
 namespace tls::wire {
 
+namespace {
+
+struct RecordView {
+  ContentType type;
+  std::uint16_t legacy_version;
+  std::span<const std::uint8_t> fragment;
+};
+
+/// Reads one record from the front of `r`: the checks every record parser
+/// runs, with the fragment left in place.
+RecordView read_record(ByteReader& r) {
+  const auto type = r.u8();
+  switch (type) {
+    case 20: case 21: case 22: case 23: case 24:
+      break;
+    default:
+      throw ParseError(ParseErrorCode::kBadValue,
+                       "unknown content type " + std::to_string(type));
+  }
+  const auto legacy_version = r.u16();
+  return {static_cast<ContentType>(type), legacy_version,
+          r.length_prefixed_u16()};
+}
+
+void expect_whole_record(std::size_t consumed, std::size_t size) {
+  if (consumed != size) {
+    throw ParseError(ParseErrorCode::kTrailingBytes,
+                     "record followed by " + std::to_string(size - consumed) +
+                         " bytes");
+  }
+}
+
+struct HandshakeView {
+  HandshakeType type;
+  std::span<const std::uint8_t> body;
+};
+
+/// Reads a record fragment holding exactly one handshake message.
+HandshakeView read_handshake(std::span<const std::uint8_t> fragment) {
+  ByteReader r(fragment);
+  const auto type = static_cast<HandshakeType>(r.u8());
+  const auto body = r.length_prefixed_u24();
+  r.expect_empty("handshake message");
+  return {type, body};
+}
+
+}  // namespace
+
 std::vector<std::uint8_t> Record::serialize() const {
   ByteWriter w;
   w.u8(static_cast<std::uint8_t>(type));
@@ -17,30 +65,18 @@ std::vector<std::uint8_t> Record::serialize() const {
 Record Record::parse(std::span<const std::uint8_t> data) {
   std::size_t consumed = 0;
   Record r = parse_prefix(data, &consumed);
-  if (consumed != data.size()) {
-    throw ParseError(ParseErrorCode::kTrailingBytes,
-                     "record followed by " +
-                         std::to_string(data.size() - consumed) + " bytes");
-  }
+  expect_whole_record(consumed, data.size());
   return r;
 }
 
 Record Record::parse_prefix(std::span<const std::uint8_t> data,
                             std::size_t* consumed) {
   ByteReader r(data);
+  const RecordView view = read_record(r);
   Record rec;
-  const auto type = r.u8();
-  switch (type) {
-    case 20: case 21: case 22: case 23: case 24:
-      rec.type = static_cast<ContentType>(type);
-      break;
-    default:
-      throw ParseError(ParseErrorCode::kBadValue,
-                       "unknown content type " + std::to_string(type));
-  }
-  rec.legacy_version = r.u16();
-  const auto frag = r.length_prefixed_u16();
-  rec.fragment.assign(frag.begin(), frag.end());
+  rec.type = view.type;
+  rec.legacy_version = view.legacy_version;
+  rec.fragment.assign(view.fragment.begin(), view.fragment.end());
   if (consumed != nullptr) *consumed = r.position();
   return rec;
 }
@@ -54,12 +90,10 @@ std::vector<std::uint8_t> HandshakeMessage::serialize() const {
 }
 
 HandshakeMessage HandshakeMessage::parse(std::span<const std::uint8_t> data) {
-  ByteReader r(data);
+  const HandshakeView view = read_handshake(data);
   HandshakeMessage m;
-  m.type = static_cast<HandshakeType>(r.u8());
-  const auto body = r.length_prefixed_u24();
-  m.body.assign(body.begin(), body.end());
-  r.expect_empty("handshake message");
+  m.type = view.type;
+  m.body.assign(view.body.begin(), view.body.end());
   return m;
 }
 
@@ -76,17 +110,35 @@ std::vector<std::uint8_t> wrap_handshake(HandshakeType type,
   return rec.serialize();
 }
 
-std::vector<std::uint8_t> unwrap_handshake(std::span<const std::uint8_t> data,
-                                           HandshakeType expected) {
-  const Record rec = Record::parse(data);
-  if (rec.type != ContentType::kHandshake) {
-    throw ParseError(ParseErrorCode::kBadValue, "not a handshake record");
+std::span<const std::uint8_t> record_fragment_view(
+    std::span<const std::uint8_t> data, ContentType expected) {
+  ByteReader r(data);
+  const RecordView view = read_record(r);
+  expect_whole_record(r.position(), data.size());
+  if (view.type != expected) {
+    throw ParseError(ParseErrorCode::kBadValue,
+                     "record content type " +
+                         std::to_string(static_cast<int>(view.type)) +
+                         ", expected " +
+                         std::to_string(static_cast<int>(expected)));
   }
-  HandshakeMessage m = HandshakeMessage::parse(rec.fragment);
-  if (m.type != expected) {
+  return view.fragment;
+}
+
+std::span<const std::uint8_t> handshake_body_view(
+    std::span<const std::uint8_t> data, HandshakeType expected) {
+  const HandshakeView view =
+      read_handshake(record_fragment_view(data, ContentType::kHandshake));
+  if (view.type != expected) {
     throw ParseError(ParseErrorCode::kBadValue, "unexpected handshake type");
   }
-  return std::move(m.body);
+  return view.body;
+}
+
+std::vector<std::uint8_t> unwrap_handshake(std::span<const std::uint8_t> data,
+                                           HandshakeType expected) {
+  const auto body = handshake_body_view(data, expected);
+  return {body.begin(), body.end()};
 }
 
 }  // namespace tls::wire

@@ -59,7 +59,21 @@ std::vector<std::uint8_t> wrap_handshake(HandshakeType type,
                                          std::span<const std::uint8_t> body,
                                          std::uint16_t record_version);
 
-/// Unwraps record + handshake framing; checks the handshake type matches.
+/// Checks that `data` is exactly one record of content type `expected` and
+/// returns its fragment as a span into `data` (no copy). Throws the codes
+/// Record::parse throws, in the same order, then kBadValue on a type
+/// mismatch.
+std::span<const std::uint8_t> record_fragment_view(
+    std::span<const std::uint8_t> data, ContentType expected);
+
+/// Unwraps record + handshake framing without copying: the handshake body
+/// as a span into `data`. Runs the checks of Record::parse, the handshake
+/// content-type check, HandshakeMessage::parse and the handshake-type check,
+/// in that order, with their error codes.
+std::span<const std::uint8_t> handshake_body_view(
+    std::span<const std::uint8_t> data, HandshakeType expected);
+
+/// handshake_body_view, copied out.
 std::vector<std::uint8_t> unwrap_handshake(std::span<const std::uint8_t> data,
                                            HandshakeType expected);
 

@@ -6,6 +6,34 @@
 
 namespace tls::wire {
 
+namespace {
+
+/// Extension bodies dropped by a ServerHello decode, kept for the next
+/// longer one on this thread (see decode_extensions).
+thread_local std::vector<std::vector<std::uint8_t>> spare_bodies;
+
+/// The one ServerHello decoder: overwrites every field of `out`, keeping
+/// vector capacity. `out` is unspecified after a throw.
+void decode_body(std::span<const std::uint8_t> body, ServerHello& out) {
+  ByteReader r(body);
+  out.legacy_version = r.u16();
+  const auto rnd = r.bytes(32);
+  std::copy(rnd.begin(), rnd.end(), out.random.begin());
+  const auto sid = r.length_prefixed_u8();
+  out.session_id.assign(sid.begin(), sid.end());
+  out.cipher_suite = r.u16();
+  out.compression_method = r.u8();
+  std::span<const std::uint8_t> block;  // absent block: no extensions
+  if (!r.empty()) {
+    block = r.length_prefixed_u16();
+    r.expect_empty("server hello");
+  }
+  ByteReader exts(block);
+  decode_extensions(exts, out.extensions, spare_bodies);
+}
+
+}  // namespace
+
 bool ServerHello::has_extension(std::uint16_t type) const {
   return find_extension(extensions, type) != nullptr;
 }
@@ -55,26 +83,8 @@ std::vector<std::uint8_t> ServerHello::serialize_body() const {
 }
 
 ServerHello ServerHello::parse_body(std::span<const std::uint8_t> body) {
-  ByteReader r(body);
   ServerHello sh;
-  sh.legacy_version = r.u16();
-  const auto rnd = r.bytes(32);
-  std::copy(rnd.begin(), rnd.end(), sh.random.begin());
-  const auto sid = r.length_prefixed_u8();
-  sh.session_id.assign(sid.begin(), sid.end());
-  sh.cipher_suite = r.u16();
-  sh.compression_method = r.u8();
-  if (!r.empty()) {
-    ByteReader exts(r.length_prefixed_u16());
-    r.expect_empty("server hello");
-    while (!exts.empty()) {
-      Extension e;
-      e.type = exts.u16();
-      const auto b = exts.length_prefixed_u16();
-      e.body.assign(b.begin(), b.end());
-      sh.extensions.push_back(std::move(e));
-    }
-  }
+  decode_body(body, sh);
   return sh;
 }
 
@@ -105,7 +115,14 @@ void ServerHello::serialize_record_into(std::vector<std::uint8_t>& out) const {
 }
 
 ServerHello ServerHello::parse_record(std::span<const std::uint8_t> data) {
-  return parse_body(unwrap_handshake(data, HandshakeType::kServerHello));
+  ServerHello sh;
+  parse_record_into(data, sh);
+  return sh;
+}
+
+void ServerHello::parse_record_into(std::span<const std::uint8_t> data,
+                                    ServerHello& out) {
+  decode_body(handshake_body_view(data, HandshakeType::kServerHello), out);
 }
 
 }  // namespace tls::wire

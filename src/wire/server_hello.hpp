@@ -40,6 +40,11 @@ struct ServerHello {
   /// body/fragment vectors, byte-identical output. `out` is replaced.
   void serialize_record_into(std::vector<std::uint8_t>& out) const;
   static ServerHello parse_record(std::span<const std::uint8_t> data);
+  /// parse_record into an existing hello, keeping the capacity of its
+  /// vectors and extension bodies. Same checks and error codes as
+  /// parse_record; `out` is unspecified after a throw.
+  static void parse_record_into(std::span<const std::uint8_t> data,
+                                ServerHello& out);
 
   friend bool operator==(const ServerHello&, const ServerHello&) = default;
 };

@@ -2,6 +2,29 @@
 
 namespace tls::wire {
 
+namespace {
+
+/// The one SKE decoder: overwrites every field of `out`, keeping vector
+/// capacity. `out` is unspecified after a throw.
+void decode_body(std::span<const std::uint8_t> body,
+                 EcdheServerKeyExchange& out) {
+  ByteReader r(body);
+  const auto curve_type = r.u8();
+  if (curve_type != 3) {
+    throw ParseError(ParseErrorCode::kUnsupported,
+                     "only named_curve ECDHE is supported");
+  }
+  out.named_curve = r.u16();
+  const auto point = r.length_prefixed_u8();
+  out.public_point.assign(point.begin(), point.end());
+  r.u16();  // signature algorithm
+  const auto sig = r.length_prefixed_u16();
+  out.signature.assign(sig.begin(), sig.end());
+  r.expect_empty("server key exchange");
+}
+
+}  // namespace
+
 std::vector<std::uint8_t> EcdheServerKeyExchange::serialize_body() const {
   ByteWriter w;
   w.u8(3);  // curve_type: named_curve
@@ -16,20 +39,8 @@ std::vector<std::uint8_t> EcdheServerKeyExchange::serialize_body() const {
 
 EcdheServerKeyExchange EcdheServerKeyExchange::parse_body(
     std::span<const std::uint8_t> body) {
-  ByteReader r(body);
-  const auto curve_type = r.u8();
-  if (curve_type != 3) {
-    throw ParseError(ParseErrorCode::kUnsupported,
-                     "only named_curve ECDHE is supported");
-  }
   EcdheServerKeyExchange ske;
-  ske.named_curve = r.u16();
-  const auto point = r.length_prefixed_u8();
-  ske.public_point.assign(point.begin(), point.end());
-  r.u16();  // signature algorithm
-  const auto sig = r.length_prefixed_u16();
-  ske.signature.assign(sig.begin(), sig.end());
-  r.expect_empty("server key exchange");
+  decode_body(body, ske);
   return ske;
 }
 
@@ -63,7 +74,15 @@ void EcdheServerKeyExchange::serialize_record_into(
 
 EcdheServerKeyExchange EcdheServerKeyExchange::parse_record(
     std::span<const std::uint8_t> data) {
-  return parse_body(unwrap_handshake(data, HandshakeType::kServerKeyExchange));
+  EcdheServerKeyExchange ske;
+  parse_record_into(data, ske);
+  return ske;
+}
+
+void EcdheServerKeyExchange::parse_record_into(
+    std::span<const std::uint8_t> data, EcdheServerKeyExchange& out) {
+  decode_body(handshake_body_view(data, HandshakeType::kServerKeyExchange),
+              out);
 }
 
 EcdheServerKeyExchange EcdheServerKeyExchange::stub(std::uint16_t curve) {

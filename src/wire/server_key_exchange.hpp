@@ -27,6 +27,10 @@ struct EcdheServerKeyExchange {
                              std::vector<std::uint8_t>& out) const;
   static EcdheServerKeyExchange parse_record(
       std::span<const std::uint8_t> data);
+  /// parse_record into an existing message, keeping its vector capacity;
+  /// `out` is unspecified after a throw.
+  static void parse_record_into(std::span<const std::uint8_t> data,
+                                EcdheServerKeyExchange& out);
 
   /// Stub message for `curve` with deterministic filler key material.
   static EcdheServerKeyExchange stub(std::uint16_t curve);

@@ -1,9 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 
+#include "clients/catalog.hpp"
 #include "fingerprint/fingerprint.hpp"
 #include "fingerprint/md5.hpp"
+#include "notary/features.hpp"
 #include "tlscore/grease.hpp"
 
 namespace tls::fp {
@@ -30,27 +33,6 @@ TEST(Fingerprint, HashIsMd5OfCanonical) {
   const auto fp = extract_fingerprint(base_hello());
   EXPECT_EQ(fp.hash(), Md5::hex(fp.canonical()));
   EXPECT_EQ(fp.hash().size(), 32u);
-}
-
-// RFC 1321 §3.1-3.2 padding audit, pinned to digests computed with an
-// independent MD5 implementation (GNU coreutils md5sum). 55/56/57 bytes
-// straddle the is-there-room-for-the-length boundary (len % 64 == 56 forces
-// a second padding block); 63/64/65 straddle the block boundary itself; the
-// 200-byte and repeated-"abc" cases cover multi-block compression.
-TEST(Fingerprint, Md5PaddingBoundariesMatchIndependentOracle) {
-  const auto hex_of_xs = [](std::size_t n) {
-    return Md5::hex(std::string(n, 'x'));
-  };
-  EXPECT_EQ(hex_of_xs(55), "04364420e25c512fd958a70738aa8f72");
-  EXPECT_EQ(hex_of_xs(56), "668a72d5ba17f08e62dabcafad6db14b");
-  EXPECT_EQ(hex_of_xs(57), "693037871c4a9d3d8685018905cb530a");
-  EXPECT_EQ(hex_of_xs(63), "7dc2ca208106a2f703567bdff99d8981");
-  EXPECT_EQ(hex_of_xs(64), "c1bb4f81d892b2d57947682aeb252456");
-  EXPECT_EQ(hex_of_xs(65), "1bc932052302d074bdec39795fe00cf6");
-  EXPECT_EQ(hex_of_xs(200), "30a83621ce5422fbdfdd539777458c78");
-  std::string abc;
-  for (int i = 0; i < 100; ++i) abc += "abc";
-  EXPECT_EQ(Md5::hex(abc), "f571117acbd8153c8dc3c81b8817773a");
 }
 
 TEST(Fingerprint, FieldOrderPreserved) {
@@ -136,6 +118,40 @@ TEST(Ja3, VersionChangesHash) {
   // ...but the paper's fingerprint (no version field) is unchanged.
   EXPECT_EQ(extract_fingerprint(hello).hash(),
             extract_fingerprint(base_hello()).hash());
+}
+
+// The monitor's one-pass fingerprint (build_client_features over a hello
+// decoded into reused scratch) must equal the reference extraction for
+// every hello the standard catalog emits, GREASE included.
+TEST(Fingerprint, OnePassFeaturesMatchReferenceExtraction) {
+  const auto catalog = tls::clients::Catalog::standard();
+  tls::core::Rng rng(4);
+  tls::wire::ClientHello scratch;
+  tls::notary::ClientHelloFeatures features;
+  std::vector<tls::wire::ParseErrorCode> errors;
+  std::size_t greased = 0;
+  for (const auto& p : catalog.profiles()) {
+    for (const auto& cfg : p.versions) {
+      const auto hello = tls::clients::make_client_hello(cfg, rng, "fp.test");
+      tls::wire::ClientHello::parse_record_into(hello.serialize_record(),
+                                                scratch);
+      tls::notary::build_client_features(scratch, nullptr,
+                                         /*want_fingerprint=*/true, features,
+                                         errors);
+      ASSERT_TRUE(errors.empty()) << p.name << " " << cfg.version_label;
+      ASSERT_TRUE(features.fingerprint_computed);
+      const auto want = extract_fingerprint(hello);
+      EXPECT_TRUE(features.fp == want) << p.name << " " << cfg.version_label;
+      EXPECT_EQ(features.fp_hash, want.hash())
+          << p.name << " " << cfg.version_label;
+      greased += std::any_of(hello.cipher_suites.begin(),
+                             hello.cipher_suites.end(),
+                             [](std::uint16_t v) {
+                               return tls::core::is_grease(v);
+                             });
+    }
+  }
+  EXPECT_GT(greased, 0u);
 }
 
 }  // namespace

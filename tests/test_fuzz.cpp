@@ -5,8 +5,10 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <optional>
 #include <span>
 #include <string>
+#include <variant>
 
 #include "clients/catalog.hpp"
 #include "core/checkpoint.hpp"
@@ -306,6 +308,204 @@ TEST(Fuzz, AlertAndSkeGarbage) {
           tls::wire::EcdheServerKeyExchange::parse_record(b);
         },
         "garbage ske");
+  }
+}
+
+// ---- parse into a reused hello (the monitor's scratch) ----
+
+/// ClientHello records from the catalog: every 8th hand-written profile's
+/// newest config, and Chrome 2018 for GREASE.
+std::vector<Bytes> catalog_client_hello_records() {
+  const auto catalog = tls::clients::Catalog::core_only();
+  tls::core::Rng rng(56);
+  std::vector<Bytes> out{sample_client_hello_bytes()};
+  const auto& profiles = catalog.profiles();
+  for (std::size_t i = 0; i < profiles.size(); i += 8) {
+    out.push_back(tls::clients::make_client_hello(profiles[i].versions.back(),
+                                                  rng, "scratch.test")
+                      .serialize_record());
+  }
+  return out;
+}
+
+std::vector<Bytes> sample_server_hello_records() {
+  std::vector<Bytes> out;
+  tls::wire::ServerHello tls13;
+  tls13.cipher_suite = 0x1301;
+  tls13.session_id.assign(32, 0x5a);
+  tls13.extensions.push_back(tls::wire::make_supported_versions_server(0x0304));
+  tls13.extensions.push_back(tls::wire::make_key_share_server(29));
+  out.push_back(tls13.serialize_record());
+  tls::wire::ServerHello tls12;
+  tls12.cipher_suite = 0xc02f;
+  tls12.extensions.push_back(tls::wire::make_renegotiation_info());
+  tls12.extensions.push_back(tls::wire::make_extended_master_secret());
+  tls12.extensions.push_back(tls::wire::make_heartbeat(1));
+  tls12.extensions.push_back(tls::wire::make_ec_point_formats(
+      std::vector<std::uint8_t>{0}));
+  out.push_back(tls12.serialize_record());
+  tls::wire::ServerHello bare;
+  bare.legacy_version = 0x0300;
+  bare.cipher_suite = 0x0005;
+  out.push_back(bare.serialize_record());
+  return out;
+}
+
+/// `hello` with a full session_id and eight more extensions, all with
+/// bodies: a scratch that held it has more, and longer, slots than any
+/// sample needs.
+template <typename Hello>
+Bytes longer_record(Hello hello) {
+  hello.session_id.assign(32, 0xee);
+  for (int i = 0; i < 8; ++i) {
+    hello.extensions.push_back(tls::wire::make_padding(24 + 8 * i));
+  }
+  return hello.serialize_record();
+}
+
+/// Parses `data` into `scratch` right after `scratch` held the longer
+/// record: the result must equal a fresh parse, or throw the code a fresh
+/// parse throws; after a throw, a valid parse into the same scratch must
+/// equal its fresh parse too.
+template <typename Hello>
+void expect_reused_parse_matches_fresh(const Bytes& data, const Bytes& longer,
+                                       const Bytes& valid, Hello& scratch,
+                                       const std::string& what) {
+  std::optional<Hello> fresh;
+  std::optional<tls::wire::ParseErrorCode> fresh_code;
+  try {
+    fresh = Hello::parse_record(data);
+  } catch (const tls::wire::ParseError& e) {
+    fresh_code = e.code();
+  }
+  Hello::parse_record_into(longer, scratch);
+  try {
+    Hello::parse_record_into(data, scratch);
+    ASSERT_TRUE(fresh.has_value()) << what << ": only the reused parse passed";
+    EXPECT_TRUE(scratch == *fresh) << what;
+  } catch (const tls::wire::ParseError& e) {
+    ASSERT_TRUE(fresh_code.has_value()) << what << ": only the reused threw";
+    EXPECT_EQ(*fresh_code, e.code()) << what;
+    Hello::parse_record_into(valid, scratch);
+    EXPECT_TRUE(scratch == Hello::parse_record(valid)) << what
+                                                       << " (after a throw)";
+  }
+}
+
+template <typename Hello>
+void fuzz_reused_parse(const std::vector<Bytes>& records, const Bytes& longer,
+                       tls::core::Rng& rng) {
+  Hello scratch;
+  for (std::size_t r = 0; r < records.size(); ++r) {
+    const Bytes& rec = records[r];
+    const std::string what = "record " + std::to_string(r);
+    for (std::size_t cut = 0; cut < rec.size(); ++cut) {
+      expect_reused_parse_matches_fresh(
+          Bytes(rec.begin(), rec.begin() + static_cast<std::ptrdiff_t>(cut)),
+          longer, rec, scratch, what + " cut at " + std::to_string(cut));
+    }
+    for (int trial = 0; trial < 300; ++trial) {
+      Bytes mutated = rec;
+      const int flips = 1 + static_cast<int>(rng.below(4));
+      for (int i = 0; i < flips; ++i) {
+        mutated[rng.below(mutated.size())] =
+            static_cast<std::uint8_t>(rng.next());
+      }
+      expect_reused_parse_matches_fresh(
+          mutated, longer, rec, scratch,
+          what + " mutation " + std::to_string(trial));
+    }
+  }
+}
+
+/// The copying chain handshake_body_view replaced: the body, or the code.
+std::variant<Bytes, tls::wire::ParseErrorCode> copy_chain_unwrap(
+    const Bytes& data, tls::wire::HandshakeType expected) {
+  using tls::wire::ParseError;
+  using tls::wire::ParseErrorCode;
+  try {
+    const auto rec = tls::wire::Record::parse(data);
+    if (rec.type != tls::wire::ContentType::kHandshake) {
+      throw ParseError(ParseErrorCode::kBadValue, "not a handshake record");
+    }
+    auto m = tls::wire::HandshakeMessage::parse(rec.fragment);
+    if (m.type != expected) {
+      throw ParseError(ParseErrorCode::kBadValue, "unexpected handshake type");
+    }
+    return std::move(m.body);
+  } catch (const ParseError& e) {
+    return e.code();
+  }
+}
+
+/// Record-layer garbage that gets past the first checks often: a plausible
+/// content type, handshake type and length fields that are right, or off by
+/// a little, and sometimes a truncation.
+Bytes record_layer_garbage(tls::core::Rng& rng) {
+  const auto pick = [&](std::uint64_t n) { return rng.below(n); };
+  Bytes body(pick(40));
+  for (auto& b : body) b = static_cast<std::uint8_t>(rng.next());
+  static constexpr std::uint8_t kHandshakeTypes[] = {1, 2, 12, 11};
+  Bytes fragment;
+  fragment.push_back(pick(4) == 0 ? static_cast<std::uint8_t>(rng.next())
+                                  : kHandshakeTypes[pick(4)]);
+  const std::size_t hs_len = body.size() + (pick(4) == 0 ? pick(5) : 0) -
+                             (pick(4) == 0 ? std::min<std::size_t>(
+                                                 pick(5), body.size())
+                                           : 0);
+  fragment.push_back(static_cast<std::uint8_t>(hs_len >> 16));
+  fragment.push_back(static_cast<std::uint8_t>(hs_len >> 8));
+  fragment.push_back(static_cast<std::uint8_t>(hs_len));
+  fragment.insert(fragment.end(), body.begin(), body.end());
+  Bytes out;
+  out.push_back(pick(4) == 0 ? static_cast<std::uint8_t>(rng.next())
+                             : static_cast<std::uint8_t>(20 + pick(5)));
+  out.push_back(3);
+  out.push_back(static_cast<std::uint8_t>(pick(4)));
+  const std::size_t frag_len = fragment.size() + (pick(4) == 0 ? pick(5) : 0);
+  out.push_back(static_cast<std::uint8_t>(frag_len >> 8));
+  out.push_back(static_cast<std::uint8_t>(frag_len));
+  out.insert(out.end(), fragment.begin(), fragment.end());
+  if (pick(4) == 0) out.push_back(static_cast<std::uint8_t>(rng.next()));
+  if (pick(4) == 0) out.resize(pick(out.size() + 1));
+  return out;
+}
+
+TEST(Fuzz, ParseIntoReusedScratchMatchesFreshParse) {
+  tls::core::Rng rng(0x5c7a7c4);
+  const auto clients = catalog_client_hello_records();
+  std::size_t most = 0;
+  for (std::size_t i = 1; i < clients.size(); ++i) {
+    if (clients[i].size() > clients[most].size()) most = i;
+  }
+  fuzz_reused_parse<tls::wire::ClientHello>(
+      clients,
+      longer_record(tls::wire::ClientHello::parse_record(clients[most])), rng);
+  const auto servers = sample_server_hello_records();
+  fuzz_reused_parse<tls::wire::ServerHello>(
+      servers, longer_record(tls::wire::ServerHello::parse_record(servers[0])),
+      rng);
+
+  // handshake_body_view against the copying Record::parse ->
+  // HandshakeMessage::parse chain: the same body or the same code.
+  for (int trial = 0; trial < 20000; ++trial) {
+    const Bytes data = record_layer_garbage(rng);
+    for (const auto type : {tls::wire::HandshakeType::kClientHello,
+                            tls::wire::HandshakeType::kServerHello,
+                            tls::wire::HandshakeType::kServerKeyExchange}) {
+      const auto want = copy_chain_unwrap(data, type);
+      try {
+        const auto body = tls::wire::handshake_body_view(data, type);
+        ASSERT_TRUE(std::holds_alternative<Bytes>(want)) << "trial " << trial;
+        EXPECT_EQ(Bytes(body.begin(), body.end()), std::get<Bytes>(want))
+            << "trial " << trial;
+      } catch (const tls::wire::ParseError& e) {
+        ASSERT_TRUE(std::holds_alternative<tls::wire::ParseErrorCode>(want))
+            << "trial " << trial;
+        EXPECT_EQ(e.code(), std::get<tls::wire::ParseErrorCode>(want))
+            << "trial " << trial;
+      }
+    }
   }
 }
 
