@@ -35,6 +35,27 @@ TEST(Fingerprint, HashIsMd5OfCanonical) {
   EXPECT_EQ(fp.hash().size(), 32u);
 }
 
+// RFC 1321 §3.1-3.2 padding audit, pinned to digests computed with an
+// independent MD5 implementation (GNU coreutils md5sum). 55/56/57 bytes
+// straddle the is-there-room-for-the-length boundary (len % 64 == 56 forces
+// a second padding block); 63/64/65 straddle the block boundary itself; the
+// 200-byte and repeated-"abc" cases cover multi-block compression.
+TEST(Fingerprint, Md5PaddingBoundariesMatchIndependentOracle) {
+  const auto hex_of_xs = [](std::size_t n) {
+    return Md5::hex(std::string(n, 'x'));
+  };
+  EXPECT_EQ(hex_of_xs(55), "04364420e25c512fd958a70738aa8f72");
+  EXPECT_EQ(hex_of_xs(56), "668a72d5ba17f08e62dabcafad6db14b");
+  EXPECT_EQ(hex_of_xs(57), "693037871c4a9d3d8685018905cb530a");
+  EXPECT_EQ(hex_of_xs(63), "7dc2ca208106a2f703567bdff99d8981");
+  EXPECT_EQ(hex_of_xs(64), "c1bb4f81d892b2d57947682aeb252456");
+  EXPECT_EQ(hex_of_xs(65), "1bc932052302d074bdec39795fe00cf6");
+  EXPECT_EQ(hex_of_xs(200), "30a83621ce5422fbdfdd539777458c78");
+  std::string abc;
+  for (int i = 0; i < 100; ++i) abc += "abc";
+  EXPECT_EQ(Md5::hex(abc), "f571117acbd8153c8dc3c81b8817773a");
+}
+
 TEST(Fingerprint, FieldOrderPreserved) {
   auto hello = base_hello();
   std::swap(hello.cipher_suites[0], hello.cipher_suites[2]);

@@ -86,9 +86,15 @@ TEST(FlightRing, TinyCapacityIsClampedAndUsable) {
 TEST(FlightRing, ConcurrentSnapshotNeverTears) {
   FlightRing ring(64);
   std::atomic<bool> stop{false};
+  std::atomic<bool> reader_running{false};
   constexpr std::uint64_t kWrites = 200'000;
 
+  // The writer waits for the reader, so a loaded machine that schedules
+  // the main thread late cannot let all writes finish before any snapshot.
   std::thread writer([&] {
+    while (!reader_running.load(std::memory_order_acquire)) {
+      std::this_thread::yield();
+    }
     for (std::uint64_t i = 0; i < kWrites; ++i) {
       ring.record(FlightEventKind::kAdmit,
                   static_cast<std::uint32_t>(i & 0xffffffffu), i * 7, i + 1);
@@ -106,7 +112,8 @@ TEST(FlightRing, ConcurrentSnapshotNeverTears) {
     ++counter;
     if (first_failure.empty()) first_failure = what;
   };
-  while (!stop.load(std::memory_order_acquire)) {
+  reader_running.store(true, std::memory_order_release);
+  do {
     const auto events = ring.snapshot(0);
     ++snapshots;
     for (const auto& e : events) {
@@ -132,7 +139,7 @@ TEST(FlightRing, ConcurrentSnapshotNeverTears) {
       }
       last_max_seq = events.back().seq + 1;
     }
-  }
+  } while (!stop.load(std::memory_order_acquire));
   writer.join();
   EXPECT_EQ(torn, 0u) << first_failure;
   EXPECT_EQ(gaps, 0u) << first_failure;
