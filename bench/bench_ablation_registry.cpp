@@ -1,83 +1,27 @@
 // Ablation (DESIGN.md decision 1): registry-attribute classification vs
-// name-string matching. The registry path is both faster and immune to
-// naming irregularities (e.g. "DES" as a substring of "3DES_EDE").
-#include <benchmark/benchmark.h>
-
+// name-string matching, on forward secrecy. The obvious name heuristic
+// ("DHE appears in the name") gets TLS 1.3 suites (no key exchange in the
+// name) and anonymous ephemeral DH wrong; attribute-derived classification
+// doesn't. Prints how many registered suites the heuristic misclassifies.
+#include <cstdio>
 #include <string_view>
 
 #include "tlscore/cipher_suites.hpp"
 
-namespace {
-
-using tls::core::all_cipher_suites;
-using tls::core::CipherClass;
-
-/// The naive alternative: classify by substring-matching the IANA name.
-CipherClass classify_by_name(std::string_view name) {
-  const auto contains = [&](std::string_view token) {
-    return name.find(token) != std::string_view::npos;
-  };
-  if (contains("_GCM_") || contains("_CCM") || contains("CHACHA20")) {
-    return CipherClass::kAead;
-  }
-  if (contains("_CBC_")) return CipherClass::kCbc;
-  if (contains("_RC4_")) return CipherClass::kRc4;
-  if (contains("_NULL_")) return CipherClass::kNullCipher;
-  return CipherClass::kOther;
-}
-
-void BM_ClassifyByRegistry(benchmark::State& state) {
-  const auto suites = all_cipher_suites();
-  for (auto _ : state) {
-    int counts[5] = {};
-    for (const auto& s : suites) {
-      ++counts[static_cast<int>(tls::core::cipher_class(s.id))];
-    }
-    benchmark::DoNotOptimize(counts);
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(suites.size()));
-}
-BENCHMARK(BM_ClassifyByRegistry);
-
-void BM_ClassifyByName(benchmark::State& state) {
-  const auto suites = all_cipher_suites();
-  for (auto _ : state) {
-    int counts[5] = {};
-    for (const auto& s : suites) {
-      ++counts[static_cast<int>(classify_by_name(s.name))];
-    }
-    benchmark::DoNotOptimize(counts);
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(suites.size()));
-}
-BENCHMARK(BM_ClassifyByName);
-
-/// Correctness side of the ablation, on the harder property: forward
-/// secrecy. The obvious name heuristic ("DHE appears in the name") gets
-/// TLS 1.3 suites (no kex in the name) and anonymous ephemeral DH wrong —
-/// attribute-derived classification doesn't.
-void BM_FsClassifierDisagreements(benchmark::State& state) {
-  const auto suites = all_cipher_suites();
+int main() {
   const auto fs_by_name = [](std::string_view name) {
     return name.find("DHE") != std::string_view::npos;
   };
-  std::int64_t disagreements = 0;
-  for (auto _ : state) {
-    disagreements = 0;
-    for (const auto& s : suites) {
-      if (s.scsv) continue;
-      if (tls::core::is_forward_secret(s) != fs_by_name(s.name)) {
-        ++disagreements;
-      }
+  std::size_t suites = 0, disagreements = 0;
+  for (const auto& s : tls::core::all_cipher_suites()) {
+    if (s.scsv) continue;
+    ++suites;
+    if (tls::core::is_forward_secret(s) != fs_by_name(s.name)) {
+      ++disagreements;
     }
-    benchmark::DoNotOptimize(disagreements);
   }
-  state.counters["fs_disagreements"] = static_cast<double>(disagreements);
+  std::printf("forward-secrecy classifier disagreements, name vs registry: "
+              "%zu of %zu registered suites\n",
+              disagreements, suites);
+  return 0;
 }
-BENCHMARK(BM_FsClassifierDisagreements);
-
-}  // namespace
-
-BENCHMARK_MAIN();

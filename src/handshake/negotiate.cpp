@@ -11,6 +11,7 @@ namespace tls::handshake {
 
 using tls::core::CipherSuiteInfo;
 using tls::core::find_cipher_suite;
+using tls::core::is_tls13_wire;
 using tls::core::KeyExchange;
 using tls::servers::ServerConfig;
 using tls::servers::ServerQuirk;
@@ -18,10 +19,6 @@ using tls::wire::ClientHello;
 using tls::wire::ServerHello;
 
 namespace {
-
-bool is_tls13_wire(std::uint16_t v) {
-  return v == 0x0304 || (v & 0xff00) == 0x7f00 || (v & 0xff00) == 0x7e00;
-}
 
 bool suite_needs_groups(const CipherSuiteInfo& s) {
   switch (s.kex) {

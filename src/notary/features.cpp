@@ -2,6 +2,7 @@
 
 #include "fingerprint/md5.hpp"
 #include "tlscore/grease.hpp"
+#include "tlscore/version.hpp"
 #include "wire/extension_codec.hpp"
 
 namespace tls::notary {
@@ -16,6 +17,7 @@ void ClientHelloFeatures::reset() {
   adv_export = adv_anon = adv_null = adv_fs = false;
   adv_aes128gcm = adv_aes256gcm = adv_chacha = adv_ccm = false;
   heartbeat_offered = false;
+  heartbeat_error.reset();
   reneg_info_offered = etm_offered = ems_offered = false;
   sni_offered = session_ticket_offered = false;
   adv_tls13 = false;
@@ -146,6 +148,7 @@ void build_client_features(const ClientHello& hello,
       tls::wire::parse_heartbeat(ext_hb->body);
       out.heartbeat_offered = true;
     } catch (const ParseError& e) {
+      out.heartbeat_error = e.code();
       errors.push_back(e.code());
     }
   }
@@ -156,8 +159,7 @@ void build_client_features(const ClientHello& hello,
       for (std::size_t i = 0; i < raw.size(); i += 2) {
         const std::uint16_t v = tls::wire::load_u16(raw.data() + i);
         if (is_grease_version(v)) continue;
-        if (v == 0x0304 || (v & 0xff00) == 0x7f00 ||
-            (v & 0xff00) == 0x7e00) {
+        if (is_tls13_wire(v)) {
           out.adv_tls13 = true;
           out.tls13_versions.push_back(v);
         }
@@ -201,20 +203,24 @@ void build_client_features(const ClientHello& hello,
   }
 }
 
-bool build_server_features(const ServerHello& hello,
-                           ServerHelloFeatures& out) {
-  try {
-    out.version = hello.negotiated_version();
-    out.key_share_group = hello.key_share_group();
-    out.heartbeat_present = hello.heartbeat_mode().has_value();
-  } catch (const ParseError&) {
-    return false;
-  }
+ServerHelloFeatures build_server_features(const ServerHello& hello) {
+  ServerHelloFeatures out;
   out.suite = tls::core::find_cipher_suite(hello.cipher_suite);
   out.reneg = hello.has_extension(ExtensionType::kRenegotiationInfo);
   out.etm = hello.has_extension(ExtensionType::kEncryptThenMac);
   out.ems = hello.has_extension(ExtensionType::kExtendedMasterSecret);
-  return true;
+  out.failed_at = ServerField::kVersion;
+  try {
+    out.version = hello.negotiated_version();
+    out.failed_at = ServerField::kKeyShare;
+    out.key_share_group = hello.key_share_group();
+    out.failed_at = ServerField::kHeartbeat;
+    out.heartbeat_present = hello.heartbeat_mode().has_value();
+    out.failed_at = ServerField::kNone;
+  } catch (const ParseError& e) {
+    out.error = e.code();
+  }
+  return out;
 }
 
 }  // namespace tls::notary

@@ -1,7 +1,7 @@
-// Per-record feature extraction for the passive monitor: everything
-// observe_wire and the struct fast path derive from one ClientHello or
-// ServerHello that is a pure function of the hello (plus the immutable
-// fingerprint database). The monitor builds these into reusable scratch and
+// Per-record feature extraction for the passive monitor: everything its
+// front ends derive from one ClientHello or ServerHello that is a pure
+// function of the hello (plus the immutable fingerprint database). The
+// monitor builds these into reusable scratch and its one ingest tail
 // applies them to the month's aggregates.
 #pragma once
 
@@ -39,6 +39,9 @@ struct ClientHelloFeatures {
        adv_ccm = false;
 
   bool heartbeat_offered = false;
+  /// Code of a present but corrupt heartbeat body (heartbeat_offered is
+  /// then false): negotiation against a server heartbeat is unknowable.
+  std::optional<tls::wire::ParseErrorCode> heartbeat_error;
   bool reneg_info_offered = false, etm_offered = false, ems_offered = false;
   bool sni_offered = false, session_ticket_offered = false;
 
@@ -67,11 +70,17 @@ struct ClientHelloFeatures {
   void reset();
 };
 
-/// The server-side derivations. Only used when every lazy accessor
-/// succeeds (`build_server_features` returns true); records whose accessors
-/// throw take the guarded harvest path so their error bookkeeping stays
-/// exact.
+/// The lazily parsed ServerHello fields, in the order the monitor counts
+/// them. A corrupt extension body stops the harvest at its field.
+enum class ServerField : std::uint8_t { kVersion, kKeyShare, kHeartbeat, kNone };
+
+/// The server-side derivations, recorded as far as they parse.
 struct ServerHelloFeatures {
+  /// The field whose accessor threw (kNone: every field parsed) and its
+  /// code. Fields before it are valid; suite and reneg/etm/ems never throw
+  /// and are always valid.
+  ServerField failed_at = ServerField::kNone;
+  tls::wire::ParseErrorCode error{};
   std::uint16_t version = 0;
   std::optional<std::uint16_t> key_share_group;
   bool heartbeat_present = false;
@@ -89,9 +98,8 @@ void build_client_features(const tls::wire::ClientHello& hello,
                            bool want_fingerprint, ClientHelloFeatures& out,
                            std::vector<tls::wire::ParseErrorCode>& errors);
 
-/// Derives the server-side feature set; returns false (out unspecified)
-/// when any lazy accessor throws.
-bool build_server_features(const tls::wire::ServerHello& hello,
-                           ServerHelloFeatures& out);
+/// Derives the server-side feature set in ServerField order, stopping at
+/// the first lazy accessor that throws.
+ServerHelloFeatures build_server_features(const tls::wire::ServerHello& hello);
 
 }  // namespace tls::notary

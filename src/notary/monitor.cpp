@@ -25,9 +25,32 @@ using tls::wire::ServerHello;
 
 namespace {
 
-bool is_tls13_version(std::uint16_t version) {
-  return version == 0x0304 || (version & 0xff00) == 0x7f00 ||
-         (version & 0xff00) == 0x7e00;
+/// The curve a tap reads from the event's ServerKeyExchange: pre-1.3 EC
+/// handshakes carry the chosen group there.
+std::optional<std::uint16_t> ske_group_of(
+    const tls::population::ConnectionEvent& event) {
+  const auto& sh = event.result.server_hello;
+  if (!sh.has_value() || event.result.negotiated_group == 0 ||
+      sh->has_extension(tls::core::ExtensionType::kSupportedVersions)) {
+    return std::nullopt;
+  }
+  return event.result.negotiated_group;
+}
+
+/// The curve of a decoded ServerKeyExchange in the flight, if any.
+std::optional<std::uint16_t> ske_group_of(const tls::wire::ParsedFlight& f) {
+  if (!f.server_key_exchange.has_value()) return std::nullopt;
+  return f.server_key_exchange->named_curve;
+}
+
+/// The alert a tap sees on a failed handshake with a concrete reason.
+std::optional<tls::wire::Alert> alert_of(
+    const tls::population::ConnectionEvent& event) {
+  if (event.result.success ||
+      event.result.failure == tls::handshake::FailureReason::kNone) {
+    return std::nullopt;
+  }
+  return tls::handshake::alert_for(event.result.failure);
 }
 
 }  // namespace
@@ -139,9 +162,9 @@ void PassiveMonitor::observe(const tls::population::ConnectionEvent& event) {
   // Fast path: for untouched events the serialized records are
   // byte-for-byte what the structs would produce (the codecs are
   // inverses), so the serialize→parse round trip is pure overhead.
-  // observe_event_fast harvests the structs directly and declines
-  // (recording nothing) on any event the byte path would treat specially —
-  // which then falls through to serialization below.
+  // observe_event_fast hands the structs to the ingest tail directly and
+  // declines (recording nothing) on a hello the byte path's parse would
+  // reject — which then falls through to serialization below.
   if (kind == FaultKind::kNone && fast_observe_ && observe_event_fast(event)) {
     if (tel_fast_ != nullptr) tel_fast_->add();
     return;
@@ -159,17 +182,13 @@ void PassiveMonitor::observe(const tls::population::ConnectionEvent& event) {
   if (event.result.server_hello.has_value()) {
     const auto& sh = *event.result.server_hello;
     sh.serialize_record_into(buf_server_);
-    // Pre-1.3 EC handshakes carry the chosen curve in ServerKeyExchange.
-    if (event.result.negotiated_group != 0 &&
-        !sh.has_extension(tls::core::ExtensionType::kSupportedVersions)) {
-      tls::wire::EcdheServerKeyExchange::stub(event.result.negotiated_group)
-          .serialize_record_into(sh.legacy_version, buf_ske_);
+    if (const auto group = ske_group_of(event)) {
+      tls::wire::EcdheServerKeyExchange::stub(*group).serialize_record_into(
+          sh.legacy_version, buf_ske_);
     }
   }
-  if (!event.result.success &&
-      event.result.failure != tls::handshake::FailureReason::kNone) {
-    tls::handshake::alert_for(event.result.failure)
-        .serialize_record_into(0x0301, buf_alert_);
+  if (const auto alert = alert_of(event)) {
+    alert->serialize_record_into(0x0301, buf_alert_);
   }
   bool client_only = false;
   if (kind != FaultKind::kNone) {
@@ -222,26 +241,20 @@ void PassiveMonitor::observe_flights(
     return;
   }
 
+  // The flights arrive decoded: the tail takes the messages themselves, and
+  // a note on a hello quarantines that hello's record serialization.
+  if (tel_byte_ != nullptr) tel_byte_->add();
+  const ClientHello& hello = *cf.client_hello;
+  harvest_client(m, hello, {.decoded = &hello});
+  const ServerHello* sh =
+      sf.server_hello.has_value() ? &*sf.server_hello : nullptr;
   // §5.5: a session counts as established only when both directions carry
   // a ChangeCipherSpec.
-  const bool established = cf.change_cipher_spec && sf.change_cipher_spec;
-  std::vector<std::uint8_t> server_record;
-  if (sf.server_hello.has_value()) {
-    server_record = sf.server_hello->serialize_record();
-  }
-  std::vector<std::uint8_t> ske_record;
-  if (sf.server_key_exchange.has_value()) {
-    ske_record = sf.server_key_exchange->serialize_record(0x0303);
-  }
-  std::vector<std::uint8_t> alert_record;
-  if (sf.alert.has_value()) {
-    alert_record = sf.alert->serialize_record(0x0301);
-  }
-  const bool server_side_seen = !sf.records.empty();
-  observe_wire(m, day, cf.client_hello->serialize_record(), server_record,
-               ske_record, established, /*used_fallback=*/false,
-               alert_record);
-  if (!server_side_seen) ++stats(m).one_sided_client;
+  ingest(m, day, hello, scratch_features_, sh, {.decoded = sh},
+         ske_group_of(sf), {}, sf.alert,
+         cf.change_cipher_spec && sf.change_cipher_spec,
+         /*used_fallback=*/false);
+  if (sf.records.empty()) ++stats(m).one_sided_client;
 }
 
 void PassiveMonitor::set_telemetry(tls::telemetry::MetricsRegistry* registry) {
@@ -310,22 +323,48 @@ void PassiveMonitor::apply_client_features(MonthlyStats& s, Month m,
   }
 }
 
+template <class Message>
+std::span<const std::uint8_t> PassiveMonitor::bytes_of(
+    const RecordBytes<Message>& record) {
+  if (record.decoded == nullptr) return record.captured;
+  // A stream record may hold more than one serialized record can (64 KB
+  // against 18 KB): such a message is noted without bytes, never thrown.
+  try {
+    record.decoded->serialize_record_into(buf_note_);
+  } catch (const tls::wire::ParseError&) {
+    return {};
+  }
+  return buf_note_;
+}
+
 void PassiveMonitor::apply_server_features(
-    MonthlyStats& s, const ClientHello& hello, const ClientHelloFeatures& cf,
-    const ServerHello& sh, const ServerHelloFeatures& sf,
-    std::optional<std::uint16_t> ske_group) {
+    MonthlyStats& s, Month m, const ClientHello* hello,
+    const ClientHelloFeatures* cf, const ServerHello& sh,
+    RecordBytes<ServerHello> server_bytes,
+    std::optional<std::uint16_t> ske_group,
+    std::span<const std::uint8_t> ske_record) {
   using namespace tls::core;
+  // A corrupt extension body ends the harvest at its field: the fields
+  // before it are counted, the connection stays successful, and the code
+  // is noted once against the ServerHello.
+  const ServerHelloFeatures sf = build_server_features(sh);
+  const auto stop = [&](tls::wire::ParseErrorCode code) {
+    note_error(m, IngestStage::kServerHello, code, bytes_of(server_bytes));
+  };
+  if (sf.failed_at == ServerField::kVersion) {
+    stop(sf.error);
+    return;
+  }
   const std::uint16_t version = sf.version;
-  if (!hello.session_id.empty() && sh.session_id == hello.session_id &&
-      !is_tls13_version(version)) {
+  if (hello != nullptr && !hello->session_id.empty() &&
+      sh.session_id == hello->session_id && !is_tls13_wire(version)) {
     ++s.resumed;
   }
   s.count_version(version);
-  if (is_tls13_version(version)) ++s.negotiated_tls13;
+  if (is_tls13_wire(version)) ++s.negotiated_tls13;
 
-  const auto* suite = sf.suite;
-  if (suite != nullptr) {
-    if (is_rc4(*suite) && cf.adv_aead) ++s.rc4_despite_aead;
+  if (const auto* suite = sf.suite) {
+    if (cf != nullptr && is_rc4(*suite) && cf->adv_aead) ++s.rc4_despite_aead;
     s.count_class(cipher_class(*suite));
     s.count_kex(kex_class(*suite));
     if (is_aead(*suite)) s.count_aead(aead_kind(*suite));
@@ -336,13 +375,39 @@ void PassiveMonitor::apply_server_features(
     if (is_null_with_null_null(*suite)) ++s.negotiated_null_with_null_null;
   }
 
+  if (sf.failed_at == ServerField::kKeyShare) {
+    stop(sf.error);
+    return;
+  }
   if (sf.key_share_group) {
     s.count_group(*sf.key_share_group);
   } else if (ske_group) {
     s.count_group(*ske_group);
+  } else if (!ske_record.empty()) {
+    // Parsed only here, once the count has reached the group.
+    try {
+      tls::wire::EcdheServerKeyExchange::parse_record_into(ske_record,
+                                                           scratch_ske_);
+      s.count_group(scratch_ske_.named_curve);
+    } catch (const tls::wire::ParseError& e) {
+      note_error(m, IngestStage::kServerKeyExchange, e.code(), ske_record);
+    }
   }
 
-  if (sf.heartbeat_present && cf.heartbeat_offered) ++s.heartbeat_negotiated;
+  // Heartbeat negotiation needs the client's side of the capture.
+  if (cf != nullptr) {
+    if (sf.failed_at == ServerField::kHeartbeat) {
+      stop(sf.error);
+      return;
+    }
+    if (sf.heartbeat_present) {
+      if (cf->heartbeat_error) {
+        stop(*cf->heartbeat_error);
+        return;
+      }
+      if (cf->heartbeat_offered) ++s.heartbeat_negotiated;
+    }
+  }
   s.reneg_info_negotiated += sf.reneg;
   s.etm_negotiated += sf.etm;
   s.ems_negotiated += sf.ems;
@@ -350,89 +415,23 @@ void PassiveMonitor::apply_server_features(
 
 bool PassiveMonitor::observe_event_fast(
     const tls::population::ConnectionEvent& event) {
-  if (!fast_build(event, scratch_features_, scratch_server_features_)) {
-    return false;
-  }
-  fast_apply(event, scratch_features_, scratch_server_features_);
-  return true;
-}
-
-bool PassiveMonitor::fast_build(const tls::population::ConnectionEvent& event,
-                                ClientHelloFeatures& cf,
-                                ServerHelloFeatures& sf) {
   const ClientHello& hello = event.hello;
   // The byte path quarantines hellos that fail the structural parse; the
-  // only struct states that can trigger that are rejected here.
+  // only struct states that can trigger that are left to it.
   if (hello.cipher_suites.empty() || hello.compression_methods.empty()) {
     return false;
   }
-  // Precompute everything that could throw, before any state mutation, so
-  // declining is always clean. Self-generated events never carry corrupt
-  // extension bodies, but the guard keeps the fast path byte-identical to
-  // the slow path even if one did.
-  scratch_errors_.clear();
-  build_client_features(hello, database_, event.month >= fp_start(), cf,
-                        scratch_errors_);
-  if (!scratch_errors_.empty()) return false;
-
-  if (event.result.server_hello.has_value() &&
-      !build_server_features(*event.result.server_hello, sf)) {
-    return false;
-  }
-  return true;
-}
-
-void PassiveMonitor::fast_apply(const tls::population::ConnectionEvent& event,
-                                const ClientHelloFeatures& cf,
-                                const ServerHelloFeatures& sf) {
-  using namespace tls::core;
-  const ClientHello& hello = event.hello;
-  const Month m = event.month;
+  // A note quarantines the record serialization of the hello it concerns,
+  // the bytes the byte path would have captured. The ServerKeyExchange and
+  // alert it would synthesize round-trip their group and description.
+  harvest_client(event.month, hello, {.decoded = &hello});
   const ServerHello* sh = event.result.server_hello.has_value()
                               ? &*event.result.server_hello
                               : nullptr;
-
-  // Mutate, mirroring observe_wire's order exactly.
-  MonthlyStats& s = stats(m);
-  ++s.total;
-  ++total_;
-  if (event.used_fallback) ++s.fallbacks;
-
-  apply_client_features(s, m, event.day, cf);
-
-  // observe() synthesizes an alert record only for failed handshakes with
-  // a concrete failure reason; alert_for's output always parses back.
-  if (!event.result.success &&
-      event.result.failure != tls::handshake::FailureReason::kNone) {
-    const auto alert = tls::handshake::alert_for(event.result.failure);
-    s.count_alert(static_cast<std::uint8_t>(alert.description));
-  }
-
-  if (sh == nullptr) {
-    ++s.failures;
-    return;
-  }
-
-  const bool offered =
-      std::find(hello.cipher_suites.begin(), hello.cipher_suites.end(),
-                sh->cipher_suite) != hello.cipher_suites.end();
-  if (!offered) ++s.spec_violations;
-
-  if (!event.result.success) {
-    ++s.failures;
-    return;
-  }
-  ++s.successful;
-
-  // The byte path sees the curve via the synthesized ServerKeyExchange
-  // record, emitted only for pre-1.3 handshakes; stub(group) round-trips
-  // the group value exactly.
-  std::optional<std::uint16_t> ske_group;
-  if (!sf.key_share_group && event.result.negotiated_group != 0 &&
-      !sh->has_extension(ExtensionType::kSupportedVersions)) {
-    ske_group = event.result.negotiated_group;
-  }
-  apply_server_features(s, hello, cf, *sh, sf, ske_group);
+  ingest(event.month, event.day, hello, scratch_features_, sh,
+         {.decoded = sh}, ske_group_of(event), {}, alert_of(event),
+         event.result.success, event.used_fallback);
+  return true;
 }
 
 void PassiveMonitor::observe_wire(
@@ -442,9 +441,8 @@ void PassiveMonitor::observe_wire(
     std::span<const std::uint8_t> server_key_exchange_record, bool success,
     bool used_fallback, std::span<const std::uint8_t> alert_record) {
   if (tel_byte_ != nullptr) tel_byte_->add();
-  using namespace tls::core;
-
-  // ---- client side ----
+  // Decode each record, noting parse failures in capture order; the
+  // ServerKeyExchange stays raw until the count reaches the group.
   try {
     ClientHello::parse_record_into(client_record, scratch_hello_);
   } catch (const tls::wire::ParseError& e) {
@@ -452,56 +450,67 @@ void PassiveMonitor::observe_wire(
     quarantine_capture(m);
     return;
   }
-  const ClientHello& hello = scratch_hello_;
-  const ClientHelloFeatures& feats = scratch_features_;
-  scratch_errors_.clear();
-  build_client_features(hello, database_, m >= fp_start(), scratch_features_,
-                        scratch_errors_);
-  for (const auto code : scratch_errors_) {
-    note_error(m, IngestStage::kClientHello, code, client_record);
-  }
-  const bool client_clean = scratch_errors_.empty();
+  harvest_client(m, scratch_hello_, {.captured = client_record});
 
-  MonthlyStats& s = stats(m);
-  ++s.total;
-  ++total_;
-  if (used_fallback) ++s.fallbacks;
-
-  apply_client_features(s, m, day, feats);
-
-  // ---- alerts on failed handshakes ----
+  std::optional<tls::wire::Alert> alert;
   if (!alert_record.empty()) {
     try {
-      const auto alert = tls::wire::Alert::parse_record(alert_record);
-      s.count_alert(static_cast<std::uint8_t>(alert.description));
+      alert = tls::wire::Alert::parse_record(alert_record);
     } catch (const tls::wire::ParseError& e) {
       note_error(m, IngestStage::kAlert, e.code(), alert_record);
     }
   }
 
-  // ---- server side ----
-  if (server_record.empty()) {
-    ++s.failures;
-    return;
+  // An unparseable ServerHello counts like a missing one: a failure.
+  const ServerHello* sh = nullptr;
+  if (!server_record.empty()) {
+    try {
+      ServerHello::parse_record_into(server_record, scratch_server_hello_);
+      sh = &scratch_server_hello_;
+    } catch (const tls::wire::ParseError& e) {
+      note_error(m, IngestStage::kServerHello, e.code(), server_record);
+    }
   }
-  try {
-    ServerHello::parse_record_into(server_record, scratch_server_hello_);
-  } catch (const tls::wire::ParseError& e) {
-    note_error(m, IngestStage::kServerHello, e.code(), server_record);
-    ++s.failures;
-    return;
-  }
-  const ServerHello& sh = scratch_server_hello_;
-  const ServerHelloFeatures& sfeats = scratch_server_features_;
-  // Records whose lazy accessors throw take the guarded harvest below,
-  // with its partial counting and error notes.
-  const bool server_clean =
-      build_server_features(sh, scratch_server_features_);
+  ingest(m, day, scratch_hello_, scratch_features_, sh,
+         {.captured = server_record}, std::nullopt,
+         server_key_exchange_record, alert, success, used_fallback);
+}
 
+void PassiveMonitor::harvest_client(Month m, const ClientHello& hello,
+                                    RecordBytes<ClientHello> record) {
+  scratch_errors_.clear();
+  build_client_features(hello, database_, m >= fp_start(), scratch_features_,
+                        scratch_errors_);
+  for (const auto code : scratch_errors_) {
+    note_error(m, IngestStage::kClientHello, code, bytes_of(record));
+  }
+}
+
+void PassiveMonitor::ingest(Month m, const tls::core::Date& day,
+                            const ClientHello& hello,
+                            const ClientHelloFeatures& cf,
+                            const ServerHello* sh,
+                            RecordBytes<ServerHello> server_bytes,
+                            std::optional<std::uint16_t> ske_group,
+                            std::span<const std::uint8_t> ske_record,
+                            const std::optional<tls::wire::Alert>& alert,
+                            bool success, bool used_fallback) {
+  MonthlyStats& s = stats(m);
+  ++s.total;
+  ++total_;
+  if (used_fallback) ++s.fallbacks;
+
+  apply_client_features(s, m, day, cf);
+  if (alert) s.count_alert(static_cast<std::uint8_t>(alert->description));
+
+  if (sh == nullptr) {
+    ++s.failures;
+    return;
+  }
   // Spec check: did the server pick something the client never offered?
   const bool offered =
       std::find(hello.cipher_suites.begin(), hello.cipher_suites.end(),
-                sh.cipher_suite) != hello.cipher_suites.end();
+                sh->cipher_suite) != hello.cipher_suites.end();
   if (!offered) ++s.spec_violations;
 
   if (!success) {
@@ -509,74 +518,8 @@ void PassiveMonitor::observe_wire(
     return;
   }
   ++s.successful;
-
-  if (server_clean && client_clean) {
-    // Both sides extracted error-free: no accessor can throw, so the
-    // feature-based mirror of the guarded block below applies.
-    std::optional<std::uint16_t> ske_group;
-    if (!sfeats.key_share_group && !server_key_exchange_record.empty()) {
-      try {
-        tls::wire::EcdheServerKeyExchange::parse_record_into(
-            server_key_exchange_record, scratch_ske_);
-        ske_group = scratch_ske_.named_curve;
-      } catch (const tls::wire::ParseError& e) {
-        note_error(m, IngestStage::kServerKeyExchange, e.code(),
-                   server_key_exchange_record);
-      }
-    }
-    apply_server_features(s, hello, feats, sh, sfeats, ske_group);
-    return;
-  }
-
-  try {
-    const std::uint16_t version = sh.negotiated_version();
-    if (!hello.session_id.empty() && sh.session_id == hello.session_id &&
-        !is_tls13_version(version)) {
-      ++s.resumed;
-    }
-    s.count_version(version);
-    if (is_tls13_version(version)) ++s.negotiated_tls13;
-
-    const auto* suite = find_cipher_suite(sh.cipher_suite);
-    if (suite != nullptr) {
-      if (is_rc4(*suite) && feats.adv_aead) ++s.rc4_despite_aead;
-      s.count_class(cipher_class(*suite));
-      s.count_kex(kex_class(*suite));
-      if (is_aead(*suite)) s.count_aead(aead_kind(*suite));
-      if (is_3des(*suite)) ++s.negotiated_3des;
-      if (is_export(*suite)) ++s.negotiated_export;
-      if (is_anonymous(*suite)) ++s.negotiated_anon;
-      if (is_null_cipher(*suite)) ++s.negotiated_null;
-      if (is_null_with_null_null(*suite)) ++s.negotiated_null_with_null_null;
-    }
-
-    if (const auto group = sh.key_share_group()) {
-      s.count_group(*group);
-    } else if (!server_key_exchange_record.empty()) {
-      try {
-        tls::wire::EcdheServerKeyExchange::parse_record_into(
-            server_key_exchange_record, scratch_ske_);
-        s.count_group(scratch_ske_.named_curve);
-      } catch (const tls::wire::ParseError& e) {
-        note_error(m, IngestStage::kServerKeyExchange, e.code(),
-                   server_key_exchange_record);
-      }
-    }
-
-    if (sh.heartbeat_mode().has_value() &&
-        hello.heartbeat_mode().has_value()) {
-      ++s.heartbeat_negotiated;
-    }
-    s.reneg_info_negotiated +=
-        sh.has_extension(ExtensionType::kRenegotiationInfo);
-    s.etm_negotiated += sh.has_extension(ExtensionType::kEncryptThenMac);
-    s.ems_negotiated += sh.has_extension(ExtensionType::kExtendedMasterSecret);
-  } catch (const tls::wire::ParseError& e) {
-    // A lazy ServerHello accessor hit a corrupt extension body: the
-    // connection stays successful, the remaining server-side stats for it
-    // are unharvestable.
-    note_error(m, IngestStage::kServerHello, e.code(), server_record);
-  }
+  apply_server_features(s, m, &hello, &cf, *sh, server_bytes, ske_group,
+                        ske_record);
 }
 
 void PassiveMonitor::note_error(Month m, IngestStage stage,
@@ -595,8 +538,6 @@ void PassiveMonitor::quarantine_capture(Month m) {
 
 void PassiveMonitor::observe_server_only(Month m,
                                          const tls::wire::ParsedFlight& sf) {
-  using namespace tls::core;
-  const ServerHello& sh = *sf.server_hello;
   MonthlyStats& s = stats(m);
   ++s.total;
   ++s.one_sided_server;
@@ -613,36 +554,11 @@ void PassiveMonitor::observe_server_only(Month m,
   }
   ++s.successful;
 
-  try {
-    const std::uint16_t version = sh.negotiated_version();
-    s.count_version(version);
-    if (is_tls13_version(version)) ++s.negotiated_tls13;
-    const auto* suite = find_cipher_suite(sh.cipher_suite);
-    if (suite != nullptr) {
-      s.count_class(cipher_class(*suite));
-      s.count_kex(kex_class(*suite));
-      if (is_aead(*suite)) s.count_aead(aead_kind(*suite));
-      if (is_3des(*suite)) ++s.negotiated_3des;
-      if (is_export(*suite)) ++s.negotiated_export;
-      if (is_anonymous(*suite)) ++s.negotiated_anon;
-      if (is_null_cipher(*suite)) ++s.negotiated_null;
-      if (is_null_with_null_null(*suite)) ++s.negotiated_null_with_null_null;
-    }
-    if (const auto group = sh.key_share_group()) {
-      s.count_group(*group);
-    } else if (sf.server_key_exchange.has_value()) {
-      s.count_group(sf.server_key_exchange->named_curve);
-    }
-    s.reneg_info_negotiated +=
-        sh.has_extension(ExtensionType::kRenegotiationInfo);
-    s.etm_negotiated += sh.has_extension(ExtensionType::kEncryptThenMac);
-    s.ems_negotiated +=
-        sh.has_extension(ExtensionType::kExtendedMasterSecret);
-  } catch (const tls::wire::ParseError& e) {
-    note_error(m, IngestStage::kServerHello, e.code(), {});
-  }
   // Client-dependent stats (advertised classes, fingerprints, resumption,
-  // heartbeat negotiation, spec checks) are unknowable from one side.
+  // heartbeat negotiation, spec checks) are unknowable from one side, and
+  // a note here quarantines no bytes.
+  apply_server_features(s, m, nullptr, nullptr, *sf.server_hello, {},
+                        ske_group_of(sf), {});
 }
 
 std::vector<tls::analysis::LossRow> loss_rows(const PassiveMonitor& monitor) {

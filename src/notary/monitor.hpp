@@ -1,8 +1,11 @@
-// The passive monitor — our ICSI-SSL-Notary equivalent. It consumes raw
-// ClientHello/ServerHello record bytes (re-parsing what the generator
-// serialized, so the analysis path is identical to one fed by live taps)
-// and maintains the monthly aggregates behind every passive figure in the
-// paper, plus the fingerprint stream of §4.
+// The passive monitor — our ICSI-SSL-Notary equivalent. It maintains the
+// monthly aggregates behind every passive figure in the paper, plus the
+// fingerprint stream of §4. Two front ends feed it: the byte front end
+// (observe_wire, and observe_flights for whole record streams) decodes
+// captured records as a live tap would; the struct front end (observe's
+// fast path) takes the generator's hellos as built, skipping a
+// serialize/parse round trip. Both hand decoded messages and their
+// features to one ingest tail, the only place the counting rules live.
 #pragma once
 
 #include <cstddef>
@@ -25,6 +28,7 @@
 #include "population/traffic.hpp"
 #include "tlscore/cipher_suites.hpp"
 #include "tlscore/dates.hpp"
+#include "wire/alert.hpp"
 #include "wire/errors.hpp"
 #include "wire/server_key_exchange.hpp"
 
@@ -386,33 +390,55 @@ class PassiveMonitor {
   void observe_server_only(tls::core::Month m,
                            const tls::wire::ParsedFlight& flight);
 
-  /// Struct-reuse fast path for observe(); returns false — having recorded
-  /// nothing — when the event needs the byte path (structurally
-  /// unparseable hello, or any lazy accessor that would throw mid-harvest).
+  /// The struct front end, observe()'s fast path; returns false — having
+  /// recorded nothing — on a hello the byte path's parse would reject.
   bool observe_event_fast(const tls::population::ConnectionEvent& event);
 
-  /// Pure half of the fast path: builds both feature sets without mutating
-  /// any aggregate; returns false when the event must take the byte path.
-  bool fast_build(const tls::population::ConnectionEvent& event,
-                  ClientHelloFeatures& cf, ServerHelloFeatures& sf);
-  /// Mutating half: applies a fast_build result, mirroring observe_wire's
-  /// mutation order.
-  void fast_apply(const tls::population::ConnectionEvent& event,
-                  const ClientHelloFeatures& cf,
-                  const ServerHelloFeatures& sf);
+  /// The bytes a note quarantines for one record: the record as captured,
+  /// or, for a message a front end holds decoded, its record
+  /// serialization, made only when a note is due. Neither, or a message
+  /// too large to serialize as one record: no bytes.
+  template <class Message>
+  struct RecordBytes {
+    std::span<const std::uint8_t> captured = {};
+    const Message* decoded = nullptr;
+  };
+  template <class Message>
+  std::span<const std::uint8_t> bytes_of(const RecordBytes<Message>& record);
+
+  /// Builds `hello`'s features into scratch_features_ and notes each
+  /// corrupt extension body at IngestStage::kClientHello.
+  void harvest_client(tls::core::Month m, const tls::wire::ClientHello& hello,
+                      RecordBytes<tls::wire::ClientHello> record);
+
+  /// The one ingest tail behind every front end: counts a capture whose
+  /// ClientHello decoded, with `cf` its harvest_client features. `sh` is
+  /// null when no ServerHello decoded. The group comes from the key_share,
+  /// else `ske_group`, else `ske_record`, parsed only once the count
+  /// reaches it.
+  void ingest(tls::core::Month m, const tls::core::Date& day,
+              const tls::wire::ClientHello& hello,
+              const ClientHelloFeatures& cf, const tls::wire::ServerHello* sh,
+              RecordBytes<tls::wire::ServerHello> server_bytes,
+              std::optional<std::uint16_t> ske_group,
+              std::span<const std::uint8_t> ske_record,
+              const std::optional<tls::wire::Alert>& alert, bool success,
+              bool used_fallback);
 
   /// Applies extracted client features to the month (pure increments).
   void apply_client_features(MonthlyStats& s, tls::core::Month m,
                              const tls::core::Date& day,
                              const ClientHelloFeatures& f);
-  /// Applies extracted server features; only valid when both sides'
-  /// feature extraction was error-free (no accessor can throw then).
-  void apply_server_features(MonthlyStats& s,
-                             const tls::wire::ClientHello& hello,
-                             const ClientHelloFeatures& cf,
+  /// Builds a successful handshake's server features and counts them in
+  /// ServerField order, up to the field that failed. `hello`/`cf` are null
+  /// for a server-only capture, which skips the client-dependent counts.
+  void apply_server_features(MonthlyStats& s, tls::core::Month m,
+                             const tls::wire::ClientHello* hello,
+                             const ClientHelloFeatures* cf,
                              const tls::wire::ServerHello& sh,
-                             const ServerHelloFeatures& sf,
-                             std::optional<std::uint16_t> ske_group);
+                             RecordBytes<tls::wire::ServerHello> server_bytes,
+                             std::optional<std::uint16_t> ske_group,
+                             std::span<const std::uint8_t> ske_record);
 
   const tls::fp::FingerprintDatabase* database_;
   std::map<tls::core::Month, MonthlyStats> months_;
@@ -439,9 +465,9 @@ class PassiveMonitor {
   tls::wire::ServerHello scratch_server_hello_;
   tls::wire::EcdheServerKeyExchange scratch_ske_;
   ClientHelloFeatures scratch_features_;
-  ServerHelloFeatures scratch_server_features_;
   std::vector<tls::wire::ParseErrorCode> scratch_errors_;
   std::vector<std::uint8_t> buf_client_, buf_server_, buf_ske_, buf_alert_;
+  std::vector<std::uint8_t> buf_note_;
 };
 
 /// Flattens the monitor's per-month partition + parse-error counters into

@@ -31,11 +31,14 @@ constexpr std::uint16_t wire_value(ProtocolVersion v) {
   return static_cast<std::uint16_t>(v);
 }
 
-/// True for final TLS 1.3, any 0x7f-draft, or a Google 0x7e experiment.
+/// True for final TLS 1.3 (0x0304), any 0x7f-draft, or a Google 0x7e
+/// experiment, given as a wire value.
+constexpr bool is_tls13_wire(std::uint16_t w) {
+  return w == 0x0304 || (w & 0xff00) == 0x7f00 || (w & 0xff00) == 0x7e00;
+}
+
 constexpr bool is_tls13_family(ProtocolVersion v) {
-  const auto w = wire_value(v);
-  return v == ProtocolVersion::kTls13 || (w & 0xff00) == 0x7f00 ||
-         (w & 0xff00) == 0x7e00;
+  return is_tls13_wire(wire_value(v));
 }
 
 constexpr bool is_grease_version(std::uint16_t w) {

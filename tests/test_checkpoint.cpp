@@ -633,6 +633,27 @@ TEST(CheckpointStudy, JournalingChangesNoExportedByte) {
   }
 }
 
+TEST(CheckpointStudy, GroupCommitIssuesFewerFsyncsThanFrames) {
+  // Over a whole journaled study, group commit amortizes fsyncs: strictly
+  // fewer than the frames it commits. The linger is raised far past the
+  // run's length so the count does not depend on how fast this build
+  // runs (sanitizer builds are several times slower); groups then close
+  // on the frame threshold or the end-of-run flush.
+  const auto ckpt = fresh_dir("study_group_commit");
+  auto opts = matrix_options(0);
+  opts.checkpoint_dir = ckpt.string();
+  opts.telemetry = true;
+  opts.journal_group_ms = 60'000;
+  LongitudinalStudy study(opts);
+  const auto* fsync = study.metrics().find("tls_repro_journal_fsync_total");
+  ASSERT_NE(fsync, nullptr);
+  const std::uint64_t frames = study.recovery().tasks_recomputed;
+  EXPECT_GT(frames, 1u);
+  EXPECT_GT(fsync->counter.value, 0u);
+  EXPECT_LT(fsync->counter.value, frames);
+  fs::remove_all(ckpt);
+}
+
 TEST(CheckpointStudy, CorruptFramesAreRecomputedToIdenticalBytes) {
   const auto ckpt = fresh_dir("study_corrupt");
   const auto opts = journal_options(ckpt.string());

@@ -11,14 +11,12 @@
 #include "servers/population.hpp"
 #include "tlscore/grease.hpp"
 #include "tlscore/named_groups.hpp"
+#include "tlscore/version.hpp"
 
 namespace {
 
 using tls::core::find_cipher_suite;
-
-bool is_tls13_wire(std::uint16_t v) {
-  return v == 0x0304 || (v & 0xff00) == 0x7f00 || (v & 0xff00) == 0x7e00;
-}
+using tls::core::is_tls13_wire;
 
 TEST(CompatMatrix, AllClientServerPairsSatisfyInvariants) {
   const auto catalog = tls::clients::Catalog::core_only();

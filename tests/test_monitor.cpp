@@ -1,11 +1,16 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "clients/catalog.hpp"
 #include "notary/monitor.hpp"
+#include "notary/snapshot.hpp"
 #include "population/market.hpp"
 #include "population/traffic.hpp"
 #include "servers/population.hpp"
+#include "wire/record.hpp"
 #include "wire/server_key_exchange.hpp"
+#include "wire/transcript.hpp"
 
 namespace tls::notary {
 namespace {
@@ -252,6 +257,278 @@ TEST(Monitor, PositionSkipsGreaseAndScsv) {
   EXPECT_DOUBLE_EQ(s->pos_rc4.average(), 0.5);
 }
 
+// ---- partial harvest of records whose lazy accessors fail ----
+// A successful capture whose ServerHello (or ClientHello) carries a corrupt
+// extension body is harvested up to the field that fails, in the order
+// version, suite, group (key_share, else ServerKeyExchange), heartbeat,
+// renegotiation_info / encrypt_then_mac / extended_master_secret. The
+// failure is noted once, at the stage that owns the bytes.
+
+using tls::core::ExtensionType;
+using tls::wire::ParseErrorCode;
+
+tls::wire::Extension raw_extension(ExtensionType type,
+                                   std::vector<std::uint8_t> body) {
+  return {tls::core::wire_value(type), std::move(body)};
+}
+
+/// A pre-1.3 ECDHE ServerHello with every negotiated-extension flag set,
+/// so a count that stops early shows in reneg/etm/ems.
+ServerHello flagged_server_hello() {
+  ServerHello sh = server_hello(0xc02f);
+  sh.extensions.push_back(tls::wire::make_renegotiation_info({}));
+  sh.extensions.push_back(tls::wire::make_encrypt_then_mac());
+  sh.extensions.push_back(tls::wire::make_extended_master_secret());
+  return sh;
+}
+
+std::vector<std::uint8_t> prefix48(std::span<const std::uint8_t> bytes) {
+  return {bytes.begin(),
+          bytes.begin() + static_cast<std::ptrdiff_t>(
+                              std::min<std::size_t>(bytes.size(), 48))};
+}
+
+void expect_note(const PassiveMonitor& mon, std::size_t i, IngestStage stage,
+                 ParseErrorCode code, std::span<const std::uint8_t> bytes) {
+  ASSERT_LT(i, mon.quarantine().size());
+  const auto& rec = mon.quarantine()[i];
+  EXPECT_EQ(rec.stage, stage) << i;
+  EXPECT_EQ(rec.code, code) << i;
+  EXPECT_EQ(rec.prefix, prefix48(bytes)) << i;
+}
+
+const Month kPartialMonth(2016, 6);
+
+TEST(PartialHarvest, CorruptServerKeyShareStopsBeforeGroup) {
+  PassiveMonitor mon;
+  ServerHello sh = flagged_server_hello();
+  sh.extensions.push_back(raw_extension(ExtensionType::kKeyShare, {0x00}));
+  const auto ch_rec = client_hello({0xc02f}).serialize_record();
+  const auto sh_rec = sh.serialize_record();
+  // A valid ServerKeyExchange is on hand, yet never parsed: the group
+  // lookup stopped at the key_share.
+  const auto ske_rec =
+      tls::wire::EcdheServerKeyExchange::stub(23).serialize_record(0x0303);
+  mon.observe_wire(kPartialMonth, kPartialMonth.first_day(), ch_rec, sh_rec,
+                   ske_rec, true);
+
+  const auto* s = mon.month(kPartialMonth);
+  ASSERT_NE(s, nullptr);
+  EXPECT_EQ(s->total, 1u);
+  EXPECT_EQ(s->successful, 1u);
+  EXPECT_EQ(s->negotiated_version_count(0x0303), 1u);
+  EXPECT_EQ(s->negotiated_class_count(tls::core::CipherClass::kAead), 1u);
+  EXPECT_TRUE(s->negotiated_group().empty());
+  EXPECT_EQ(s->reneg_info_negotiated, 0u);
+  EXPECT_EQ(s->etm_negotiated, 0u);
+  EXPECT_EQ(s->ems_negotiated, 0u);
+  EXPECT_EQ(mon.errors().total(), 1u);
+  EXPECT_EQ(mon.errors().count(IngestStage::kServerHello,
+                               ParseErrorCode::kTruncated),
+            1u);
+  EXPECT_EQ(mon.errors().stage_total(IngestStage::kServerKeyExchange), 0u);
+  EXPECT_EQ(mon.quarantine().total_pushed(), 1u);
+  expect_note(mon, 0, IngestStage::kServerHello, ParseErrorCode::kTruncated,
+              sh_rec);
+}
+
+TEST(PartialHarvest, CorruptServerHeartbeatStopsBeforeExtensionFlags) {
+  PassiveMonitor mon;
+  ServerHello sh = flagged_server_hello();
+  sh.extensions.push_back(raw_extension(ExtensionType::kHeartbeat, {3}));
+  const auto ch_rec =
+      client_hello({0xc02f}, /*heartbeat=*/true).serialize_record();
+  const auto sh_rec = sh.serialize_record();
+  const auto ske_rec =
+      tls::wire::EcdheServerKeyExchange::stub(23).serialize_record(0x0303);
+  mon.observe_wire(kPartialMonth, kPartialMonth.first_day(), ch_rec, sh_rec,
+                   ske_rec, true);
+
+  const auto* s = mon.month(kPartialMonth);
+  ASSERT_NE(s, nullptr);
+  EXPECT_EQ(s->successful, 1u);
+  EXPECT_EQ(s->heartbeat_offered, 1u);
+  EXPECT_EQ(s->negotiated_version_count(0x0303), 1u);
+  EXPECT_EQ(s->negotiated_group_count(23), 1u);
+  EXPECT_EQ(s->heartbeat_negotiated, 0u);
+  EXPECT_EQ(s->reneg_info_negotiated, 0u);
+  EXPECT_EQ(s->etm_negotiated, 0u);
+  EXPECT_EQ(s->ems_negotiated, 0u);
+  EXPECT_EQ(mon.errors().total(), 1u);
+  EXPECT_EQ(mon.errors().count(IngestStage::kServerHello,
+                               ParseErrorCode::kBadValue),
+            1u);
+  EXPECT_EQ(mon.quarantine().total_pushed(), 1u);
+  expect_note(mon, 0, IngestStage::kServerHello, ParseErrorCode::kBadValue,
+              sh_rec);
+}
+
+TEST(PartialHarvest, CorruptClientHeartbeatNotedOnBothSides) {
+  PassiveMonitor mon;
+  ClientHello ch = client_hello({0xc02f});
+  ch.extensions.push_back(raw_extension(ExtensionType::kHeartbeat, {3}));
+  ServerHello sh = flagged_server_hello();
+  sh.extensions.push_back(tls::wire::make_heartbeat(1));
+  const auto ch_rec = ch.serialize_record();
+  const auto sh_rec = sh.serialize_record();
+  const auto ske_rec =
+      tls::wire::EcdheServerKeyExchange::stub(23).serialize_record(0x0303);
+  mon.observe_wire(kPartialMonth, kPartialMonth.first_day(), ch_rec, sh_rec,
+                   ske_rec, true);
+
+  const auto* s = mon.month(kPartialMonth);
+  ASSERT_NE(s, nullptr);
+  EXPECT_EQ(s->successful, 1u);
+  EXPECT_EQ(s->heartbeat_offered, 0u);
+  EXPECT_EQ(s->negotiated_group_count(23), 1u);
+  EXPECT_EQ(s->heartbeat_negotiated, 0u);
+  EXPECT_EQ(s->reneg_info_negotiated, 0u);
+  EXPECT_EQ(s->ems_negotiated, 0u);
+  EXPECT_EQ(s->parse_error_count(ParseErrorCode::kBadValue), 2u);
+  EXPECT_EQ(mon.errors().total(), 2u);
+  EXPECT_EQ(mon.errors().count(IngestStage::kClientHello,
+                               ParseErrorCode::kBadValue),
+            1u);
+  EXPECT_EQ(mon.errors().count(IngestStage::kServerHello,
+                               ParseErrorCode::kBadValue),
+            1u);
+  ASSERT_EQ(mon.quarantine().total_pushed(), 2u);
+  expect_note(mon, 0, IngestStage::kClientHello, ParseErrorCode::kBadValue,
+              ch_rec);
+  expect_note(mon, 1, IngestStage::kServerHello, ParseErrorCode::kBadValue,
+              sh_rec);
+}
+
+TEST(PartialHarvest, CorruptServerKeyExchangeLeavesGroupUncounted) {
+  PassiveMonitor mon;
+  const auto ch_rec = client_hello({0xc02f}).serialize_record();
+  const auto sh_rec = flagged_server_hello().serialize_record();
+  // curve_type 1 (explicit prime) is not a named-curve exchange.
+  const std::vector<std::uint8_t> ske_body = {1};
+  const auto ske_rec = tls::wire::wrap_handshake(
+      tls::wire::HandshakeType::kServerKeyExchange, ske_body, 0x0303);
+  mon.observe_wire(kPartialMonth, kPartialMonth.first_day(), ch_rec, sh_rec,
+                   ske_rec, true);
+
+  const auto* s = mon.month(kPartialMonth);
+  ASSERT_NE(s, nullptr);
+  EXPECT_EQ(s->successful, 1u);
+  EXPECT_EQ(s->negotiated_version_count(0x0303), 1u);
+  EXPECT_TRUE(s->negotiated_group().empty());
+  EXPECT_EQ(s->reneg_info_negotiated, 1u);
+  EXPECT_EQ(s->etm_negotiated, 1u);
+  EXPECT_EQ(s->ems_negotiated, 1u);
+  EXPECT_EQ(mon.errors().total(), 1u);
+  EXPECT_EQ(mon.errors().count(IngestStage::kServerKeyExchange,
+                               ParseErrorCode::kUnsupported),
+            1u);
+  EXPECT_EQ(mon.quarantine().total_pushed(), 1u);
+  expect_note(mon, 0, IngestStage::kServerKeyExchange,
+              ParseErrorCode::kUnsupported, ske_rec);
+}
+
+TEST(PartialHarvest, ServerOnlyFlightWithCorruptKeyShare) {
+  PassiveMonitor mon;
+  ServerHello sh = flagged_server_hello();
+  sh.extensions.push_back(raw_extension(ExtensionType::kKeyShare, {0x00}));
+  const auto server_stream = tls::wire::server_flight(
+      sh, tls::wire::EcdheServerKeyExchange::stub(23), /*established=*/true);
+  mon.observe_flights(kPartialMonth, kPartialMonth.first_day(), {},
+                      server_stream);
+
+  const auto* s = mon.month(kPartialMonth);
+  ASSERT_NE(s, nullptr);
+  EXPECT_EQ(s->total, 1u);
+  EXPECT_EQ(s->one_sided_server, 1u);
+  EXPECT_EQ(s->successful, 1u);
+  EXPECT_EQ(s->negotiated_version_count(0x0303), 1u);
+  EXPECT_EQ(s->negotiated_class_count(tls::core::CipherClass::kAead), 1u);
+  EXPECT_TRUE(s->negotiated_group().empty());
+  EXPECT_EQ(s->reneg_info_negotiated, 0u);
+  EXPECT_EQ(mon.errors().total(), 1u);
+  EXPECT_EQ(mon.errors().count(IngestStage::kServerHello,
+                               ParseErrorCode::kTruncated),
+            1u);
+  // The one-sided harvest has no record bytes to quarantine.
+  expect_note(mon, 0, IngestStage::kServerHello, ParseErrorCode::kTruncated,
+              {});
+}
+
+TEST(PartialHarvest, ServerOnlyFlightSkipsHeartbeatNegotiation) {
+  // Heartbeat negotiation needs the client's side, so a corrupt server
+  // heartbeat body stops nothing on a server-only capture.
+  PassiveMonitor mon;
+  ServerHello sh = flagged_server_hello();
+  sh.extensions.push_back(raw_extension(ExtensionType::kHeartbeat, {3}));
+  mon.observe_flights(
+      kPartialMonth, kPartialMonth.first_day(), {},
+      tls::wire::server_flight(sh, tls::wire::EcdheServerKeyExchange::stub(23),
+                               /*established=*/true));
+
+  const auto* s = mon.month(kPartialMonth);
+  ASSERT_NE(s, nullptr);
+  EXPECT_EQ(s->one_sided_server, 1u);
+  EXPECT_EQ(s->negotiated_group_count(23), 1u);
+  EXPECT_EQ(s->reneg_info_negotiated, 1u);
+  EXPECT_EQ(s->etm_negotiated, 1u);
+  EXPECT_EQ(s->ems_negotiated, 1u);
+  EXPECT_EQ(mon.errors().total(), 0u);
+}
+
+TEST(PartialHarvest, TwoSidedFlightNotesRecordsOfDecodedHellos) {
+  // observe_flights decodes the hellos out of the streams; a note on one
+  // quarantines the hello's own record serialization.
+  PassiveMonitor mon;
+  ClientHello ch = client_hello({0xc02f});
+  ch.extensions.push_back(raw_extension(ExtensionType::kHeartbeat, {3}));
+  ServerHello sh = flagged_server_hello();
+  sh.extensions.push_back(tls::wire::make_heartbeat(1));
+  mon.observe_flights(
+      kPartialMonth, kPartialMonth.first_day(),
+      tls::wire::client_flight(ch, /*established=*/true),
+      tls::wire::server_flight(sh, tls::wire::EcdheServerKeyExchange::stub(23),
+                               /*established=*/true));
+
+  const auto* s = mon.month(kPartialMonth);
+  ASSERT_NE(s, nullptr);
+  EXPECT_EQ(s->successful, 1u);
+  EXPECT_EQ(s->negotiated_group_count(23), 1u);
+  EXPECT_EQ(s->heartbeat_negotiated, 0u);
+  EXPECT_EQ(s->reneg_info_negotiated, 0u);
+  ASSERT_EQ(mon.quarantine().total_pushed(), 2u);
+  expect_note(mon, 0, IngestStage::kClientHello, ParseErrorCode::kBadValue,
+              ch.serialize_record());
+  expect_note(mon, 1, IngestStage::kServerHello, ParseErrorCode::kBadValue,
+              sh.serialize_record());
+}
+
+TEST(PartialHarvest, OversizedFlightHelloNotedWithoutBytes) {
+  // A stream record may carry a hello larger than one serialized record
+  // may hold; a note on it quarantines no bytes instead of throwing.
+  PassiveMonitor mon;
+  ClientHello ch = client_hello({0xc02f});
+  ch.extensions.push_back(tls::wire::make_padding(20000));
+  ch.extensions.push_back(raw_extension(ExtensionType::kHeartbeat, {3}));
+  const auto fragment = tls::wire::HandshakeMessage{
+      tls::wire::HandshakeType::kClientHello, ch.serialize_body()}
+                            .serialize();
+  std::vector<std::uint8_t> stream = {
+      22, 3, 3, static_cast<std::uint8_t>(fragment.size() >> 8),
+      static_cast<std::uint8_t>(fragment.size())};
+  stream.insert(stream.end(), fragment.begin(), fragment.end());
+  ASSERT_NO_THROW(mon.observe_flights(kPartialMonth,
+                                      kPartialMonth.first_day(), stream, {}));
+
+  const auto* s = mon.month(kPartialMonth);
+  ASSERT_NE(s, nullptr);
+  EXPECT_EQ(s->total, 1u);
+  EXPECT_EQ(s->failures, 1u);
+  EXPECT_EQ(s->one_sided_client, 1u);
+  ASSERT_EQ(mon.quarantine().total_pushed(), 1u);
+  expect_note(mon, 0, IngestStage::kClientHello, ParseErrorCode::kBadValue,
+              {});
+}
+
 // ---- struct fast path vs byte path ----
 
 void expect_stats_equal(const PassiveMonitor& a, const PassiveMonitor& b) {
@@ -290,6 +567,9 @@ void expect_stats_equal(const PassiveMonitor& a, const PassiveMonitor& b) {
     EXPECT_EQ(sa.pos_aead.n, sb->pos_aead.n) << m.to_string();
     EXPECT_EQ(sa.pos_cbc.sum, sb->pos_cbc.sum) << m.to_string();
   }
+  // Everything else too: the snapshot bytes cover every counter, the
+  // stage x code error grid and the quarantine ring's contents.
+  EXPECT_EQ(encode_monitor_state(a), encode_monitor_state(b));
 }
 
 TEST(FastObserve, ByteIdenticalToSerializeParsePath) {
@@ -313,6 +593,48 @@ TEST(FastObserve, ByteIdenticalToSerializeParsePath) {
                        });
   }
   EXPECT_GT(fast.total_connections(), 0u);
+  expect_stats_equal(slow, fast);
+}
+
+TEST(FastObserve, CorruptExtensionBodiesMatchByteParsePath) {
+  // Generated events never carry corrupt extension bodies; forge some, so
+  // the struct front end's notes and partial harvest are held to the byte
+  // path's too.
+  const auto catalog = tls::clients::Catalog::core_only();
+  const auto servers = tls::servers::ServerPopulation::standard();
+  const auto market = tls::population::MarketModel::standard(catalog);
+
+  PassiveMonitor fast, slow;
+  fast.set_fast_observe(true);
+  slow.set_fast_observe(false);
+  const auto corrupt = [](ExtensionType type) {
+    return raw_extension(type, {3});  // bad heartbeat mode; short key_share
+  };
+  std::size_t i = 0;
+  tls::population::TrafficGenerator gen(market, servers, 99);
+  gen.generate_range(
+      {Month(2015, 1), Month(2015, 3)}, 300,
+      [&](const tls::population::ConnectionEvent& ev) {
+        auto e = ev;
+        e.client_record.clear();  // the hello changes below
+        auto& ch = e.hello.extensions;
+        if (i % 3 == 0) ch.insert(ch.begin(), corrupt(ExtensionType::kHeartbeat));
+        if (auto& sh = e.result.server_hello) {
+          auto& sx = sh->extensions;
+          if (i % 5 == 0) sx.insert(sx.begin(), corrupt(ExtensionType::kKeyShare));
+          if (i % 4 == 0) sx.insert(sx.begin(), tls::wire::make_heartbeat(1));
+          if (i % 7 == 0) sx.insert(sx.begin(), corrupt(ExtensionType::kHeartbeat));
+        }
+        ++i;
+        fast.observe(e);
+        slow.observe(e);
+      });
+  EXPECT_GT(slow.errors().count(IngestStage::kServerHello,
+                                ParseErrorCode::kBadValue),
+            0u);
+  EXPECT_GT(slow.errors().count(IngestStage::kServerHello,
+                                ParseErrorCode::kTruncated),
+            0u);
   expect_stats_equal(slow, fast);
 }
 

@@ -13,6 +13,7 @@
 #include "core/study.hpp"
 #include "faults/injector.hpp"
 #include "notary/monitor.hpp"
+#include "notary/snapshot.hpp"
 #include "population/traffic.hpp"
 #include "scan/scanner.hpp"
 
@@ -81,6 +82,13 @@ void expect_monitors_equal(const PassiveMonitor& a, const PassiveMonitor& b) {
   EXPECT_EQ(da.single_day_count, db.single_day_count);
 }
 
+/// The fast-vs-byte oracle: the snapshot bytes cover every counter, the
+/// stage x code error grid and the quarantine ring's contents.
+void expect_snapshots_equal(const PassiveMonitor& a, const PassiveMonitor& b) {
+  EXPECT_EQ(tls::notary::encode_monitor_state(a),
+            tls::notary::encode_monitor_state(b));
+}
+
 TEST(ParallelStudy, FiguresByteIdenticalAcrossThreadCounts) {
   auto opts = small_options();
   tls::study::LongitudinalStudy serial(opts);
@@ -143,6 +151,7 @@ TEST(ParallelStudy, FastObserveUnderFaultsByteIdentical) {
     tls::study::LongitudinalStudy fast(o);
     EXPECT_EQ(chart_csv(fast), ref_csv);
     expect_monitors_equal(ref.monitor(), fast.monitor());
+    expect_snapshots_equal(ref.monitor(), fast.monitor());
   }
 }
 
@@ -174,6 +183,7 @@ TEST(ParallelStudy, CacheOnOffByteIdenticalAcrossThreadsAndFaults) {
         tls::study::LongitudinalStudy study(o);
         EXPECT_EQ(chart_csv(study), ref_csv);
         expect_monitors_equal(ref.monitor(), study.monitor());
+        expect_snapshots_equal(ref.monitor(), study.monitor());
       }
     }
 
@@ -183,6 +193,7 @@ TEST(ParallelStudy, CacheOnOffByteIdenticalAcrossThreadsAndFaults) {
     tls::study::LongitudinalStudy dflt(dflt_opts);
     EXPECT_EQ(chart_csv(dflt), ref_csv);
     expect_monitors_equal(ref.monitor(), dflt.monitor());
+    expect_snapshots_equal(ref.monitor(), dflt.monitor());
   }
 }
 

@@ -103,6 +103,13 @@ TEST(Versions, Tls13Family) {
   EXPECT_TRUE(is_tls13_family(ProtocolVersion::kTls13Draft28));
   EXPECT_TRUE(is_tls13_family(ProtocolVersion::kTls13GoogleExperiment2));
   EXPECT_FALSE(is_tls13_family(ProtocolVersion::kTls12));
+  // The wire-value form the monitor, the negotiator and the feature
+  // extractor share.
+  EXPECT_TRUE(tls::core::is_tls13_wire(0x0304));
+  EXPECT_TRUE(tls::core::is_tls13_wire(0x7f1c));
+  EXPECT_TRUE(tls::core::is_tls13_wire(0x7e02));
+  EXPECT_FALSE(tls::core::is_tls13_wire(0x0303));
+  EXPECT_FALSE(tls::core::is_tls13_wire(0x0a0a));  // GREASE
 }
 
 TEST(Timeline, ChronologicalOrder) {
