@@ -21,12 +21,6 @@ tls::study::StudyOptions default_options() {
   return opts;
 }
 
-double timed_seconds(const std::function<void()>& fn) {
-  const tls::telemetry::Stopwatch sw;
-  fn();
-  return sw.elapsed_seconds();
-}
-
 tls::study::LongitudinalStudy& shared_study() {
   static auto* study = new tls::study::LongitudinalStudy(default_options());
   return *study;

@@ -9,21 +9,14 @@
 //   TLS_STUDY_CORE  "1" -> core-only catalog (faster, fewer fingerprints)
 #pragma once
 
-#include <functional>
 #include <string>
 #include <vector>
 
 #include "core/study.hpp"
-#include "telemetry/stopwatch.hpp"
 
 namespace bench {
 
 tls::study::StudyOptions default_options();
-
-/// Wall time of one call, in seconds — the shared timing idiom for every
-/// bench binary (tls::telemetry::Stopwatch underneath; no hand-rolled
-/// chrono arithmetic).
-double timed_seconds(const std::function<void()>& fn);
 
 /// One study per process, built lazily with default_options().
 tls::study::LongitudinalStudy& shared_study();

@@ -3,7 +3,6 @@
 //   study_cli figure <1..10>          render one paper figure as ASCII
 //   study_cli scan [YYYY-MM]          one Censys-style sweep (default window)
 //   study_cli export <dir> [--checkpoint-dir <ckpt>] [--resume]
-//                    [--gen-cache <on|off>]
 //                    [--journal-group-frames <n>] [--journal-group-ms <t>]
 //                    [--metrics-out <file>] [--trace-out <file>]
 //                                     write all figures + scans as CSV;
@@ -15,10 +14,6 @@
 //                                     (one fsync per group; size/age
 //                                     thresholds set by the
 //                                     --journal-group-* knobs);
-//                                     --gen-cache toggles the producer-side
-//                                     template/negotiation cache (default
-//                                     on; off is a byte-identical slow
-//                                     path for benchmarking);
 //                                     --metrics-out writes METRICS.json (plus
 //                                     a .prom Prometheus exposition next to
 //                                     it) and prints the run report;
@@ -131,7 +126,6 @@ int usage() {
   std::fputs(
       "usage: study_cli figure <1..10> | scan [YYYY-MM] |\n"
       "       export <dir> [--checkpoint-dir <ckpt>] [--resume]\n"
-      "              [--gen-cache <on|off>]\n"
       "              [--journal-group-frames <n>] [--journal-group-ms <t>]\n"
       "              [--metrics-out <file>] [--trace-out <file>] |\n"
       "       fingerprints <file> | identify <hex-client-hello-record>\n",
@@ -194,23 +188,12 @@ std::string prometheus_path(const std::string& metrics_path) {
 }
 
 int cmd_export(const char* dir, const char* checkpoint_dir, bool resume,
-               const char* gen_cache,
                long journal_group_frames, long journal_group_ms,
                const char* metrics_out, const char* trace_out) {
   auto opts = options_from_env();
   if (checkpoint_dir != nullptr) {
     opts.checkpoint_dir = checkpoint_dir;
     opts.resume = resume;
-  }
-  if (gen_cache != nullptr) {
-    if (std::strcmp(gen_cache, "on") == 0) {
-      opts.gen_cache = true;
-    } else if (std::strcmp(gen_cache, "off") == 0) {
-      opts.gen_cache = false;
-    } else {
-      std::fprintf(stderr, "export: unknown --gen-cache '%s'\n", gen_cache);
-      return 2;
-    }
   }
   if (journal_group_frames > 0) {
     opts.journal_group_frames =
@@ -314,7 +297,6 @@ int main(int argc, char** argv) {
     const char* checkpoint_dir = nullptr;
     const char* metrics_out = nullptr;
     const char* trace_out = nullptr;
-    const char* gen_cache = nullptr;
     long journal_group_frames = 0;  // 0 = keep the StudyOptions default
     long journal_group_ms = -1;     // -1 = keep the StudyOptions default
     bool resume = false;
@@ -323,8 +305,6 @@ int main(int argc, char** argv) {
         checkpoint_dir = argv[++i];
       } else if (std::strcmp(argv[i], "--resume") == 0) {
         resume = true;
-      } else if (std::strcmp(argv[i], "--gen-cache") == 0 && i + 1 < argc) {
-        gen_cache = argv[++i];
       } else if (std::strcmp(argv[i], "--journal-group-frames") == 0 &&
                  i + 1 < argc) {
         // A zero-frame group can never commit; reject it with the garbage.
@@ -344,9 +324,8 @@ int main(int argc, char** argv) {
         return usage();
       }
     }
-    return cmd_export(argv[2], checkpoint_dir, resume, gen_cache,
-                      journal_group_frames, journal_group_ms, metrics_out,
-                      trace_out);
+    return cmd_export(argv[2], checkpoint_dir, resume, journal_group_frames,
+                      journal_group_ms, metrics_out, trace_out);
   }
   if (cmd == "fingerprints" && argc == 3) return cmd_fingerprints(argv[2]);
   if (cmd == "identify" && argc == 3) return cmd_identify(argv[2]);

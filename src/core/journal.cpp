@@ -591,7 +591,7 @@ bool GroupCommitWriter::commit_group(std::vector<Pending>& batch) {
         .record(batch.size());
     metrics_
         .histogram("tls_repro_journal_flush_us",
-                   tls::telemetry::duration_buckets_us(), {},
+                   tls::telemetry::wide_latency_buckets_us(), {},
                    "group encode+append+fsync latency", true)
         .record(us);
     metrics_

@@ -152,7 +152,7 @@ std::unique_ptr<tls::notary::PassiveMonitor> LongitudinalStudy::compute_shard(
       const std::uint64_t total_us = task_watch.elapsed_us();
       const std::uint64_t generate_us =
           total_us > observe_us ? total_us - observe_us : 0;
-      auto buckets = tls::telemetry::duration_buckets_us();
+      auto buckets = tls::telemetry::wide_latency_buckets_us();
       tel->registry
           .histogram("tls_repro_pipeline_generate_us", buckets, "",
                      "Traffic-generation share of each shard task")
@@ -336,7 +336,7 @@ void LongitudinalStudy::run() {
         const std::uint64_t enc_us = enc.elapsed_us();
         tel->registry
             .histogram("tls_repro_checkpoint_encode_us",
-                       tls::telemetry::duration_buckets_us(), "",
+                       tls::telemetry::wide_latency_buckets_us(), "",
                        "Monitor-state snapshot encode time per frame")
             .record(enc_us);
         tls::telemetry::TraceEvent enc_event{
@@ -350,7 +350,7 @@ void LongitudinalStudy::run() {
         const std::uint64_t app_us = app.elapsed_us();
         tel->registry
             .histogram("tls_repro_checkpoint_append_us",
-                       tls::telemetry::duration_buckets_us(), "",
+                       tls::telemetry::wide_latency_buckets_us(), "",
                        "Frame hand-off to the journal writer, per frame")
             .record(app_us);
         tel->trace.add({"checkpoint_append", "checkpoint", app.start_us(),
@@ -377,7 +377,7 @@ void LongitudinalStudy::run() {
       monitor_->absorb(*mon);
       metrics_
           .histogram("tls_repro_pipeline_absorb_us",
-                     tls::telemetry::duration_buckets_us(), "",
+                     tls::telemetry::wide_latency_buckets_us(), "",
                      "Shard-monitor merge time per absorbed shard")
           .record(sw.elapsed_us());
     }
@@ -549,7 +549,7 @@ std::vector<std::string> LongitudinalStudy::export_figures(
     if (telemetry_on) {
       metrics_
           .histogram("tls_repro_export_csv_us",
-                     tls::telemetry::duration_buckets_us(), "",
+                     tls::telemetry::wide_latency_buckets_us(), "",
                      "CSV figure render+write time per file")
           .record(sw.elapsed_us());
     }
@@ -611,8 +611,9 @@ std::vector<std::string> LongitudinalStudy::export_figures(
     journal_->flush();  // scan-phase frames durable before folding
     if (telemetry_on) {
       auto& hist = metrics_.histogram(
-          "tls_repro_scan_probe_us", tls::telemetry::duration_buckets_us(),
-          "", "Active-scan segment probe time per (month, segment)");
+          "tls_repro_scan_probe_us",
+          tls::telemetry::wide_latency_buckets_us(), "",
+          "Active-scan segment probe time per (month, segment)");
       for (std::size_t i = 0; i < probes.size(); ++i) {
         if (probe_us[i] > 0) hist.record(probe_us[i]);
         trace_.append(std::move(probe_traces[i]));

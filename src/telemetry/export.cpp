@@ -162,11 +162,13 @@ std::string render_run_report(const MetricsRegistry& registry) {
         break;
       case MetricKind::kHistogram: {
         const Histogram& h = m.histogram;
-        char buf[96];
+        char buf[160];
         std::snprintf(buf, sizeof(buf),
-                      "n=%llu sum=%llu mean=%.1f max=%llu",
+                      "n=%llu sum=%llu mean=%.1f p50=%llu p99=%llu max=%llu",
                       static_cast<unsigned long long>(h.count),
                       static_cast<unsigned long long>(h.sum), h.mean(),
+                      static_cast<unsigned long long>(h.quantile(0.50)),
+                      static_cast<unsigned long long>(h.quantile(0.99)),
                       static_cast<unsigned long long>(h.max));
         value = buf;
         break;

@@ -51,11 +51,6 @@ std::uint64_t Histogram::quantile(double q) const {
   return max;
 }
 
-std::vector<std::uint64_t> duration_buckets_us() {
-  return {10,     100,     1'000,     10'000,
-          100'000, 1'000'000, 10'000'000};
-}
-
 std::vector<std::uint64_t> log_linear_buckets(std::uint64_t lo,
                                               std::uint64_t hi,
                                               unsigned subdiv) {

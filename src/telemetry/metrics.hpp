@@ -74,23 +74,21 @@ struct Histogram {
   [[nodiscard]] std::uint64_t quantile(double q) const;
 };
 
-/// Power-of-ten duration buckets in microseconds: 10us .. 10s.
-[[nodiscard]] std::vector<std::uint64_t> duration_buckets_us();
-
 /// Log-linear (HDR-style) bucket bounds: each power-of-two octave from
 /// `lo` up to at least `hi` is split into `subdiv` linear sub-buckets, so
 /// relative resolution stays roughly constant (~1/subdiv) across the whole
 /// dynamic range instead of collapsing to one bucket per decade. Bounds
 /// are strictly ascending; duplicates from integer rounding at the small
-/// end are collapsed. The wide-range histogram flavor used by the daemon's
-/// per-stage latency attribution (DESIGN.md §17).
+/// end are collapsed. The shape behind every latency histogram (DESIGN.md
+/// §17).
 [[nodiscard]] std::vector<std::uint64_t> log_linear_buckets(
     std::uint64_t lo, std::uint64_t hi, unsigned subdiv);
 
-/// The daemon's stage-latency bounds: 1us .. ~67s at 4 sub-buckets per
-/// octave (~26 octaves, ~104 buckets) — wide enough that a credit stall
-/// behind a shed storm and a sub-microsecond decode land in meaningfully
-/// different buckets of the same histogram.
+/// The bounds of every latency histogram, in the batch study and the
+/// daemon alike: 1us .. ~67s at 4 sub-buckets per octave (~26 octaves,
+/// ~104 buckets) — wide enough that a credit stall behind a shed storm
+/// and a sub-microsecond decode land in meaningfully different buckets of
+/// the same histogram, and fine enough that p50/p99 mean something.
 [[nodiscard]] std::vector<std::uint64_t> wide_latency_buckets_us();
 
 struct Metric {

@@ -965,23 +965,36 @@ TEST(DaemonObservability, StatsSnapshotsAreMonotonicAndClosureConsistent) {
     }
   });
 
-  const auto field = [](const std::string& body, const char* key) {
+  // Violations are recorded, not asserted, while the sender runs: a failed
+  // ASSERT would return with the sender still joinable (std::terminate).
+  std::string first_violation;
+  const auto check = [&](bool ok, const std::string& what,
+                         const std::string& body) {
+    if (!ok && first_violation.empty()) {
+      first_violation = what + " in:\n" + body;
+    }
+  };
+  const auto field = [&](const std::string& body, const char* key) {
     const auto pos = body.find(std::string(key) + "=");
-    EXPECT_NE(pos, std::string::npos) << key << " missing in:\n" << body;
+    check(pos != std::string::npos, std::string(key) + " missing", body);
+    if (pos == std::string::npos) return 0ULL;
     return std::strtoull(body.c_str() + pos + std::strlen(key) + 1, nullptr,
                          10);
   };
 
   BlockingClient poller;
-  ASSERT_TRUE(poller.connect_to(daemon.port()));
+  const bool poller_connected = poller.connect_to(daemon.port());
+  bool queries_ok = true;
   std::uint64_t prev_offered = 0, prev_ingested = 0, prev_shed = 0;
   std::uint64_t prev_malformed = 0;
   int polls = 0;
   // Poll while the sender is racing; every snapshot must be consistent.
-  while (daemon.counters().ingested < captures.size() && polls < 2000) {
+  while (poller_connected && daemon.counters().ingested < captures.size() &&
+         polls < 2000) {
     std::string body;
-    ASSERT_TRUE(poller.query(FrameType::kQueryStats, FrameType::kStats,
-                             &body));
+    queries_ok =
+        poller.query(FrameType::kQueryStats, FrameType::kStats, &body);
+    if (!queries_ok) break;
     ++polls;
     const auto offered = field(body, "offered");
     const auto admitted = field(body, "admitted");
@@ -989,20 +1002,26 @@ TEST(DaemonObservability, StatsSnapshotsAreMonotonicAndClosureConsistent) {
     const auto shed = field(body, "shed");
     const auto malformed = field(body, "malformed");
     // Closure: nothing is ever counted resolved without being offered.
-    ASSERT_GE(offered, ingested + shed + malformed) << body;
-    ASSERT_GE(admitted, ingested) << body;
-    ASSERT_GE(offered, admitted + shed + malformed) << body;
+    check(offered >= ingested + shed + malformed,
+          "offered < ingested + shed + malformed", body);
+    check(admitted >= ingested, "admitted < ingested", body);
+    check(offered >= admitted + shed + malformed,
+          "offered < admitted + shed + malformed", body);
     // Monotonic between polls.
-    ASSERT_GE(offered, prev_offered);
-    ASSERT_GE(ingested, prev_ingested);
-    ASSERT_GE(shed, prev_shed);
-    ASSERT_GE(malformed, prev_malformed);
+    check(offered >= prev_offered, "offered went back", body);
+    check(ingested >= prev_ingested, "ingested went back", body);
+    check(shed >= prev_shed, "shed went back", body);
+    check(malformed >= prev_malformed, "malformed went back", body);
+    if (!first_violation.empty()) break;
     prev_offered = offered;
     prev_ingested = ingested;
     prev_shed = shed;
     prev_malformed = malformed;
   }
   sender.join();
+  EXPECT_TRUE(poller_connected);
+  EXPECT_TRUE(queries_ok);
+  EXPECT_TRUE(first_violation.empty()) << first_violation;
   EXPECT_GT(polls, 0);
   daemon.request_stop();
   daemon.join();

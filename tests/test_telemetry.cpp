@@ -263,7 +263,7 @@ TEST(MetricsRegistry, LogLinearBucketProperties) {
   // exactly `lo` lands in the first bucket), the last reaches past `hi`.
   EXPECT_LE(buckets.front(), 2u);
   EXPECT_GE(buckets.back(), 64'000'000u);
-  // The daemon's wide-range flavor is exactly this shape.
+  // The one latency-histogram flavor is exactly this shape.
   EXPECT_EQ(tls::telemetry::wide_latency_buckets_us(), buckets);
   // Degenerate requests still produce a usable ladder.
   const auto tiny = tls::telemetry::log_linear_buckets(1, 2, 4);
@@ -287,10 +287,21 @@ TEST(TelemetryExport, RunReportListsEveryMetric) {
   MetricsRegistry r;
   r.counter("a_total").add(7);
   r.histogram("b_us", {10}).record(3);
+  // 98 fast samples and 2 slow ones: the median and the tail land in
+  // different buckets, and each quantile prints its bucket's upper bound.
+  auto& c = r.histogram("c_us", {10, 100, 1000});
+  for (int i = 0; i < 98; ++i) c.record(5);
+  c.record(500);
+  c.record(500);
   const auto report = tls::telemetry::render_run_report(r);
   EXPECT_NE(report.find("a_total"), std::string::npos);
   EXPECT_NE(report.find("b_us"), std::string::npos);
-  EXPECT_NE(report.find("n=1"), std::string::npos);
+  EXPECT_NE(report.find("n=1 sum=3 mean=3.0 p50=10 p99=10 max=3"),
+            std::string::npos)
+      << report;
+  EXPECT_NE(report.find("n=100 sum=1490 mean=14.9 p50=10 p99=1000 max=500"),
+            std::string::npos)
+      << report;
 }
 
 // ---- trace recorder / spans ----

@@ -142,7 +142,8 @@ TEST(Traffic, FallbackScsvAppearsAfterRfc7507) {
 
 // The GenCache template fast path must emit events field-identical to the
 // legacy build-every-hello path, from the same seed, across the 2015-04
-// FALLBACK_SCSV boundary (the fallback leg's SCSV branch switches there).
+// FALLBACK_SCSV boundary (the fallback leg's SCSV branch switches there),
+// at both ends of the study window and in the TLS 1.3-draft era.
 // The full catalog exercises the GREASE/shuffle bypass configs too.
 TEST(Traffic, GenCacheEventsMatchLegacyFieldByField) {
   tls::clients::Catalog catalog = tls::clients::Catalog::standard();
@@ -150,7 +151,9 @@ TEST(Traffic, GenCacheEventsMatchLegacyFieldByField) {
       tls::servers::ServerPopulation::standard();
   MarketModel market = MarketModel::standard(catalog);
   for (const Month m :
-       {Month(2015, 2), Month(2015, 3), Month(2015, 4), Month(2015, 9)}) {
+       {Month(2012, 2), Month(2015, 2), Month(2015, 3), Month(2015, 4),
+        Month(2015, 9), Month(2017, 9), Month(2018, 4)}) {
+    SCOPED_TRACE(m.to_string());
     TrafficGenerator fast(market, servers, 77);
     TrafficGenerator legacy(market, servers, 77);
     fast.set_gen_cache(true);
