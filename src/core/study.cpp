@@ -152,7 +152,7 @@ std::unique_ptr<tls::notary::PassiveMonitor> LongitudinalStudy::compute_shard(
       const std::uint64_t total_us = task_watch.elapsed_us();
       const std::uint64_t generate_us =
           total_us > observe_us ? total_us - observe_us : 0;
-      auto buckets = tls::telemetry::wide_latency_buckets_us();
+      const auto& buckets = tls::telemetry::wide_latency_buckets_us();
       tel->registry
           .histogram("tls_repro_pipeline_generate_us", buckets, "",
                      "Traffic-generation share of each shard task")
@@ -358,6 +358,8 @@ void LongitudinalStudy::run() {
       }
       journal_->note_task(false);
     }
+    // Parked until the plan-order absorb: keep the aggregates only.
+    mon->release_scratch();
     shard_monitors[i] = std::move(mon);
   });
   // Phase boundary: everything the passive phase appended is durable (or

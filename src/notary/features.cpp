@@ -38,9 +38,32 @@ void ClientHelloFeatures::reset() {
   label_cls.reset();
 }
 
+const FingerprintMemo::Entry* FingerprintMemo::find(
+    const std::string& canonical) {
+  ++lookups_;
+  const auto it = entries_.find(canonical);
+  if (it == entries_.end()) return nullptr;
+  ++hits_;
+  return &it->second;
+}
+
+void FingerprintMemo::insert(const std::string& canonical,
+                             const std::string& hash,
+                             std::optional<tls::fp::SoftwareClass> cls) {
+  if (entries_.size() >= capacity_) entries_.clear();
+  entries_.emplace(canonical, Entry{hash, cls});
+}
+
+void FingerprintMemo::release() {
+  // Move-assigning a fresh table frees the nodes and the bucket array;
+  // clear() would keep the buckets.
+  entries_ = decltype(entries_)();
+}
+
 void build_client_features(const ClientHello& hello,
                            const tls::fp::FingerprintDatabase* db,
-                           bool want_fingerprint, ClientHelloFeatures& out,
+                           FingerprintMemo& memo, bool want_fingerprint,
+                           ClientHelloFeatures& out,
                            std::vector<tls::wire::ParseErrorCode>& errors) {
   using namespace tls::core;
   out.reset();
@@ -184,18 +207,24 @@ void build_client_features(const ClientHello& hello,
         out.fp.ec_point_formats.assign(formats.begin(), formats.end());
       }
       out.fp.append_canonical(out.fp_canonical);
-      tls::fp::Md5::hex_into(out.fp_canonical, out.fp_hash);
+      if (const auto* known = memo.find(out.fp_canonical)) {
+        out.fp_hash.assign(known->hash);
+        out.label_cls = known->cls;
+      } else {
+        tls::fp::Md5::hex_into(out.fp_canonical, out.fp_hash);
+        if (db != nullptr) {
+          if (const auto* label = db->lookup(out.fp_hash)) {
+            out.label_cls = label->cls;
+          }
+        }
+        memo.insert(out.fp_canonical, out.fp_hash, out.label_cls);
+      }
       out.fingerprint_computed = true;
       if (out.adv_rc4) out.fp_flags |= kFpRc4;
       if (out.adv_des) out.fp_flags |= kFpDes;
       if (out.adv_3des) out.fp_flags |= kFp3Des;
       if (out.adv_aead) out.fp_flags |= kFpAead;
       if (out.adv_cbc) out.fp_flags |= kFpCbc;
-      if (db != nullptr) {
-        if (const auto* label = db->lookup(out.fp_hash)) {
-          out.label_cls = label->cls;
-        }
-      }
     } catch (const ParseError& e) {
       out.fingerprint_computed = false;
       errors.push_back(e.code());

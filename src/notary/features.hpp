@@ -5,9 +5,11 @@
 // applies them to the month's aggregates.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "fingerprint/database.hpp"
@@ -89,13 +91,56 @@ struct ServerHelloFeatures {
   const tls::core::CipherSuiteInfo* suite = nullptr;
 };
 
+/// Canonical fingerprint text -> (MD5 hex, database label). The
+/// fingerprint is what repeats across captures (every hello carries a fresh
+/// random, so record bytes never do), so MD5 and the label run once per
+/// distinct fingerprint instead of once per capture. A hit returns exactly
+/// what a miss computes, so nothing a monitor exports depends on the
+/// memo's contents. Bounded: an insert into a full table clears it first,
+/// a deterministic flush. A memo serves one fingerprint database.
+class FingerprintMemo {
+ public:
+  static constexpr std::size_t kCapacity = 4096;
+
+  struct Entry {
+    std::string hash;
+    std::optional<tls::fp::SoftwareClass> cls;
+  };
+
+  /// `capacity` is for tests (a capacity of 1 flushes on every insert);
+  /// every monitor uses kCapacity.
+  explicit FingerprintMemo(std::size_t capacity = kCapacity)
+      : capacity_(capacity) {}
+
+  /// The entry for `canonical`, or null; counts one lookup (and a hit).
+  const Entry* find(const std::string& canonical);
+  /// Records a miss's result, clearing the table first when it is full.
+  void insert(const std::string& canonical, const std::string& hash,
+              std::optional<tls::fp::SoftwareClass> cls);
+  /// Frees the table's memory. The counters stay.
+  void release();
+
+  [[nodiscard]] std::size_t size() const { return entries_.size(); }
+  [[nodiscard]] std::size_t capacity() const { return capacity_; }
+  [[nodiscard]] std::uint64_t lookups() const { return lookups_; }
+  [[nodiscard]] std::uint64_t hits() const { return hits_; }
+
+ private:
+  std::size_t capacity_;
+  std::unordered_map<std::string, Entry> entries_;
+  std::uint64_t lookups_ = 0;
+  std::uint64_t hits_ = 0;
+};
+
 /// Derives every client-side feature from one parsed hello. Lazy-accessor
 /// ParseErrors are appended to `errors` in the same order the byte path
 /// notes them (heartbeat, supported_versions, fingerprint extraction). Single
-/// pass over the cipher-suite and extension lists.
+/// pass over the cipher-suite and extension lists. The fingerprint's hash
+/// and label come from `memo`, computed (MD5, then `db`) on a miss.
 void build_client_features(const tls::wire::ClientHello& hello,
                            const tls::fp::FingerprintDatabase* db,
-                           bool want_fingerprint, ClientHelloFeatures& out,
+                           FingerprintMemo& memo, bool want_fingerprint,
+                           ClientHelloFeatures& out,
                            std::vector<tls::wire::ParseErrorCode>& errors);
 
 /// Derives the server-side feature set in ServerField order, stopping at

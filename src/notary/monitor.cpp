@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <string>
+#include <type_traits>
 #include <utility>
 
 #include "faults/injector.hpp"
@@ -258,8 +259,15 @@ void PassiveMonitor::observe_flights(
 }
 
 void PassiveMonitor::set_telemetry(tls::telemetry::MetricsRegistry* registry) {
+  if (tel_memo_lookups_ != nullptr) {
+    tel_memo_lookups_->add(fp_memo_.lookups() - memo_lookups_attached_);
+    tel_memo_hits_->add(fp_memo_.hits() - memo_hits_attached_);
+  }
+  memo_lookups_attached_ = fp_memo_.lookups();
+  memo_hits_attached_ = fp_memo_.hits();
   if (registry == nullptr) {
     tel_fast_ = tel_byte_ = tel_sslv2_ = nullptr;
+    tel_memo_lookups_ = tel_memo_hits_ = nullptr;
     return;
   }
   tel_fast_ = &registry->counter(
@@ -270,6 +278,31 @@ void PassiveMonitor::set_telemetry(tls::telemetry::MetricsRegistry* registry) {
       "Connections ingested through the serialize/parse byte path");
   tel_sslv2_ = &registry->counter("tls_repro_notary_sslv2_total", "",
                                   "SSLv2 CLIENT-HELLO connections recorded");
+  tel_memo_lookups_ = &registry->counter(
+      "tls_repro_notary_fp_memo_lookups_total", "",
+      "Fingerprint memo lookups (one per fingerprinted ClientHello)");
+  tel_memo_hits_ = &registry->counter(
+      "tls_repro_notary_fp_memo_hits_total", "",
+      "Fingerprint memo hits (MD5 and database label skipped)");
+}
+
+void PassiveMonitor::release_scratch() {
+  fp_memo_.release();
+  // Assigning a fresh value frees the storage (`= {}` would keep a
+  // vector's capacity).
+  const auto release = [](auto& x) {
+    x = std::remove_reference_t<decltype(x)>();
+  };
+  release(scratch_hello_);
+  release(scratch_server_hello_);
+  release(scratch_ske_);
+  release(scratch_features_);
+  release(scratch_errors_);
+  release(buf_client_);
+  release(buf_server_);
+  release(buf_ske_);
+  release(buf_alert_);
+  release(buf_note_);
 }
 
 void PassiveMonitor::observe_sslv2(Month m) {
@@ -479,8 +512,8 @@ void PassiveMonitor::observe_wire(
 void PassiveMonitor::harvest_client(Month m, const ClientHello& hello,
                                     RecordBytes<ClientHello> record) {
   scratch_errors_.clear();
-  build_client_features(hello, database_, m >= fp_start(), scratch_features_,
-                        scratch_errors_);
+  build_client_features(hello, database_, fp_memo_, m >= fp_start(),
+                        scratch_features_, scratch_errors_);
   for (const auto code : scratch_errors_) {
     note_error(m, IngestStage::kClientHello, code, bytes_of(record));
   }

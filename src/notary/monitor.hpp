@@ -310,10 +310,22 @@ class PassiveMonitor {
 
   /// Attaches a telemetry registry: the monitor resolves counter handles
   /// for its ingest-path split (fast/byte/sslv2) and bumps them per event.
-  /// nullptr (default) detaches; the disabled path costs one null check
-  /// per event and never reads a clock, so attaching telemetry cannot
-  /// perturb any aggregate the monitor exports.
+  /// The fingerprint memo's lookups and hits reach the registry in one add
+  /// each, when it is detached or replaced. nullptr (default) detaches;
+  /// the disabled path costs one null check per event and never reads a
+  /// clock, so attaching telemetry cannot perturb any aggregate the
+  /// monitor exports.
   void set_telemetry(tls::telemetry::MetricsRegistry* registry);
+
+  /// Frees the fingerprint memo and the per-capture scratch, for a monitor
+  /// that is kept only to be absorbed or encoded. It may keep observing:
+  /// the scratch regrows and the memo refills, and no aggregate changes.
+  void release_scratch();
+
+  /// The fingerprint memo's lifetime lookups and hits.
+  [[nodiscard]] const FingerprintMemo& fingerprint_memo() const {
+    return fp_memo_;
+  }
 
   /// Shard merge: folds another monitor's entire state (monthly stats,
   /// duration tracker, dataset tallies, error taxonomy, quarantine ring)
@@ -456,6 +468,11 @@ class PassiveMonitor {
   tls::telemetry::Counter* tel_fast_ = nullptr;
   tls::telemetry::Counter* tel_byte_ = nullptr;
   tls::telemetry::Counter* tel_sslv2_ = nullptr;
+  tls::telemetry::Counter* tel_memo_lookups_ = nullptr;
+  tls::telemetry::Counter* tel_memo_hits_ = nullptr;
+  // The memo counters as of the attach: the registry gets the difference.
+  std::uint64_t memo_lookups_attached_ = 0;
+  std::uint64_t memo_hits_attached_ = 0;
   // Reusable scratch for the per-connection hot path (a monitor is
   // single-threaded; shard parallelism uses one monitor per shard). The
   // records decode into these in place, so observe_wire allocates nothing
@@ -465,6 +482,9 @@ class PassiveMonitor {
   tls::wire::ServerHello scratch_server_hello_;
   tls::wire::EcdheServerKeyExchange scratch_ske_;
   ClientHelloFeatures scratch_features_;
+  // Never encoded in a snapshot, absorbed or compared: a hit returns what
+  // a miss computes.
+  FingerprintMemo fp_memo_;
   std::vector<tls::wire::ParseErrorCode> scratch_errors_;
   std::vector<std::uint8_t> buf_client_, buf_server_, buf_ske_, buf_alert_;
   std::vector<std::uint8_t> buf_note_;

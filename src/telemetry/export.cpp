@@ -176,7 +176,22 @@ std::string render_run_report(const MetricsRegistry& registry) {
     }
     rows.push_back({key, kind_name(m.kind), value});
   }
-  return tls::analysis::render_table(rows);
+  std::string report = tls::analysis::render_table(rows);
+  // What the fingerprint memo earns: the share of lookups that skipped
+  // MD5 and the database label.
+  if (const Metric* lookups =
+          registry.find("tls_repro_notary_fp_memo_lookups_total")) {
+    const Metric* hits = registry.find("tls_repro_notary_fp_memo_hits_total");
+    const std::uint64_t n = lookups->counter.value;
+    const std::uint64_t h = hits != nullptr ? hits->counter.value : 0;
+    char buf[96];
+    std::snprintf(buf, sizeof(buf), "fp memo: lookups %llu, hit ratio %.4f\n",
+                  static_cast<unsigned long long>(n),
+                  n == 0 ? 0.0
+                         : static_cast<double>(h) / static_cast<double>(n));
+    report += buf;
+  }
+  return report;
 }
 
 std::string deterministic_digest(const MetricsRegistry& registry) {

@@ -69,8 +69,10 @@ std::vector<std::uint64_t> log_linear_buckets(std::uint64_t lo,
   return bounds;
 }
 
-std::vector<std::uint64_t> wide_latency_buckets_us() {
-  return log_linear_buckets(1, 64'000'000, 4);
+const std::vector<std::uint64_t>& wide_latency_buckets_us() {
+  static const std::vector<std::uint64_t> buckets =
+      log_linear_buckets(1, 64'000'000, 4);
+  return buckets;
 }
 
 std::string MetricsRegistry::key_of(std::string_view name,
@@ -113,12 +115,12 @@ Gauge& MetricsRegistry::gauge(std::string_view name, std::string_view labels,
 }
 
 Histogram& MetricsRegistry::histogram(std::string_view name,
-                                      std::vector<std::uint64_t> bounds,
+                                      std::span<const std::uint64_t> bounds,
                                       std::string_view labels,
                                       std::string_view help, bool timing) {
   Metric& m = resolve(MetricKind::kHistogram, name, labels, help, timing);
   if (m.histogram.bounds.empty() && m.histogram.count == 0) {
-    m.histogram.bounds = std::move(bounds);
+    m.histogram.bounds.assign(bounds.begin(), bounds.end());
     m.histogram.counts.assign(m.histogram.bounds.size() + 1, 0);
   }
   return m.histogram;

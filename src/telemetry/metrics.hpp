@@ -26,7 +26,9 @@
 #pragma once
 
 #include <cstdint>
+#include <initializer_list>
 #include <map>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -89,7 +91,8 @@ struct Histogram {
 /// ~104 buckets) — wide enough that a credit stall behind a shed storm
 /// and a sub-microsecond decode land in meaningfully different buckets of
 /// the same histogram, and fine enough that p50/p99 mean something.
-[[nodiscard]] std::vector<std::uint64_t> wide_latency_buckets_us();
+/// Built once; every caller shares the one ladder.
+[[nodiscard]] const std::vector<std::uint64_t>& wide_latency_buckets_us();
 
 struct Metric {
   MetricKind kind = MetricKind::kCounter;
@@ -113,15 +116,23 @@ struct Metric {
 class MetricsRegistry {
  public:
   /// Find-or-create. The first registration fixes help/timing (and bucket
-  /// bounds for histograms); later calls with the same key reuse the entry.
+  /// bounds for histograms, copied only then); later calls with the same
+  /// key reuse the entry.
   Counter& counter(std::string_view name, std::string_view labels = {},
                    std::string_view help = {}, bool timing = false);
   Gauge& gauge(std::string_view name, std::string_view labels = {},
                std::string_view help = {}, bool timing = false);
   Histogram& histogram(std::string_view name,
-                       std::vector<std::uint64_t> bounds,
+                       std::span<const std::uint64_t> bounds,
                        std::string_view labels = {},
                        std::string_view help = {}, bool timing = true);
+  Histogram& histogram(std::string_view name,
+                       std::initializer_list<std::uint64_t> bounds,
+                       std::string_view labels = {},
+                       std::string_view help = {}, bool timing = true) {
+    return histogram(name, std::span(bounds.begin(), bounds.size()), labels,
+                     help, timing);
+  }
 
   /// Folds `other` into this registry: counters add, gauges max,
   /// histograms bucket-add; unseen metrics are copied. Associative and

@@ -1,9 +1,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <optional>
+#include <set>
 #include <string>
+#include <vector>
 
 #include "clients/catalog.hpp"
+#include "core/study.hpp"
 #include "fingerprint/fingerprint.hpp"
 #include "fingerprint/md5.hpp"
 #include "notary/features.hpp"
@@ -149,6 +153,7 @@ TEST(Fingerprint, OnePassFeaturesMatchReferenceExtraction) {
   tls::core::Rng rng(4);
   tls::wire::ClientHello scratch;
   tls::notary::ClientHelloFeatures features;
+  tls::notary::FingerprintMemo memo;
   std::vector<tls::wire::ParseErrorCode> errors;
   std::size_t greased = 0;
   for (const auto& p : catalog.profiles()) {
@@ -156,7 +161,7 @@ TEST(Fingerprint, OnePassFeaturesMatchReferenceExtraction) {
       const auto hello = tls::clients::make_client_hello(cfg, rng, "fp.test");
       tls::wire::ClientHello::parse_record_into(hello.serialize_record(),
                                                 scratch);
-      tls::notary::build_client_features(scratch, nullptr,
+      tls::notary::build_client_features(scratch, nullptr, memo,
                                          /*want_fingerprint=*/true, features,
                                          errors);
       ASSERT_TRUE(errors.empty()) << p.name << " " << cfg.version_label;
@@ -173,6 +178,89 @@ TEST(Fingerprint, OnePassFeaturesMatchReferenceExtraction) {
     }
   }
   EXPECT_GT(greased, 0u);
+}
+
+// ---- the monitor's fingerprint memo (canonical text -> MD5 hex, label) ----
+
+/// One hello per standard-catalog version, GREASE included.
+std::vector<tls::wire::ClientHello> catalog_hellos(
+    const tls::clients::Catalog& catalog) {
+  tls::core::Rng rng(11);
+  std::vector<tls::wire::ClientHello> hellos;
+  for (const auto& p : catalog.profiles()) {
+    for (const auto& cfg : p.versions) {
+      hellos.push_back(tls::clients::make_client_hello(cfg, rng, "memo.test"));
+    }
+  }
+  return hellos;
+}
+
+/// Runs `hello` through build_client_features with `memo` and holds the
+/// hash and label to the reference: extract, MD5, then the database.
+void expect_reference(const tls::wire::ClientHello& hello,
+                      const FingerprintDatabase& db,
+                      tls::notary::FingerprintMemo& memo) {
+  tls::notary::ClientHelloFeatures features;
+  std::vector<tls::wire::ParseErrorCode> errors;
+  tls::notary::build_client_features(hello, &db, memo,
+                                     /*want_fingerprint=*/true, features,
+                                     errors);
+  ASSERT_TRUE(errors.empty());
+  ASSERT_TRUE(features.fingerprint_computed);
+  const auto want = extract_fingerprint(hello).hash();
+  std::optional<SoftwareClass> want_cls;
+  if (const auto* label = db.lookup(want)) want_cls = label->cls;
+  EXPECT_EQ(features.fp_hash, want) << features.fp_canonical;
+  EXPECT_EQ(features.label_cls, want_cls) << features.fp_canonical;
+  EXPECT_LE(memo.size(), memo.capacity());
+}
+
+TEST(FingerprintMemo, MissesThenHitsMatchReferenceHashAndLabel) {
+  const auto catalog = tls::clients::Catalog::standard();
+  const auto db = tls::study::LongitudinalStudy::build_database(catalog);
+  const auto hellos = catalog_hellos(catalog);
+  std::set<std::string> distinct;
+  std::size_t greased = 0, labeled = 0;
+  for (const auto& h : hellos) {
+    distinct.insert(extract_fingerprint(h).canonical());
+    greased += std::any_of(h.cipher_suites.begin(), h.cipher_suites.end(),
+                           [](std::uint16_t v) { return tls::core::is_grease(v); });
+    labeled += db.lookup(extract_fingerprint(h).hash()) != nullptr;
+  }
+  ASSERT_GT(greased, 0u);
+  ASSERT_GT(labeled, 0u);
+  ASSERT_LT(distinct.size(), hellos.size());  // some fingerprints repeat
+
+  tls::notary::FingerprintMemo memo;
+  ASSERT_EQ(memo.capacity(), tls::notary::FingerprintMemo::kCapacity);
+  // First pass: a miss per distinct fingerprint, a hit per repeat.
+  for (const auto& h : hellos) expect_reference(h, db, memo);
+  EXPECT_EQ(memo.lookups(), hellos.size());
+  EXPECT_EQ(memo.hits(), hellos.size() - distinct.size());
+  EXPECT_EQ(memo.size(), distinct.size());
+  // Second pass: every lookup hits.
+  for (const auto& h : hellos) expect_reference(h, db, memo);
+  EXPECT_EQ(memo.lookups(), 2 * hellos.size());
+  EXPECT_EQ(memo.hits(), 2 * hellos.size() - distinct.size());
+}
+
+TEST(FingerprintMemo, OneEntryCapacityFlushesAndStillMatchesReference) {
+  const auto catalog = tls::clients::Catalog::standard();
+  const auto db = tls::study::LongitudinalStudy::build_database(catalog);
+  const auto hellos = catalog_hellos(catalog);
+  tls::notary::FingerprintMemo memo(1);
+  ASSERT_EQ(memo.capacity(), 1u);
+  // Alternating order: each hello, its neighbour, then itself twice. Two
+  // different fingerprints in a row flush the one-entry table; the repeat
+  // that follows hits what the flush left.
+  for (std::size_t i = 0; i < hellos.size(); ++i) {
+    const auto& a = hellos[i];
+    const auto& b = hellos[(i + 1) % hellos.size()];
+    for (const auto* h : {&a, &b, &a, &a}) expect_reference(*h, db, memo);
+  }
+  EXPECT_EQ(memo.lookups(), 4 * hellos.size());
+  EXPECT_GE(memo.hits(), hellos.size());
+  EXPECT_LT(memo.hits(), memo.lookups());
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "clients/catalog.hpp"
+#include "core/study.hpp"
 #include "notary/monitor.hpp"
 #include "notary/snapshot.hpp"
 #include "population/market.hpp"
@@ -656,6 +657,43 @@ TEST(FastObserve, SpanEntryPointMatchesPerEventObserve) {
         spans.observe_span(events);
       });
   expect_stats_equal(one_by_one, spans);
+}
+
+// ---- release_scratch: freeing the memo and scratch changes nothing ----
+
+TEST(PassiveMonitor, ReleaseScratchMidStreamKeepsObservingIdentically) {
+  const auto catalog = tls::clients::Catalog::core_only();
+  const auto servers = tls::servers::ServerPopulation::standard();
+  const auto market = tls::population::MarketModel::standard(catalog);
+  const auto database = tls::study::LongitudinalStudy::build_database(catalog);
+
+  for (const bool fast : {true, false}) {
+    PassiveMonitor kept(&database), released(&database);
+    kept.set_fast_observe(fast);
+    released.set_fast_observe(fast);
+    std::vector<tls::population::ConnectionEvent> events;
+    tls::population::TrafficGenerator gen(market, servers, 31);
+    gen.generate_range({Month(2015, 1), Month(2015, 4)}, 400,
+                       [&](const tls::population::ConnectionEvent& ev) {
+                         events.push_back(ev);
+                       });
+    for (std::size_t i = 0; i < events.size(); ++i) {
+      if (i == events.size() / 2) {
+        ASSERT_GT(released.fingerprint_memo().size(), 0u);
+        released.release_scratch();
+        EXPECT_EQ(released.fingerprint_memo().size(), 0u);
+      }
+      kept.observe(events[i]);
+      released.observe(events[i]);
+    }
+    EXPECT_GT(released.labeled_connections(), 0u) << "fast=" << fast;
+    // The refill after the release misses where `kept` hits.
+    EXPECT_EQ(released.fingerprint_memo().lookups(),
+              kept.fingerprint_memo().lookups());
+    EXPECT_LT(released.fingerprint_memo().hits(),
+              kept.fingerprint_memo().hits());
+    expect_stats_equal(kept, released);
+  }
 }
 
 }  // namespace

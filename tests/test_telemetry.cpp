@@ -473,6 +473,40 @@ TEST(TelemetryStudy, MetricsAndTraceArePopulatedAndValid) {
   EXPECT_EQ(running->gauge.value, 3u);
 }
 
+TEST(TelemetryStudy, FingerprintMemoCountersCloseAndAreThreadIndependent) {
+  auto o = tiny_options();
+  o.telemetry = true;
+  o.faults.bit_flip = 0.10;  // the byte path fingerprints too
+  o.threads = 0;
+  tls::study::LongitudinalStudy serial(o);
+  serial.run();
+  o.threads = 8;
+  tls::study::LongitudinalStudy parallel(o);
+  parallel.run();
+  for (auto* study : {&serial, &parallel}) {
+    const auto* lookups =
+        study->metrics().find("tls_repro_notary_fp_memo_lookups_total");
+    const auto* hits =
+        study->metrics().find("tls_repro_notary_fp_memo_hits_total");
+    ASSERT_NE(lookups, nullptr);
+    ASSERT_NE(hits, nullptr);
+    EXPECT_FALSE(lookups->timing);
+    // One lookup per fingerprinted capture, no more and no fewer.
+    EXPECT_EQ(lookups->counter.value,
+              study->monitor().fingerprintable_connections());
+    EXPECT_GT(hits->counter.value, 0u);
+    EXPECT_LE(hits->counter.value, lookups->counter.value);
+    const auto report = tls::telemetry::render_run_report(study->metrics());
+    EXPECT_NE(report.find("fp memo: lookups " +
+                          std::to_string(lookups->counter.value) +
+                          ", hit ratio 0."),
+              std::string::npos)
+        << report;
+  }
+  EXPECT_EQ(tls::telemetry::deterministic_digest(serial.metrics()),
+            tls::telemetry::deterministic_digest(parallel.metrics()));
+}
+
 TEST(TelemetryStudy, DisabledKeepsRegistryAndTraceEmpty) {
   auto o = tiny_options();
   tls::study::LongitudinalStudy study(o);
