@@ -56,7 +56,6 @@ void LongitudinalStudy::ensure_journal() {
   config.frame_faults = frame_injector_.get();
   config.kill_after_frames = options_.checkpoint_kill_after_frames;
   config.term_after_frames = options_.checkpoint_term_after_frames;
-  config.max_frame_bytes = options_.checkpoint_max_frame_bytes;
   config.group_frames = options_.journal_group_frames;
   config.group_ms = options_.journal_group_ms;
   journal_ = std::make_unique<RunJournal>(std::move(config));

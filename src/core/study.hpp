@@ -109,12 +109,6 @@ struct StudyOptions {
   /// signal-drain lane: the watcher must drain_checkpoint() and exit 0
   /// without losing the in-flight group.
   std::size_t checkpoint_term_after_frames = 0;
-  /// Ceiling on a replayed frame's declared payload length. Frames
-  /// announcing more are quarantined as corrupt before any allocation
-  /// (hostile-length defense for the journal replay path). Replay-side
-  /// only — like every checkpoint knob it is excluded from
-  /// options_digest and never changes an exported byte.
-  std::uint32_t checkpoint_max_frame_bytes = kDefaultMaxFramePayload;
   /// Unread. Kept for `perfbench/` until the next `[benchmark]` PR.
   JournalMode journal_mode = JournalMode::kGrouped;
   /// Journal group commit. Like every checkpoint knob these are EXCLUDED

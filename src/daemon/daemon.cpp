@@ -9,7 +9,6 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <array>
 #include <cerrno>
 #include <chrono>
 #include <condition_variable>
@@ -54,6 +53,9 @@ constexpr const char* kStageNames[kStageCount] = {
 std::uint64_t sub_sat(std::uint64_t a, std::uint64_t b) {
   return a > b ? a - b : 0;
 }
+
+/// Queue-depth / outstanding-credit / shed-rate gauge sampling cadence.
+constexpr std::uint64_t kGaugeSampleMs = 200;
 
 }  // namespace
 
@@ -123,15 +125,6 @@ struct NotaryDaemon::TickerPlane {
   tls::telemetry::MetricsRegistry registry;
   std::uint64_t last_sample_ms = 0;
   std::uint64_t last_shed = 0;
-};
-
-/// Single-writer seqlock over the outcome ledger. The event thread
-/// publishes; readers retry until they catch a quiescent (even, stable)
-/// sequence. All fields are atomics, so the retry loop is race-free under
-/// TSan, not just in practice.
-struct NotaryDaemon::StatsSeqlock {
-  std::atomic<std::uint64_t> seq{0};
-  std::array<std::atomic<std::uint64_t>, 12> words{};
 };
 
 struct NotaryDaemon::Shard {
@@ -233,7 +226,6 @@ bool NotaryDaemon::start() {
   if (!config_.checkpoint_dir.empty()) open_journal();
 
   start_us_ = now_us();
-  stats_seq_ = std::make_unique<StatsSeqlock>();
   if (config_.observability) {
     flight_ = std::make_unique<tls::telemetry::FlightRecorder>(
         1 + config_.shards, config_.flight_events);
@@ -318,120 +310,61 @@ void NotaryDaemon::join() {
 }
 
 DaemonCounters NotaryDaemon::counters() const {
+  // One ordered read of the live atomics. The words are not read at one
+  // instant, but every counter only grows, so this load order keeps each
+  // read closure-consistent:
+  //  1. `ingested` (acquire) first. A worker bumps it (release) after it
+  //     pops the job, and the event thread counted that capture's `offered`
+  //     and `admitted` before the queue unlock that handed the job over,
+  //     so the later loads see admitted >= ingested.
+  //  2. `admitted`, `shed`, `malformed` (acquire). The event thread bumps
+  //     each (release) after the capture's `offered`, so the `offered`
+  //     loaded last is >= admitted + shed + malformed.
+  //  3. `connections_closed` (acquire) before `connections_accepted`.
+  // A kStats reply reflects every capture sent before the query on the
+  // same connection: the event thread counted its `offered` first.
+  const AtomicCounters& a = *counters_;
   DaemonCounters c;
-  c.offered = counters_->offered.load(std::memory_order_relaxed);
-  c.admitted = counters_->admitted.load(std::memory_order_relaxed);
-  c.ingested = counters_->ingested.load(std::memory_order_relaxed);
-  c.shed = counters_->shed.load(std::memory_order_relaxed);
-  c.malformed = counters_->malformed.load(std::memory_order_relaxed);
-  c.credit_violations =
-      counters_->credit_violations.load(std::memory_order_relaxed);
-  c.frame_errors = counters_->frame_errors.load(std::memory_order_relaxed);
-  c.idle_timeouts = counters_->idle_timeouts.load(std::memory_order_relaxed);
+  c.ingested = a.ingested.load(std::memory_order_acquire);
+  c.sslv2 = a.sslv2.load(std::memory_order_relaxed);
+  c.admitted = a.admitted.load(std::memory_order_acquire);
+  c.shed = a.shed.load(std::memory_order_acquire);
+  c.malformed = a.malformed.load(std::memory_order_acquire);
+  c.credit_violations = a.credit_violations.load(std::memory_order_relaxed);
+  c.frame_errors = a.frame_errors.load(std::memory_order_relaxed);
+  c.idle_timeouts = a.idle_timeouts.load(std::memory_order_relaxed);
+  c.connections_closed = a.connections_closed.load(std::memory_order_acquire);
   c.connections_accepted =
-      counters_->connections_accepted.load(std::memory_order_relaxed);
-  c.connections_closed =
-      counters_->connections_closed.load(std::memory_order_relaxed);
-  c.sslv2 = counters_->sslv2.load(std::memory_order_relaxed);
-  c.checkpoint_epochs =
-      counters_->checkpoint_epochs.load(std::memory_order_relaxed);
+      a.connections_accepted.load(std::memory_order_relaxed);
+  c.checkpoint_epochs = a.checkpoint_epochs.load(std::memory_order_relaxed);
+  c.offered = a.offered.load(std::memory_order_relaxed);
   return c;
 }
 
-void NotaryDaemon::publish_stats_snapshot() {
-  if (!stats_seq_) return;
-  // Read the worker-written counters FIRST: every ingested capture's
-  // offered/admitted increments happened-before its ingest (the handoff
-  // goes through the shard queue mutex), so reading offered/admitted
-  // afterwards can only observe values >= the ones implied by `ingested`.
-  // Combined with shed/malformed being event-thread-owned (and this runs
-  // on the event thread), the published snapshot always satisfies
-  //   offered >= ingested + shed + malformed   and   admitted >= ingested.
-  DaemonCounters c;
-  c.ingested = counters_->ingested.load(std::memory_order_acquire);
-  c.sslv2 = counters_->sslv2.load(std::memory_order_relaxed);
-  c.offered = counters_->offered.load(std::memory_order_relaxed);
-  c.admitted = counters_->admitted.load(std::memory_order_relaxed);
-  c.shed = counters_->shed.load(std::memory_order_relaxed);
-  c.malformed = counters_->malformed.load(std::memory_order_relaxed);
-  c.credit_violations =
-      counters_->credit_violations.load(std::memory_order_relaxed);
-  c.frame_errors = counters_->frame_errors.load(std::memory_order_relaxed);
-  c.idle_timeouts = counters_->idle_timeouts.load(std::memory_order_relaxed);
-  c.connections_accepted =
-      counters_->connections_accepted.load(std::memory_order_relaxed);
-  c.connections_closed =
-      counters_->connections_closed.load(std::memory_order_relaxed);
-  c.checkpoint_epochs =
-      counters_->checkpoint_epochs.load(std::memory_order_relaxed);
-
-  StatsSeqlock& s = *stats_seq_;
-  const std::uint64_t seq = s.seq.load(std::memory_order_relaxed);
-  s.seq.store(seq + 1, std::memory_order_relaxed);  // odd: write in flight
-  // Pairs with snapshot_counters()' acquire fence: a reader that loads any
-  // word stored below also sees the odd sequence, and retries.
-  std::atomic_thread_fence(std::memory_order_release);
-  const std::uint64_t words[12] = {
-      c.offered,        c.admitted,       c.ingested,
-      c.shed,           c.malformed,      c.credit_violations,
-      c.frame_errors,   c.idle_timeouts,  c.connections_accepted,
-      c.connections_closed, c.sslv2,      c.checkpoint_epochs};
-  for (std::size_t i = 0; i < 12; ++i) {
-    s.words[i].store(words[i], std::memory_order_relaxed);
+std::vector<tls::telemetry::Histogram> NotaryDaemon::merged_stages() {
+  std::vector<tls::telemetry::Histogram> merged(kStageCount);
+  for (auto& h : merged) {
+    h.bounds = tls::telemetry::wide_latency_buckets_us();
+    h.counts.assign(h.bounds.size() + 1, 0);
   }
-  s.seq.store(seq + 2, std::memory_order_release);  // even: stable
-}
-
-DaemonCounters NotaryDaemon::snapshot_counters() const {
-  if (!stats_seq_ || stats_seq_->seq.load(std::memory_order_acquire) == 0) {
-    // Never published (start() not reached): the raw read is all there is.
-    return counters();
-  }
-  const StatsSeqlock& s = *stats_seq_;
-  for (int attempt = 0; attempt < 1000; ++attempt) {
-    const std::uint64_t s1 = s.seq.load(std::memory_order_acquire);
-    if (s1 & 1) continue;  // publish in flight
-    std::uint64_t words[12];
-    for (std::size_t i = 0; i < 12; ++i) {
-      words[i] = s.words[i].load(std::memory_order_relaxed);
+  for (auto& shard : shards_) {
+    std::lock_guard<std::mutex> lock(shard->telemetry_mutex);
+    for (std::size_t s = 0; s < kStageCount; ++s) {
+      merged[s].merge(*shard->stage[s]);
     }
-    std::atomic_thread_fence(std::memory_order_acquire);
-    if (s.seq.load(std::memory_order_relaxed) != s1) continue;
-    DaemonCounters c;
-    c.offered = words[0];
-    c.admitted = words[1];
-    c.ingested = words[2];
-    c.shed = words[3];
-    c.malformed = words[4];
-    c.credit_violations = words[5];
-    c.frame_errors = words[6];
-    c.idle_timeouts = words[7];
-    c.connections_accepted = words[8];
-    c.connections_closed = words[9];
-    c.sslv2 = words[10];
-    c.checkpoint_epochs = words[11];
-    return c;
   }
-  return counters();  // pathological contention; raw read beats livelock
+  return merged;
 }
 
 std::string NotaryDaemon::stats_text() {
-  // Seqlock snapshot, not the raw atomics: a query racing a worker must
-  // never see a ledger that transiently violates closure.
-  const DaemonCounters c = snapshot_counters();
+  const DaemonCounters c = counters();
   std::uint64_t quarantined = 0;
   {
     std::lock_guard<std::mutex> lock(wire_mutex_);
     quarantined = wire_quarantine_.total_pushed();
   }
   // Ingest latency is the merged ingress->grant `total` stage.
-  tls::telemetry::Histogram latency;
-  latency.bounds = tls::telemetry::wide_latency_buckets_us();
-  latency.counts.assign(latency.bounds.size() + 1, 0);
-  for (auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->telemetry_mutex);
-    latency.merge(*shard->stage[kStageCount - 1]);
-  }
+  const tls::telemetry::Histogram latency = merged_stages()[kStageCount - 1];
   const std::uint64_t journal_dropped =
       journal_ ? journal_->dropped_frames() : 0;
   std::ostringstream out;
@@ -459,7 +392,7 @@ std::string NotaryDaemon::stats_text() {
 
 tls::telemetry::MetricsRegistry NotaryDaemon::merged_metrics() {
   tls::telemetry::MetricsRegistry reg;
-  const DaemonCounters c = snapshot_counters();
+  const DaemonCounters c = counters();
   const auto add = [&reg](const char* name, const char* help,
                           std::uint64_t value) {
     reg.counter(name, {}, help).add(value);
@@ -617,29 +550,13 @@ void NotaryDaemon::finalize_completion(const Completion& done,
   }
 }
 
-std::string NotaryDaemon::trace_text() {
-  if (!trace_) return "observability=off\n";
-  // Merge each stage's histogram across shards for the percentile lines.
-  std::array<tls::telemetry::Histogram, kStageCount> merged;
-  for (auto& h : merged) {
-    h.bounds = tls::telemetry::wide_latency_buckets_us();
-    h.counts.assign(h.bounds.size() + 1, 0);
-  }
-  for (auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->telemetry_mutex);
-    for (std::size_t s = 0; s < kStageCount; ++s) {
-      merged[s].merge(*shard->stage[s]);
-    }
-  }
+std::vector<NotaryDaemon::Exemplar> NotaryDaemon::slowest_exemplars() {
   std::vector<Exemplar> exemplars;
-  std::uint64_t window_events = 0, prev_window_events = 0;
   {
     std::lock_guard<std::mutex> lock(trace_->mutex);
     exemplars = trace_->current;
     exemplars.insert(exemplars.end(), trace_->previous.begin(),
                      trace_->previous.end());
-    window_events = trace_->window_events;
-    prev_window_events = trace_->prev_window_events;
   }
   std::sort(exemplars.begin(), exemplars.end(),
             [](const Exemplar& a, const Exemplar& b) {
@@ -648,6 +565,19 @@ std::string NotaryDaemon::trace_text() {
   if (exemplars.size() > config_.trace_exemplars) {
     exemplars.resize(config_.trace_exemplars);
   }
+  return exemplars;
+}
+
+std::string NotaryDaemon::trace_text() {
+  if (!trace_) return "observability=off\n";
+  const auto merged = merged_stages();
+  std::uint64_t window_events = 0, prev_window_events = 0;
+  {
+    std::lock_guard<std::mutex> lock(trace_->mutex);
+    window_events = trace_->window_events;
+    prev_window_events = trace_->prev_window_events;
+  }
+  const auto exemplars = slowest_exemplars();
   std::ostringstream out;
   out << "trace window_ms=" << config_.trace_window_ms
       << " exemplars=" << config_.trace_exemplars
@@ -676,20 +606,7 @@ std::string NotaryDaemon::trace_text() {
 std::string NotaryDaemon::trace_chrome() {
   tls::telemetry::TraceRecorder rec;
   if (!trace_) return rec.to_json();
-  std::vector<Exemplar> exemplars;
-  {
-    std::lock_guard<std::mutex> lock(trace_->mutex);
-    exemplars = trace_->current;
-    exemplars.insert(exemplars.end(), trace_->previous.begin(),
-                     trace_->previous.end());
-  }
-  std::sort(exemplars.begin(), exemplars.end(),
-            [](const Exemplar& a, const Exemplar& b) {
-              return a.total_us > b.total_us;
-            });
-  if (exemplars.size() > config_.trace_exemplars) {
-    exemplars.resize(config_.trace_exemplars);
-  }
+  const auto exemplars = slowest_exemplars();
   for (std::size_t i = 0; i < exemplars.size(); ++i) {
     const Exemplar& ex = exemplars[i];
     std::uint64_t cursor = ex.ts_us;
@@ -712,7 +629,7 @@ std::string NotaryDaemon::trace_chrome() {
 
 void NotaryDaemon::sample_gauges(std::uint64_t now) {
   if (!ticker_) return;
-  if (now - ticker_->last_sample_ms < config_.gauge_sample_ms) return;
+  if (now - ticker_->last_sample_ms < kGaugeSampleMs) return;
   const std::uint64_t elapsed_ms = now - ticker_->last_sample_ms;
   ticker_->last_sample_ms = now;
 
@@ -760,7 +677,7 @@ void NotaryDaemon::write_flight_files() {
                                  text_bytes);
 }
 
-tls::notary::PassiveMonitor NotaryDaemon::aggregate_locked() {
+tls::notary::PassiveMonitor NotaryDaemon::aggregate_monitor() {
   tls::notary::PassiveMonitor aggregate(config_.database);
   if (baseline_) aggregate.absorb(*baseline_);
   for (auto& shard : shards_) {
@@ -770,12 +687,8 @@ tls::notary::PassiveMonitor NotaryDaemon::aggregate_locked() {
   return aggregate;
 }
 
-tls::notary::PassiveMonitor NotaryDaemon::aggregate_monitor() {
-  return aggregate_locked();
-}
-
 void NotaryDaemon::checkpoint_epoch() {
-  const auto state = tls::notary::encode_monitor_state(aggregate_locked());
+  const auto state = tls::notary::encode_monitor_state(aggregate_monitor());
   ++epoch_;
   journal_->append(tls::study::FrameKind::kPassiveShard, 0,
                    static_cast<std::uint32_t>(epoch_), state);
@@ -790,7 +703,7 @@ void NotaryDaemon::checkpoint_epoch() {
 
 void NotaryDaemon::write_snapshot_files() {
   if (config_.checkpoint_dir.empty()) return;
-  auto aggregate = aggregate_locked();
+  auto aggregate = aggregate_monitor();
   const auto state = tls::notary::encode_monitor_state(aggregate);
   tls::study::FrameHeader header;
   header.kind = tls::study::FrameKind::kPassiveShard;
@@ -906,7 +819,7 @@ void NotaryDaemon::close_connection(std::uint64_t id) {
   if (it == conns_.end()) return;
   ::close(it->second->fd);
   conns_.erase(it);
-  counters_->connections_closed.fetch_add(1, std::memory_order_relaxed);
+  counters_->connections_closed.fetch_add(1, std::memory_order_release);
   flight(0, tls::telemetry::FlightEventKind::kConnClose,
          static_cast<std::uint32_t>(id), 0);
 }
@@ -953,7 +866,7 @@ void NotaryDaemon::handle_capture(Connection& conn,
     // goes away — a sensor that ignores backpressure cannot be reasoned
     // about.
     counters_->credit_violations.fetch_add(1, std::memory_order_relaxed);
-    counters_->shed.fetch_add(1, std::memory_order_relaxed);
+    counters_->shed.fetch_add(1, std::memory_order_release);
     flight(0, tls::telemetry::FlightEventKind::kCreditViolation, conn_a, 0);
     close_connection(conn.id);  // erases conn — caller must not touch it
     return;
@@ -962,7 +875,7 @@ void NotaryDaemon::handle_capture(Connection& conn,
   try {
     capture = decode_capture(payload);
   } catch (const tls::wire::ParseError& err) {
-    counters_->malformed.fetch_add(1, std::memory_order_relaxed);
+    counters_->malformed.fetch_add(1, std::memory_order_release);
     flight(0, tls::telemetry::FlightEventKind::kMalformed, conn_a,
            static_cast<std::uint64_t>(err.code()));
     {
@@ -993,17 +906,19 @@ void NotaryDaemon::handle_capture(Connection& conn,
       job.at.decode = decode_us;
       job.at.enqueue = now_us();
       shard.queue.push_back(std::move(job));
+      // Counted before the unlock that hands the job to the worker, so a
+      // reader that sees it ingested also sees it admitted.
+      counters_->admitted.fetch_add(1, std::memory_order_release);
       admitted = true;
     } else {
       depth_at_refusal = shard.queue.size();
     }
   }
   if (admitted) {
-    counters_->admitted.fetch_add(1, std::memory_order_relaxed);
     flight(0, tls::telemetry::FlightEventKind::kAdmit, conn_a, shard_index);
     shard.cv.notify_one();
   } else {
-    counters_->shed.fetch_add(1, std::memory_order_relaxed);
+    counters_->shed.fetch_add(1, std::memory_order_release);
     flight(0, tls::telemetry::FlightEventKind::kShed, conn_a,
            depth_at_refusal);
     conn.gate.complete();
@@ -1026,10 +941,6 @@ bool NotaryDaemon::process_frame(Connection& conn, Frame frame) {
       return conns_.find(id) != conns_.end();
     }
     case FrameType::kQueryStats: {
-      // Re-publish before serving so the reply reflects every capture that
-      // arrived earlier on this ordered connection (read-your-writes), not
-      // the snapshot from the previous loop iteration.
-      publish_stats_snapshot();
       const std::string text = stats_text();
       queue_frame(conn, FrameType::kStats,
                   {reinterpret_cast<const std::uint8_t*>(text.data()),
@@ -1037,7 +948,6 @@ bool NotaryDaemon::process_frame(Connection& conn, Frame frame) {
       break;
     }
     case FrameType::kQueryMetrics: {
-      publish_stats_snapshot();  // same read-your-writes contract as kStats
       const auto registry = merged_metrics();
       const std::string text = tls::telemetry::to_prometheus(registry);
       queue_frame(conn, FrameType::kMetrics,
@@ -1218,7 +1128,6 @@ void NotaryDaemon::event_loop() {
       sweep_idle(now_ms());
     }
 
-    publish_stats_snapshot();
     if (config_.observability) {
       const std::uint64_t now = now_ms();
       sample_gauges(now);
@@ -1281,7 +1190,6 @@ void NotaryDaemon::event_loop() {
   workers_.clear();
 
   if (journal_) checkpoint_epoch();
-  publish_stats_snapshot();  // final: readers after join() see the ledger
   write_snapshot_files();
   write_flight_files();
   running_.store(false, std::memory_order_release);

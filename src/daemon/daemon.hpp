@@ -123,8 +123,6 @@ struct DaemonConfig {
   /// Exemplar reservoir: the K slowest frames kept per trace window.
   std::size_t trace_exemplars = 8;
   std::uint64_t trace_window_ms = 5000;
-  /// Queue-depth / outstanding-credit / shed-rate gauge sampling cadence.
-  std::uint64_t gauge_sample_ms = 200;
 };
 
 /// Monotonic outcome ledger. Invariant (after drain):
@@ -182,7 +180,11 @@ class NotaryDaemon {
   /// Blocks until the drain completes and all threads are joined.
   void join();
 
-  /// Atomic snapshot of the outcome ledger.
+  /// Live read of the outcome ledger, safe from any thread. The words are
+  /// not taken at one instant, but every read is closure-consistent:
+  ///   offered >= ingested + shed + malformed,
+  ///   offered >= admitted + shed + malformed,   admitted >= ingested,
+  /// and after join() offered == ingested + shed + malformed.
   [[nodiscard]] DaemonCounters counters() const;
 
   /// The kStats body: sorted `key=value` lines (parseable by the CI gate).
@@ -218,7 +220,6 @@ class NotaryDaemon {
   struct Exemplar;
   struct TracePlane;
   struct TickerPlane;
-  struct StatsSeqlock;
 
   void event_loop();
   void worker_loop(std::size_t shard_index);
@@ -242,17 +243,16 @@ class NotaryDaemon {
                            std::uint64_t grant_us);
   void sample_gauges(std::uint64_t now_ms);
   void write_flight_files();
-
-  // Consistent stats snapshot (event thread publishes; any thread reads).
-  void publish_stats_snapshot();
-  [[nodiscard]] DaemonCounters snapshot_counters() const;
+  /// Each stage's histogram (kStageNames order) merged across shards.
+  [[nodiscard]] std::vector<tls::telemetry::Histogram> merged_stages();
+  /// Both trace windows' exemplars, slowest first, at most trace_exemplars.
+  [[nodiscard]] std::vector<Exemplar> slowest_exemplars();
 
   /// Opens (or, with resume, replays) the journal under checkpoint_dir and
   /// restores the newest decodable epoch as the aggregate baseline.
   void open_journal();
   void checkpoint_epoch();
   void write_snapshot_files();
-  [[nodiscard]] tls::notary::PassiveMonitor aggregate_locked();
 
   DaemonConfig config_;
   std::uint16_t port_ = 0;
@@ -282,7 +282,6 @@ class NotaryDaemon {
   std::unique_ptr<tls::telemetry::FlightRecorder> flight_;
   std::unique_ptr<TracePlane> trace_;
   std::unique_ptr<TickerPlane> ticker_;
-  std::unique_ptr<StatsSeqlock> stats_seq_;
   std::uint64_t start_us_ = 0;
   std::uint64_t last_flight_dump_ms_ = 0;
   bool journal_drop_booked_ = false;

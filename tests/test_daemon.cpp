@@ -35,6 +35,7 @@
 #include "servers/population.hpp"
 #include "telemetry/export.hpp"
 #include "telemetry/flight.hpp"
+#include "telemetry/metrics.hpp"
 #include "wire/buffer.hpp"
 
 namespace {
@@ -43,6 +44,7 @@ using tls::daemon::CapturePayload;
 using tls::daemon::CreditClient;
 using tls::daemon::CreditGate;
 using tls::daemon::DaemonConfig;
+using tls::daemon::DaemonCounters;
 using tls::daemon::DecodeError;
 using tls::daemon::Frame;
 using tls::daemon::FrameDecoder;
@@ -546,8 +548,15 @@ TEST(DaemonEndToEnd, IngestQuantilesResolveBelowADecade) {
   const auto at = stats.find("ingest_p50_us=");
   ASSERT_NE(at, std::string::npos) << stats;
   const auto p50 = std::stoull(stats.substr(at + 14));
+  // The quantile is a bucket upper bound, so the ceiling is the first
+  // ladder bound at or above 3000 us, read from the ladder itself: a
+  // literal 3000 would demand the bucket below it (2560 us today), barely
+  // above the 2000-us delay, while this still rules out the next decade.
+  const auto& ladder = tls::telemetry::wide_latency_buckets_us();
+  const auto ceiling = std::lower_bound(ladder.begin(), ladder.end(), 3000u);
+  ASSERT_NE(ceiling, ladder.end());
   EXPECT_GE(p50, 2000u) << stats;
-  EXPECT_LE(p50, 3000u) << stats;
+  EXPECT_LE(p50, *ceiling) << stats;
 
   daemon.request_stop();
   daemon.join();
@@ -943,9 +952,11 @@ TEST(DaemonObservability, OnVersusOffMonitorStateIsByteIdentical) {
 }
 
 /// Stats snapshots served under concurrent load must be monotonic between
-/// polls AND internally closure-consistent at every single poll — the
-/// seqlock must never publish a state where a capture is counted ingested
-/// but not yet offered, or admitted but missing from admission.
+/// polls AND internally closure-consistent at every single poll, both the
+/// kStats reply and a counters() read on this thread. The ledger is read in
+/// order (ingested, then the outcomes, then offered), so no read may show a
+/// capture counted ingested but not yet offered, or ingested but not yet
+/// admitted.
 TEST(DaemonObservability, StatsSnapshotsAreMonotonicAndClosureConsistent) {
   auto& fix = fixture();
   const auto captures = fix.make_captures(400, 0x5E9);
@@ -987,6 +998,7 @@ TEST(DaemonObservability, StatsSnapshotsAreMonotonicAndClosureConsistent) {
   bool queries_ok = true;
   std::uint64_t prev_offered = 0, prev_ingested = 0, prev_shed = 0;
   std::uint64_t prev_malformed = 0;
+  DaemonCounters prev_live;
   int polls = 0;
   // Poll while the sender is racing; every snapshot must be consistent.
   while (poller_connected && daemon.counters().ingested < captures.size() &&
@@ -1012,11 +1024,29 @@ TEST(DaemonObservability, StatsSnapshotsAreMonotonicAndClosureConsistent) {
     check(ingested >= prev_ingested, "ingested went back", body);
     check(shed >= prev_shed, "shed went back", body);
     check(malformed >= prev_malformed, "malformed went back", body);
+    // The same rules for a direct read on this (non-event) thread.
+    const DaemonCounters live = daemon.counters();
+    const std::string text =
+        "counters(): offered=" + std::to_string(live.offered) +
+        " admitted=" + std::to_string(live.admitted) +
+        " ingested=" + std::to_string(live.ingested) +
+        " shed=" + std::to_string(live.shed) +
+        " malformed=" + std::to_string(live.malformed) + '\n';
+    check(live.offered >= live.ingested + live.shed + live.malformed,
+          "offered < ingested + shed + malformed", text);
+    check(live.admitted >= live.ingested, "admitted < ingested", text);
+    check(live.offered >= live.admitted + live.shed + live.malformed,
+          "offered < admitted + shed + malformed", text);
+    check(live.offered >= prev_live.offered, "offered went back", text);
+    check(live.ingested >= prev_live.ingested, "ingested went back", text);
+    check(live.shed >= prev_live.shed, "shed went back", text);
+    check(live.malformed >= prev_live.malformed, "malformed went back", text);
     if (!first_violation.empty()) break;
     prev_offered = offered;
     prev_ingested = ingested;
     prev_shed = shed;
     prev_malformed = malformed;
+    prev_live = live;
   }
   sender.join();
   EXPECT_TRUE(poller_connected);
