@@ -4,6 +4,7 @@
 #pragma once
 
 #include <cerrno>
+#include <cstdio>
 #include <cstdlib>
 
 namespace tls::cli {
@@ -23,6 +24,19 @@ inline bool parse_long(const char* s, long min, long max, long* out) {
   }
   *out = v;
   return true;
+}
+
+/// parse_long for the value of `tool`'s flag `flag`: a bad value prints
+/// "<tool>: bad value for <flag>: <text> (want <min>..<max>)" and exits 2.
+inline long parse_flag(const char* tool, const char* flag, const char* text,
+                       long min, long max) {
+  long v = 0;
+  if (!parse_long(text, min, max, &v)) {
+    std::fprintf(stderr, "%s: bad value for %s: %s (want %ld..%ld)\n", tool,
+                 flag, text == nullptr ? "" : text, min, max);
+    std::exit(2);
+  }
+  return v;
 }
 
 }  // namespace tls::cli

@@ -8,85 +8,17 @@
 // with a checksum mismatch, which is reported in the rendering and via
 // exit 3), 1 undecodable or unreachable daemon, 2 usage error. --out
 // additionally saves the fetched binary image for later offline decoding.
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
-#include <poll.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
-#include <chrono>
 #include <cstdint>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <optional>
 #include <string>
 #include <vector>
 
-#include "daemon/protocol.hpp"
+#include "cli_parse.hpp"
+#include "daemon/sensor_client.hpp"
 #include "telemetry/flight.hpp"
-
-namespace {
-
-using tls::daemon::FrameDecoder;
-using tls::daemon::FrameType;
-
-std::uint64_t now_us() {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::microseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
-
-bool fetch_flight(const std::string& host, std::uint16_t port,
-                  std::vector<std::uint8_t>* image) {
-  const int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
-  if (fd < 0) return false;
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(port);
-  if (::inet_pton(AF_INET, host.c_str(), &addr.sin_addr) != 1 ||
-      ::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
-    ::close(fd);
-    return false;
-  }
-  int one = 1;
-  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-  const auto request =
-      tls::daemon::encode_frame(FrameType::kQueryFlight, {});
-  std::size_t sent = 0;
-  while (sent < request.size()) {
-    const auto n =
-        ::send(fd, request.data() + sent, request.size() - sent, MSG_NOSIGNAL);
-    if (n <= 0) {
-      ::close(fd);
-      return false;
-    }
-    sent += static_cast<std::size_t>(n);
-  }
-  FrameDecoder decoder;
-  const std::uint64_t deadline = now_us() + 5'000'000;
-  bool got = false;
-  while (!got && now_us() < deadline) {
-    pollfd pfd{fd, POLLIN, 0};
-    if (::poll(&pfd, 1, 200) <= 0) continue;
-    std::uint8_t buf[16384];
-    const auto n = ::recv(fd, buf, sizeof(buf), 0);
-    if (n <= 0) break;
-    const auto frames = decoder.feed({buf, static_cast<std::size_t>(n)});
-    for (const auto& f : frames) {
-      if (f.type != FrameType::kFlight) continue;
-      image->assign(f.payload.begin(), f.payload.end());
-      got = true;
-      break;
-    }
-    if (decoder.poisoned()) break;
-  }
-  ::close(fd);
-  return got;
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   std::string path;
@@ -104,8 +36,8 @@ int main(int argc, char** argv) {
       return argv[++i];
     };
     if (arg == "--port") {
-      port = static_cast<std::uint16_t>(
-          std::strtoull(need("--port"), nullptr, 10));
+      port = static_cast<std::uint16_t>(tls::cli::parse_flag(
+          "flight_dump", "--port", need("--port"), 1, 65535));
     } else if (arg == "--host") {
       host = need("--host");
     } else if (arg == "--out") {
@@ -124,11 +56,17 @@ int main(int argc, char** argv) {
 
   std::vector<std::uint8_t> image;
   if (port != 0) {
-    if (!fetch_flight(host, port, &image)) {
+    tls::daemon::SensorClient client;
+    std::optional<std::string> reply;
+    if (client.connect(host, port)) {
+      reply = client.query(tls::daemon::FrameType::kQueryFlight);
+    }
+    if (!reply) {
       std::cerr << "flight_dump: daemon at " << host << ":" << port
                 << " did not answer kQueryFlight\n";
       return 1;
     }
+    image.assign(reply->begin(), reply->end());
     if (image.empty()) {
       std::cerr << "flight_dump: daemon is running with observability off\n";
       return 1;

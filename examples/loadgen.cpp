@@ -28,50 +28,37 @@
 // the daemon-side p99 of each ingested capture's ingress->grant latency
 // (the `total` stage: frame received to credit grant queued);
 // --min-ingested guards against a silently dead pipeline.
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
-#include <poll.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
-#include <atomic>
-#include <cerrno>
 #include <chrono>
+#include <climits>
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <map>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "cli_parse.hpp"
 #include "clients/catalog.hpp"
 #include "core/study.hpp"
 #include "daemon/capture.hpp"
 #include "daemon/protocol.hpp"
+#include "daemon/sensor_client.hpp"
 #include "population/market.hpp"
 #include "population/traffic.hpp"
 #include "servers/population.hpp"
+#include "telemetry/stopwatch.hpp"
 #include "tlscore/rng.hpp"
 
 namespace {
 
-using tls::daemon::CreditClient;
-using tls::daemon::Frame;
-using tls::daemon::FrameDecoder;
 using tls::daemon::FrameType;
-
-std::uint64_t now_us() {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::microseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
+using tls::daemon::SensorClient;
+using tls::telemetry::now_us;
 
 struct Options {
   std::string host = "127.0.0.1";
@@ -98,90 +85,6 @@ struct WorkerStats {
   std::uint64_t reconnects = 0;
 };
 
-class Client {
- public:
-  ~Client() { close(); }
-
-  bool connect(const std::string& host, std::uint16_t port) {
-    close();
-    fd_ = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
-    if (fd_ < 0) return false;
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_port = htons(port);
-    if (::inet_pton(AF_INET, host.c_str(), &addr.sin_addr) != 1) return false;
-    if (::connect(fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) !=
-        0) {
-      close();
-      return false;
-    }
-    int one = 1;
-    ::setsockopt(fd_, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-    decoder_ = FrameDecoder();
-    credits_ = CreditClient();
-    return true;
-  }
-
-  void close() {
-    if (fd_ >= 0) ::close(fd_);
-    fd_ = -1;
-  }
-
-  [[nodiscard]] bool connected() const { return fd_ >= 0; }
-  [[nodiscard]] CreditClient& credits() { return credits_; }
-
-  /// Blocking full send; false on a dead peer.
-  bool send_all(std::span<const std::uint8_t> bytes) {
-    std::size_t off = 0;
-    while (off < bytes.size()) {
-      const auto n =
-          ::send(fd_, bytes.data() + off, bytes.size() - off, MSG_NOSIGNAL);
-      if (n < 0) {
-        if (errno == EINTR) continue;
-        return false;
-      }
-      off += static_cast<std::size_t>(n);
-    }
-    return true;
-  }
-
-  /// Non-blocking read of whatever is pending; applies credit grants,
-  /// returns any non-grant frames. False on a dead peer.
-  bool drain_input(std::vector<Frame>* out = nullptr) {
-    std::uint8_t buf[16384];
-    for (;;) {
-      const auto n = ::recv(fd_, buf, sizeof(buf), MSG_DONTWAIT);
-      if (n == 0) return false;
-      if (n < 0) {
-        if (errno == EAGAIN || errno == EWOULDBLOCK) return true;
-        if (errno == EINTR) continue;
-        return false;
-      }
-      auto frames = decoder_.feed({buf, static_cast<std::size_t>(n)});
-      for (auto& frame : frames) {
-        if (frame.type == FrameType::kCreditGrant) {
-          const auto grant = tls::daemon::decode_credit_grant(frame.payload);
-          if (grant) credits_.on_grant(*grant);
-        } else if (out != nullptr) {
-          out->push_back(std::move(frame));
-        }
-      }
-      if (decoder_.poisoned()) return false;
-    }
-  }
-
-  /// Waits up to timeout_ms for readable input.
-  bool wait_readable(int timeout_ms) {
-    pollfd pfd{fd_, POLLIN, 0};
-    return ::poll(&pfd, 1, timeout_ms) > 0 && (pfd.revents & POLLIN) != 0;
-  }
-
- private:
-  int fd_ = -1;
-  FrameDecoder decoder_;
-  CreditClient credits_;
-};
-
 /// One worker: fires pre-encoded capture frames at `rate_per_s` on an
 /// exponential open-loop schedule until the deadline.
 void run_worker(const Options& opt, std::size_t index,
@@ -189,12 +92,11 @@ void run_worker(const Options& opt, std::size_t index,
                 double rate_per_s, std::uint64_t deadline_us,
                 WorkerStats& stats) {
   tls::core::Rng rng(opt.seed * 0x9e3779b97f4a7c15ull + index);
-  Client client;
+  SensorClient client;
   if (!client.connect(opt.host, opt.port)) return;
   // Wait briefly for the initial credit grant so the first fires have a
   // window to spend.
-  client.wait_readable(200);
-  if (!client.drain_input()) return;
+  if (!client.poll(200)) return;
 
   std::size_t cursor = index;  // desynchronize the event cycles
   double next_fire = static_cast<double>(now_us());
@@ -205,10 +107,8 @@ void run_worker(const Options& opt, std::size_t index,
     if (static_cast<double>(now) < next_fire) {
       const auto wait_us = static_cast<std::uint64_t>(
           next_fire - static_cast<double>(now));
-      client.wait_readable(static_cast<int>(wait_us / 1000) + 1);
-      if (client.connected() && !client.drain_input()) {
-        client.close();
-      }
+      // Disconnected after a fault, this is a plain wait until the fire.
+      if (!client.poll(static_cast<int>(wait_us / 1000) + 1)) client.close();
       continue;
     }
     // Schedule the next arrival first — open loop: the schedule never
@@ -223,8 +123,7 @@ void run_worker(const Options& opt, std::size_t index,
         continue;
       }
       ++stats.reconnects;
-      client.wait_readable(200);
-      client.drain_input();
+      client.poll(200);
     }
 
     const auto& frame = frames[cursor % frames.size()];
@@ -238,7 +137,7 @@ void run_worker(const Options& opt, std::size_t index,
       switch (fault_cycle++ % 4) {
         case 0: {  // torn frame: half the bytes, then a hard disconnect
           const std::size_t half = frame.size() / 2;
-          client.send_all({frame.data(), half});
+          client.send({frame.data(), half});
           client.close();
           break;
         }
@@ -247,18 +146,18 @@ void run_worker(const Options& opt, std::size_t index,
           for (auto& b : junk)
             b = static_cast<std::uint8_t>(rng.below(256));
           junk[0] = 0xFF;  // guarantee a magic mismatch
-          if (!client.send_all(junk)) client.close();
+          if (!client.send(junk)) client.close();
           break;
         }
         case 2: {  // bit-flipped checksum: daemon poisons + closes
           auto corrupt = frame;
           corrupt[corrupt.size() - 1] ^= 0x01;
-          if (!client.send_all(corrupt)) client.close();
+          if (!client.send(corrupt)) client.close();
           break;
         }
         case 3: {  // slow-loris: half a frame, stall, never finish
           const std::size_t half = frame.size() / 2;
-          client.send_all({frame.data(), half});
+          client.send({frame.data(), half});
           std::this_thread::sleep_for(std::chrono::milliseconds(20));
           client.close();  // give up mid-frame — daemon sees a torn buffer
           break;
@@ -267,62 +166,18 @@ void run_worker(const Options& opt, std::size_t index,
       continue;
     }
 
-    client.drain_input();
+    client.poll(0);
     if (!client.credits().try_send()) {
       ++stats.backpressure_drops;
       continue;
     }
-    if (!client.send_all(frame)) {
+    if (!client.send(frame)) {
       client.close();
       ++stats.backpressure_drops;
       continue;
     }
     ++stats.sent;
   }
-}
-
-/// Control-plane query: fresh connection, one request frame, first reply.
-bool query_daemon(const Options& opt, FrameType request, FrameType reply,
-                  std::string* body) {
-  Client client;
-  if (!client.connect(opt.host, opt.port)) return false;
-  const auto frame = tls::daemon::encode_frame(request, {});
-  if (!client.send_all(frame)) return false;
-  std::vector<Frame> frames;
-  const std::uint64_t deadline = now_us() + 5'000'000;
-  while (now_us() < deadline) {
-    client.wait_readable(200);
-    if (!client.drain_input(&frames)) return false;
-    for (auto& f : frames) {
-      if (f.type != reply) continue;
-      body->assign(f.payload.begin(), f.payload.end());
-      return true;
-    }
-  }
-  return false;
-}
-
-std::map<std::string, std::uint64_t> parse_stats(const std::string& text) {
-  std::map<std::string, std::uint64_t> stats;
-  std::istringstream in(text);
-  std::string line;
-  while (std::getline(in, line)) {
-    const auto eq = line.find('=');
-    if (eq == std::string::npos) continue;
-    stats[line.substr(0, eq)] =
-        std::strtoull(line.c_str() + eq + 1, nullptr, 10);
-  }
-  return stats;
-}
-
-std::uint64_t parse_u64(const char* text, const char* flag) {
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(text, &end, 10);
-  if (end == text || *end != '\0') {
-    std::cerr << "loadgen: bad value for " << flag << ": " << text << "\n";
-    std::exit(2);
-  }
-  return static_cast<std::uint64_t>(v);
 }
 
 }  // namespace
@@ -338,34 +193,38 @@ int main(int argc, char** argv) {
       }
       return argv[++i];
     };
+    const auto number = [&](long min, long max) {
+      return tls::cli::parse_flag("loadgen", arg.c_str(), need(arg.c_str()),
+                                  min, max);
+    };
     if (arg == "--port") {
-      opt.port = static_cast<std::uint16_t>(parse_u64(need("--port"), arg.c_str()));
+      opt.port = static_cast<std::uint16_t>(number(1, 65535));
     } else if (arg == "--host") {
       opt.host = need("--host");
     } else if (arg == "--connections") {
-      opt.connections = parse_u64(need("--connections"), arg.c_str());
+      opt.connections = static_cast<std::size_t>(number(1, 4096));
     } else if (arg == "--rate") {
       opt.rate = std::strtod(need("--rate"), nullptr);
     } else if (arg == "--duration-s") {
       opt.duration_s = std::strtod(need("--duration-s"), nullptr);
     } else if (arg == "--seed") {
-      opt.seed = parse_u64(need("--seed"), arg.c_str());
+      opt.seed = static_cast<std::uint64_t>(number(0, LONG_MAX));
     } else if (arg == "--skew") {
       opt.skew = std::strtod(need("--skew"), nullptr);
     } else if (arg == "--fault-milli") {
-      opt.fault_milli = parse_u64(need("--fault-milli"), arg.c_str());
+      opt.fault_milli = static_cast<std::uint64_t>(number(0, 1000));
     } else if (arg == "--events-per-conn") {
-      opt.events_per_conn = parse_u64(need("--events-per-conn"), arg.c_str());
+      opt.events_per_conn = static_cast<std::size_t>(number(1, LONG_MAX));
     } else if (arg == "--full-catalog") {
       opt.full_catalog = true;
     } else if (arg == "--json") {
       opt.json_out = need("--json");
     } else if (arg == "--p99-bound-us") {
-      opt.p99_bound_us = parse_u64(need("--p99-bound-us"), arg.c_str());
+      opt.p99_bound_us = static_cast<std::uint64_t>(number(0, LONG_MAX));
     } else if (arg == "--expect-closure") {
       opt.expect_closure = true;
     } else if (arg == "--min-ingested") {
-      opt.min_ingested = parse_u64(need("--min-ingested"), arg.c_str());
+      opt.min_ingested = static_cast<std::uint64_t>(number(0, LONG_MAX));
     } else {
       std::cerr << "loadgen: unknown flag " << arg << "\n";
       return 2;
@@ -375,9 +234,7 @@ int main(int argc, char** argv) {
     std::cerr << "loadgen: --port is required\n";
     return 2;
   }
-  if (opt.connections == 0) opt.connections = 1;
   if (opt.rate <= 0.0) opt.rate = 1.0;
-  if (opt.events_per_conn == 0) opt.events_per_conn = 1;
 
   // Build the synthetic traffic plane once and pre-encode every worker's
   // capture frames: the hot loop does no generation, only scheduling.
@@ -443,16 +300,21 @@ int main(int argc, char** argv) {
   // nor shed until a worker drains them. Poll until the books balance (or
   // a generous timeout — queues drain in well under a second once sends
   // stop) so the closure gate measures accounting, not scheduling.
+  // Each control-plane query takes a fresh connection.
+  const auto query = [&](FrameType request) -> std::optional<std::string> {
+    SensorClient control;
+    if (!control.connect(opt.host, opt.port)) return std::nullopt;
+    return control.query(request);
+  };
   std::map<std::string, std::uint64_t> daemon_stats;
   const std::uint64_t quiesce_deadline_us = now_us() + 15'000'000;
   for (;;) {
-    std::string stats_body;
-    if (!query_daemon(opt, FrameType::kQueryStats, FrameType::kStats,
-                      &stats_body)) {
+    const auto stats_body = query(FrameType::kQueryStats);
+    if (!stats_body) {
       std::cerr << "loadgen: stats query failed\n";
       return 1;
     }
-    daemon_stats = parse_stats(stats_body);
+    daemon_stats = tls::daemon::decode_stats(*stats_body);
     const std::uint64_t offered = daemon_stats["offered"];
     const std::uint64_t settled = daemon_stats["ingested"] +
                                   daemon_stats["shed"] +
@@ -468,10 +330,8 @@ int main(int argc, char** argv) {
   // Pull the stage-latency waterfall while the daemon is still up: where
   // each frame's time went (decode/enqueue/queue/observe/complete/grant),
   // plus the slowest exemplars of the last windows.
-  std::string waterfall;
-  if (query_daemon(opt, FrameType::kQueryTrace, FrameType::kTrace,
-                   &waterfall)) {
-    std::istringstream lines(waterfall);
+  if (const auto waterfall = query(FrameType::kQueryTrace)) {
+    std::istringstream lines(*waterfall);
     std::string line;
     while (std::getline(lines, line)) {
       std::cout << "waterfall: " << line << "\n";

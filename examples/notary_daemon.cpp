@@ -27,6 +27,7 @@
 // Signal pattern: signals are blocked in main before any thread spawns,
 // then a dedicated watcher thread sigwait()s and calls request_stop() —
 // no async-signal-safety gymnastics in handlers.
+#include <climits>
 #include <csignal>
 #include <cstdint>
 #include <cstdio>
@@ -37,25 +38,11 @@
 #include <string>
 #include <thread>
 
+#include "cli_parse.hpp"
 #include "clients/catalog.hpp"
 #include "core/study.hpp"
 #include "daemon/daemon.hpp"
 #include "telemetry/export.hpp"
-
-namespace {
-
-std::uint64_t parse_u64(const char* text, const char* flag) {
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(text, &end, 10);
-  if (end == text || *end != '\0') {
-    std::cerr << "notary_daemon: bad value for " << flag << ": " << text
-              << "\n";
-    std::exit(2);
-  }
-  return static_cast<std::uint64_t>(v);
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   tls::daemon::DaemonConfig config;
@@ -73,33 +60,35 @@ int main(int argc, char** argv) {
       }
       return argv[++i];
     };
+    const auto number = [&](long min, long max) {
+      return tls::cli::parse_flag("notary_daemon", arg.c_str(),
+                                  need(arg.c_str()), min, max);
+    };
     if (arg == "--port") {
-      config.port = static_cast<std::uint16_t>(parse_u64(need("--port"), arg.c_str()));
+      config.port = static_cast<std::uint16_t>(number(0, 65535));
     } else if (arg == "--bind") {
       config.bind_address = need("--bind");
     } else if (arg == "--shards") {
-      config.shards = parse_u64(need("--shards"), arg.c_str());
+      config.shards = number(0, LONG_MAX);
     } else if (arg == "--queue-depth") {
-      config.shard_queue_depth = parse_u64(need("--queue-depth"), arg.c_str());
+      config.shard_queue_depth = number(0, LONG_MAX);
     } else if (arg == "--credit-window") {
-      config.credit_window =
-          static_cast<std::uint32_t>(parse_u64(need("--credit-window"), arg.c_str()));
+      config.credit_window = static_cast<std::uint32_t>(number(0, UINT32_MAX));
     } else if (arg == "--max-frame-bytes") {
       config.max_frame_bytes =
-          static_cast<std::uint32_t>(parse_u64(need("--max-frame-bytes"), arg.c_str()));
+          static_cast<std::uint32_t>(number(0, UINT32_MAX));
     } else if (arg == "--idle-timeout-ms") {
-      config.idle_timeout_ms = parse_u64(need("--idle-timeout-ms"), arg.c_str());
+      config.idle_timeout_ms = number(0, LONG_MAX);
     } else if (arg == "--observe-delay-us") {
-      config.observe_delay_us_for_test =
-          parse_u64(need("--observe-delay-us"), arg.c_str());
+      config.observe_delay_us_for_test = number(0, LONG_MAX);
     } else if (arg == "--max-connections") {
-      config.max_connections = parse_u64(need("--max-connections"), arg.c_str());
+      config.max_connections = number(0, LONG_MAX);
     } else if (arg == "--checkpoint-dir") {
       config.checkpoint_dir = need("--checkpoint-dir");
     } else if (arg == "--resume") {
       config.resume = true;
     } else if (arg == "--checkpoint-every") {
-      config.checkpoint_every = parse_u64(need("--checkpoint-every"), arg.c_str());
+      config.checkpoint_every = number(0, LONG_MAX);
     } else if (arg == "--full-catalog") {
       full_catalog = true;
     } else if (arg == "--port-file") {
@@ -111,10 +100,9 @@ int main(int argc, char** argv) {
     } else if (arg == "--no-observability") {
       config.observability = false;
     } else if (arg == "--flight-events") {
-      config.flight_events = parse_u64(need("--flight-events"), arg.c_str());
+      config.flight_events = number(0, LONG_MAX);
     } else if (arg == "--flight-autodump-ms") {
-      config.flight_autodump_ms =
-          parse_u64(need("--flight-autodump-ms"), arg.c_str());
+      config.flight_autodump_ms = number(0, LONG_MAX);
     } else if (arg == "--crash-handler") {
       config.crash_handler = true;
     } else {

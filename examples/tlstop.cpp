@@ -9,38 +9,25 @@
 // stage-latency waterfall (percentile lines + slowest exemplars). --once
 // prints one snapshot without the ANSI screen clearing — the mode CI and
 // scripts use.
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
-#include <poll.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
 #include <chrono>
 #include <cstdint>
 #include <cstdlib>
-#include <cstring>
 #include <iostream>
 #include <map>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "cli_parse.hpp"
 #include "daemon/protocol.hpp"
+#include "daemon/sensor_client.hpp"
+#include "telemetry/stopwatch.hpp"
 
 namespace {
 
-using tls::daemon::Frame;
-using tls::daemon::FrameDecoder;
 using tls::daemon::FrameType;
-
-std::uint64_t now_us() {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::microseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
 
 struct Options {
   std::string host = "127.0.0.1";
@@ -48,98 +35,6 @@ struct Options {
   std::uint64_t interval_ms = 1000;
   bool once = false;
 };
-
-/// Minimal blocking control-plane client: one connection reused across
-/// polls; reconnects transparently if the daemon restarts.
-class QueryClient {
- public:
-  ~QueryClient() {
-    if (fd_ >= 0) ::close(fd_);
-  }
-
-  bool query(const Options& opt, FrameType request, FrameType reply,
-             std::string* body) {
-    if (fd_ < 0 && !connect(opt)) return false;
-    const auto frame = tls::daemon::encode_frame(request, {});
-    if (!send_all(frame)) {
-      disconnect();
-      if (!connect(opt) || !send_all(frame)) return false;
-    }
-    const std::uint64_t deadline = now_us() + 5'000'000;
-    while (now_us() < deadline) {
-      pollfd pfd{fd_, POLLIN, 0};
-      if (::poll(&pfd, 1, 200) <= 0) continue;
-      std::uint8_t buf[16384];
-      const auto n = ::recv(fd_, buf, sizeof(buf), 0);
-      if (n <= 0) {
-        disconnect();
-        return false;
-      }
-      const auto frames = decoder_.feed({buf, static_cast<std::size_t>(n)});
-      for (const auto& f : frames) {
-        if (f.type != reply) continue;
-        body->assign(f.payload.begin(), f.payload.end());
-        return true;
-      }
-      if (decoder_.poisoned()) {
-        disconnect();
-        return false;
-      }
-    }
-    return false;
-  }
-
- private:
-  bool send_all(const std::vector<std::uint8_t>& bytes) {
-    std::size_t sent = 0;
-    while (sent < bytes.size()) {
-      const auto n =
-          ::send(fd_, bytes.data() + sent, bytes.size() - sent, MSG_NOSIGNAL);
-      if (n <= 0) return false;
-      sent += static_cast<std::size_t>(n);
-    }
-    return true;
-  }
-
-  bool connect(const Options& opt) {
-    fd_ = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
-    if (fd_ < 0) return false;
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_port = htons(opt.port);
-    if (::inet_pton(AF_INET, opt.host.c_str(), &addr.sin_addr) != 1 ||
-        ::connect(fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) !=
-            0) {
-      disconnect();
-      return false;
-    }
-    int one = 1;
-    ::setsockopt(fd_, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-    decoder_ = FrameDecoder();
-    return true;
-  }
-
-  void disconnect() {
-    if (fd_ >= 0) ::close(fd_);
-    fd_ = -1;
-  }
-
-  int fd_ = -1;
-  FrameDecoder decoder_;
-};
-
-std::map<std::string, std::uint64_t> parse_stats(const std::string& text) {
-  std::map<std::string, std::uint64_t> stats;
-  std::istringstream in(text);
-  std::string line;
-  while (std::getline(in, line)) {
-    const auto eq = line.find('=');
-    if (eq == std::string::npos) continue;
-    stats[line.substr(0, eq)] =
-        std::strtoull(line.c_str() + eq + 1, nullptr, 10);
-  }
-  return stats;
-}
 
 /// Pulls `name{...}` gauge lines out of the Prometheus exposition.
 std::vector<std::string> metric_lines(const std::string& exposition,
@@ -169,13 +64,16 @@ int main(int argc, char** argv) {
       }
       return argv[++i];
     };
+    const auto number = [&](long min, long max) {
+      return tls::cli::parse_flag("tlstop", arg.c_str(), need(arg.c_str()),
+                                  min, max);
+    };
     if (arg == "--port") {
-      opt.port =
-          static_cast<std::uint16_t>(std::strtoull(need("--port"), nullptr, 10));
+      opt.port = static_cast<std::uint16_t>(number(1, 65535));
     } else if (arg == "--host") {
       opt.host = need("--host");
     } else if (arg == "--interval-ms") {
-      opt.interval_ms = std::strtoull(need("--interval-ms"), nullptr, 10);
+      opt.interval_ms = static_cast<std::uint64_t>(number(1, 3'600'000));
     } else if (arg == "--once") {
       opt.once = true;
     } else {
@@ -187,27 +85,30 @@ int main(int argc, char** argv) {
     std::cerr << "tlstop: --port is required\n";
     return 2;
   }
-  if (opt.interval_ms == 0) opt.interval_ms = 100;
 
-  QueryClient client;
+  // One connection reused across polls. A query that fails on it is tried
+  // once more on a fresh connection, so a restarted daemon is picked up.
+  tls::daemon::SensorClient client;
+  const auto query = [&](FrameType request) -> std::optional<std::string> {
+    if (client.connected()) {
+      if (auto body = client.query(request)) return body;
+    }
+    if (!client.connect(opt.host, opt.port)) return std::nullopt;
+    return client.query(request);
+  };
   std::map<std::string, std::uint64_t> prev;
   std::uint64_t prev_us = 0;
   for (;;) {
-    std::string stats_body, metrics_body, trace_body;
-    const bool ok =
-        client.query(opt, FrameType::kQueryStats, FrameType::kStats,
-                     &stats_body) &&
-        client.query(opt, FrameType::kQueryMetrics, FrameType::kMetrics,
-                     &metrics_body) &&
-        client.query(opt, FrameType::kQueryTrace, FrameType::kTrace,
-                     &trace_body);
-    if (!ok) {
+    std::optional<std::string> stats_body, metrics_body, trace_body;
+    if (!(stats_body = query(FrameType::kQueryStats)) ||
+        !(metrics_body = query(FrameType::kQueryMetrics)) ||
+        !(trace_body = query(FrameType::kQueryTrace))) {
       std::cerr << "tlstop: daemon at " << opt.host << ":" << opt.port
                 << " not answering\n";
       return opt.once ? 1 : 0;  // live mode: daemon drained, clean exit
     }
-    const std::uint64_t sample_us = now_us();
-    const auto stats = parse_stats(stats_body);
+    const std::uint64_t sample_us = tls::telemetry::now_us();
+    const auto stats = tls::daemon::decode_stats(*stats_body);
     const auto stat = [&](const char* key) -> std::uint64_t {
       const auto it = stats.find(key);
       return it == stats.end() ? 0 : it->second;
@@ -241,11 +142,11 @@ int main(int argc, char** argv) {
          {"tls_repro_daemon_queue_depth", "tls_repro_daemon_queue_depth_peak",
           "tls_repro_daemon_credits_outstanding",
           "tls_repro_daemon_shed_rate_per_s"}) {
-      for (const auto& line : metric_lines(metrics_body, name)) {
+      for (const auto& line : metric_lines(*metrics_body, name)) {
         screen << "  " << line << "\n";
       }
     }
-    screen << "\n" << trace_body;
+    screen << "\n" << *trace_body;
 
     if (opt.once) {
       std::cout << screen.str();

@@ -1,6 +1,7 @@
 #include "daemon/protocol.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <stdexcept>
 
 #include "wire/buffer.hpp"
@@ -267,6 +268,34 @@ std::optional<std::uint32_t> decode_credit_grant(
     std::span<const std::uint8_t> payload) {
   if (payload.size() != 4) return std::nullopt;
   return load_u32(payload.data());
+}
+
+std::optional<FrameType> reply_for(FrameType request) {
+  switch (request) {
+    case FrameType::kQueryStats: return FrameType::kStats;
+    case FrameType::kQueryMetrics: return FrameType::kMetrics;
+    case FrameType::kQueryTrace: return FrameType::kTrace;
+    case FrameType::kQueryFlight: return FrameType::kFlight;
+    default: return std::nullopt;
+  }
+}
+
+std::map<std::string, std::uint64_t> decode_stats(std::string_view text) {
+  std::map<std::string, std::uint64_t> stats;
+  while (!text.empty()) {
+    const auto eol = std::min(text.find('\n'), text.size());
+    const auto line = text.substr(0, eol);
+    text.remove_prefix(std::min(eol + 1, text.size()));
+    const auto eq = line.find('=');
+    if (eq == std::string_view::npos) continue;
+    std::uint64_t value = 0;
+    const char* end = line.data() + line.size();
+    const auto [ptr, ec] = std::from_chars(line.data() + eq + 1, end, value);
+    if (ec == std::errc() && ptr == end) {
+      stats[std::string(line.substr(0, eq))] = value;
+    }
+  }
+  return stats;
 }
 
 }  // namespace tls::daemon

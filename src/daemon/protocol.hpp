@@ -34,9 +34,11 @@
 #pragma once
 
 #include <cstdint>
+#include <map>
 #include <optional>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "tlscore/dates.hpp"
@@ -72,6 +74,11 @@ enum class FrameType : std::uint8_t {
 
 /// True for the types a client may legally send.
 [[nodiscard]] bool is_client_frame(FrameType type);
+
+/// The reply type of a query: kQueryStats -> kStats, kQueryMetrics ->
+/// kMetrics, kQueryTrace -> kTrace, kQueryFlight -> kFlight. Nothing for a
+/// type that is not a query.
+[[nodiscard]] std::optional<FrameType> reply_for(FrameType request);
 
 /// One decoded frame: the type plus its owned payload bytes.
 struct Frame {
@@ -250,5 +257,11 @@ class CreditClient {
 /// Parses a grant payload; nullopt on malformed input (wrong size).
 [[nodiscard]] std::optional<std::uint32_t> decode_credit_grant(
     std::span<const std::uint8_t> payload);
+
+/// Parses a kStats payload, the `key=value` lines of
+/// NotaryDaemon::stats_text(), into key -> value. Lines without '=' or
+/// whose value is not a whole decimal u64 are skipped.
+[[nodiscard]] std::map<std::string, std::uint64_t> decode_stats(
+    std::string_view text);
 
 }  // namespace tls::daemon

@@ -55,6 +55,17 @@ TEST(ParseLong, RejectsOutOfRangeAndOverflow) {
   EXPECT_EQ(v, 42);
 }
 
+// The daemon tools' flags: a port that does not fit 16 bits is a usage
+// error naming the flag, never a silent wrap (70000 used to mean 4464).
+TEST(ParseFlagDeathTest, BadValueExitsTwoNamingTheFlag) {
+  EXPECT_EQ(tls::cli::parse_flag("tlstop", "--port", "4464", 1, 65535), 4464);
+  EXPECT_EXIT(tls::cli::parse_flag("tlstop", "--port", "70000", 1, 65535),
+              ::testing::ExitedWithCode(2),
+              "tlstop: bad value for --port: 70000 \\(want 1\\.\\.65535\\)");
+  EXPECT_EXIT(tls::cli::parse_flag("loadgen", "--seed", "-3", 0, LONG_MAX),
+              ::testing::ExitedWithCode(2), "loadgen: bad value for --seed");
+}
+
 // Programmatic callers get the same guarantee as the CLI: a Config with
 // group_frames == 0 (which would otherwise make the writer take zero-frame
 // groups forever, never draining the queue) is clamped to 1 at

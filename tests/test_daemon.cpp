@@ -17,8 +17,11 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <map>
+#include <optional>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "clients/catalog.hpp"
@@ -28,6 +31,7 @@
 #include "daemon/capture.hpp"
 #include "daemon/daemon.hpp"
 #include "daemon/protocol.hpp"
+#include "daemon/sensor_client.hpp"
 #include "notary/monitor.hpp"
 #include "notary/snapshot.hpp"
 #include "population/market.hpp"
@@ -36,6 +40,7 @@
 #include "telemetry/export.hpp"
 #include "telemetry/flight.hpp"
 #include "telemetry/metrics.hpp"
+#include "telemetry/stopwatch.hpp"
 #include "wire/buffer.hpp"
 
 namespace {
@@ -50,6 +55,7 @@ using tls::daemon::Frame;
 using tls::daemon::FrameDecoder;
 using tls::daemon::FrameType;
 using tls::daemon::NotaryDaemon;
+using tls::daemon::SensorClient;
 
 std::vector<std::uint8_t> sample_payload() {
   return {0xde, 0xad, 0xbe, 0xef, 0x01};
@@ -234,86 +240,31 @@ TEST(DaemonCredits, ClientSaturatesOnHostileGrants) {
 // End-to-end over real sockets
 // ---------------------------------------------------------------------------
 
-class BlockingClient {
- public:
-  ~BlockingClient() { disconnect(); }
+/// Connects `client` to a daemon on this host.
+bool connect_to(SensorClient& client, const NotaryDaemon& daemon) {
+  return client.connect("127.0.0.1", daemon.port());
+}
 
-  bool connect_to(std::uint16_t port) {
-    fd_ = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
-    if (fd_ < 0) return false;
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_port = htons(port);
-    ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
-    return ::connect(fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) ==
-           0;
-  }
-
-  void disconnect() {
-    if (fd_ >= 0) ::close(fd_);
-    fd_ = -1;
-  }
-
-  bool send_bytes(std::span<const std::uint8_t> bytes) {
-    std::size_t off = 0;
-    while (off < bytes.size()) {
-      const auto n =
-          ::send(fd_, bytes.data() + off, bytes.size() - off, MSG_NOSIGNAL);
-      if (n <= 0) return false;
-      off += static_cast<std::size_t>(n);
-    }
-    return true;
-  }
-
-  /// Blocks until `count` credits have accumulated (or the peer dies).
-  bool await_credits(std::uint32_t count) {
-    while (credits_.available() < count) {
-      std::uint8_t buf[4096];
-      const auto n = ::recv(fd_, buf, sizeof(buf), 0);
-      if (n <= 0) return false;
-      for (auto& frame : decoder_.feed({buf, static_cast<std::size_t>(n)})) {
-        if (frame.type == FrameType::kCreditGrant) {
-          const auto grant = tls::daemon::decode_credit_grant(frame.payload);
-          if (grant) credits_.on_grant(*grant);
-        }
-      }
-      if (decoder_.poisoned()) return false;
-    }
-    return true;
-  }
-
-  /// Sends one capture, spending a credit (waits for one if needed).
-  bool send_capture(const CapturePayload& capture) {
-    if (!await_credits(1)) return false;
-    EXPECT_TRUE(credits_.try_send());
-    const auto payload = tls::daemon::encode_capture(capture);
-    return send_bytes(tls::daemon::encode_frame(FrameType::kCapture, payload));
-  }
-
-  /// One request/reply exchange on this connection.
-  bool query(FrameType request, FrameType reply, std::string* body) {
-    if (!send_bytes(tls::daemon::encode_frame(request, {}))) return false;
-    for (;;) {
-      std::uint8_t buf[8192];
-      const auto n = ::recv(fd_, buf, sizeof(buf), 0);
-      if (n <= 0) return false;
-      for (auto& frame : decoder_.feed({buf, static_cast<std::size_t>(n)})) {
-        if (frame.type == FrameType::kCreditGrant) {
-          const auto grant = tls::daemon::decode_credit_grant(frame.payload);
-          if (grant) credits_.on_grant(*grant);
-        } else if (frame.type == reply) {
-          body->assign(frame.payload.begin(), frame.payload.end());
-          return true;
-        }
-      }
+/// Polls until `count` credits have accumulated; false on a dead peer or
+/// when they do not arrive within the query deadline.
+bool await_credits(SensorClient& client, std::uint32_t count) {
+  const auto deadline_us = tls::telemetry::now_us() +
+                           std::uint64_t{tls::daemon::kQueryDeadlineMs} * 1000;
+  while (client.credits().available() < count) {
+    if (tls::telemetry::now_us() >= deadline_us || !client.poll(100)) {
+      return false;
     }
   }
+  return true;
+}
 
- private:
-  int fd_ = -1;
-  FrameDecoder decoder_;
-  CreditClient credits_;
-};
+/// Sends one capture, spending a credit (waits for one if needed).
+bool send_capture(SensorClient& client, const CapturePayload& capture) {
+  if (!await_credits(client, 1)) return false;
+  EXPECT_TRUE(client.credits().try_send());
+  const auto payload = tls::daemon::encode_capture(capture);
+  return client.send(tls::daemon::encode_frame(FrameType::kCapture, payload));
+}
 
 struct TrafficFixture {
   TrafficFixture()
@@ -360,10 +311,10 @@ TEST(DaemonEndToEnd, DeterministicAgainstBatchMode) {
   NotaryDaemon daemon(config);
   ASSERT_TRUE(daemon.start()) << daemon.last_error();
 
-  BlockingClient client;
-  ASSERT_TRUE(client.connect_to(daemon.port()));
+  SensorClient client;
+  ASSERT_TRUE(connect_to(client, daemon));
   for (const auto& capture : captures) {
-    ASSERT_TRUE(client.send_capture(capture));
+    ASSERT_TRUE(send_capture(client, capture));
   }
   // Round-trip a stats query until every capture is ingested (queries and
   // captures share the ordered connection, so one reply after the last
@@ -421,11 +372,11 @@ TEST(DaemonEndToEnd, OverloadShedsWithExactClosure) {
   NotaryDaemon daemon(config);
   ASSERT_TRUE(daemon.start()) << daemon.last_error();
 
-  BlockingClient client;
-  ASSERT_TRUE(client.connect_to(daemon.port()));
+  SensorClient client;
+  ASSERT_TRUE(connect_to(client, daemon));
   std::size_t sent = 0;
   for (const auto& capture : captures) {
-    if (!client.send_capture(capture)) break;
+    if (!send_capture(client, capture)) break;
     ++sent;
   }
   EXPECT_EQ(sent, captures.size());
@@ -458,14 +409,13 @@ TEST(DaemonEndToEnd, MalformedAndGarbageAreBookedNotFatal) {
   {
     // A checksum-valid frame whose capture payload is garbage: counted as
     // malformed, connection survives.
-    BlockingClient client;
-    ASSERT_TRUE(client.connect_to(daemon.port()));
-    ASSERT_TRUE(client.await_credits(1));
+    SensorClient client;
+    ASSERT_TRUE(connect_to(client, daemon));
+    ASSERT_TRUE(await_credits(client, 1));
     const std::vector<std::uint8_t> junk = {0x01, 0x02, 0x03};
-    ASSERT_TRUE(client.send_bytes(
+    ASSERT_TRUE(client.send(
         tls::daemon::encode_frame(FrameType::kCapture, junk)));
-    std::string body;
-    EXPECT_TRUE(client.query(FrameType::kQueryStats, FrameType::kStats, &body))
+    EXPECT_TRUE(client.query(FrameType::kQueryStats))
         << "connection must survive a malformed capture";
   }
   {
@@ -473,10 +423,10 @@ TEST(DaemonEndToEnd, MalformedAndGarbageAreBookedNotFatal) {
     // error and closes — the process itself shrugs. Keep the connection
     // open until the error is booked: closing with the unread credit
     // grant pending would RST the socket and discard the garbage.
-    BlockingClient client;
-    ASSERT_TRUE(client.connect_to(daemon.port()));
+    SensorClient client;
+    ASSERT_TRUE(connect_to(client, daemon));
     const std::vector<std::uint8_t> garbage(64, 0xEE);
-    client.send_bytes(garbage);
+    client.send(garbage);
     for (int i = 0; i < 200; ++i) {
       if (daemon.counters().frame_errors > 0) break;
       std::this_thread::sleep_for(std::chrono::milliseconds(10));
@@ -499,20 +449,19 @@ TEST(DaemonEndToEnd, StatsAndMetricsQueriesServeLiveAggregates) {
   NotaryDaemon daemon(config);
   ASSERT_TRUE(daemon.start()) << daemon.last_error();
 
-  BlockingClient client;
-  ASSERT_TRUE(client.connect_to(daemon.port()));
+  SensorClient client;
+  ASSERT_TRUE(connect_to(client, daemon));
   for (const auto& capture : captures) {
-    ASSERT_TRUE(client.send_capture(capture));
+    ASSERT_TRUE(send_capture(client, capture));
   }
-  std::string stats;
-  ASSERT_TRUE(client.query(FrameType::kQueryStats, FrameType::kStats, &stats));
-  EXPECT_NE(stats.find("offered=50"), std::string::npos) << stats;
-  std::string prom;
-  ASSERT_TRUE(
-      client.query(FrameType::kQueryMetrics, FrameType::kMetrics, &prom));
-  EXPECT_NE(prom.find("tls_repro_daemon_offered_total"), std::string::npos);
+  const auto stats = client.query(FrameType::kQueryStats);
+  ASSERT_TRUE(stats);
+  EXPECT_EQ(tls::daemon::decode_stats(*stats).at("offered"), 50u) << *stats;
+  const auto prom = client.query(FrameType::kQueryMetrics);
+  ASSERT_TRUE(prom);
+  EXPECT_NE(prom->find("tls_repro_daemon_offered_total"), std::string::npos);
   // The exposition must satisfy the repo's own Prometheus linter.
-  const auto problems = tls::telemetry::lint_prometheus(prom);
+  const auto problems = tls::telemetry::lint_prometheus(*prom);
   EXPECT_TRUE(problems.empty())
       << (problems.empty() ? "" : problems.front());
 
@@ -532,19 +481,20 @@ TEST(DaemonEndToEnd, IngestQuantilesResolveBelowADecade) {
   NotaryDaemon daemon(config);
   ASSERT_TRUE(daemon.start()) << daemon.last_error();
 
-  BlockingClient client;
-  ASSERT_TRUE(client.connect_to(daemon.port()));
+  SensorClient client;
+  ASSERT_TRUE(connect_to(client, daemon));
   // One capture in flight at a time, so no sample includes queueing
   // behind another capture's observe delay.
   for (std::size_t i = 0; i < captures.size(); ++i) {
-    ASSERT_TRUE(client.send_capture(captures[i]));
+    ASSERT_TRUE(send_capture(client, captures[i]));
     for (int t = 0; t < 1000 && daemon.counters().ingested <= i; ++t) {
       std::this_thread::sleep_for(std::chrono::milliseconds(1));
     }
     ASSERT_EQ(daemon.counters().ingested, i + 1);
   }
-  std::string stats;
-  ASSERT_TRUE(client.query(FrameType::kQueryStats, FrameType::kStats, &stats));
+  const auto reply = client.query(FrameType::kQueryStats);
+  ASSERT_TRUE(reply);
+  const std::string& stats = *reply;
   const auto at = stats.find("ingest_p50_us=");
   ASSERT_NE(at, std::string::npos) << stats;
   const auto p50 = std::stoull(stats.substr(at + 14));
@@ -578,13 +528,12 @@ TEST(DaemonEndToEnd, DrainWritesSnapshotAndResumeRestoresAggregate) {
     config.checkpoint_dir = dir.string();
     NotaryDaemon daemon(config);
     ASSERT_TRUE(daemon.start()) << daemon.last_error();
-    BlockingClient client;
-    ASSERT_TRUE(client.connect_to(daemon.port()));
+    SensorClient client;
+    ASSERT_TRUE(connect_to(client, daemon));
     for (const auto& capture : captures) {
-      ASSERT_TRUE(client.send_capture(capture));
+      ASSERT_TRUE(send_capture(client, capture));
     }
-    std::string body;
-    ASSERT_TRUE(client.query(FrameType::kQueryStats, FrameType::kStats, &body));
+    ASSERT_TRUE(client.query(FrameType::kQueryStats));
     daemon.request_stop();
     daemon.join();
     first_state = tls::notary::encode_monitor_state(daemon.aggregate_monitor());
@@ -655,13 +604,12 @@ TEST(DaemonEndToEnd, ResumeFallsBackPastAnUndecodableNewestEpoch) {
   {
     NotaryDaemon daemon(config);
     ASSERT_TRUE(daemon.start()) << daemon.last_error();
-    BlockingClient client;
-    ASSERT_TRUE(client.connect_to(daemon.port()));
+    SensorClient client;
+    ASSERT_TRUE(connect_to(client, daemon));
     for (const auto& capture : captures) {
-      ASSERT_TRUE(client.send_capture(capture));
+      ASSERT_TRUE(send_capture(client, capture));
     }
-    std::string body;
-    ASSERT_TRUE(client.query(FrameType::kQueryStats, FrameType::kStats, &body));
+    ASSERT_TRUE(client.query(FrameType::kQueryStats));
     daemon.request_stop();
     daemon.join();  // the drain journals epoch 1
     ASSERT_EQ(daemon.counters().ingested, captures.size());
@@ -737,13 +685,12 @@ TEST(DaemonEndToEnd, OldLayoutEpochsNeverReturnAfterTheFirstResume) {
   {
     NotaryDaemon daemon(config);
     ASSERT_TRUE(daemon.start()) << daemon.last_error();
-    BlockingClient client;
-    ASSERT_TRUE(client.connect_to(daemon.port()));
+    SensorClient client;
+    ASSERT_TRUE(connect_to(client, daemon));
     for (const auto& capture : fix.make_captures(60, 0x01D)) {
-      ASSERT_TRUE(client.send_capture(capture));
+      ASSERT_TRUE(send_capture(client, capture));
     }
-    std::string body;
-    ASSERT_TRUE(client.query(FrameType::kQueryStats, FrameType::kStats, &body));
+    ASSERT_TRUE(client.query(FrameType::kQueryStats));
     daemon.request_stop();
     daemon.join();
     old_state = tls::notary::encode_monitor_state(daemon.aggregate_monitor());
@@ -775,13 +722,12 @@ TEST(DaemonEndToEnd, OldLayoutEpochsNeverReturnAfterTheFirstResume) {
     ASSERT_TRUE(daemon.start()) << daemon.last_error();
     EXPECT_EQ(daemon.resumed_epoch(), 0u);
     EXPECT_EQ(daemon.aggregate_monitor().total_connections(), 0u);
-    BlockingClient client;
-    ASSERT_TRUE(client.connect_to(daemon.port()));
+    SensorClient client;
+    ASSERT_TRUE(connect_to(client, daemon));
     for (const auto& capture : fix.make_captures(20, 0x2E3)) {
-      ASSERT_TRUE(client.send_capture(capture));
+      ASSERT_TRUE(send_capture(client, capture));
     }
-    std::string body;
-    ASSERT_TRUE(client.query(FrameType::kQueryStats, FrameType::kStats, &body));
+    ASSERT_TRUE(client.query(FrameType::kQueryStats));
     daemon.request_stop();
     daemon.join();  // the drain journals epoch 1
     new_state = tls::notary::encode_monitor_state(daemon.aggregate_monitor());
@@ -841,13 +787,12 @@ TEST(DaemonEndToEnd, StudyAndDaemonJournalsStayApart) {
     ASSERT_TRUE(daemon.start()) << daemon.last_error();
     EXPECT_EQ(daemon.resumed_epoch(), 0u);
     EXPECT_EQ(daemon.aggregate_monitor().total_connections(), 0u);
-    BlockingClient client;
-    ASSERT_TRUE(client.connect_to(daemon.port()));
+    SensorClient client;
+    ASSERT_TRUE(connect_to(client, daemon));
     for (const auto& capture : fix.make_captures(20, 0xA9A7)) {
-      ASSERT_TRUE(client.send_capture(capture));
+      ASSERT_TRUE(send_capture(client, capture));
     }
-    std::string body;
-    ASSERT_TRUE(client.query(FrameType::kQueryStats, FrameType::kStats, &body));
+    ASSERT_TRUE(client.query(FrameType::kQueryStats));
     daemon.request_stop();
     daemon.join();  // the drain journals epoch 1 under the daemon's manifest
   }
@@ -889,14 +834,14 @@ TEST(DaemonEndToEnd, CreditViolationShedsAndCloses) {
   NotaryDaemon daemon(config);
   ASSERT_TRUE(daemon.start()) << daemon.last_error();
 
-  BlockingClient client;
-  ASSERT_TRUE(client.connect_to(daemon.port()));
-  ASSERT_TRUE(client.await_credits(2));
+  SensorClient client;
+  ASSERT_TRUE(connect_to(client, daemon));
+  ASSERT_TRUE(await_credits(client, 2));
   // Send 4 captures against a window of 2 without waiting for grants: the
   // two over-window sends are credit violations.
   for (std::size_t i = 0; i < 4; ++i) {
     const auto payload = tls::daemon::encode_capture(captures[i]);
-    if (!client.send_bytes(
+    if (!client.send(
             tls::daemon::encode_frame(FrameType::kCapture, payload))) {
       break;
     }
@@ -930,10 +875,10 @@ TEST(DaemonObservability, OnVersusOffMonitorStateIsByteIdentical) {
     config.database = &fix.database;
     NotaryDaemon daemon(config);
     EXPECT_TRUE(daemon.start()) << daemon.last_error();
-    BlockingClient client;
-    EXPECT_TRUE(client.connect_to(daemon.port()));
+    SensorClient client;
+    EXPECT_TRUE(connect_to(client, daemon));
     for (const auto& capture : captures) {
-      EXPECT_TRUE(client.send_capture(capture));
+      EXPECT_TRUE(send_capture(client, capture));
     }
     for (int i = 0; i < 500; ++i) {
       if (daemon.counters().ingested == captures.size()) break;
@@ -969,10 +914,10 @@ TEST(DaemonObservability, StatsSnapshotsAreMonotonicAndClosureConsistent) {
   ASSERT_TRUE(daemon.start()) << daemon.last_error();
 
   std::thread sender([&] {
-    BlockingClient client;
-    if (!client.connect_to(daemon.port())) return;
+    SensorClient client;
+    if (!connect_to(client, daemon)) return;
     for (const auto& capture : captures) {
-      if (!client.send_capture(capture)) return;
+      if (!send_capture(client, capture)) return;
     }
   });
 
@@ -993,8 +938,8 @@ TEST(DaemonObservability, StatsSnapshotsAreMonotonicAndClosureConsistent) {
                          10);
   };
 
-  BlockingClient poller;
-  const bool poller_connected = poller.connect_to(daemon.port());
+  SensorClient poller;
+  const bool poller_connected = connect_to(poller, daemon);
   bool queries_ok = true;
   std::uint64_t prev_offered = 0, prev_ingested = 0, prev_shed = 0;
   std::uint64_t prev_malformed = 0;
@@ -1003,10 +948,10 @@ TEST(DaemonObservability, StatsSnapshotsAreMonotonicAndClosureConsistent) {
   // Poll while the sender is racing; every snapshot must be consistent.
   while (poller_connected && daemon.counters().ingested < captures.size() &&
          polls < 2000) {
-    std::string body;
-    queries_ok =
-        poller.query(FrameType::kQueryStats, FrameType::kStats, &body);
+    const auto reply = poller.query(FrameType::kQueryStats);
+    queries_ok = reply.has_value();
     if (!queries_ok) break;
+    const std::string& body = *reply;
     ++polls;
     const auto offered = field(body, "offered");
     const auto admitted = field(body, "admitted");
@@ -1074,10 +1019,10 @@ TEST(DaemonObservability, QueryTraceServesStageWaterfall) {
   NotaryDaemon daemon(config);
   ASSERT_TRUE(daemon.start()) << daemon.last_error();
 
-  BlockingClient client;
-  ASSERT_TRUE(client.connect_to(daemon.port()));
+  SensorClient client;
+  ASSERT_TRUE(connect_to(client, daemon));
   for (const auto& capture : captures) {
-    ASSERT_TRUE(client.send_capture(capture));
+    ASSERT_TRUE(send_capture(client, capture));
   }
   for (int i = 0; i < 500; ++i) {
     if (daemon.counters().ingested == captures.size()) break;
@@ -1085,8 +1030,9 @@ TEST(DaemonObservability, QueryTraceServesStageWaterfall) {
   }
   ASSERT_EQ(daemon.counters().ingested, captures.size());
 
-  std::string body;
-  ASSERT_TRUE(client.query(FrameType::kQueryTrace, FrameType::kTrace, &body));
+  const auto reply = client.query(FrameType::kQueryTrace);
+  ASSERT_TRUE(reply);
+  const std::string& body = *reply;
   for (const char* stage :
        {"decode", "enqueue", "queue", "observe", "complete", "grant",
         "total"}) {
@@ -1117,12 +1063,11 @@ TEST(DaemonObservability, QueryTraceServesStageWaterfall) {
   off.database = &fix.database;
   NotaryDaemon dark(off);
   ASSERT_TRUE(dark.start()) << dark.last_error();
-  BlockingClient dark_client;
-  ASSERT_TRUE(dark_client.connect_to(dark.port()));
-  std::string dark_body;
-  ASSERT_TRUE(dark_client.query(FrameType::kQueryTrace, FrameType::kTrace,
-                                &dark_body));
-  EXPECT_NE(dark_body.find("observability=off"), std::string::npos);
+  SensorClient dark_client;
+  ASSERT_TRUE(connect_to(dark_client, dark));
+  const auto dark_body = dark_client.query(FrameType::kQueryTrace);
+  ASSERT_TRUE(dark_body);
+  EXPECT_NE(dark_body->find("observability=off"), std::string::npos);
   dark.request_stop();
   dark.join();
 }
@@ -1140,19 +1085,19 @@ TEST(DaemonObservability, QueryFlightServesDecodableDump) {
   NotaryDaemon daemon(config);
   ASSERT_TRUE(daemon.start()) << daemon.last_error();
 
-  BlockingClient client;
-  ASSERT_TRUE(client.connect_to(daemon.port()));
+  SensorClient client;
+  ASSERT_TRUE(connect_to(client, daemon));
   for (const auto& capture : captures) {
-    ASSERT_TRUE(client.send_capture(capture));
+    ASSERT_TRUE(send_capture(client, capture));
   }
   for (int i = 0; i < 500; ++i) {
     if (daemon.counters().ingested == captures.size()) break;
     std::this_thread::sleep_for(std::chrono::milliseconds(10));
   }
 
-  std::string body;
-  ASSERT_TRUE(client.query(FrameType::kQueryFlight, FrameType::kFlight,
-                           &body));
+  const auto reply = client.query(FrameType::kQueryFlight);
+  ASSERT_TRUE(reply);
+  const std::string& body = *reply;
   ASSERT_FALSE(body.empty());
   const auto dump = tls::telemetry::decode_flight(
       {reinterpret_cast<const std::uint8_t*>(body.data()), body.size()});
@@ -1192,14 +1137,208 @@ TEST(DaemonObservability, QueryFlightServesDecodableDump) {
   off.database = &fix.database;
   NotaryDaemon dark(off);
   ASSERT_TRUE(dark.start()) << dark.last_error();
-  BlockingClient dark_client;
-  ASSERT_TRUE(dark_client.connect_to(dark.port()));
-  std::string dark_body = "sentinel";
-  ASSERT_TRUE(dark_client.query(FrameType::kQueryFlight, FrameType::kFlight,
-                                &dark_body));
-  EXPECT_TRUE(dark_body.empty());
+  SensorClient dark_client;
+  ASSERT_TRUE(connect_to(dark_client, dark));
+  const auto dark_body = dark_client.query(FrameType::kQueryFlight);
+  ASSERT_TRUE(dark_body);
+  EXPECT_TRUE(dark_body->empty());
   dark.request_stop();
   dark.join();
+}
+
+// ---------------------------------------------------------------------------
+// Sensor client
+// ---------------------------------------------------------------------------
+
+/// decode_stats is the inverse of stats_text(): every DaemonCounters field
+/// comes back under its key with the value counters() reports.
+TEST(DaemonEndToEnd, DecodeStatsHoldsEveryCounterField) {
+  auto& fix = fixture();
+  DaemonConfig config;
+  config.shards = 1;
+  config.database = &fix.database;
+  NotaryDaemon daemon(config);
+  ASSERT_TRUE(daemon.start()) << daemon.last_error();
+  {
+    SensorClient client;
+    ASSERT_TRUE(connect_to(client, daemon));
+    for (const auto& capture : fix.make_captures(30, 0x57A75)) {
+      ASSERT_TRUE(send_capture(client, capture));
+    }
+    ASSERT_TRUE(await_credits(client, 1));
+    ASSERT_TRUE(client.credits().try_send());
+    const std::vector<std::uint8_t> junk = {0x01, 0x02, 0x03};
+    ASSERT_TRUE(
+        client.send(tls::daemon::encode_frame(FrameType::kCapture, junk)));
+    ASSERT_TRUE(client.query(FrameType::kQueryStats));
+  }
+  daemon.request_stop();
+  daemon.join();
+  const DaemonCounters c = daemon.counters();
+  ASSERT_EQ(c.offered, 31u);
+  ASSERT_EQ(c.malformed, 1u);
+  const auto stats = tls::daemon::decode_stats(daemon.stats_text());
+  const std::pair<const char*, std::uint64_t> fields[] = {
+      {"offered", c.offered},
+      {"admitted", c.admitted},
+      {"ingested", c.ingested},
+      {"shed", c.shed},
+      {"malformed", c.malformed},
+      {"credit_violations", c.credit_violations},
+      {"frame_errors", c.frame_errors},
+      {"idle_timeouts", c.idle_timeouts},
+      {"connections_accepted", c.connections_accepted},
+      {"connections_closed", c.connections_closed},
+      {"sslv2", c.sslv2},
+      {"checkpoint_epochs", c.checkpoint_epochs},
+  };
+  for (const auto& [key, value] : fields) {
+    ASSERT_EQ(stats.count(key), 1u) << key;
+    EXPECT_EQ(stats.at(key), value) << key;
+  }
+  // Lines without '=' and values that are not a whole u64 are skipped.
+  const auto odd = tls::daemon::decode_stats("a=1\nno equals\nb=x\nc=2");
+  EXPECT_EQ(odd, (std::map<std::string, std::uint64_t>{{"a", 1}, {"c", 2}}));
+}
+
+/// A loopback listener that accepts connections and never writes to them
+/// unless told to.
+class SilentPeer {
+ public:
+  SilentPeer() {
+    listen_fd_ = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    socklen_t len = sizeof(addr);
+    if (::bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr), len) == 0 &&
+        ::listen(listen_fd_, 4) == 0 &&
+        ::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&addr), &len) ==
+            0) {
+      port_ = ntohs(addr.sin_port);
+    }
+  }
+  ~SilentPeer() {
+    for (const int fd : accepted_) ::close(fd);
+    ::close(listen_fd_);
+  }
+  SilentPeer(const SilentPeer&) = delete;
+  SilentPeer& operator=(const SilentPeer&) = delete;
+
+  /// 0 when the listener could not be set up.
+  [[nodiscard]] std::uint16_t port() const { return port_; }
+  /// Accepts one pending connection; returns its fd.
+  int accept_one() {
+    accepted_.push_back(::accept(listen_fd_, nullptr, nullptr));
+    return accepted_.back();
+  }
+
+ private:
+  int listen_fd_ = -1;
+  std::uint16_t port_ = 0;
+  std::vector<int> accepted_;
+};
+
+/// A failed connect() leaves no socket open: not for a bad host literal
+/// (the address is rejected before a socket exists) and not for a refused
+/// port, whether or not the client was connected before.
+TEST(DaemonSensorClient, FailedConnectLeavesNoSocket) {
+  std::uint16_t closed_port = 0;
+  {
+    SilentPeer peer;
+    ASSERT_NE(peer.port(), 0u);
+    closed_port = peer.port();
+    SensorClient client;
+    ASSERT_TRUE(client.connect("127.0.0.1", peer.port()));
+    EXPECT_TRUE(client.connected());
+    EXPECT_FALSE(client.connect("not-an-ip", peer.port()));
+    EXPECT_FALSE(client.connected());
+  }
+  SensorClient client;
+  EXPECT_FALSE(client.connect("256.0.0.1", 4464));
+  EXPECT_FALSE(client.connected());
+  // The peer's listener is closed now, so its port refuses.
+  EXPECT_FALSE(client.connect("127.0.0.1", closed_port));
+  EXPECT_FALSE(client.connected());
+  EXPECT_FALSE(client.query(FrameType::kQueryStats));
+}
+
+/// A peer that accepts and never answers costs a query its deadline, not
+/// forever; a peer that answers with garbage fails the query at once.
+TEST(DaemonSensorClient, QueryToSilentPeerTimesOut) {
+  SilentPeer peer;
+  ASSERT_NE(peer.port(), 0u);
+  SensorClient client;
+  ASSERT_TRUE(client.connect("127.0.0.1", peer.port()));
+  peer.accept_one();
+  const auto start_us = tls::telemetry::now_us();
+  EXPECT_FALSE(client.query(FrameType::kQueryStats));
+  const auto waited_ms = (tls::telemetry::now_us() - start_us) / 1000;
+  EXPECT_GE(waited_ms, std::uint64_t{tls::daemon::kQueryDeadlineMs} - 1);
+  EXPECT_LE(waited_ms, std::uint64_t{tls::daemon::kQueryDeadlineMs} + 1000);
+  EXPECT_FALSE(client.connected()) << "a timed-out query gives up the stream";
+
+  ASSERT_TRUE(client.connect("127.0.0.1", peer.port()));
+  const int fd = peer.accept_one();
+  const std::vector<std::uint8_t> garbage(32, 0xEE);
+  ASSERT_EQ(::send(fd, garbage.data(), garbage.size(), MSG_NOSIGNAL),
+            static_cast<ssize_t>(garbage.size()));
+  const auto garbage_start_us = tls::telemetry::now_us();
+  EXPECT_FALSE(client.query(FrameType::kQueryStats));
+  EXPECT_LT(tls::telemetry::now_us() - garbage_start_us, 1'000'000u)
+      << "a poisoned decoder must fail the query without waiting it out";
+  // Only query frames have a reply.
+  EXPECT_EQ(tls::daemon::reply_for(FrameType::kCapture), std::nullopt);
+  EXPECT_FALSE(client.query(FrameType::kCapture));
+}
+
+/// All four queries get their own reply type on one connection, with the
+/// observability plane on and off.
+TEST(DaemonSensorClient, EveryQueryGetsItsReply) {
+  auto& fix = fixture();
+  EXPECT_EQ(tls::daemon::reply_for(FrameType::kQueryStats), FrameType::kStats);
+  EXPECT_EQ(tls::daemon::reply_for(FrameType::kQueryMetrics),
+            FrameType::kMetrics);
+  EXPECT_EQ(tls::daemon::reply_for(FrameType::kQueryTrace), FrameType::kTrace);
+  EXPECT_EQ(tls::daemon::reply_for(FrameType::kQueryFlight),
+            FrameType::kFlight);
+  for (const bool observability : {true, false}) {
+    SCOPED_TRACE(observability ? "observability on" : "observability off");
+    DaemonConfig config;
+    config.shards = 1;
+    config.observability = observability;
+    config.database = &fix.database;
+    NotaryDaemon daemon(config);
+    ASSERT_TRUE(daemon.start()) << daemon.last_error();
+    SensorClient client;
+    ASSERT_TRUE(connect_to(client, daemon));
+    for (const auto& capture : fix.make_captures(10, 0x4E91)) {
+      ASSERT_TRUE(send_capture(client, capture));
+    }
+    const auto stats = client.query(FrameType::kQueryStats);
+    ASSERT_TRUE(stats);
+    EXPECT_EQ(tls::daemon::decode_stats(*stats).at("offered"), 10u);
+    const auto metrics = client.query(FrameType::kQueryMetrics);
+    ASSERT_TRUE(metrics);
+    EXPECT_NE(metrics->find("tls_repro_daemon_offered_total"),
+              std::string::npos);
+    const auto trace = client.query(FrameType::kQueryTrace);
+    ASSERT_TRUE(trace);
+    EXPECT_NE(trace->find(observability ? "stage total" : "observability=off"),
+              std::string::npos)
+        << *trace;
+    const auto flight = client.query(FrameType::kQueryFlight);
+    ASSERT_TRUE(flight);
+    if (observability) {
+      EXPECT_TRUE(tls::telemetry::decode_flight(
+                      {reinterpret_cast<const std::uint8_t*>(flight->data()),
+                       flight->size()})
+                      .ok);
+    }
+    EXPECT_TRUE(client.connected());
+    daemon.request_stop();
+    daemon.join();
+  }
 }
 
 }  // namespace
