@@ -141,18 +141,23 @@ void run_worker(const Options& opt, std::size_t index,
           client.close();
           break;
         }
+        // The daemon poisons and closes a connection that sends either of
+        // the next two, so the worker gives it up and reconnects at its
+        // next fire instead of sending into a dead peer.
         case 1: {  // garbage: random bytes that cannot be a frame header
           std::uint8_t junk[32];
           for (auto& b : junk)
             b = static_cast<std::uint8_t>(rng.below(256));
           junk[0] = 0xFF;  // guarantee a magic mismatch
-          if (!client.send(junk)) client.close();
+          client.send(junk);
+          client.close();
           break;
         }
-        case 2: {  // bit-flipped checksum: daemon poisons + closes
+        case 2: {  // bit-flipped checksum
           auto corrupt = frame;
           corrupt[corrupt.size() - 1] ^= 0x01;
-          if (!client.send(corrupt)) client.close();
+          client.send(corrupt);
+          client.close();
           break;
         }
         case 3: {  // slow-loris: half a frame, stall, never finish
@@ -166,7 +171,11 @@ void run_worker(const Options& opt, std::size_t index,
       continue;
     }
 
-    client.poll(0);
+    if (!client.poll(0)) {  // dead peer: nothing sent here would arrive
+      client.close();
+      ++stats.backpressure_drops;
+      continue;
+    }
     if (!client.credits().try_send()) {
       ++stats.backpressure_drops;
       continue;

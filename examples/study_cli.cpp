@@ -14,10 +14,12 @@
 //                                     (one fsync per group; size/age
 //                                     thresholds set by the
 //                                     --journal-group-* knobs);
-//                                     --metrics-out writes METRICS.json (plus
-//                                     a .prom Prometheus exposition next to
-//                                     it) and prints the run report;
-//                                     --trace-out writes Chrome trace JSON
+//                                     every run collects its metrics and
+//                                     spans; --metrics-out writes the
+//                                     metrics as METRICS.json (plus a .prom
+//                                     Prometheus exposition next to it) and
+//                                     prints the run report; --trace-out
+//                                     writes the spans as Chrome trace JSON
 //   study_cli fingerprints <file>     dump the labeled fingerprint DB
 //   study_cli identify <hex-record>   fingerprint a raw ClientHello record
 //
@@ -127,7 +129,9 @@ int usage() {
       "usage: study_cli figure <1..10> | scan [YYYY-MM] |\n"
       "       export <dir> [--checkpoint-dir <ckpt>] [--resume]\n"
       "              [--journal-group-frames <n>] [--journal-group-ms <t>]\n"
-      "              [--metrics-out <file>] [--trace-out <file>] |\n"
+      "              [--metrics-out <file>] [--trace-out <file>]\n"
+      "              (every run collects metrics and spans; the two\n"
+      "              flags only choose where they are written) |\n"
       "       fingerprints <file> | identify <hex-client-hello-record>\n",
       stderr);
   return 2;
@@ -202,7 +206,6 @@ int cmd_export(const char* dir, const char* checkpoint_dir, bool resume,
   if (journal_group_ms >= 0) {
     opts.journal_group_ms = static_cast<std::uint64_t>(journal_group_ms);
   }
-  opts.telemetry = metrics_out != nullptr || trace_out != nullptr;
   tls::study::LongitudinalStudy study(opts);
   // Mask + watcher must exist before export spawns the worker pool.
   SignalDrain drain(study);

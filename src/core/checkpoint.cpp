@@ -41,9 +41,9 @@ std::uint64_t options_digest(const StudyOptions& options) {
   // Canonical encoding of every byte-affecting option. Field order is part
   // of the format: changing it (or what is included) orphans old journals,
   // which is the safe failure mode. Deliberately absent: the pure
-  // performance toggles (fast_observe, gen_cache, telemetry, the journal
-  // knobs) — none of them changes an exported byte, so a run may resume
-  // with any of them flipped.
+  // performance toggles (fast_observe, gen_cache, the journal knobs) —
+  // none of them changes an exported byte, so a run may resume with any
+  // of them flipped.
   ByteWriter w;
   w.u64(options.seed);
   w.u64(options.connections_per_month);

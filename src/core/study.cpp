@@ -79,8 +79,7 @@ tls::analysis::RecoveryReport LongitudinalStudy::recovery() const {
   // Checkpoint frames persist monitor state (including taxonomy stats)
   // but not the telemetry registry: after a resume the phase timings and
   // fault-trigger counters cover only the recomputed tasks.
-  report.telemetry_partial =
-      options_.telemetry && report.resumed && report.tasks_skipped > 0;
+  report.telemetry_partial = report.resumed && report.tasks_skipped > 0;
   return report;
 }
 
@@ -96,17 +95,15 @@ tls::population::TrafficGenerator& LongitudinalStudy::worker_generator() {
 }
 
 std::unique_ptr<tls::notary::PassiveMonitor> LongitudinalStudy::compute_shard(
-    Month month, std::size_t shard, std::size_t count,
-    TaskTelemetry* telemetry, std::uint32_t lane_id) {
+    Month month, std::size_t shard, std::size_t count, TaskStamps& stamps) {
   const bool faulty = options_.faults.total() > 0;
   const auto lane = static_cast<std::uint64_t>(month.index());
   // Each attempt rebuilds monitor, injector and generator from their seeds,
   // so a watchdog rerun consumes exactly the streams the discarded attempt
   // did — determinism survives the discard.
-  const auto attempt = [&](bool enforce_deadline, TaskTelemetry* tel) {
+  const auto attempt = [&](bool enforce_deadline) {
     auto mon = std::make_unique<tls::notary::PassiveMonitor>(&database_);
     mon->set_fast_observe(options_.fast_observe);
-    if (tel != nullptr) mon->set_telemetry(&tel->registry);
     std::unique_ptr<tls::faults::FaultInjector> injector;
     if (faulty) {
       injector = std::make_unique<tls::faults::FaultInjector>(
@@ -121,7 +118,7 @@ std::unique_ptr<tls::notary::PassiveMonitor> LongitudinalStudy::compute_shard(
     tls::population::TrafficGenerator& gen = worker_generator();
     gen.set_gen_cache(options_.gen_cache);
     gen.reseed(tls::core::rng_stream_seed(options_.seed, lane, shard));
-    const auto gen_stats_before = gen.gen_cache_stats();
+    const auto gen_before = gen.gen_cache_stats();
     const auto deadline =
         std::chrono::steady_clock::now() +
         std::chrono::microseconds(options_.task_deadline_us);
@@ -137,112 +134,134 @@ std::unique_ptr<tls::notary::PassiveMonitor> LongitudinalStudy::compute_shard(
               std::chrono::steady_clock::now() >= deadline) {
             throw StuckShardError{};
           }
-          if (tel == nullptr) {
-            mon->observe_span(events);
-            return;
-          }
           const tls::telemetry::Stopwatch sw;
           mon->observe_span(events);
           observe_us += sw.elapsed_us();
         });
     mon->set_fault_injector(nullptr);
-    mon->set_telemetry(nullptr);
-    if (tel != nullptr) {
-      const std::uint64_t total_us = task_watch.elapsed_us();
-      const std::uint64_t generate_us =
-          total_us > observe_us ? total_us - observe_us : 0;
-      const auto& buckets = tls::telemetry::wide_latency_buckets_us();
-      tel->registry
-          .histogram("tls_repro_pipeline_generate_us", buckets, "",
-                     "Traffic-generation share of each shard task")
-          .record(generate_us);
-      tel->registry
-          .histogram("tls_repro_pipeline_observe_us", buckets, "",
-                     "Monitor-ingest share of each shard task")
-          .record(observe_us);
-      tel->registry
-          .counter("tls_repro_pipeline_shard_tasks_total", "",
-                   "Passive (month, shard) tasks computed")
-          .add();
-      {
-        // Deltas against the task-start snapshot: the worker generator's
-        // cache (and its stats) persists across tasks.
-        const auto& gs = gen.gen_cache_stats();
-        const auto& gb = gen_stats_before;
-        // template_hits and bypasses are per-connection facts (functions
-        // of the plan); the warmth counters (misses, plan hits/misses,
-        // resident bytes) depend on which worker ran which tasks, so they
-        // carry the schedule-derived flag and stay out of the
-        // deterministic digest.
-        struct GenCounter {
-          const char* name;
-          std::uint64_t value;
-          bool warmth;
-        };
-        const GenCounter gen_counters[] = {
-            {"tls_repro_gen_cache_template_hits_total",
-             gs.template_hits - gb.template_hits, false},
-            {"tls_repro_gen_cache_bypass_total", gs.bypasses - gb.bypasses,
-             false},
-            {"tls_repro_gen_cache_template_misses_total",
-             gs.template_misses - gb.template_misses, true},
-            {"tls_repro_gen_cache_plan_hits_total",
-             gs.plan_hits - gb.plan_hits, true},
-            {"tls_repro_gen_cache_plan_misses_total",
-             gs.plan_misses - gb.plan_misses, true},
-            {"tls_repro_gen_cache_template_bytes_total",
-             gs.template_bytes - gb.template_bytes, true},
-        };
-        for (const auto& [name, value, warmth] : gen_counters) {
-          if (value == 0) continue;
-          tel->registry
-              .counter(name, "",
-                       "Producer-side GenCache template/plan activity",
-                       warmth)
-              .add(value);
-        }
-      }
-      if (injector != nullptr) {
-        const auto& fs = injector->stats();
-        for (std::size_t k = 1; k < tls::faults::kFaultKindCount; ++k) {
-          if (fs.applied[k] == 0) continue;
-          const auto kind = static_cast<tls::faults::FaultKind>(k);
-          std::string label = "kind=\"";
-          label += tls::faults::fault_kind_name(kind);
-          label += '"';
-          tel->registry
-              .counter("tls_repro_faults_applied_total", label,
-                       "Faults the chaos tap injected, by kind")
-              .add(fs.applied[k]);
-        }
-      }
-      // The generate/observe split interleaves per batch; render the two
-      // shares as contiguous child spans under the task span.
-      const std::uint64_t t0 = task_watch.start_us();
-      tel->trace.add({"generate", "passive", t0, generate_us, lane_id, {}});
-      tel->trace.add(
-          {"observe", "passive", t0 + generate_us, observe_us, lane_id, {}});
-      tls::telemetry::TraceEvent task_event{
-          "shard_task", "passive", t0, total_us, lane_id, {}};
-      task_event.args.emplace_back("month", lane);
-      task_event.args.emplace_back("shard", shard);
-      task_event.args.emplace_back("connections", count);
-      tel->trace.add(std::move(task_event));
-    }
+    // Only a finished attempt stamps, so a discarded one counts nothing.
+    const std::uint64_t total_us = task_watch.elapsed_us();
+    stamps.computed = true;
+    stamps.start_us = task_watch.start_us();
+    stamps.generate_us = total_us > observe_us ? total_us - observe_us : 0;
+    stamps.observe_us = observe_us;
+    // Deltas against the task-start snapshot: the worker generator's cache
+    // (and its stats) persists across tasks.
+    const auto& gs = gen.gen_cache_stats();
+    stamps.gen = {gs.template_hits - gen_before.template_hits,
+                  gs.template_misses - gen_before.template_misses,
+                  gs.bypasses - gen_before.bypasses,
+                  gs.plan_hits - gen_before.plan_hits,
+                  gs.plan_misses - gen_before.plan_misses,
+                  gs.template_bytes - gen_before.template_bytes};
+    if (injector != nullptr) stamps.faults = injector->stats().applied;
     return mon;
   };
-  if (options_.task_deadline_us == 0) return attempt(false, telemetry);
+  if (options_.task_deadline_us == 0) return attempt(false);
   try {
-    return attempt(true, telemetry);
+    return attempt(true);
   } catch (const StuckShardError&) {
     // Over budget: discard the partial shard and re-run once without a
     // deadline so a genuinely slow machine still completes (and report it).
     stuck_reruns_.fetch_add(1);
-    // Drop the aborted attempt's partial telemetry so nothing is counted
-    // twice; only the successful attempt reports.
-    if (telemetry != nullptr) *telemetry = TaskTelemetry{};
-    return attempt(false, telemetry);
+    return attempt(false);
   }
+}
+
+void LongitudinalStudy::fold_task(Month month, std::size_t shard,
+                                  std::size_t count, const TaskStamps& st,
+                                  const tls::notary::PassiveMonitor& monitor,
+                                  std::uint32_t lane) {
+  const auto& buckets = tls::telemetry::wide_latency_buckets_us();
+  if (st.replay_tried) {
+    trace_.add({"checkpoint_replay", "checkpoint", st.replay_start_us,
+                st.replay_us, lane, {}});
+  }
+  // A replayed task carries no stamps and its decoded monitor no counts.
+  if (!st.computed) return;
+  metrics_
+      .histogram("tls_repro_pipeline_generate_us", buckets, "",
+                 "Traffic-generation share of each shard task")
+      .record(st.generate_us);
+  metrics_
+      .histogram("tls_repro_pipeline_observe_us", buckets, "",
+                 "Monitor-ingest share of each shard task")
+      .record(st.observe_us);
+  metrics_
+      .counter("tls_repro_pipeline_shard_tasks_total", "",
+               "Passive (month, shard) tasks computed")
+      .add();
+  monitor.collect_metrics(metrics_);
+  // template_hits and bypasses are per-connection facts (functions of the
+  // plan); the warmth counters (misses, plan hits/misses, resident bytes)
+  // depend on which worker ran which tasks, so they carry the
+  // schedule-derived flag and stay out of the deterministic digest.
+  const struct {
+    const char* name;
+    std::uint64_t value;
+    bool warmth;
+  } gen_counters[] = {
+      {"tls_repro_gen_cache_template_hits_total", st.gen.template_hits, false},
+      {"tls_repro_gen_cache_bypass_total", st.gen.bypasses, false},
+      {"tls_repro_gen_cache_template_misses_total", st.gen.template_misses,
+       true},
+      {"tls_repro_gen_cache_plan_hits_total", st.gen.plan_hits, true},
+      {"tls_repro_gen_cache_plan_misses_total", st.gen.plan_misses, true},
+      {"tls_repro_gen_cache_template_bytes_total", st.gen.template_bytes,
+       true},
+  };
+  for (const auto& [name, value, warmth] : gen_counters) {
+    if (value == 0) continue;
+    metrics_
+        .counter(name, "", "Producer-side GenCache template/plan activity",
+                 warmth)
+        .add(value);
+  }
+  for (std::size_t k = 1; k < tls::faults::kFaultKindCount; ++k) {
+    if (st.faults[k] == 0) continue;
+    const auto kind = static_cast<tls::faults::FaultKind>(k);
+    std::string label = "kind=\"";
+    label += tls::faults::fault_kind_name(kind);
+    label += '"';
+    metrics_
+        .counter("tls_repro_faults_applied_total", label,
+                 "Faults the chaos tap injected, by kind")
+        .add(st.faults[k]);
+  }
+  // The generate/observe split interleaves per batch; render the two
+  // shares as contiguous child spans under the task span.
+  const std::uint64_t t0 = st.start_us;
+  const std::uint64_t total_us = st.generate_us + st.observe_us;
+  trace_.add({"generate", "passive", t0, st.generate_us, lane, {}});
+  trace_.add(
+      {"observe", "passive", t0 + st.generate_us, st.observe_us, lane, {}});
+  trace_.add({"shard_task",
+              "passive",
+              t0,
+              total_us,
+              lane,
+              {{"month", static_cast<std::uint64_t>(month.index())},
+               {"shard", shard},
+               {"connections", count}}});
+  if (!st.journaled) return;
+  metrics_
+      .histogram("tls_repro_checkpoint_encode_us", buckets, "",
+                 "Monitor-state snapshot encode time per frame")
+      .record(st.encode_us);
+  metrics_
+      .histogram("tls_repro_checkpoint_append_us", buckets, "",
+                 "Frame hand-off to the journal writer, per frame")
+      .record(st.append_us);
+  // The frame is encoded and appended right after the task's last batch.
+  const std::uint64_t enc0 = t0 + total_us;
+  trace_.add({"checkpoint_encode",
+              "checkpoint",
+              enc0,
+              st.encode_us,
+              lane,
+              {{"bytes", st.payload_bytes}}});
+  trace_.add({"checkpoint_append", "checkpoint", enc0 + st.encode_us,
+              st.append_us, lane, {}});
 }
 
 tls::fp::FingerprintDatabase LongitudinalStudy::build_database(
@@ -293,15 +312,13 @@ void LongitudinalStudy::run() {
   ensure_journal();
   std::vector<std::unique_ptr<tls::notary::PassiveMonitor>> shard_monitors(
       tasks.size());
-  const bool telemetry_on = options_.telemetry;
-  std::vector<TaskTelemetry> task_telemetry(telemetry_on ? tasks.size() : 0);
+  std::vector<TaskStamps> stamps(tasks.size());
   tls::core::ThreadPool pool(options_.threads);
   pool.run(tasks.size(), [&](std::size_t i) {
     const ShardTask& task = tasks[i];
     const auto month_index = static_cast<std::uint32_t>(task.month.index());
     const auto slot = static_cast<std::uint32_t>(task.shard);
-    TaskTelemetry* tel = telemetry_on ? &task_telemetry[i] : nullptr;
-    const auto lane_id = static_cast<std::uint32_t>(i + 1);  // 0 = study
+    TaskStamps& st = stamps[i];
     if (journal_ != nullptr) {
       // Resume path: a verified journal frame replaces the whole task.
       // Absorbing the decoded monitor is bit-identical to absorbing the
@@ -309,52 +326,33 @@ void LongitudinalStudy::run() {
       // freely without changing a single exported byte.
       if (const auto* payload = journal_->replayed(FrameKind::kPassiveShard,
                                                    month_index, slot)) {
+        const tls::telemetry::Stopwatch replay;
+        st.replay_tried = true;
+        st.replay_start_us = replay.start_us();
         try {
-          tls::telemetry::Span replay_span(tel ? &tel->trace : nullptr,
-                                           "checkpoint_replay", "checkpoint",
-                                           lane_id);
           shard_monitors[i] = std::make_unique<tls::notary::PassiveMonitor>(
               tls::notary::decode_monitor_state(*payload, &database_));
+          st.replay_us = replay.elapsed_us();
           journal_->note_task(true);
           return;
         } catch (const tls::wire::ParseError&) {
           // Framing verified but the payload didn't decode: quarantine and
           // fall through to an ordinary recompute.
+          st.replay_us = replay.elapsed_us();
           journal_->invalidate(FrameKind::kPassiveShard, month_index, slot);
         }
       }
     }
-    auto mon = compute_shard(task.month, task.shard, task.count, tel, lane_id);
+    auto mon = compute_shard(task.month, task.shard, task.count, st);
     if (journal_ != nullptr) {
-      if (tel == nullptr) {
-        journal_->append(FrameKind::kPassiveShard, month_index, slot,
-                         tls::notary::encode_monitor_state(*mon));
-      } else {
-        const tls::telemetry::Stopwatch enc;
-        const auto payload = tls::notary::encode_monitor_state(*mon);
-        const std::uint64_t enc_us = enc.elapsed_us();
-        tel->registry
-            .histogram("tls_repro_checkpoint_encode_us",
-                       tls::telemetry::wide_latency_buckets_us(), "",
-                       "Monitor-state snapshot encode time per frame")
-            .record(enc_us);
-        tls::telemetry::TraceEvent enc_event{
-            "checkpoint_encode", "checkpoint", enc.start_us(), enc_us,
-            lane_id,             {}};
-        enc_event.args.emplace_back("bytes", payload.size());
-        tel->trace.add(std::move(enc_event));
-        const tls::telemetry::Stopwatch app;
-        journal_->append(FrameKind::kPassiveShard, month_index, slot,
-                         payload);
-        const std::uint64_t app_us = app.elapsed_us();
-        tel->registry
-            .histogram("tls_repro_checkpoint_append_us",
-                       tls::telemetry::wide_latency_buckets_us(), "",
-                       "Frame hand-off to the journal writer, per frame")
-            .record(app_us);
-        tel->trace.add({"checkpoint_append", "checkpoint", app.start_us(),
-                        app_us, lane_id, {}});
-      }
+      const tls::telemetry::Stopwatch enc;
+      const auto payload = tls::notary::encode_monitor_state(*mon);
+      st.encode_us = enc.elapsed_us();
+      st.payload_bytes = payload.size();
+      const tls::telemetry::Stopwatch app;
+      journal_->append(FrameKind::kPassiveShard, month_index, slot, payload);
+      st.append_us = app.elapsed_us();
+      st.journaled = true;
       journal_->note_task(false);
     }
     // Parked until the plan-order absorb: keep the aggregates only.
@@ -367,34 +365,28 @@ void LongitudinalStudy::run() {
 
   // Late aggregation in plan order — the only place shard results meet.
   {
-    tls::telemetry::Span absorb_span(telemetry_on ? &trace_ : nullptr,
-                                     "absorb", "passive", 0);
+    tls::telemetry::Span absorb_span(trace_, "absorb", "passive", 0);
+    auto& absorb_us = metrics_.histogram(
+        "tls_repro_pipeline_absorb_us",
+        tls::telemetry::wide_latency_buckets_us(), "",
+        "Shard-monitor merge time per absorbed shard");
     for (const auto& mon : shard_monitors) {
-      if (!telemetry_on) {
-        monitor_->absorb(*mon);
-        continue;
-      }
       const tls::telemetry::Stopwatch sw;
       monitor_->absorb(*mon);
-      metrics_
-          .histogram("tls_repro_pipeline_absorb_us",
-                     tls::telemetry::wide_latency_buckets_us(), "",
-                     "Shard-monitor merge time per absorbed shard")
-          .record(sw.elapsed_us());
+      absorb_us.record(sw.elapsed_us());
     }
   }
-  // Fold the per-task telemetry islands in the same fixed plan order as
-  // the monitors — the registry's merge is associative and commutative,
-  // so the folded state is independent of which threads ran which tasks.
-  for (auto& tel : task_telemetry) {
-    metrics_.merge(tel.registry);
-    trace_.append(std::move(tel.trace));
+  // Fold the task stamps in the same fixed plan order as the monitors, so
+  // the deterministic metrics are independent of which threads ran which
+  // tasks. Lane 0 is the study's; task i renders on lane i + 1.
+  for (std::size_t i = 0; i < tasks.size(); ++i) {
+    fold_task(tasks[i].month, tasks[i].shard, tasks[i].count, stamps[i],
+              *shard_monitors[i], static_cast<std::uint32_t>(i + 1));
   }
   collect_run_metrics(pool);
 }
 
 void LongitudinalStudy::collect_run_metrics(const tls::core::ThreadPool& pool) {
-  if (!options_.telemetry) return;
   // ---- error taxonomy + quarantine ring ----
   for (std::size_t s = 0; s < tls::notary::kIngestStageCount; ++s) {
     const auto stage = static_cast<tls::notary::IngestStage>(s);
@@ -540,51 +532,43 @@ std::vector<std::string> LongitudinalStudy::export_figures(
       {"fig9_aead_negotiated.csv", figure9_aead_negotiated()},
       {"fig10_aead_advertised.csv", figure10_aead_advertised()},
   };
-  const bool telemetry_on = options_.telemetry;
   for (const auto& [name, chart] : figures) {
     const auto path = (std::filesystem::path(directory) / name).string();
-    tls::telemetry::Span csv_span(telemetry_on ? &trace_ : nullptr,
-                                  "csv_render", "export", 0);
+    tls::telemetry::Span csv_span(trace_, "csv_render", "export", 0);
     const tls::telemetry::Stopwatch sw;
     tls::analysis::write_csv_file(path, chart);
-    if (telemetry_on) {
-      metrics_
-          .histogram("tls_repro_export_csv_us",
-                     tls::telemetry::wide_latency_buckets_us(), "",
-                     "CSV figure render+write time per file")
-          .record(sw.elapsed_us());
-    }
+    metrics_
+        .histogram("tls_repro_export_csv_us",
+                   tls::telemetry::wide_latency_buckets_us(), "",
+                   "CSV figure render+write time per file")
+        .record(sw.elapsed_us());
     written.push_back(path);
   }
   const auto scan_path =
       (std::filesystem::path(directory) / "censys_scans.csv").string();
-  // The pool-backed sweep folds per-(month, segment) probes in plan order,
-  // so these bytes match the serial scan_range at any thread count.
+  // One probe per (month, segment) on the pool, folded in plan order:
+  // the same bytes as the serial scan_range at any thread count. With a
+  // journal, a verified frame replaces a probe and a computed probe is
+  // appended; the fold is the same either way.
   tls::core::ThreadPool pool(options_.threads);
-  tls::telemetry::Span sweep_span(telemetry_on ? &trace_ : nullptr,
-                                  "scan_sweep", "scan", 0);
+  tls::telemetry::Span sweep_span(trace_, "scan_sweep", "scan", 0);
   const auto range = tls::core::censys_window();
   ensure_journal();
-  if (journal_ != nullptr) {
-    // Journaled sweep: each (month, segment) probe is replayed from the
-    // journal when a verified frame exists, recomputed (and appended)
-    // otherwise, then everything folds through the identical plan-order
-    // fold — the same bytes as the un-journaled sweep.
-    const auto n_months = static_cast<std::size_t>(range.size());
-    const std::size_t n_segments = servers_.segments().size();
-    std::vector<tls::scan::SegmentProbe> probes(n_months * n_segments);
-    // Per-probe telemetry islands (lock-free; folded in plan order below).
-    std::vector<tls::telemetry::TraceRecorder> probe_traces(
-        telemetry_on ? probes.size() : 0);
-    std::vector<std::uint64_t> probe_us(telemetry_on ? probes.size() : 0);
-    pool.run(probes.size(), [&](std::size_t i) {
-      const auto mi = static_cast<int>(i / n_segments);
-      const std::size_t si = i % n_segments;
-      const auto month_index =
-          static_cast<std::uint32_t>((range.begin_month + mi).index());
-      const auto slot = static_cast<std::uint32_t>(si);
-      tls::telemetry::TraceRecorder* rec =
-          telemetry_on ? &probe_traces[i] : nullptr;
+  const auto n_months = static_cast<std::size_t>(range.size());
+  const std::size_t n_segments = servers_.segments().size();
+  std::vector<tls::scan::SegmentProbe> probes(n_months * n_segments);
+  struct ProbeStamp {
+    bool probed = false;
+    std::uint64_t start_us = 0;
+    std::uint64_t us = 0;
+  };
+  std::vector<ProbeStamp> probe_stamps(probes.size());
+  pool.run(probes.size(), [&](std::size_t i) {
+    const Month month = range.begin_month + static_cast<int>(i / n_segments);
+    const std::size_t si = i % n_segments;
+    const auto month_index = static_cast<std::uint32_t>(month.index());
+    const auto slot = static_cast<std::uint32_t>(si);
+    if (journal_ != nullptr) {
       if (const auto* payload =
               journal_->replayed(FrameKind::kScanSegment, month_index, slot)) {
         try {
@@ -595,45 +579,41 @@ std::vector<std::string> LongitudinalStudy::export_figures(
           journal_->invalidate(FrameKind::kScanSegment, month_index, slot);
         }
       }
-      {
-        tls::telemetry::Span probe_span(
-            rec, "scan_probe", "scan", static_cast<std::uint32_t>(i + 1));
-        probe_span.arg("month", month_index);
-        probe_span.arg("segment", slot);
-        const tls::telemetry::Stopwatch sw;
-        probes[i] = scanner_->probe_segment(range.begin_month + mi, si,
-                                            /*by_traffic=*/false);
-        if (telemetry_on) probe_us[i] = sw.elapsed_us();
-      }
+    }
+    const tls::telemetry::Stopwatch sw;
+    probes[i] = scanner_->probe_segment(month, si, /*by_traffic=*/false);
+    probe_stamps[i] = {true, sw.start_us(), sw.elapsed_us()};
+    if (journal_ != nullptr) {
       journal_->append(FrameKind::kScanSegment, month_index, slot,
                        encode_segment_probe(probes[i]));
       journal_->note_task(false);
-    });
-    journal_->flush();  // scan-phase frames durable before folding
-    if (telemetry_on) {
-      auto& hist = metrics_.histogram(
-          "tls_repro_scan_probe_us",
-          tls::telemetry::wide_latency_buckets_us(), "",
-          "Active-scan segment probe time per (month, segment)");
-      for (std::size_t i = 0; i < probes.size(); ++i) {
-        if (probe_us[i] > 0) hist.record(probe_us[i]);
-        trace_.append(std::move(probe_traces[i]));
-      }
     }
-    tls::analysis::write_scan_csv_file(scan_path,
-                                       scanner().fold_range(range, probes));
-  } else {
-    tls::analysis::write_scan_csv_file(scan_path,
-                                       scanner().scan_range(range, pool));
+  });
+  if (journal_ != nullptr) journal_->flush();  // durable before folding
+  auto& probe_us = metrics_.histogram(
+      "tls_repro_scan_probe_us", tls::telemetry::wide_latency_buckets_us(),
+      "", "Active-scan segment probe time per (month, segment)");
+  for (std::size_t i = 0; i < probes.size(); ++i) {
+    const auto& ps = probe_stamps[i];
+    if (!ps.probed) continue;
+    probe_us.record(ps.us);
+    const Month month = range.begin_month + static_cast<int>(i / n_segments);
+    trace_.add({"scan_probe",
+                "scan",
+                ps.start_us,
+                ps.us,
+                static_cast<std::uint32_t>(i + 1),
+                {{"month", static_cast<std::uint64_t>(month.index())},
+                 {"segment", i % n_segments}}});
   }
+  tls::analysis::write_scan_csv_file(scan_path,
+                                     scanner().fold_range(range, probes));
   sweep_span.close();
-  if (telemetry_on) {
-    // Fold this pool's accounting on top of run()'s (counter add).
-    const auto ps = pool.stats();
-    metrics_.counter("tls_repro_pool_tasks_total").add(ps.tasks);
-    metrics_.counter("tls_repro_pool_busy_us", "", "", true).add(ps.busy_us);
-    metrics_.counter("tls_repro_pool_wall_us", "", "", true).add(ps.wall_us);
-  }
+  // Fold this pool's accounting on top of run()'s (counter add).
+  const auto ps = pool.stats();
+  metrics_.counter("tls_repro_pool_tasks_total").add(ps.tasks);
+  metrics_.counter("tls_repro_pool_busy_us", "", "", true).add(ps.busy_us);
+  metrics_.counter("tls_repro_pool_wall_us", "", "", true).add(ps.wall_us);
   written.push_back(scan_path);
   return written;
 }

@@ -7,6 +7,7 @@
 // primary public entry point; the bench binaries are thin wrappers over it.
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <memory>
 #include <mutex>
@@ -75,13 +76,6 @@ struct StudyOptions {
   /// like fast_observe above — it is excluded from options_digest and a
   /// checkpointed run may resume with it flipped.
   bool gen_cache = true;
-  /// Unified telemetry: collect the metrics registry and pipeline spans
-  /// during run()/export_figures(). Observability only — enabling it may
-  /// not change a single exported CSV byte at any thread count or fault
-  /// rate (tested); wall-clock readings are confined to the metrics/trace
-  /// artifacts. Off (default) keeps the hot path on the compiled-in no-op
-  /// sink: null handles, one branch per event, no clock reads.
-  bool telemetry = false;
 
   // ---- durable checkpoint/resume (off by default; no byte may change
   //      whether checkpointing is on, off, or resumed mid-run) ----
@@ -155,13 +149,15 @@ class LongitudinalStudy {
   /// group; only SIGKILL may).
   void drain_checkpoint();
 
-  // ---- telemetry artifacts (populated when options.telemetry is set) ----
-  /// The merged metrics registry: per-shard registries folded in plan
-  /// order, plus the post-run stat collection (taxonomy, quarantine,
-  /// pool, recovery). Empty when telemetry is off.
+  // ---- telemetry artifacts (always collected; observability only: no
+  //      exported CSV byte depends on them) ----
+  /// The metrics registry: the per-task stamps and shard-monitor counts
+  /// folded in plan order, plus the post-run stat collection (taxonomy,
+  /// quarantine, pool, recovery) and export_figures()' CSV and scan
+  /// timings.
   [[nodiscard]] const tls::telemetry::MetricsRegistry& metrics();
   /// Pipeline spans in plan order (one trace lane per shard task, lane 0
-  /// for study-level phases). Empty when telemetry is off.
+  /// for study-level phases).
   [[nodiscard]] const tls::telemetry::TraceRecorder& trace();
 
   // ---- passive figures (monthly percentage series over options.window) --
@@ -218,11 +214,29 @@ class LongitudinalStudy {
   tls::telemetry::MetricsRegistry metrics_;
   tls::telemetry::TraceRecorder trace_;
 
-  /// Per-shard-task telemetry island: written lock-free by whichever
-  /// thread runs the task, folded into metrics_/trace_ in plan order.
-  struct TaskTelemetry {
-    tls::telemetry::MetricsRegistry registry;
-    tls::telemetry::TraceRecorder trace;
+  /// One passive (month, shard) task's telemetry as plain integers:
+  /// written by whichever thread runs the task, with no lock and no
+  /// registry, and folded into metrics_/trace_ by run() in plan order.
+  /// Times are monotonic microseconds.
+  struct TaskStamps {
+    /// A journal replay was tried (it succeeded unless `computed`).
+    bool replay_tried = false;
+    std::uint64_t replay_start_us = 0;
+    std::uint64_t replay_us = 0;
+    /// The task ran: its shard monitor was generated and observed here.
+    bool computed = false;
+    std::uint64_t start_us = 0;
+    std::uint64_t generate_us = 0;
+    std::uint64_t observe_us = 0;
+    /// The computed monitor was encoded and appended to the journal.
+    bool journaled = false;
+    std::uint64_t encode_us = 0;
+    std::uint64_t append_us = 0;
+    std::uint64_t payload_bytes = 0;
+    /// The worker generator's cache activity over this task.
+    tls::population::GenCache::Stats gen{};
+    /// The chaos tap's applied faults, by FaultKind.
+    std::array<std::uint64_t, tls::faults::kFaultKindCount> faults{};
   };
 
   /// Lazily opens (and replays) the journal; no-op without checkpoint_dir.
@@ -232,14 +246,19 @@ class LongitudinalStudy {
   tls::population::TrafficGenerator& worker_generator();
   /// One passive (month, shard) task under the watchdog; returns the
   /// shard's monitor (rerun once if the first attempt blows the deadline).
-  /// `telemetry` (nullable) receives the successful attempt's metrics and
-  /// spans; `lane` is the trace lane (task index).
+  /// `stamps` receives the successful attempt's timings and counts.
   std::unique_ptr<tls::notary::PassiveMonitor> compute_shard(
       tls::core::Month month, std::size_t shard, std::size_t count,
-      TaskTelemetry* telemetry, std::uint32_t lane);
+      TaskStamps& stamps);
+  /// Folds one shard task's stamps and its computed monitor's counts into
+  /// metrics_ and trace_; `lane` is the task's trace lane.
+  void fold_task(tls::core::Month month, std::size_t shard, std::size_t count,
+                 const TaskStamps& stamps,
+                 const tls::notary::PassiveMonitor& monitor,
+                 std::uint32_t lane);
   /// Post-run stat collection: migrates the subsystem stat islands
   /// (taxonomy, quarantine, monitor totals, pool accounting, recovery)
-  /// onto the registry. No-op when telemetry is off.
+  /// onto the registry.
   void collect_run_metrics(const tls::core::ThreadPool& pool);
 };
 

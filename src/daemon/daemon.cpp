@@ -57,6 +57,11 @@ std::uint64_t sub_sat(std::uint64_t a, std::uint64_t b) {
 /// Queue-depth / outstanding-credit / shed-rate gauge sampling cadence.
 constexpr std::uint64_t kGaugeSampleMs = 200;
 
+/// Journal group commit for the aggregate epochs: flush at this many
+/// pending frames or when the oldest is this old, whichever comes first.
+constexpr std::size_t kJournalGroupFrames = 8;
+constexpr std::uint64_t kJournalGroupMs = 50;
+
 }  // namespace
 
 struct NotaryDaemon::AtomicCounters {
@@ -268,8 +273,8 @@ void NotaryDaemon::open_journal() {
   jc.directory = config_.checkpoint_dir;
   jc.resume = config_.resume;
   jc.manifest.options_digest = kDaemonOptionsDigest;
-  jc.group_frames = config_.journal_group_frames;
-  jc.group_ms = config_.journal_group_ms;
+  jc.group_frames = kJournalGroupFrames;
+  jc.group_ms = kJournalGroupMs;
   journal_ = std::make_unique<tls::study::RunJournal>(jc);
 
   // The newest verified epoch that decodes wins; one that does not (e.g.
@@ -447,6 +452,10 @@ tls::telemetry::MetricsRegistry NotaryDaemon::merged_metrics() {
     {
       std::lock_guard<std::mutex> lock(shard.telemetry_mutex);
       reg.merge(shard.registry);
+    }
+    {
+      std::lock_guard<std::mutex> lock(shard.monitor_mutex);
+      shard.monitor->collect_metrics(reg);
     }
     std::size_t depth = 0;
     {

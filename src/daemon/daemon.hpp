@@ -96,8 +96,6 @@ struct DaemonConfig {
   /// Replay an existing journal: the newest valid epoch frame becomes the
   /// aggregate baseline instead of starting from zero.
   bool resume = false;
-  std::size_t journal_group_frames = 8;
-  std::uint64_t journal_group_ms = 50;
   /// Write a checkpoint epoch every N ingested captures (0 = only at
   /// drain). Epochs are full aggregate snapshots — the newest valid one
   /// wins on resume, so torn tails just fall back one epoch.

@@ -4,6 +4,7 @@
 #include <charconv>
 #include <stdexcept>
 
+#include "tlscore/fnv.hpp"
 #include "wire/buffer.hpp"
 
 namespace tls::daemon {
@@ -49,19 +50,10 @@ bool is_client_frame(FrameType type) {
 
 std::uint64_t frame_checksum(FrameType type,
                              std::span<const std::uint8_t> payload) {
-  // FNV-1a-64 over (type ++ payload) without concatenating: run the type
-  // byte through one round, then continue over the payload by seeding the
-  // shared primitive's algorithm manually.
-  constexpr std::uint64_t kOffset = 1469598103934665603ull;
-  constexpr std::uint64_t kPrime = 1099511628211ull;
-  std::uint64_t h = kOffset;
-  h ^= static_cast<std::uint64_t>(type);
-  h *= kPrime;
-  for (std::uint8_t b : payload) {
-    h ^= b;
-    h *= kPrime;
-  }
-  return h;
+  // FNV-1a-64 over (type ++ payload) without concatenating: hash the type
+  // byte, then continue over the payload from that result.
+  const std::uint8_t type_byte = static_cast<std::uint8_t>(type);
+  return tls::core::fnv1a64(payload, tls::core::fnv1a64({&type_byte, 1}));
 }
 
 std::vector<std::uint8_t> encode_frame(FrameType type,

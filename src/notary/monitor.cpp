@@ -167,7 +167,7 @@ void PassiveMonitor::observe(const tls::population::ConnectionEvent& event) {
   // declines (recording nothing) on a hello the byte path's parse would
   // reject — which then falls through to serialization below.
   if (kind == FaultKind::kNone && fast_observe_ && observe_event_fast(event)) {
-    if (tel_fast_ != nullptr) tel_fast_->add();
+    ++fast_path_;
     return;
   }
   // The GenCache ships the hello's record bytes with the event; copy them
@@ -244,7 +244,7 @@ void PassiveMonitor::observe_flights(
 
   // The flights arrive decoded: the tail takes the messages themselves, and
   // a note on a hello quarantines that hello's record serialization.
-  if (tel_byte_ != nullptr) tel_byte_->add();
+  ++byte_path_;
   const ClientHello& hello = *cf.client_hello;
   harvest_client(m, hello, {.decoded = &hello});
   const ServerHello* sh =
@@ -258,32 +258,30 @@ void PassiveMonitor::observe_flights(
   if (sf.records.empty()) ++stats(m).one_sided_client;
 }
 
-void PassiveMonitor::set_telemetry(tls::telemetry::MetricsRegistry* registry) {
-  if (tel_memo_lookups_ != nullptr) {
-    tel_memo_lookups_->add(fp_memo_.lookups() - memo_lookups_attached_);
-    tel_memo_hits_->add(fp_memo_.hits() - memo_hits_attached_);
+void PassiveMonitor::collect_metrics(
+    tls::telemetry::MetricsRegistry& registry) const {
+  const struct {
+    const char* name;
+    const char* help;
+    std::uint64_t value;
+  } counts[] = {
+      {"tls_repro_notary_fast_path_total",
+       "Connections harvested via the struct-reuse fast path", fast_path_},
+      {"tls_repro_notary_byte_path_total",
+       "Connections ingested through the serialize/parse byte path",
+       byte_path_},
+      {"tls_repro_notary_sslv2_total",
+       "SSLv2 CLIENT-HELLO connections recorded", sslv2_path_},
+      {"tls_repro_notary_fp_memo_lookups_total",
+       "Fingerprint memo lookups (one per fingerprinted ClientHello)",
+       fp_memo_.lookups()},
+      {"tls_repro_notary_fp_memo_hits_total",
+       "Fingerprint memo hits (MD5 and database label skipped)",
+       fp_memo_.hits()},
+  };
+  for (const auto& [name, help, value] : counts) {
+    registry.counter(name, "", help).add(value);
   }
-  memo_lookups_attached_ = fp_memo_.lookups();
-  memo_hits_attached_ = fp_memo_.hits();
-  if (registry == nullptr) {
-    tel_fast_ = tel_byte_ = tel_sslv2_ = nullptr;
-    tel_memo_lookups_ = tel_memo_hits_ = nullptr;
-    return;
-  }
-  tel_fast_ = &registry->counter(
-      "tls_repro_notary_fast_path_total", "",
-      "Connections harvested via the struct-reuse fast path");
-  tel_byte_ = &registry->counter(
-      "tls_repro_notary_byte_path_total", "",
-      "Connections ingested through the serialize/parse byte path");
-  tel_sslv2_ = &registry->counter("tls_repro_notary_sslv2_total", "",
-                                  "SSLv2 CLIENT-HELLO connections recorded");
-  tel_memo_lookups_ = &registry->counter(
-      "tls_repro_notary_fp_memo_lookups_total", "",
-      "Fingerprint memo lookups (one per fingerprinted ClientHello)");
-  tel_memo_hits_ = &registry->counter(
-      "tls_repro_notary_fp_memo_hits_total", "",
-      "Fingerprint memo hits (MD5 and database label skipped)");
 }
 
 void PassiveMonitor::release_scratch() {
@@ -306,7 +304,7 @@ void PassiveMonitor::release_scratch() {
 }
 
 void PassiveMonitor::observe_sslv2(Month m) {
-  if (tel_sslv2_ != nullptr) tel_sslv2_->add();
+  ++sslv2_path_;
   MonthlyStats& s = stats(m);
   ++s.total;
   ++s.successful;
@@ -473,7 +471,7 @@ void PassiveMonitor::observe_wire(
     std::span<const std::uint8_t> server_record,
     std::span<const std::uint8_t> server_key_exchange_record, bool success,
     bool used_fallback, std::span<const std::uint8_t> alert_record) {
-  if (tel_byte_ != nullptr) tel_byte_->add();
+  ++byte_path_;
   // Decode each record, noting parse failures in capture order; the
   // ServerKeyExchange stays raw until the count reaches the group.
   try {

@@ -37,7 +37,6 @@ class FaultInjector;
 }
 namespace tls::telemetry {
 class MetricsRegistry;
-struct Counter;
 }
 namespace tls::wire {
 struct ParsedFlight;
@@ -308,14 +307,13 @@ class PassiveMonitor {
   /// Records an SSLv2 CLIENT-HELLO connection (§5.1 residue).
   void observe_sslv2(tls::core::Month month);
 
-  /// Attaches a telemetry registry: the monitor resolves counter handles
-  /// for its ingest-path split (fast/byte/sslv2) and bumps them per event.
-  /// The fingerprint memo's lookups and hits reach the registry in one add
-  /// each, when it is detached or replaced. nullptr (default) detaches;
-  /// the disabled path costs one null check per event and never reads a
-  /// clock, so attaching telemetry cannot perturb any aggregate the
-  /// monitor exports.
-  void set_telemetry(tls::telemetry::MetricsRegistry* registry);
+  /// Adds this monitor's lifetime ingest-path split (fast, byte, SSLv2)
+  /// and its fingerprint memo's lookups and hits to `registry`, as the
+  /// tls_repro_notary_* counters. The study folds each shard monitor's
+  /// counts this way and the daemon each shard's; the counts are plain
+  /// integers, never encoded, absorbed or compared, so they cannot
+  /// perturb any aggregate the monitor exports.
+  void collect_metrics(tls::telemetry::MetricsRegistry& registry) const;
 
   /// Frees the fingerprint memo and the per-capture scratch, for a monitor
   /// that is kept only to be absorbed or encoded. It may keep observing:
@@ -463,16 +461,10 @@ class PassiveMonitor {
   tls::faults::FaultInjector* injector_ = nullptr;
 
   bool fast_observe_ = true;
-  // Telemetry counter handles (null = telemetry detached). Registry map
-  // nodes have stable addresses, so caching the pointers is safe.
-  tls::telemetry::Counter* tel_fast_ = nullptr;
-  tls::telemetry::Counter* tel_byte_ = nullptr;
-  tls::telemetry::Counter* tel_sslv2_ = nullptr;
-  tls::telemetry::Counter* tel_memo_lookups_ = nullptr;
-  tls::telemetry::Counter* tel_memo_hits_ = nullptr;
-  // The memo counters as of the attach: the registry gets the difference.
-  std::uint64_t memo_lookups_attached_ = 0;
-  std::uint64_t memo_hits_attached_ = 0;
+  // Ingest-path split, reported by collect_metrics.
+  std::uint64_t fast_path_ = 0;
+  std::uint64_t byte_path_ = 0;
+  std::uint64_t sslv2_path_ = 0;
   // Reusable scratch for the per-connection hot path (a monitor is
   // single-threaded; shard parallelism uses one monitor per shard). The
   // records decode into these in place, so observe_wire allocates nothing

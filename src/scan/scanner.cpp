@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "clients/suite_pools.hpp"
-#include "core/shard.hpp"
 #include "handshake/negotiate.hpp"
 #include "tlscore/cipher_suites.hpp"
 #include "wire/heartbeat.hpp"
@@ -284,22 +283,6 @@ std::vector<ScanSnapshot> ActiveScanner::scan_range(
     out.push_back(scan(m));
   }
   return out;
-}
-
-std::vector<ScanSnapshot> ActiveScanner::scan_range(
-    tls::core::MonthRange range, tls::core::ThreadPool& pool) const {
-  const auto n_months = static_cast<std::size_t>(range.size());
-  const std::size_t n_segments = population_.segments().size();
-  if (n_months == 0 || n_segments == 0) return scan_range(range);
-
-  // One task per (month, segment); every task writes only its own slot.
-  std::vector<SegmentProbe> probes(n_months * n_segments);
-  pool.run(probes.size(), [&](std::size_t i) {
-    const auto mi = static_cast<int>(i / n_segments);
-    probes[i] = probe_segment(range.begin_month + mi, i % n_segments,
-                              /*by_traffic=*/false);
-  });
-  return fold_range(range, probes);
 }
 
 std::vector<ScanSnapshot> ActiveScanner::fold_range(

@@ -18,10 +18,6 @@
 #include "tlscore/rng.hpp"
 #include "wire/client_hello.hpp"
 
-namespace tls::core {
-class ThreadPool;
-}
-
 namespace tls::scan {
 
 /// The fixed scan hellos. Built once; byte-identical across calls.
@@ -149,18 +145,11 @@ class ActiveScanner {
   [[nodiscard]] std::vector<ScanSnapshot> scan_range(
       tls::core::MonthRange range) const;
 
-  /// The same sweeps, fanned out per (month, segment) on `pool`. Returns
-  /// snapshots byte-identical to the serial scan_range: probes are
-  /// deterministic per (seed, month, segment) and are folded in (month,
-  /// segment) order after the grid drains.
-  [[nodiscard]] std::vector<ScanSnapshot> scan_range(
-      tls::core::MonthRange range, tls::core::ThreadPool& pool) const;
-
-  /// Folds an externally-computed month-major probe grid (size() months ×
-  /// segments() entries, (month, segment) order) into monthly snapshots —
-  /// byte-identical to scan_range over the same range. This is the
-  /// aggregation half of scan_range(pool), split out so the checkpoint
-  /// journal can replay persisted probes through the identical fold.
+  /// Folds a month-major probe grid (size() months × segments() entries,
+  /// (month, segment) order) into monthly snapshots — byte-identical to
+  /// scan_range over the same range. Probes are deterministic per (seed,
+  /// month, segment), so the grid may be computed on any threads, and
+  /// replayed from a journal, before this fold.
   [[nodiscard]] std::vector<ScanSnapshot> fold_range(
       tls::core::MonthRange range, std::span<const SegmentProbe> probes) const;
 

@@ -11,10 +11,10 @@
 //              merge = per-bucket addition, plus exact count/sum/min/max
 //
 // Determinism contract (DESIGN.md §12): every merge is associative and
-// commutative over exact integer state, so folding per-shard registries in
-// the study's fixed (month, shard) plan order yields a thread-count-
-// independent result for every metric whose samples are themselves
-// deterministic. Wall-clock-derived metrics are registered with
+// commutative over exact integer state, so folding per-shard samples in
+// the study's fixed (month, shard) plan order, or merging the daemon's
+// per-shard registries, yields a thread-count-independent result for every
+// metric whose samples are themselves deterministic. Wall-clock-derived metrics are registered with
 // timing=true and excluded from deterministic_digest() — they exist only
 // in the metrics/trace artifacts, never in exported CSV bytes.
 //

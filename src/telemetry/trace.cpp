@@ -5,17 +5,6 @@
 
 namespace tls::telemetry {
 
-void TraceRecorder::append(TraceRecorder&& other) {
-  if (events_.empty()) {
-    events_ = std::move(other.events_);
-  } else {
-    events_.insert(events_.end(),
-                   std::make_move_iterator(other.events_.begin()),
-                   std::make_move_iterator(other.events_.end()));
-  }
-  other.events_.clear();
-}
-
 namespace {
 
 void append_json_string(std::ostringstream& out, const std::string& s) {

@@ -1,14 +1,13 @@
-// Pipeline spans: lightweight RAII timers around the study phases
-// (generate, observe, absorb, checkpoint encode/append, scan probe, CSV
-// render), collected per (month, shard) task and exported as Chrome
+// Pipeline spans around the study phases (generate, observe, absorb,
+// checkpoint encode/append, scan probe, CSV render), exported as Chrome
 // `trace_event` JSON — the format chrome://tracing and Perfetto load
 // directly.
 //
-// Concurrency model mirrors the metrics registry: one TraceRecorder per
-// shard task (no shared mutable state on the hot path), appended into the
-// study-level recorder in the fixed plan order after the pool drains. The
-// no-op sink is a null recorder pointer: a Span constructed against
-// nullptr never reads the clock, so the disabled path costs one branch.
+// Concurrency model: a recorder is single-threaded. Shard tasks keep no
+// recorder of their own; they stamp plain start/duration integers, which
+// the study turns into events on its one recorder, in the fixed plan
+// order, after the pool drains. The RAII Span times the study-level
+// phases on the thread that owns the recorder.
 #pragma once
 
 #include <cstdint>
@@ -37,8 +36,6 @@ struct TraceEvent {
 class TraceRecorder {
  public:
   void add(TraceEvent event) { events_.push_back(std::move(event)); }
-  /// Appends another recorder's events (shard-lane merge, plan order).
-  void append(TraceRecorder&& other);
   [[nodiscard]] const std::vector<TraceEvent>& events() const {
     return events_;
   }
@@ -53,14 +50,12 @@ class TraceRecorder {
 };
 
 /// RAII span: measures construction-to-destruction (or close()) and
-/// records one complete event. A null recorder makes every operation a
-/// no-op without touching the clock.
+/// records one complete event.
 class Span {
  public:
-  Span(TraceRecorder* recorder, std::string name, std::string category,
+  Span(TraceRecorder& recorder, std::string name, std::string category,
        std::uint32_t tid)
-      : recorder_(recorder) {
-    if (recorder_ == nullptr) return;
+      : recorder_(&recorder) {
     event_.name = std::move(name);
     event_.category = std::move(category);
     event_.tid = tid;
@@ -73,9 +68,7 @@ class Span {
   ~Span() { close(); }
 
   void arg(std::string key, std::uint64_t value) {
-    if (recorder_ != nullptr) {
-      event_.args.emplace_back(std::move(key), value);
-    }
+    event_.args.emplace_back(std::move(key), value);
   }
 
   /// Stops the clock and records the event; further calls are no-ops.
@@ -87,7 +80,7 @@ class Span {
   }
 
  private:
-  TraceRecorder* recorder_;
+  TraceRecorder* recorder_;  // null once closed
   TraceEvent event_;
 };
 

@@ -642,7 +642,6 @@ TEST(CheckpointStudy, GroupCommitIssuesFewerFsyncsThanFrames) {
   const auto ckpt = fresh_dir("study_group_commit");
   auto opts = matrix_options(0);
   opts.checkpoint_dir = ckpt.string();
-  opts.telemetry = true;
   opts.journal_group_ms = 60'000;
   LongitudinalStudy study(opts);
   const auto* fsync = study.metrics().find("tls_repro_journal_fsync_total");

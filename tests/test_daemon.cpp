@@ -123,6 +123,22 @@ TEST(DaemonProtocol, BitFlippedChecksumPoisons) {
   EXPECT_EQ(decoder.error(), DecodeError::kBadChecksum);
 }
 
+TEST(DaemonProtocol, ChecksumIsFnv1a64OfTypeThenPayload) {
+  // FNV-1a-64 (offset basis 0xcbf29ce484222325, prime 0x100000001b3) over
+  // the bytes 02 de ad be ef 01, computed outside this code base.
+  constexpr std::uint64_t kWant = 0x082f401f833db236ull;
+  EXPECT_EQ(tls::daemon::frame_checksum(FrameType::kCapture, sample_payload()),
+            kWant);
+  const auto bytes = tls::daemon::encode_frame(FrameType::kCapture,
+                                               sample_payload());
+  std::uint64_t trailer = 0;
+  for (std::size_t i = bytes.size() - tls::daemon::kFrameTrailerBytes;
+       i < bytes.size(); ++i) {
+    trailer = (trailer << 8) | bytes[i];
+  }
+  EXPECT_EQ(trailer, kWant);
+}
+
 TEST(DaemonProtocol, OversizedLengthRejectedAtHeaderTime) {
   // Declared length just past the limit: poisoned as soon as the 9-byte
   // header lands, long before any payload bytes exist to buffer.
@@ -894,6 +910,50 @@ TEST(DaemonObservability, OnVersusOffMonitorStateIsByteIdentical) {
   };
 
   EXPECT_EQ(run(true), run(false));
+}
+
+/// The daemon reports its shard monitors' notary counters in the one
+/// study vocabulary: every ingested capture took the byte path or was an
+/// SSLv2 hello, and the fingerprint memo saw the byte path's hellos.
+TEST(DaemonObservability, MergedMetricsCarryNotaryCounters) {
+  auto& fix = fixture();
+  const auto captures = fix.make_captures(300, 0xC0DE);
+
+  DaemonConfig config;
+  config.shards = 2;
+  config.database = &fix.database;
+  NotaryDaemon daemon(config);
+  ASSERT_TRUE(daemon.start()) << daemon.last_error();
+  {
+    SensorClient client;
+    ASSERT_TRUE(connect_to(client, daemon));
+    for (const auto& capture : captures) {
+      ASSERT_TRUE(send_capture(client, capture));
+    }
+    for (int i = 0; i < 500; ++i) {
+      if (daemon.counters().ingested == captures.size()) break;
+      std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    }
+  }
+  daemon.request_stop();
+  daemon.join();
+  const auto c = daemon.counters();
+  ASSERT_EQ(c.ingested, captures.size());
+
+  const auto reg = daemon.merged_metrics();
+  const auto value = [&](const char* name) -> std::uint64_t {
+    const auto* m = reg.find(name);
+    EXPECT_NE(m, nullptr) << name;
+    return m == nullptr ? 0 : m->counter.value;
+  };
+  EXPECT_EQ(value("tls_repro_notary_byte_path_total") +
+                value("tls_repro_notary_sslv2_total"),
+            c.ingested);
+  EXPECT_EQ(value("tls_repro_notary_sslv2_total"), c.sslv2);
+  EXPECT_EQ(value("tls_repro_notary_fast_path_total"), 0u);
+  EXPECT_GT(value("tls_repro_notary_fp_memo_lookups_total"), 0u);
+  EXPECT_LE(value("tls_repro_notary_fp_memo_hits_total"),
+            value("tls_repro_notary_fp_memo_lookups_total"));
 }
 
 /// Stats snapshots served under concurrent load must be monotonic between

@@ -341,8 +341,18 @@ TEST(ParallelStudy, ScannerParallelSweepMatchesSerial) {
   const MonthRange range{Month(2015, 8), Month(2016, 7)};
 
   const auto serial = scanner.scan_range(range);
+  // The study's sweep: one probe per (month, segment) on a pool, folded in
+  // plan order after the grid drains.
+  const auto n_segments = servers.segments().size();
+  std::vector<tls::scan::SegmentProbe> probes(
+      static_cast<std::size_t>(range.size()) * n_segments);
   tls::core::ThreadPool pool(6);
-  const auto parallel = scanner.scan_range(range, pool);
+  pool.run(probes.size(), [&](std::size_t i) {
+    probes[i] = scanner.probe_segment(
+        range.begin_month + static_cast<int>(i / n_segments), i % n_segments,
+        /*by_traffic=*/false);
+  });
+  const auto parallel = scanner.fold_range(range, probes);
 
   ASSERT_EQ(parallel.size(), serial.size());
   for (std::size_t i = 0; i < serial.size(); ++i) {
