@@ -68,7 +68,8 @@ int main(int argc, char** argv) {
     }
     image.assign(reply->begin(), reply->end());
     if (image.empty()) {
-      std::cerr << "flight_dump: daemon is running with observability off\n";
+      std::cerr << "flight_dump: daemon at " << host << ":" << port
+                << " sent an empty flight image\n";
       return 1;
     }
     if (!out.empty()) {

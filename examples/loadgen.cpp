@@ -108,7 +108,9 @@ void run_worker(const Options& opt, std::size_t index,
       const auto wait_us = static_cast<std::uint64_t>(
           next_fire - static_cast<double>(now));
       // Disconnected after a fault, this is a plain wait until the fire.
-      if (!client.poll(static_cast<int>(wait_us / 1000) + 1)) client.close();
+      if (!client.poll(static_cast<int>(wait_us / 1000) + 1)) {
+        client.close_gracefully();
+      }
       continue;
     }
     // Schedule the next arrival first — open loop: the schedule never
@@ -135,10 +137,13 @@ void run_worker(const Options& opt, std::size_t index,
     if (fault) {
       ++stats.faulted;
       switch (fault_cycle++ % 4) {
-        case 0: {  // torn frame: half the bytes, then a hard disconnect
+        // Every fault ends the connection with a graceful close: a plain
+        // close(2) over unread credit grants resets the connection, and
+        // the reset discards captures the daemon has not read yet.
+        case 0: {  // torn frame: half the bytes, then a disconnect
           const std::size_t half = frame.size() / 2;
           client.send({frame.data(), half});
-          client.close();
+          client.close_gracefully();
           break;
         }
         // The daemon poisons and closes a connection that sends either of
@@ -150,21 +155,21 @@ void run_worker(const Options& opt, std::size_t index,
             b = static_cast<std::uint8_t>(rng.below(256));
           junk[0] = 0xFF;  // guarantee a magic mismatch
           client.send(junk);
-          client.close();
+          client.close_gracefully();
           break;
         }
         case 2: {  // bit-flipped checksum
           auto corrupt = frame;
           corrupt[corrupt.size() - 1] ^= 0x01;
           client.send(corrupt);
-          client.close();
+          client.close_gracefully();
           break;
         }
         case 3: {  // slow-loris: half a frame, stall, never finish
           const std::size_t half = frame.size() / 2;
           client.send({frame.data(), half});
           std::this_thread::sleep_for(std::chrono::milliseconds(20));
-          client.close();  // give up mid-frame — daemon sees a torn buffer
+          client.close_gracefully();  // give up mid-frame: a torn buffer
           break;
         }
       }
@@ -172,7 +177,7 @@ void run_worker(const Options& opt, std::size_t index,
     }
 
     if (!client.poll(0)) {  // dead peer: nothing sent here would arrive
-      client.close();
+      client.close_gracefully();
       ++stats.backpressure_drops;
       continue;
     }
@@ -181,12 +186,13 @@ void run_worker(const Options& opt, std::size_t index,
       continue;
     }
     if (!client.send(frame)) {
-      client.close();
+      client.close_gracefully();
       ++stats.backpressure_drops;
       continue;
     }
     ++stats.sent;
   }
+  client.close_gracefully();
 }
 
 }  // namespace

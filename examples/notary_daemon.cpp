@@ -6,17 +6,16 @@
 //                 [--observe-delay-us N] [--max-connections N]
 //                 [--checkpoint-dir DIR] [--resume] [--checkpoint-every N]
 //                 [--full-catalog] [--port-file FILE] [--metrics-out FILE]
-//                 [--trace-out FILE] [--no-observability]
-//                 [--flight-events N] [--flight-autodump-ms N]
+//                 [--trace-out FILE] [--flight-autodump-ms N]
 //                 [--crash-handler]
 //
-// Observability (DESIGN.md §17): stage-latency attribution and the flight
-// recorder are ON by default; --no-observability turns both off (for the
-// overhead-control benchmark). --trace-out writes the slowest-exemplar
-// waterfall as Chrome trace_event JSON at drain. --flight-autodump-ms
-// keeps checkpoint-dir/FLIGHT.bin at most one interval stale so even
-// kill -9 leaves a post-mortem; --crash-handler additionally dumps the
-// rings from SIGSEGV/SIGABRT/SIGBUS.
+// Observability (DESIGN.md §17): stage-latency attribution, the flight
+// recorder and the gauge ticker always run; there is no switch to turn
+// them off. --trace-out writes the slowest-exemplar waterfall as Chrome
+// trace_event JSON at drain. --flight-autodump-ms keeps
+// checkpoint-dir/FLIGHT.bin at most one interval stale so even kill -9
+// leaves a post-mortem; --crash-handler additionally dumps the rings
+// from SIGSEGV/SIGABRT/SIGBUS.
 //
 // Runs until SIGINT/SIGTERM, then drains gracefully: admission stops, the
 // shard queues quiesce, the group-commit journal flushes, and a final
@@ -97,10 +96,6 @@ int main(int argc, char** argv) {
       metrics_out = need("--metrics-out");
     } else if (arg == "--trace-out") {
       trace_out = need("--trace-out");
-    } else if (arg == "--no-observability") {
-      config.observability = false;
-    } else if (arg == "--flight-events") {
-      config.flight_events = number(0, LONG_MAX);
     } else if (arg == "--flight-autodump-ms") {
       config.flight_autodump_ms = number(0, LONG_MAX);
     } else if (arg == "--crash-handler") {

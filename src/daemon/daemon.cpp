@@ -57,6 +57,14 @@ std::uint64_t sub_sat(std::uint64_t a, std::uint64_t b) {
 /// Queue-depth / outstanding-credit / shed-rate gauge sampling cadence.
 constexpr std::uint64_t kGaugeSampleMs = 200;
 
+/// Flight-ring capacity per lane (lane 0 = event loop, one per shard),
+/// within the ceiling that decode_flight accepts.
+constexpr std::size_t kFlightEvents = 4096;
+static_assert(kFlightEvents <= tls::telemetry::kFlightMaxRingCapacity);
+/// Exemplar reservoir: the K slowest frames kept per trace window.
+constexpr std::size_t kTraceExemplars = 8;
+constexpr std::uint64_t kTraceWindowMs = 5000;
+
 /// Journal group commit for the aggregate epochs: flush at this many
 /// pending frames or when the oldest is this old, whichever comes first.
 constexpr std::size_t kJournalGroupFrames = 8;
@@ -173,10 +181,14 @@ struct NotaryDaemon::Connection {
 
 NotaryDaemon::NotaryDaemon(DaemonConfig config)
     : config_(std::move(config)),
+      trace_(std::make_unique<TracePlane>()),
+      ticker_(std::make_unique<TickerPlane>()),
       counters_(std::make_unique<AtomicCounters>()) {
   if (config_.shards == 0) config_.shards = 1;
   if (config_.shard_queue_depth == 0) config_.shard_queue_depth = 1;
   if (config_.credit_window == 0) config_.credit_window = 1;
+  flight_ = std::make_unique<tls::telemetry::FlightRecorder>(
+      1 + config_.shards, kFlightEvents);
 }
 
 NotaryDaemon::~NotaryDaemon() {
@@ -231,18 +243,11 @@ bool NotaryDaemon::start() {
   if (!config_.checkpoint_dir.empty()) open_journal();
 
   start_us_ = now_us();
-  if (config_.observability) {
-    flight_ = std::make_unique<tls::telemetry::FlightRecorder>(
-        1 + config_.shards, config_.flight_events);
-    trace_ = std::make_unique<TracePlane>();
-    trace_->window_start_ms = now_ms();
-    ticker_ = std::make_unique<TickerPlane>();
-    ticker_->last_sample_ms = now_ms();
-    if (config_.crash_handler && !config_.checkpoint_dir.empty()) {
-      tls::telemetry::install_flight_crash_handler(
-          flight_.get(), config_.checkpoint_dir + "/FLIGHT.bin");
-      crash_handler_installed_ = true;
-    }
+  trace_->window_start_ms = ticker_->last_sample_ms = start_us_ / 1000;
+  if (config_.crash_handler && !config_.checkpoint_dir.empty()) {
+    tls::telemetry::install_flight_crash_handler(
+        flight_.get(), config_.checkpoint_dir + "/FLIGHT.bin");
+    crash_handler_installed_ = true;
   }
 
   for (std::size_t i = 0; i < config_.shards; ++i) {
@@ -467,24 +472,22 @@ tls::telemetry::MetricsRegistry NotaryDaemon::merged_metrics() {
               "Shard ingest-queue occupancy at scrape time", true)
         .set(depth);
   }
-  if (ticker_) {
+  {
     std::lock_guard<std::mutex> lock(ticker_->mutex);
     reg.merge(ticker_->registry);
   }
   if (journal_) journal_->collect_metrics(reg);
-  if (flight_) {
-    std::uint64_t recorded = 0, dropped = 0;
-    for (std::size_t i = 0; i < flight_->lanes(); ++i) {
-      recorded += flight_->lane(i).total();
-      dropped += flight_->lane(i).dropped();
-    }
-    reg.gauge("tls_repro_daemon_flight_events", {},
-              "Flight-recorder events recorded across all lanes", true)
-        .set(recorded);
-    reg.gauge("tls_repro_daemon_flight_dropped", {},
-              "Flight-recorder events lost to drop-oldest", true)
-        .set(dropped);
+  std::uint64_t recorded = 0, dropped = 0;
+  for (std::size_t i = 0; i < flight_->lanes(); ++i) {
+    recorded += flight_->lane(i).total();
+    dropped += flight_->lane(i).dropped();
   }
+  reg.gauge("tls_repro_daemon_flight_events", {},
+            "Flight-recorder events recorded across all lanes", true)
+      .set(recorded);
+  reg.gauge("tls_repro_daemon_flight_dropped", {},
+            "Flight-recorder events lost to drop-oldest", true)
+      .set(dropped);
   return reg;
 }
 
@@ -495,13 +498,7 @@ tls::telemetry::MetricsRegistry NotaryDaemon::merged_metrics() {
 void NotaryDaemon::flight(std::size_t lane,
                           tls::telemetry::FlightEventKind kind,
                           std::uint32_t a, std::uint64_t b) {
-  if (!flight_) return;
   flight_->lane(lane).record(kind, a, b, now_us() - start_us_);
-}
-
-std::vector<std::uint8_t> NotaryDaemon::flight_bytes() const {
-  if (!flight_) return {};
-  return flight_->serialize();
 }
 
 void NotaryDaemon::finalize_completion(const Completion& done,
@@ -526,10 +523,9 @@ void NotaryDaemon::finalize_completion(const Completion& done,
     }
   }
 
-  if (!trace_) return;
   std::lock_guard<std::mutex> lock(trace_->mutex);
   const std::uint64_t now = now_ms();
-  if (now - trace_->window_start_ms >= config_.trace_window_ms) {
+  if (now - trace_->window_start_ms >= kTraceWindowMs) {
     trace_->previous.swap(trace_->current);
     trace_->prev_window_events = trace_->window_events;
     trace_->current.clear();
@@ -543,7 +539,7 @@ void NotaryDaemon::finalize_completion(const Completion& done,
   ex.ts_us = sub_sat(done.at.ingress, start_us_);
   ex.total_us = stage_us[6];
   for (std::size_t s = 0; s + 1 < kStageCount; ++s) ex.stage_us[s] = stage_us[s];
-  if (trace_->current.size() < config_.trace_exemplars) {
+  if (trace_->current.size() < kTraceExemplars) {
     trace_->current.push_back(ex);
     return;
   }
@@ -571,14 +567,11 @@ std::vector<NotaryDaemon::Exemplar> NotaryDaemon::slowest_exemplars() {
             [](const Exemplar& a, const Exemplar& b) {
               return a.total_us > b.total_us;
             });
-  if (exemplars.size() > config_.trace_exemplars) {
-    exemplars.resize(config_.trace_exemplars);
-  }
+  if (exemplars.size() > kTraceExemplars) exemplars.resize(kTraceExemplars);
   return exemplars;
 }
 
 std::string NotaryDaemon::trace_text() {
-  if (!trace_) return "observability=off\n";
   const auto merged = merged_stages();
   std::uint64_t window_events = 0, prev_window_events = 0;
   {
@@ -588,8 +581,8 @@ std::string NotaryDaemon::trace_text() {
   }
   const auto exemplars = slowest_exemplars();
   std::ostringstream out;
-  out << "trace window_ms=" << config_.trace_window_ms
-      << " exemplars=" << config_.trace_exemplars
+  out << "trace window_ms=" << kTraceWindowMs
+      << " exemplars=" << kTraceExemplars
       << " window_events=" << window_events
       << " prev_window_events=" << prev_window_events << '\n';
   for (std::size_t s = 0; s < kStageCount; ++s) {
@@ -614,7 +607,6 @@ std::string NotaryDaemon::trace_text() {
 
 std::string NotaryDaemon::trace_chrome() {
   tls::telemetry::TraceRecorder rec;
-  if (!trace_) return rec.to_json();
   const auto exemplars = slowest_exemplars();
   for (std::size_t i = 0; i < exemplars.size(); ++i) {
     const Exemplar& ex = exemplars[i];
@@ -637,7 +629,6 @@ std::string NotaryDaemon::trace_chrome() {
 }
 
 void NotaryDaemon::sample_gauges(std::uint64_t now) {
-  if (!ticker_) return;
   if (now - ticker_->last_sample_ms < kGaugeSampleMs) return;
   const std::uint64_t elapsed_ms = now - ticker_->last_sample_ms;
   ticker_->last_sample_ms = now;
@@ -674,7 +665,7 @@ void NotaryDaemon::sample_gauges(std::uint64_t now) {
 }
 
 void NotaryDaemon::write_flight_files() {
-  if (!flight_ || config_.checkpoint_dir.empty()) return;
+  if (config_.checkpoint_dir.empty()) return;
   flight(0, tls::telemetry::FlightEventKind::kFlightDump, /*a=*/1, 0);
   const auto bytes = flight_->serialize();
   tls::study::write_file_durable(config_.checkpoint_dir + "/FLIGHT.bin",
@@ -973,8 +964,7 @@ bool NotaryDaemon::process_frame(Connection& conn, Frame frame) {
     }
     case FrameType::kQueryFlight: {
       flight(0, tls::telemetry::FlightEventKind::kFlightDump, /*a=*/2, 0);
-      const auto bytes = flight_bytes();
-      queue_frame(conn, FrameType::kFlight, bytes);
+      queue_frame(conn, FrameType::kFlight, flight_->serialize());
       break;
     }
     case FrameType::kGoodbye:
@@ -1137,24 +1127,21 @@ void NotaryDaemon::event_loop() {
       sweep_idle(now_ms());
     }
 
-    if (config_.observability) {
-      const std::uint64_t now = now_ms();
-      sample_gauges(now);
-      if (journal_ && !journal_drop_booked_) {
-        const std::uint64_t dropped = journal_->dropped_frames();
-        if (dropped != 0) {
-          journal_drop_booked_ = true;
-          flight(0, tls::telemetry::FlightEventKind::kJournalDrop,
-                 static_cast<std::uint32_t>(dropped), 0);
-        }
+    const std::uint64_t now = now_ms();
+    sample_gauges(now);
+    if (journal_ && !journal_drop_booked_) {
+      const std::uint64_t dropped = journal_->dropped_frames();
+      if (dropped != 0) {
+        journal_drop_booked_ = true;
+        flight(0, tls::telemetry::FlightEventKind::kJournalDrop,
+               static_cast<std::uint32_t>(dropped), 0);
       }
-      if (flight_ && config_.flight_autodump_ms > 0 &&
-          !config_.checkpoint_dir.empty() &&
-          now - last_flight_dump_ms_ >= config_.flight_autodump_ms) {
-        last_flight_dump_ms_ = now;
-        flight(0, tls::telemetry::FlightEventKind::kFlightDump, /*a=*/0, 0);
-        flight_->write_file(config_.checkpoint_dir + "/FLIGHT.bin");
-      }
+    }
+    if (config_.flight_autodump_ms > 0 && !config_.checkpoint_dir.empty() &&
+        now - last_flight_dump_ms_ >= config_.flight_autodump_ms) {
+      last_flight_dump_ms_ = now;
+      flight(0, tls::telemetry::FlightEventKind::kFlightDump, /*a=*/0, 0);
+      flight_->write_file(config_.checkpoint_dir + "/FLIGHT.bin");
     }
 
     if (config_.checkpoint_every > 0 && journal_) {

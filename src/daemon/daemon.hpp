@@ -102,14 +102,9 @@ struct DaemonConfig {
   std::uint64_t checkpoint_every = 0;
 
   // ---- observability (DESIGN.md §17) ----
-  /// Flight recorder, slowest-frame exemplars and the gauge ticker. On by
-  /// default; turning it off must leave monitor aggregates byte-identical
-  /// (tested) — it only removes the telemetry, never changes an outcome.
-  /// Stage-latency histograms (and the stats query's ingest quantiles)
-  /// are kept either way.
-  bool observability = true;
-  /// Flight-ring capacity per lane (lane 0 = event loop, one per shard).
-  std::size_t flight_events = 4096;
+  // The flight recorder, slowest-frame exemplars, gauge ticker and stage
+  // histograms always run; only the two post-mortem outlets below are
+  // configurable.
   /// Periodic FLIGHT.bin autodump cadence (0 disables; needs
   /// checkpoint_dir). This is what makes a kill -9 leave a post-mortem:
   /// the file on disk is at most one interval stale.
@@ -118,9 +113,6 @@ struct DaemonConfig {
   /// checkpoint_dir/FLIGHT.bin (async-signal-safe). Process-global state,
   /// so off by default — embedding tests keep their signal dispositions.
   bool crash_handler = false;
-  /// Exemplar reservoir: the K slowest frames kept per trace window.
-  std::size_t trace_exemplars = 8;
-  std::uint64_t trace_window_ms = 5000;
 };
 
 /// Monotonic outcome ledger. Invariant (after drain):
@@ -201,13 +193,11 @@ class NotaryDaemon {
   [[nodiscard]] std::uint64_t resumed_epoch() const { return resumed_epoch_; }
 
   /// The kTrace body: stage-percentile lines followed by the slowest-frame
-  /// exemplar waterfall (parseable text; `observability=off` when off).
+  /// exemplar waterfall (parseable text).
   [[nodiscard]] std::string trace_text();
   /// Chrome trace_event JSON of the current exemplar set: one lane per
   /// exemplar, one complete span per stage (loads in Perfetto directly).
   [[nodiscard]] std::string trace_chrome();
-  /// Serialized FLIGHT.bin bytes (empty when observability is off).
-  [[nodiscard]] std::vector<std::uint8_t> flight_bytes() const;
 
  private:
   struct Connection;
@@ -233,8 +223,7 @@ class NotaryDaemon {
   void sweep_idle(std::uint64_t now_ms);
   void wake();
 
-  // Observability plane (flight, exemplars and gauges are no-ops when
-  // config_.observability is off; stage histograms are always kept).
+  // Observability plane: flight rings, exemplars, gauges, stage histograms.
   void flight(std::size_t lane, tls::telemetry::FlightEventKind kind,
               std::uint32_t a, std::uint64_t b);
   void finalize_completion(const Completion& done, std::uint64_t complete_us,
@@ -243,7 +232,7 @@ class NotaryDaemon {
   void write_flight_files();
   /// Each stage's histogram (kStageNames order) merged across shards.
   [[nodiscard]] std::vector<tls::telemetry::Histogram> merged_stages();
-  /// Both trace windows' exemplars, slowest first, at most trace_exemplars.
+  /// Both trace windows' exemplars, slowest first, at most kTraceExemplars.
   [[nodiscard]] std::vector<Exemplar> slowest_exemplars();
 
   /// Opens (or, with resume, replays) the journal under checkpoint_dir and
@@ -276,7 +265,7 @@ class NotaryDaemon {
   std::mutex completion_mutex_;
   std::vector<Completion> completions_;
 
-  // Observability plane.
+  // Observability plane (built in the constructor, never null).
   std::unique_ptr<tls::telemetry::FlightRecorder> flight_;
   std::unique_ptr<TracePlane> trace_;
   std::unique_ptr<TickerPlane> ticker_;

@@ -68,8 +68,7 @@ enum class FrameType : std::uint8_t {
   kQueryTrace = 9,   // client -> daemon: request stage-latency waterfall
   kTrace = 10,       // daemon -> client: text waterfall + exemplar lines
   kQueryFlight = 11, // client -> daemon: request flight-recorder dump
-  kFlight = 12,      // daemon -> client: FLIGHT.bin bytes (may be empty
-                     //   when observability is disabled)
+  kFlight = 12,      // daemon -> client: FLIGHT.bin bytes of the live rings
 };
 
 /// True for the types a client may legally send.

@@ -39,6 +39,20 @@ void SensorClient::close() {
   fd_ = -1;
 }
 
+void SensorClient::close_gracefully() {
+  if (connected() && ::shutdown(fd_, SHUT_WR) == 0) {
+    const std::uint64_t deadline_us =
+        tls::telemetry::now_us() + std::uint64_t{kQueryDeadlineMs} * 1000;
+    // poll() turns false at the daemon's EOF.
+    for (std::uint64_t now = tls::telemetry::now_us();
+         now < deadline_us &&
+         poll(static_cast<int>((deadline_us - now + 999) / 1000));
+         now = tls::telemetry::now_us()) {
+    }
+  }
+  close();
+}
+
 bool SensorClient::send(std::span<const std::uint8_t> bytes) {
   std::size_t off = 0;
   while (off < bytes.size()) {

@@ -29,6 +29,10 @@ class SensorClient {
   /// first. On failure no socket stays open and connected() is false.
   bool connect(const std::string& host, std::uint16_t port);
   void close();
+  /// shutdown(SHUT_WR), read until the daemon's EOF (at most
+  /// kQueryDeadlineMs), then close(): unlike a plain close() over unread
+  /// grants, no reset discards frames the daemon has not read yet.
+  void close_gracefully();
   [[nodiscard]] bool connected() const { return fd_ >= 0; }
 
   /// Blocking send of all of `bytes`, retried on EINTR. False on error.

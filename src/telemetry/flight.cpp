@@ -45,10 +45,9 @@ std::uint64_t pack_w1(std::uint8_t kind, std::uint32_t a) {
   return (static_cast<std::uint64_t>(kind) << 32) | a;
 }
 
-// Sanity ceilings for decoding untrusted bytes: far above anything the
+// Sanity ceiling for decoding untrusted bytes: far above anything the
 // daemon writes, low enough that a mutated header cannot demand gigabytes.
 constexpr std::uint32_t kMaxRings = 4096;
-constexpr std::uint32_t kMaxRingCapacity = 1u << 20;
 
 }  // namespace
 
@@ -285,7 +284,8 @@ FlightDump decode_flight(std::span<const std::uint8_t> bytes) {
   dump.crash_signo = read_u32(p + 16);
   if (dump.version != kFlightVersion) return dump;
   if (ring_count == 0 || ring_count > kMaxRings) return dump;
-  if (dump.ring_capacity == 0 || dump.ring_capacity > kMaxRingCapacity) {
+  if (dump.ring_capacity == 0 ||
+      dump.ring_capacity > kFlightMaxRingCapacity) {
     return dump;
   }
   const std::size_t ring_bytes =

@@ -46,6 +46,10 @@ inline constexpr std::uint32_t kFlightMagic = 0x544C5346;  // "TLSF"
 inline constexpr std::uint32_t kFlightVersion = 1;
 inline constexpr std::size_t kFlightHeaderBytes = 24;
 inline constexpr std::size_t kFlightEventBytes = 24;
+/// decode_flight rejects a dump whose ring capacity exceeds this, so a
+/// writer that wants its dumps readable sizes its rings at or below it.
+/// Low enough that a mutated header cannot demand gigabytes.
+inline constexpr std::uint32_t kFlightMaxRingCapacity = 1u << 20;
 
 /// What happened. Values are pinned (they live in FLIGHT.bin artifacts);
 /// add new kinds at the end only.
