@@ -14,6 +14,11 @@
 // backpressure drop (a well-behaved sensor would buffer; the point here
 // is to measure the daemon's shed behavior, not to emulate patience).
 //
+// A worker that falls behind its schedule (faults, reconnects, a slow
+// daemon) fires late in a burst, and fires still due when --duration-s
+// ends are counted as `behind`, never dropped silently: per connection,
+// scheduled + behind is every fire its schedule put before the deadline.
+//
 // --skew Zipf-weights the per-connection rates (weight 1/(i+1)^Z) so a
 // few heavy sensors dominate, exercising shard imbalance.
 //
@@ -78,12 +83,42 @@ struct Options {
 };
 
 struct WorkerStats {
+  /// When the worker's schedule started (its first fire), in now_us().
+  double first_fire_us = 0.0;
   std::uint64_t scheduled = 0;
+  /// Fires due before the deadline that the worker never reached.
+  std::uint64_t behind = 0;
   std::uint64_t sent = 0;
   std::uint64_t backpressure_drops = 0;
   std::uint64_t faulted = 0;
   std::uint64_t reconnects = 0;
 };
+
+/// The schedule's own random stream for connection `index`, apart from
+/// the fault draws, so the schedule can be replayed on its own.
+tls::core::Rng schedule_rng(const Options& opt, std::size_t index) {
+  return tls::core::Rng((opt.seed * 0x9e3779b97f4a7c15ull + index) ^
+                        0x5c4ed01e5c4ed01eull);
+}
+
+/// One exponential interarrival gap of the open-loop schedule, in us.
+double next_gap_us(tls::core::Rng& schedule, double rate_per_s) {
+  return -std::log(1.0 - schedule.uniform()) / rate_per_s * 1e6;
+}
+
+/// Fires a schedule puts in [first_fire_us, deadline_us): replayed from
+/// the schedule's stream alone, so it checks the worker's books without
+/// trusting them.
+std::uint64_t fires_due(tls::core::Rng schedule, double rate_per_s,
+                        double first_fire_us, std::uint64_t deadline_us) {
+  std::uint64_t due = 0;
+  for (double fire = first_fire_us;
+       fire < static_cast<double>(deadline_us);
+       fire += next_gap_us(schedule, rate_per_s)) {
+    ++due;
+  }
+  return due;
+}
 
 /// One worker: fires pre-encoded capture frames at `rate_per_s` on an
 /// exponential open-loop schedule until the deadline.
@@ -92,14 +127,25 @@ void run_worker(const Options& opt, std::size_t index,
                 double rate_per_s, std::uint64_t deadline_us,
                 WorkerStats& stats) {
   tls::core::Rng rng(opt.seed * 0x9e3779b97f4a7c15ull + index);
+  tls::core::Rng schedule = schedule_rng(opt, index);
+  double next_fire = static_cast<double>(now_us());
+  stats.first_fire_us = next_fire;
+  // Every fire still due at the deadline is one the worker fell behind on.
+  const auto count_behind = [&] {
+    for (; next_fire < static_cast<double>(deadline_us);
+         next_fire += next_gap_us(schedule, rate_per_s)) {
+      ++stats.behind;
+    }
+  };
   SensorClient client;
-  if (!client.connect(opt.host, opt.port)) return;
   // Wait briefly for the initial credit grant so the first fires have a
   // window to spend.
-  if (!client.poll(200)) return;
+  if (!client.connect(opt.host, opt.port) || !client.poll(200)) {
+    count_behind();
+    return;
+  }
 
   std::size_t cursor = index;  // desynchronize the event cycles
-  double next_fire = static_cast<double>(now_us());
   std::uint64_t fault_cycle = 0;
   while (true) {
     const std::uint64_t now = now_us();
@@ -115,8 +161,7 @@ void run_worker(const Options& opt, std::size_t index,
     }
     // Schedule the next arrival first — open loop: the schedule never
     // waits for the outcome of this fire.
-    const double u = rng.uniform();
-    next_fire += -std::log(1.0 - u) / rate_per_s * 1e6;
+    next_fire += next_gap_us(schedule, rate_per_s);
     ++stats.scheduled;
 
     if (!client.connected()) {
@@ -192,6 +237,7 @@ void run_worker(const Options& opt, std::size_t index,
     }
     ++stats.sent;
   }
+  count_behind();
   client.close_gracefully();
 }
 
@@ -302,8 +348,16 @@ int main(int argc, char** argv) {
       static_cast<double>(now_us() - start_us) / 1e6;
 
   WorkerStats total;
-  for (const auto& s : stats) {
+  std::uint64_t ledger_breaks = 0;
+  for (std::size_t i = 0; i < stats.size(); ++i) {
+    const auto& s = stats[i];
+    const double rate = opt.rate * weights[i] / weight_sum;
+    if (s.scheduled + s.behind !=
+        fires_due(schedule_rng(opt, i), rate, s.first_fire_us, deadline_us)) {
+      ++ledger_breaks;
+    }
     total.scheduled += s.scheduled;
+    total.behind += s.behind;
     total.sent += s.sent;
     total.backpressure_drops += s.backpressure_drops;
     total.faulted += s.faulted;
@@ -355,7 +409,7 @@ int main(int argc, char** argv) {
 
   const double achieved = static_cast<double>(total.sent) / elapsed_s;
   std::cout << "loadgen: scheduled=" << total.scheduled
-            << " sent=" << total.sent
+            << " behind=" << total.behind << " sent=" << total.sent
             << " backpressure_drops=" << total.backpressure_drops
             << " faulted=" << total.faulted
             << " reconnects=" << total.reconnects << "\n"
@@ -373,6 +427,7 @@ int main(int argc, char** argv) {
     std::ofstream json(opt.json_out);
     json << "{\n"
          << "  \"scheduled\": " << total.scheduled << ",\n"
+         << "  \"behind\": " << total.behind << ",\n"
          << "  \"sent\": " << total.sent << ",\n"
          << "  \"backpressure_drops\": " << total.backpressure_drops << ",\n"
          << "  \"faulted\": " << total.faulted << ",\n"
@@ -389,7 +444,13 @@ int main(int argc, char** argv) {
     json << "\n  }\n}\n";
   }
 
-  // The fire ledger must close on the client side too.
+  // The fire ledger must close on the client side too: every fire due
+  // was scheduled or fell behind, and every scheduled fire has an outcome.
+  if (ledger_breaks != 0) {
+    std::cerr << "loadgen: schedule ledger violation on " << ledger_breaks
+              << " connection(s): scheduled+behind != fires due\n";
+    return 1;
+  }
   if (total.scheduled !=
       total.sent + total.backpressure_drops + total.faulted) {
     std::cerr << "loadgen: client ledger violation: scheduled="

@@ -9,6 +9,10 @@
 //                 [--trace-out FILE] [--flight-autodump-ms N]
 //                 [--crash-handler]
 //
+// --shards takes at most 4095 (tls::daemon::kMaxShards): the flight
+// recorder keeps one ring per shard plus the event loop's, and a dump
+// with more rings than its decoder reads would be no post-mortem at all.
+//
 // Observability (DESIGN.md §17): stage-latency attribution, the flight
 // recorder and the gauge ticker always run; there is no switch to turn
 // them off. --trace-out writes the slowest-exemplar waterfall as Chrome
@@ -68,7 +72,7 @@ int main(int argc, char** argv) {
     } else if (arg == "--bind") {
       config.bind_address = need("--bind");
     } else if (arg == "--shards") {
-      config.shards = number(0, LONG_MAX);
+      config.shards = number(0, static_cast<long>(tls::daemon::kMaxShards));
     } else if (arg == "--queue-depth") {
       config.shard_queue_depth = number(0, LONG_MAX);
     } else if (arg == "--credit-window") {

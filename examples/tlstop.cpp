@@ -5,10 +5,11 @@
 // Polls the daemon's control-plane queries (kQueryStats, kQueryMetrics,
 // kQueryTrace) on an interval and renders a single refreshing screen:
 // the outcome ledger with ingest/shed rates derived between polls, the
-// per-shard queue-depth gauges from the metrics exposition, and the
-// stage-latency waterfall (percentile lines + slowest exemplars). --once
-// prints one snapshot without the ANSI screen clearing — the mode CI and
-// scripts use.
+// per-shard queue-depth gauges from the metrics exposition, each daemon
+// thread's CPU time and busy share (delta CPU over delta wall time between
+// polls, so from the second poll on), and the stage-latency waterfall
+// (percentile lines + slowest exemplars). --once prints one snapshot
+// without the ANSI screen clearing — the mode CI and scripts use.
 #include <chrono>
 #include <cstdint>
 #include <cstdlib>
@@ -49,6 +50,25 @@ std::vector<std::string> metric_lines(const std::string& exposition,
     if (next == '{' || next == ' ') out.push_back(line);
   }
   return out;
+}
+
+/// Each daemon thread's CPU time (us), keyed by its label set.
+std::map<std::string, std::uint64_t> thread_cpu_us(
+    const std::string& exposition) {
+  std::map<std::string, std::uint64_t> cpu;
+  for (const auto& line :
+       metric_lines(exposition, "tls_repro_daemon_thread_cpu_us_total")) {
+    const auto open = line.find('{');
+    const auto close = line.find('}');
+    const auto space = line.rfind(' ');
+    if (open == std::string::npos || close == std::string::npos ||
+        space == std::string::npos || close < open) {
+      continue;
+    }
+    cpu[line.substr(open + 1, close - open - 1)] =
+        std::strtoull(line.c_str() + space + 1, nullptr, 10);
+  }
+  return cpu;
 }
 
 }  // namespace
@@ -97,6 +117,7 @@ int main(int argc, char** argv) {
     return client.query(request);
   };
   std::map<std::string, std::uint64_t> prev;
+  std::map<std::string, std::uint64_t> prev_cpu;
   std::uint64_t prev_us = 0;
   for (;;) {
     std::optional<std::string> stats_body, metrics_body, trace_body;
@@ -146,6 +167,21 @@ int main(int argc, char** argv) {
         screen << "  " << line << "\n";
       }
     }
+    const auto cpu = thread_cpu_us(*metrics_body);
+    screen << "\nthreads  cpu_s and busy % (delta cpu / delta wall)\n";
+    for (const auto& [labels, us] : cpu) {
+      screen << "  {" << labels << "} cpu_s=" << static_cast<double>(us) / 1e6
+             << " busy=";
+      const auto it = prev_cpu.find(labels);
+      if (prev_us == 0 || it == prev_cpu.end() || us < it->second ||
+          sample_us <= prev_us) {
+        screen << "-\n";
+        continue;
+      }
+      const double busy = 100.0 * static_cast<double>(us - it->second) /
+                          static_cast<double>(sample_us - prev_us);
+      screen << static_cast<int>(busy + 0.5) << "%\n";
+    }
     screen << "\n" << *trace_body;
 
     if (opt.once) {
@@ -155,6 +191,7 @@ int main(int argc, char** argv) {
     // ANSI home+clear keeps the screen stable without a curses dependency.
     std::cout << "\x1b[H\x1b[2J" << screen.str() << std::flush;
     prev = stats;
+    prev_cpu = cpu;
     prev_us = sample_us;
     std::this_thread::sleep_for(std::chrono::milliseconds(opt.interval_ms));
   }

@@ -5,7 +5,9 @@
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <poll.h>
+#include <pthread.h>
 #include <sys/socket.h>
+#include <time.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -13,14 +15,12 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstring>
-#include <deque>
 #include <sstream>
 
 #include "core/checkpoint.hpp"
 #include "core/journal.hpp"
 #include "notary/snapshot.hpp"
 #include "telemetry/export.hpp"
-#include "telemetry/flight.hpp"
 #include "telemetry/trace.hpp"
 #include "tlscore/fnv.hpp"
 
@@ -54,6 +54,13 @@ std::uint64_t sub_sat(std::uint64_t a, std::uint64_t b) {
   return a > b ? a - b : 0;
 }
 
+/// Per-thread CPU time in merged_metrics(); busy share = delta CPU over
+/// delta wall time between two scrapes. Microseconds, since registry
+/// counters are integers.
+constexpr const char* kThreadCpuName = "tls_repro_daemon_thread_cpu_us_total";
+constexpr const char* kThreadCpuHelp =
+    "CPU time of each daemon thread (event loop, shard workers)";
+
 /// Queue-depth / outstanding-credit / shed-rate gauge sampling cadence.
 constexpr std::uint64_t kGaugeSampleMs = 200;
 
@@ -69,6 +76,36 @@ constexpr std::uint64_t kTraceWindowMs = 5000;
 /// pending frames or when the oldest is this old, whichever comes first.
 constexpr std::size_t kJournalGroupFrames = 8;
 constexpr std::uint64_t kJournalGroupMs = 50;
+
+/// Largest field capacity a recycled capture payload keeps after its
+/// observe: one maximal TLS record (2^14-byte fragment plus the 5-byte
+/// header). A larger field is freed, so a hostile sensor's oversized
+/// captures cannot pin up to max_frame_bytes in every ring slot.
+constexpr std::size_t kRetainedFieldBytes = (1u << 14) + 5;
+
+/// Capacity every field of a new recycled payload starts with: a typical
+/// hello record fits, so a payload does not allocate the first time it
+/// meets a field (an alert, say) that most captures leave empty.
+constexpr std::size_t kInitialFieldBytes = 512;
+
+/// Ring slots a shard starts with (or shard_queue_depth, if smaller): the
+/// in-flight captures of a few sensors at the default credit window.
+/// The ring doubles, up to the depth, when a load queues more.
+constexpr std::size_t kInitialRingSlots = 64;
+
+CapturePayload reserved_payload() {
+  CapturePayload capture;
+  for (auto* field :
+       {&capture.client, &capture.server, &capture.ske, &capture.alert}) {
+    field->reserve(kInitialFieldBytes);
+  }
+  return capture;
+}
+
+/// Text (a query reply, a snapshot file) as bytes.
+std::span<const std::uint8_t> as_bytes(const std::string& text) {
+  return {reinterpret_cast<const std::uint8_t*>(text.data()), text.size()};
+}
 
 }  // namespace
 
@@ -97,9 +134,47 @@ struct NotaryDaemon::StageStamps {
 };
 
 struct NotaryDaemon::Job {
-  CapturePayload capture;
+  CapturePayload capture = reserved_payload();
   std::uint64_t conn_id = 0;
   StageStamps at;
+};
+
+/// One daemon thread's CPU time, readable from any thread: the thread's
+/// own CPU clock while it runs, the total it stored on its way out after.
+struct NotaryDaemon::ThreadCpu {
+  std::atomic<clockid_t> clock{};
+  std::atomic<bool> running{false};
+  std::atomic<std::uint64_t> final_us{0};
+
+  static std::uint64_t read_us(clockid_t id) {
+    timespec ts{};
+    if (::clock_gettime(id, &ts) != 0) return 0;
+    return static_cast<std::uint64_t>(ts.tv_sec) * 1'000'000 +
+           static_cast<std::uint64_t>(ts.tv_nsec) / 1000;
+  }
+  /// On the owning thread, first thing.
+  void begin() {
+    clockid_t id{};
+    if (::pthread_getcpuclockid(::pthread_self(), &id) != 0) return;
+    clock.store(id, std::memory_order_relaxed);
+    running.store(true, std::memory_order_release);
+  }
+  /// On the owning thread, last thing.
+  void end() {
+    if (!running.load(std::memory_order_relaxed)) return;
+    final_us.store(read_us(clock.load(std::memory_order_relaxed)),
+                   std::memory_order_relaxed);
+    running.store(false, std::memory_order_release);
+  }
+  [[nodiscard]] std::uint64_t cpu_us() const {
+    // The thread may end between the load and the read; its clock is then
+    // gone (the read gives 0), and the total it stored is the answer.
+    if (running.load(std::memory_order_acquire)) {
+      const std::uint64_t us = read_us(clock.load(std::memory_order_relaxed));
+      if (us != 0) return us;
+    }
+    return final_us.load(std::memory_order_relaxed);
+  }
 };
 
 /// One resolved capture flowing back to the event loop: the credit to
@@ -136,16 +211,54 @@ struct NotaryDaemon::TracePlane {
 struct NotaryDaemon::TickerPlane {
   std::mutex mutex;
   tls::telemetry::MetricsRegistry registry;
+  /// Resolved in start(), so a sample allocates nothing.
+  std::vector<tls::telemetry::Gauge*> depth_peak;  // one per shard
+  tls::telemetry::Gauge* credits_outstanding = nullptr;
+  tls::telemetry::Gauge* shed_rate = nullptr;
   std::uint64_t last_sample_ms = 0;
   std::uint64_t last_shed = 0;
 };
 
 struct NotaryDaemon::Shard {
-  // Admission plane: the bounded queue. Locked by the event thread (push)
-  // and this shard's worker (pop) only — observes never block admission.
+  // Admission plane: the bounded queue, a ring of at most shard_queue_depth
+  // jobs whose payload buffers are recycled (DESIGN.md §17). Locked by the
+  // event thread (push) and this shard's worker (pop) only — observes
+  // never block admission.
   std::mutex queue_mutex;
   std::condition_variable cv;
-  std::deque<Job> queue;
+  /// `count` queued jobs start at `head`; the other slots are spare, each
+  /// holding the buffers of a job already observed. Doubles (up to the
+  /// depth) when every slot is queued, so the ring only reaches the
+  /// occupancy the load asks of it.
+  std::vector<Job> ring;
+  std::size_t head = 0;
+  std::size_t count = 0;
+  /// Event thread only: a job was admitted since the last notify.
+  bool wake_pending = false;
+  ThreadCpu cpu;
+
+  /// The slot for the next job (under queue_mutex), or null when `depth`
+  /// jobs are queued.
+  Job* push_slot(std::size_t depth) {
+    if (count >= depth) return nullptr;
+    if (count == ring.size()) {
+      std::rotate(ring.begin(),
+                  ring.begin() + static_cast<std::ptrdiff_t>(head),
+                  ring.end());
+      head = 0;
+      ring.resize(std::min(depth, 2 * ring.size()));
+    }
+    Job& slot = ring[(head + count) % ring.size()];
+    ++count;
+    return &slot;
+  }
+  /// Swaps the oldest queued job into `job` (under queue_mutex, count > 0):
+  /// its slot takes back `job`'s observed buffers for reuse.
+  void pop_into(Job& job) {
+    std::swap(job, ring[head]);
+    head = (head + 1) % ring.size();
+    --count;
+  }
 
   // Observe plane: exclusive monitor access for the worker; checkpoint
   // aggregation and query serving take it briefly.
@@ -183,12 +296,16 @@ NotaryDaemon::NotaryDaemon(DaemonConfig config)
     : config_(std::move(config)),
       trace_(std::make_unique<TracePlane>()),
       ticker_(std::make_unique<TickerPlane>()),
+      event_cpu_(std::make_unique<ThreadCpu>()),
       counters_(std::make_unique<AtomicCounters>()) {
+  scratch_ = reserved_payload();
+  // Both exemplar windows at full size up front: a window roll swaps
+  // them, so neither ever grows on the event thread.
+  trace_->current.reserve(kTraceExemplars);
+  trace_->previous.reserve(kTraceExemplars);
   if (config_.shards == 0) config_.shards = 1;
   if (config_.shard_queue_depth == 0) config_.shard_queue_depth = 1;
   if (config_.credit_window == 0) config_.credit_window = 1;
-  flight_ = std::make_unique<tls::telemetry::FlightRecorder>(
-      1 + config_.shards, kFlightEvents);
 }
 
 NotaryDaemon::~NotaryDaemon() {
@@ -204,6 +321,14 @@ NotaryDaemon::~NotaryDaemon() {
 }
 
 bool NotaryDaemon::start() {
+  if (config_.shards > kMaxShards) {
+    last_error_ = "shards: " + std::to_string(config_.shards) +
+                  " exceeds the maximum of " + std::to_string(kMaxShards);
+    return false;
+  }
+  // One flight lane for the event loop plus one per shard.
+  flight_ = std::make_unique<tls::telemetry::FlightRecorder>(
+      1 + config_.shards, kFlightEvents);
   listen_fd_ = ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
   if (listen_fd_ < 0) {
     last_error_ = std::string("socket: ") + std::strerror(errno);
@@ -252,6 +377,7 @@ bool NotaryDaemon::start() {
 
   for (std::size_t i = 0; i < config_.shards; ++i) {
     auto shard = std::make_unique<Shard>();
+    shard->ring.resize(std::min(config_.shard_queue_depth, kInitialRingSlots));
     shard->monitor =
         std::make_unique<tls::notary::PassiveMonitor>(config_.database);
     for (std::size_t s = 0; s < kStageCount; ++s) {
@@ -264,6 +390,22 @@ bool NotaryDaemon::start() {
           "Per-stage frame latency (log-linear wide-range buckets)", true);
     }
     shards_.push_back(std::move(shard));
+  }
+  {
+    std::lock_guard<std::mutex> lock(ticker_->mutex);
+    auto& reg = ticker_->registry;
+    for (std::size_t i = 0; i < config_.shards; ++i) {
+      ticker_->depth_peak.push_back(&reg.gauge(
+          "tls_repro_daemon_queue_depth_peak",
+          "shard=\"" + std::to_string(i) + "\"",
+          "High-water shard queue occupancy across ticker samples", true));
+    }
+    ticker_->credits_outstanding = &reg.gauge(
+        "tls_repro_daemon_credits_outstanding", {},
+        "Credits spent by clients and not yet resolved", true);
+    ticker_->shed_rate = &reg.gauge(
+        "tls_repro_daemon_shed_rate_per_s", {},
+        "Sheds per second over the last ticker interval", true);
   }
   running_.store(true, std::memory_order_release);
   for (std::size_t i = 0; i < config_.shards; ++i) {
@@ -465,20 +607,26 @@ tls::telemetry::MetricsRegistry NotaryDaemon::merged_metrics() {
     std::size_t depth = 0;
     {
       std::lock_guard<std::mutex> lock(shard.queue_mutex);
-      depth = shard.queue.size();
+      depth = shard.count;
     }
-    reg.gauge("tls_repro_daemon_queue_depth",
-              "shard=\"" + std::to_string(i) + "\"",
+    const std::string label = "shard=\"" + std::to_string(i) + "\"";
+    reg.gauge("tls_repro_daemon_queue_depth", label,
               "Shard ingest-queue occupancy at scrape time", true)
         .set(depth);
+    reg.counter(kThreadCpuName, "thread=\"shard\"," + label, kThreadCpuHelp,
+                true)
+        .add(shard.cpu.cpu_us());
   }
+  reg.counter(kThreadCpuName, "thread=\"event\"", kThreadCpuHelp, true)
+      .add(event_cpu_->cpu_us());
   {
     std::lock_guard<std::mutex> lock(ticker_->mutex);
     reg.merge(ticker_->registry);
   }
   if (journal_) journal_->collect_metrics(reg);
   std::uint64_t recorded = 0, dropped = 0;
-  for (std::size_t i = 0; i < flight_->lanes(); ++i) {
+  const std::size_t lanes = flight_ ? flight_->lanes() : 0;  // before start()
+  for (std::size_t i = 0; i < lanes; ++i) {
     recorded += flight_->lane(i).total();
     dropped += flight_->lane(i).dropped();
   }
@@ -633,10 +781,15 @@ void NotaryDaemon::sample_gauges(std::uint64_t now) {
   const std::uint64_t elapsed_ms = now - ticker_->last_sample_ms;
   ticker_->last_sample_ms = now;
 
-  std::vector<std::size_t> depths(shards_.size(), 0);
   for (std::size_t i = 0; i < shards_.size(); ++i) {
-    std::lock_guard<std::mutex> lock(shards_[i]->queue_mutex);
-    depths[i] = shards_[i]->queue.size();
+    std::size_t depth = 0;
+    {
+      std::lock_guard<std::mutex> lock(shards_[i]->queue_mutex);
+      depth = shards_[i]->count;
+    }
+    std::lock_guard<std::mutex> lock(ticker_->mutex);
+    auto& peak = *ticker_->depth_peak[i];
+    peak.set(std::max<std::uint64_t>(peak.value, depth));
   }
   std::uint64_t outstanding = 0;
   for (auto& [id, conn] : conns_) outstanding += conn->gate.outstanding();
@@ -647,21 +800,8 @@ void NotaryDaemon::sample_gauges(std::uint64_t now) {
       elapsed_ms == 0 ? 0 : shed_delta * 1000 / elapsed_ms;
 
   std::lock_guard<std::mutex> lock(ticker_->mutex);
-  for (std::size_t i = 0; i < depths.size(); ++i) {
-    const std::string label = "shard=\"" + std::to_string(i) + "\"";
-    auto& peak = ticker_->registry.gauge(
-        "tls_repro_daemon_queue_depth_peak", label,
-        "High-water shard queue occupancy across ticker samples", true);
-    peak.set(std::max<std::uint64_t>(peak.value, depths[i]));
-  }
-  ticker_->registry
-      .gauge("tls_repro_daemon_credits_outstanding", {},
-             "Credits spent by clients and not yet resolved", true)
-      .set(outstanding);
-  ticker_->registry
-      .gauge("tls_repro_daemon_shed_rate_per_s", {},
-             "Sheds per second over the last ticker interval", true)
-      .set(shed_per_s);
+  ticker_->credits_outstanding->set(outstanding);
+  ticker_->shed_rate->set(shed_per_s);
 }
 
 void NotaryDaemon::write_flight_files() {
@@ -671,10 +811,8 @@ void NotaryDaemon::write_flight_files() {
   tls::study::write_file_durable(config_.checkpoint_dir + "/FLIGHT.bin",
                                  bytes);
   const std::string text = tls::telemetry::render_flight(bytes);
-  const std::span<const std::uint8_t> text_bytes(
-      reinterpret_cast<const std::uint8_t*>(text.data()), text.size());
   tls::study::write_file_durable(config_.checkpoint_dir + "/FLIGHT.txt",
-                                 text_bytes);
+                                 as_bytes(text));
 }
 
 tls::notary::PassiveMonitor NotaryDaemon::aggregate_monitor() {
@@ -715,10 +853,8 @@ void NotaryDaemon::write_snapshot_files() {
                                  frame);
   std::string text = stats_text();
   text += "clean_drain=1\n";
-  const std::span<const std::uint8_t> text_bytes(
-      reinterpret_cast<const std::uint8_t*>(text.data()), text.size());
   tls::study::write_file_durable(config_.checkpoint_dir + "/SNAPSHOT.txt",
-                                 text_bytes);
+                                 as_bytes(text));
 }
 
 // ---------------------------------------------------------------------------
@@ -727,20 +863,22 @@ void NotaryDaemon::write_snapshot_files() {
 
 void NotaryDaemon::worker_loop(std::size_t shard_index) {
   auto& shard = *shards_[shard_index];
+  shard.cpu.begin();
+  // Kept across iterations: each pop swaps it with the head slot, which
+  // takes back this job's observed buffers for a later admission.
+  Job job;
   for (;;) {
-    Job job;
     {
       std::unique_lock<std::mutex> lock(shard.queue_mutex);
       shard.cv.wait(lock, [&] {
         return workers_stop_.load(std::memory_order_acquire) ||
-               !shard.queue.empty();
+               shard.count != 0;
       });
-      if (shard.queue.empty()) {
-        if (workers_stop_.load(std::memory_order_acquire)) return;
+      if (shard.count == 0) {
+        if (workers_stop_.load(std::memory_order_acquire)) break;
         continue;
       }
-      job = std::move(shard.queue.front());
-      shard.queue.pop_front();
+      shard.pop_into(job);
     }
     job.at.dequeue = now_us();
     if (config_.observe_delay_us_for_test != 0) {
@@ -762,6 +900,7 @@ void NotaryDaemon::worker_loop(std::size_t shard_index) {
       }
     }
     job.at.observe = now_us();
+    release_oversized_fields(job.capture, kRetainedFieldBytes);
     // This lane's ring belongs to this worker alone (lane 1 + shard).
     flight(1 + shard_index, tls::telemetry::FlightEventKind::kIngest,
            static_cast<std::uint32_t>(shard_index),
@@ -777,17 +916,12 @@ void NotaryDaemon::worker_loop(std::size_t shard_index) {
     }
     wake();
   }
+  shard.cpu.end();
 }
 
 // ---------------------------------------------------------------------------
 // Event plane
 // ---------------------------------------------------------------------------
-
-void NotaryDaemon::queue_frame(Connection& conn, FrameType type,
-                               std::span<const std::uint8_t> payload) {
-  const auto bytes = encode_frame(type, payload);
-  conn.outbound.insert(conn.outbound.end(), bytes.begin(), bytes.end());
-}
 
 bool NotaryDaemon::flush_outbound(Connection& conn) {
   while (conn.out_off < conn.outbound.size()) {
@@ -847,8 +981,7 @@ void NotaryDaemon::accept_ready() {
            static_cast<std::uint32_t>(id), 0);
     // Open the credit window immediately: the client may not send a
     // capture before it holds credit.
-    const auto grant = encode_credit_grant(config_.credit_window);
-    queue_frame(*conn, FrameType::kCreditGrant, grant);
+    append_credit_grant(conn->outbound, config_.credit_window);
     auto* raw = conn.get();
     conns_.emplace(id, std::move(conn));
     if (!flush_outbound(*raw)) close_connection(id);
@@ -856,7 +989,7 @@ void NotaryDaemon::accept_ready() {
 }
 
 void NotaryDaemon::handle_capture(Connection& conn,
-                                  std::vector<std::uint8_t> payload) {
+                                  std::span<const std::uint8_t> payload) {
   const std::uint64_t ingress_us = now_us();
   const auto conn_a = static_cast<std::uint32_t>(conn.id);
   counters_->offered.fetch_add(1, std::memory_order_relaxed);
@@ -871,9 +1004,8 @@ void NotaryDaemon::handle_capture(Connection& conn,
     close_connection(conn.id);  // erases conn — caller must not touch it
     return;
   }
-  CapturePayload capture;
   try {
-    capture = decode_capture(payload);
+    decode_capture_into(payload, scratch_);
   } catch (const tls::wire::ParseError& err) {
     counters_->malformed.fetch_add(1, std::memory_order_release);
     flight(0, tls::telemetry::FlightEventKind::kMalformed, conn_a,
@@ -888,35 +1020,36 @@ void NotaryDaemon::handle_capture(Connection& conn,
     return;
   }
   const std::uint64_t decode_us = now_us();
-  conn.last_month = month_from_index(capture.month_index);
+  conn.last_month = month_from_index(scratch_.month_index);
   const std::size_t shard_index =
-      capture.client.empty()
-          ? capture.month_index % shards_.size()
-          : tls::core::fnv1a64(capture.client) % shards_.size();
+      scratch_.client.empty()
+          ? scratch_.month_index % shards_.size()
+          : tls::core::fnv1a64(scratch_.client) % shards_.size();
   auto& shard = *shards_[shard_index];
   bool admitted = false;
   std::size_t depth_at_refusal = 0;
   {
     std::lock_guard<std::mutex> lock(shard.queue_mutex);
-    if (shard.queue.size() < config_.shard_queue_depth) {
-      Job job;
-      job.capture = std::move(capture);
-      job.conn_id = conn.id;
-      job.at.ingress = ingress_us;
-      job.at.decode = decode_us;
-      job.at.enqueue = now_us();
-      shard.queue.push_back(std::move(job));
+    if (Job* slot = shard.push_slot(config_.shard_queue_depth)) {
+      // The slot's payload holds an observed capture's buffers; they
+      // become the scratch for the next decode.
+      std::swap(slot->capture, scratch_);
+      slot->conn_id = conn.id;
+      slot->at.ingress = ingress_us;
+      slot->at.decode = decode_us;
+      slot->at.enqueue = now_us();
       // Counted before the unlock that hands the job to the worker, so a
       // reader that sees it ingested also sees it admitted.
       counters_->admitted.fetch_add(1, std::memory_order_release);
       admitted = true;
     } else {
-      depth_at_refusal = shard.queue.size();
+      depth_at_refusal = shard.count;
     }
   }
   if (admitted) {
     flight(0, tls::telemetry::FlightEventKind::kAdmit, conn_a, shard_index);
-    shard.cv.notify_one();
+    // read_ready wakes the worker once for the whole recv() batch.
+    shard.wake_pending = true;
   } else {
     counters_->shed.fetch_add(1, std::memory_order_release);
     flight(0, tls::telemetry::FlightEventKind::kShed, conn_a,
@@ -925,7 +1058,7 @@ void NotaryDaemon::handle_capture(Connection& conn,
   }
 }
 
-bool NotaryDaemon::process_frame(Connection& conn, Frame frame) {
+bool NotaryDaemon::process_frame(Connection& conn, const FrameView& frame) {
   if (!is_client_frame(frame.type)) {
     counters_->frame_errors.fetch_add(1, std::memory_order_relaxed);
     return false;
@@ -935,38 +1068,25 @@ bool NotaryDaemon::process_frame(Connection& conn, Frame frame) {
       break;
     case FrameType::kCapture: {
       const std::uint64_t id = conn.id;
-      handle_capture(conn, std::move(frame.payload));
+      handle_capture(conn, frame.payload);
       // handle_capture may have erased the connection (credit violation);
       // `conn` is dangling in that case, so re-resolve by id.
       return conns_.find(id) != conns_.end();
     }
-    case FrameType::kQueryStats: {
-      const std::string text = stats_text();
-      queue_frame(conn, FrameType::kStats,
-                  {reinterpret_cast<const std::uint8_t*>(text.data()),
-                   text.size()});
+    case FrameType::kQueryStats:
+      append_frame(conn.outbound, FrameType::kStats, as_bytes(stats_text()));
       break;
-    }
-    case FrameType::kQueryMetrics: {
-      const auto registry = merged_metrics();
-      const std::string text = tls::telemetry::to_prometheus(registry);
-      queue_frame(conn, FrameType::kMetrics,
-                  {reinterpret_cast<const std::uint8_t*>(text.data()),
-                   text.size()});
+    case FrameType::kQueryMetrics:
+      append_frame(conn.outbound, FrameType::kMetrics,
+                   as_bytes(tls::telemetry::to_prometheus(merged_metrics())));
       break;
-    }
-    case FrameType::kQueryTrace: {
-      const std::string text = trace_text();
-      queue_frame(conn, FrameType::kTrace,
-                  {reinterpret_cast<const std::uint8_t*>(text.data()),
-                   text.size()});
+    case FrameType::kQueryTrace:
+      append_frame(conn.outbound, FrameType::kTrace, as_bytes(trace_text()));
       break;
-    }
-    case FrameType::kQueryFlight: {
+    case FrameType::kQueryFlight:
       flight(0, tls::telemetry::FlightEventKind::kFlightDump, /*a=*/2, 0);
-      queue_frame(conn, FrameType::kFlight, flight_->serialize());
+      append_frame(conn.outbound, FrameType::kFlight, flight_->serialize());
       break;
-    }
     case FrameType::kGoodbye:
       conn.pending_close = true;
       break;
@@ -974,6 +1094,14 @@ bool NotaryDaemon::process_frame(Connection& conn, Frame frame) {
       break;
   }
   return true;
+}
+
+void NotaryDaemon::wake_marked_shards() {
+  for (auto& shard : shards_) {
+    if (!shard->wake_pending) continue;
+    shard->wake_pending = false;
+    shard->cv.notify_one();
+  }
 }
 
 bool NotaryDaemon::read_ready(Connection& conn) {
@@ -987,10 +1115,18 @@ bool NotaryDaemon::read_ready(Connection& conn) {
       if (errno == EINTR) continue;
       return false;
     }
-    auto frames = conn.decoder.feed({buf, static_cast<std::size_t>(n)});
-    for (auto& frame : frames) {
+    // Admissions only mark their shard; each marked worker is woken once
+    // when this recv()'s batch ends, whichever way it ends.
+    struct WakeAtBatchEnd {
+      NotaryDaemon& daemon;
+      ~WakeAtBatchEnd() { daemon.wake_marked_shards(); }
+    } wake_at_batch_end{*this};
+    // The views point into the decoder's buffer; they stay valid until
+    // the next append(), i.e. for this whole batch.
+    conn.decoder.append({buf, static_cast<std::size_t>(n)});
+    while (const auto frame = conn.decoder.next()) {
       conn.last_progress_ms = now_ms();
-      if (!process_frame(conn, std::move(frame))) return false;
+      if (!process_frame(conn, *frame)) return false;
       if (conns_.find(id) == conns_.end()) return true;  // closed inside
     }
     if (conn.decoder.poisoned()) {
@@ -1012,13 +1148,14 @@ bool NotaryDaemon::read_ready(Connection& conn) {
 }
 
 void NotaryDaemon::drain_completions() {
-  std::vector<Completion> resolved;
+  // Trade buffers with the workers: both vectors keep their capacity.
+  resolved_.clear();
   {
     std::lock_guard<std::mutex> lock(completion_mutex_);
-    resolved.swap(completions_);
+    resolved_.swap(completions_);
   }
-  const std::uint64_t complete_us = resolved.empty() ? 0 : now_us();
-  for (const auto& done : resolved) {
+  const std::uint64_t complete_us = resolved_.empty() ? 0 : now_us();
+  for (const auto& done : resolved_) {
     auto it = conns_.find(done.conn_id);
     if (it == conns_.end()) continue;  // connection already gone
     it->second->gate.complete();
@@ -1028,8 +1165,7 @@ void NotaryDaemon::drain_completions() {
   for (auto& [id, conn] : conns_) {
     const std::uint32_t grant = conn->gate.take_grant();
     if (grant > 0) {
-      const auto payload = encode_credit_grant(grant);
-      queue_frame(*conn, FrameType::kCreditGrant, payload);
+      append_credit_grant(conn->outbound, grant);
       flight(0, tls::telemetry::FlightEventKind::kCreditGrant,
              static_cast<std::uint32_t>(id), grant);
     }
@@ -1043,12 +1179,12 @@ void NotaryDaemon::drain_completions() {
     }
   }
   for (const auto id : to_close) close_connection(id);
-  if (!resolved.empty()) {
+  if (!resolved_.empty()) {
     // The batch's grant frames are all queued by now; one stamp closes the
     // `grant` edge for every completion in the batch (documented
     // approximation — grants are batched, so the edge is batch-grained).
     const std::uint64_t grant_us = now_us();
-    for (const auto& done : resolved) {
+    for (const auto& done : resolved_) {
       finalize_completion(done, complete_us, grant_us);
     }
   }
@@ -1069,6 +1205,7 @@ void NotaryDaemon::sweep_idle(std::uint64_t now) {
 }
 
 void NotaryDaemon::event_loop() {
+  event_cpu_->begin();
   bool draining = false;
   std::vector<pollfd> pfds;
   std::vector<std::uint64_t> pfd_conn;
@@ -1188,6 +1325,7 @@ void NotaryDaemon::event_loop() {
   if (journal_) checkpoint_epoch();
   write_snapshot_files();
   write_flight_files();
+  event_cpu_->end();
   running_.store(false, std::memory_order_release);
 }
 

@@ -43,6 +43,7 @@
 
 #include "daemon/protocol.hpp"
 #include "notary/monitor.hpp"
+#include "telemetry/flight.hpp"
 #include "telemetry/metrics.hpp"
 
 namespace tls::fp {
@@ -53,20 +54,21 @@ namespace tls::study {
 class RunJournal;
 }
 
-namespace tls::telemetry {
-class FlightRecorder;
-enum class FlightEventKind : std::uint8_t;
-}
-
 namespace tls::daemon {
+
+/// The most shards a daemon runs: the flight recorder keeps one ring per
+/// shard plus the event loop's, and decode_flight reads at most
+/// kFlightMaxRings rings, so more shards would write a FLIGHT.bin that the
+/// daemon's own decoder refuses. NotaryDaemon::start() rejects more.
+inline constexpr std::size_t kMaxShards = tls::telemetry::kFlightMaxRings - 1;
 
 struct DaemonConfig {
   std::string bind_address = "127.0.0.1";
   /// 0 binds an ephemeral port; read the actual one back via port().
   std::uint16_t port = 0;
-  /// Worker threads / monitor shards. Shard routing is content-hashed, and
-  /// the shard count never changes any aggregate byte (absorb is
-  /// arrival-order-invariant over integer counters).
+  /// Worker threads / monitor shards, at most kMaxShards. Shard routing is
+  /// content-hashed, and the shard count never changes any aggregate byte
+  /// (absorb is arrival-order-invariant over integer counters).
   std::size_t shards = 4;
   /// Bounded depth of each shard's ingest queue — the admission-control
   /// knob. A capture arriving at a full queue is shed (and counted).
@@ -152,7 +154,7 @@ class NotaryDaemon {
 
   /// Binds, listens, replays the journal when resuming, and spawns the
   /// event loop + workers. Returns false (with a message in last_error())
-  /// on bind/listen failure.
+  /// on more than kMaxShards shards or a bind/listen failure.
   bool start();
 
   /// The bound port (valid after start(); useful with port 0).
@@ -181,8 +183,8 @@ class NotaryDaemon {
   [[nodiscard]] std::string stats_text();
 
   /// Daemon + per-shard telemetry folded into one registry (counters,
-  /// stage-latency histograms, queue gauges, wire-error taxonomy, journal
-  /// health).
+  /// stage-latency histograms, queue gauges, per-thread CPU time,
+  /// wire-error taxonomy, journal health).
   [[nodiscard]] tls::telemetry::MetricsRegistry merged_metrics();
 
   /// The live aggregate: resume baseline + every shard monitor absorbed
@@ -208,15 +210,16 @@ class NotaryDaemon {
   struct Exemplar;
   struct TracePlane;
   struct TickerPlane;
+  struct ThreadCpu;
 
   void event_loop();
   void worker_loop(std::size_t shard_index);
   void accept_ready();
   bool read_ready(Connection& conn);
-  bool process_frame(Connection& conn, Frame frame);
-  void handle_capture(Connection& conn, std::vector<std::uint8_t> payload);
-  void queue_frame(Connection& conn, FrameType type,
-                   std::span<const std::uint8_t> payload);
+  bool process_frame(Connection& conn, const FrameView& frame);
+  void handle_capture(Connection& conn, std::span<const std::uint8_t> payload);
+  /// Notifies each shard that handle_capture marked since the last call.
+  void wake_marked_shards();
   bool flush_outbound(Connection& conn);
   void close_connection(std::uint64_t id);
   void drain_completions();
@@ -264,11 +267,19 @@ class NotaryDaemon {
   // the event loop drains these).
   std::mutex completion_mutex_;
   std::vector<Completion> completions_;
+  /// The event thread's side of the completion swap; cleared and kept, so
+  /// the two buffers trade places without reallocating.
+  std::vector<Completion> resolved_;
+  /// Event-thread decode target. Admission swaps it with the ring slot's
+  /// payload, so capture buffers are recycled instead of reallocated.
+  CapturePayload scratch_;
 
-  // Observability plane (built in the constructor, never null).
+  // Observability plane: the flight rings are built by start(), once the
+  // shard count is known to be valid; the rest in the constructor.
   std::unique_ptr<tls::telemetry::FlightRecorder> flight_;
   std::unique_ptr<TracePlane> trace_;
   std::unique_ptr<TickerPlane> ticker_;
+  std::unique_ptr<ThreadCpu> event_cpu_;
   std::uint64_t start_us_ = 0;
   std::uint64_t last_flight_dump_ms_ = 0;
   bool journal_drop_booked_ = false;

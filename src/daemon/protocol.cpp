@@ -1,6 +1,7 @@
 #include "daemon/protocol.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <charconv>
 #include <stdexcept>
 
@@ -24,6 +25,14 @@ std::uint64_t load_u64(const std::uint8_t* p) {
   std::uint64_t v = 0;
   for (int i = 0; i < 8; ++i) v = (v << 8) | p[i];
   return v;
+}
+
+void store_u32(std::uint8_t* p, std::uint32_t v) {
+  for (int i = 3; i >= 0; --i, v >>= 8) p[i] = static_cast<std::uint8_t>(v);
+}
+
+void store_u64(std::uint8_t* p, std::uint64_t v) {
+  for (int i = 7; i >= 0; --i, v >>= 8) p[i] = static_cast<std::uint8_t>(v);
 }
 
 }  // namespace
@@ -58,13 +67,22 @@ std::uint64_t frame_checksum(FrameType type,
 
 std::vector<std::uint8_t> encode_frame(FrameType type,
                                        std::span<const std::uint8_t> payload) {
-  tls::wire::ByteWriter w;
-  w.u32(kFrameMagic);
-  w.u8(static_cast<std::uint8_t>(type));
-  w.u32(static_cast<std::uint32_t>(payload.size()));
-  w.bytes(payload);
-  w.u64(frame_checksum(type, payload));
-  return w.take();
+  std::vector<std::uint8_t> out;
+  append_frame(out, type, payload);
+  return out;
+}
+
+void append_frame(std::vector<std::uint8_t>& out, FrameType type,
+                  std::span<const std::uint8_t> payload) {
+  const std::size_t at = out.size();
+  out.resize(at + kFrameHeaderBytes + payload.size() + kFrameTrailerBytes);
+  std::uint8_t* p = out.data() + at;
+  store_u32(p, kFrameMagic);
+  p[4] = static_cast<std::uint8_t>(type);
+  store_u32(p + 5, static_cast<std::uint32_t>(payload.size()));
+  std::copy(payload.begin(), payload.end(), p + kFrameHeaderBytes);
+  store_u64(p + kFrameHeaderBytes + payload.size(),
+            frame_checksum(type, payload));
 }
 
 std::vector<std::uint8_t> encode_capture(const CapturePayload& capture) {
@@ -87,8 +105,14 @@ std::vector<std::uint8_t> encode_capture(const CapturePayload& capture) {
 }
 
 CapturePayload decode_capture(std::span<const std::uint8_t> payload) {
-  tls::wire::ByteReader r(payload);
   CapturePayload capture;
+  decode_capture_into(payload, capture);
+  return capture;
+}
+
+void decode_capture_into(std::span<const std::uint8_t> payload,
+                         CapturePayload& capture) {
+  tls::wire::ByteReader r(payload);
   capture.month_index = r.u32();
   const int year = static_cast<int>(r.u16());
   const int month = static_cast<int>(r.u8());
@@ -115,10 +139,22 @@ CapturePayload decode_capture(std::span<const std::uint8_t> payload) {
                                   "capture: field length exceeds payload");
     }
     auto span = r.bytes(len);
+    // Grow to a power of two, so a recycled payload settles on a size
+    // class after a few captures instead of regrowing for each larger one.
+    if (len > field->capacity()) field->reserve(std::bit_ceil(len));
     field->assign(span.begin(), span.end());
   }
   r.expect_empty("capture payload");
-  return capture;
+}
+
+void release_oversized_fields(CapturePayload& capture,
+                              std::size_t max_field_capacity) {
+  for (auto* field :
+       {&capture.client, &capture.server, &capture.ske, &capture.alert}) {
+    if (field->capacity() > max_field_capacity) {
+      std::vector<std::uint8_t>().swap(*field);
+    }
+  }
 }
 
 tls::wire::ParseErrorCode parse_code_for(DecodeError error) {
@@ -155,57 +191,73 @@ void FrameDecoder::poison(DecodeError error, std::size_t prefix_at) {
   poison_prefix_.assign(buffer_.begin() + static_cast<std::ptrdiff_t>(prefix_at),
                         buffer_.begin() +
                             static_cast<std::ptrdiff_t>(prefix_at + take));
-  buffer_.clear();
-  consumed_ = 0;
+  // Mark everything consumed rather than clearing: a view handed out
+  // before the poison keeps its bytes until the next append(), as promised.
+  consumed_ = buffer_.size();
+}
+
+void FrameDecoder::append(std::span<const std::uint8_t> bytes) {
+  if (poisoned()) return;
+  // Compact the prefix next() already returned: free when nothing is left
+  // over, a memmove only once the dead prefix dominates.
+  if (consumed_ == buffer_.size()) {
+    buffer_.clear();
+    consumed_ = 0;
+  } else if (consumed_ > 4096 && consumed_ * 2 > buffer_.size()) {
+    buffer_.erase(buffer_.begin(),
+                  buffer_.begin() + static_cast<std::ptrdiff_t>(consumed_));
+    consumed_ = 0;
+  }
+  // Grow to a power of two, as decode_capture_into does: reads of varying
+  // size then stop regrowing the buffer once it fits the largest.
+  const std::size_t need = buffer_.size() + bytes.size();
+  if (need > buffer_.capacity()) buffer_.reserve(std::bit_ceil(need));
+  buffer_.insert(buffer_.end(), bytes.begin(), bytes.end());
+}
+
+std::optional<FrameView> FrameDecoder::next() {
+  if (poisoned()) return std::nullopt;
+  const std::size_t avail = buffer_.size() - consumed_;
+  if (avail < kFrameHeaderBytes) return std::nullopt;
+  const std::uint8_t* head = buffer_.data() + consumed_;
+  // Header validation happens the moment 9 bytes exist — magic, type, and
+  // the declared length are all checked BEFORE the payload is buffered, so
+  // an oversized length can never cause an allocation.
+  if (load_u32(head) != kFrameMagic) {
+    poison(DecodeError::kBadMagic, consumed_);
+    return std::nullopt;
+  }
+  const std::uint8_t type_byte = head[4];
+  if (type_byte < static_cast<std::uint8_t>(FrameType::kHello) ||
+      type_byte > static_cast<std::uint8_t>(FrameType::kFlight)) {
+    poison(DecodeError::kBadType, consumed_);
+    return std::nullopt;
+  }
+  const std::uint32_t payload_len = load_u32(head + 5);
+  if (payload_len > max_frame_bytes_) {
+    poison(DecodeError::kOversized, consumed_);
+    return std::nullopt;
+  }
+  const std::size_t frame_len =
+      kFrameHeaderBytes + payload_len + kFrameTrailerBytes;
+  if (avail < frame_len) return std::nullopt;
+  const std::uint8_t* payload = head + kFrameHeaderBytes;
+  const std::uint64_t declared = load_u64(payload + payload_len);
+  const auto type = static_cast<FrameType>(type_byte);
+  if (frame_checksum(type, {payload, payload_len}) != declared) {
+    poison(DecodeError::kBadChecksum, consumed_);
+    return std::nullopt;
+  }
+  consumed_ += frame_len;
+  return FrameView{type, {payload, payload_len}};
 }
 
 std::vector<Frame> FrameDecoder::feed(std::span<const std::uint8_t> bytes) {
   std::vector<Frame> out;
-  if (poisoned()) return out;
-  buffer_.insert(buffer_.end(), bytes.begin(), bytes.end());
-  for (;;) {
-    const std::size_t avail = buffer_.size() - consumed_;
-    if (avail < kFrameHeaderBytes) break;
-    const std::uint8_t* head = buffer_.data() + consumed_;
-    // Header validation happens the moment 9 bytes exist — magic, type,
-    // and the declared length are all checked BEFORE the payload is
-    // buffered, so an oversized length can never cause an allocation.
-    if (load_u32(head) != kFrameMagic) {
-      poison(DecodeError::kBadMagic, consumed_);
-      return out;
-    }
-    const std::uint8_t type_byte = head[4];
-    if (type_byte < static_cast<std::uint8_t>(FrameType::kHello) ||
-        type_byte > static_cast<std::uint8_t>(FrameType::kFlight)) {
-      poison(DecodeError::kBadType, consumed_);
-      return out;
-    }
-    const std::uint32_t payload_len = load_u32(head + 5);
-    if (payload_len > max_frame_bytes_) {
-      poison(DecodeError::kOversized, consumed_);
-      return out;
-    }
-    const std::size_t frame_len =
-        kFrameHeaderBytes + payload_len + kFrameTrailerBytes;
-    if (avail < frame_len) break;
-    const std::uint8_t* payload = head + kFrameHeaderBytes;
-    const std::uint64_t declared = load_u64(payload + payload_len);
-    const auto type = static_cast<FrameType>(type_byte);
-    if (frame_checksum(type, {payload, payload_len}) != declared) {
-      poison(DecodeError::kBadChecksum, consumed_);
-      return out;
-    }
-    Frame frame;
-    frame.type = type;
-    frame.payload.assign(payload, payload + payload_len);
-    out.push_back(std::move(frame));
-    consumed_ += frame_len;
-    // Compact once the dead prefix dominates, amortizing the memmove.
-    if (consumed_ > 4096 && consumed_ * 2 > buffer_.size()) {
-      buffer_.erase(buffer_.begin(),
-                    buffer_.begin() + static_cast<std::ptrdiff_t>(consumed_));
-      consumed_ = 0;
-    }
+  append(bytes);
+  while (const auto view = next()) {
+    out.push_back(
+        Frame{view->type, {view->payload.begin(), view->payload.end()}});
   }
   return out;
 }
@@ -250,10 +302,11 @@ bool CreditClient::try_send() {
   return true;
 }
 
-std::vector<std::uint8_t> encode_credit_grant(std::uint32_t credits) {
-  tls::wire::ByteWriter w;
-  w.u32(credits);
-  return w.take();
+void append_credit_grant(std::vector<std::uint8_t>& out,
+                         std::uint32_t credits) {
+  std::uint8_t payload[4];
+  store_u32(payload, credits);
+  append_frame(out, FrameType::kCreditGrant, payload);
 }
 
 std::optional<std::uint32_t> decode_credit_grant(

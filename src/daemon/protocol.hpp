@@ -85,6 +85,14 @@ struct Frame {
   std::vector<std::uint8_t> payload;
 };
 
+/// One decoded frame as a view: `payload` points into the FrameDecoder's
+/// buffer and stays valid until that decoder's next append() (or its
+/// destruction). Copy the bytes out to keep them longer.
+struct FrameView {
+  FrameType type = FrameType::kHello;
+  std::span<const std::uint8_t> payload;
+};
+
 /// FNV-1a-64 over (type byte ++ payload) — the frame checksum.
 [[nodiscard]] std::uint64_t frame_checksum(
     FrameType type, std::span<const std::uint8_t> payload);
@@ -92,6 +100,11 @@ struct Frame {
 /// Serializes one frame (header + payload + checksum).
 [[nodiscard]] std::vector<std::uint8_t> encode_frame(
     FrameType type, std::span<const std::uint8_t> payload);
+
+/// Appends one serialized frame to `out`, with no temporary: the form for
+/// an outbound buffer that is reused across frames.
+void append_frame(std::vector<std::uint8_t>& out, FrameType type,
+                  std::span<const std::uint8_t> payload);
 
 // ---------------------------------------------------------------------------
 // Capture payload codec
@@ -128,6 +141,20 @@ struct CapturePayload {
 [[nodiscard]] CapturePayload decode_capture(
     std::span<const std::uint8_t> payload);
 
+/// decode_capture into an existing payload, reusing the capacity of its
+/// four field vectors: once they have grown to the captures seen, a
+/// decode allocates nothing. Every field is overwritten (a field absent
+/// from this capture comes back empty). On a throw `capture` holds a
+/// partial decode and must not be used.
+void decode_capture_into(std::span<const std::uint8_t> payload,
+                         CapturePayload& capture);
+
+/// Frees (and empties) every field of `capture` whose capacity exceeds
+/// `max_field_capacity`, so a payload that is recycled across captures
+/// does not keep the memory of the largest one it ever held.
+void release_oversized_fields(CapturePayload& capture,
+                              std::size_t max_field_capacity);
+
 // ---------------------------------------------------------------------------
 // Incremental frame decoder
 // ---------------------------------------------------------------------------
@@ -145,21 +172,36 @@ enum class DecodeError : std::uint8_t {
 [[nodiscard]] tls::wire::ParseErrorCode parse_code_for(DecodeError error);
 [[nodiscard]] const char* decode_error_name(DecodeError error);
 
-/// Incremental, never-throwing frame decoder. Feed it arbitrary chunks
-/// (as read(2) returns them); completed frames pop out in order. The
-/// first malformed byte poisons the decoder permanently — after a framing
-/// error nothing later in the stream can be trusted, so the connection
-/// must be dropped. Oversized declared lengths are rejected at
-/// header-parse time, before any payload buffer is allocated.
+/// Incremental, never-throwing frame decoder. Append arbitrary chunks
+/// (as read(2) returns them); completed frames pop out of next() in
+/// order. The first malformed byte poisons the decoder permanently —
+/// after a framing error nothing later in the stream can be trusted, so
+/// the connection must be dropped. Oversized declared lengths are
+/// rejected at header-parse time, before any payload buffer is allocated.
+///
+/// View lifetime: next() returns views into the decoder's own buffer, and
+/// only append() moves or reallocates that buffer. So every view stays
+/// valid until the next append(); the usual loop is one append() per
+/// read, then next() until it returns nothing.
 class FrameDecoder {
  public:
   explicit FrameDecoder(std::uint32_t max_frame_bytes = kDefaultMaxFrameBytes)
       : max_frame_bytes_(max_frame_bytes) {}
 
-  /// Appends `bytes` to the internal buffer and decodes as many complete
-  /// frames as possible. Returns the frames completed by this feed (empty
-  /// on partial input). Once poisoned, feeds are ignored and return
-  /// nothing.
+  /// Buffers `bytes` for next(). This is the only call that moves the
+  /// buffer: it first drops the prefix already returned by next() (free
+  /// when nothing is left over; a memmove only once that prefix dominates),
+  /// which invalidates every view handed out before. Ignored once
+  /// poisoned.
+  void append(std::span<const std::uint8_t> bytes);
+
+  /// The next complete frame, or nothing on partial input or once
+  /// poisoned. A malformed header or checksum poisons the decoder here,
+  /// and every later call returns nothing.
+  std::optional<FrameView> next();
+
+  /// append() plus next() until it returns nothing, copying each frame
+  /// out: the frames completed by this feed (empty on partial input).
   std::vector<Frame> feed(std::span<const std::uint8_t> bytes);
 
   [[nodiscard]] bool poisoned() const { return error_ != DecodeError::kNone; }
@@ -182,8 +224,9 @@ class FrameDecoder {
 
   std::uint32_t max_frame_bytes_;
   std::vector<std::uint8_t> buffer_;
-  /// Prefix of buffer_ already emitted as frames; compacted lazily so a
-  /// slow-loris byte-at-a-time writer does not trigger O(n^2) memmoves.
+  /// Prefix of buffer_ already returned by next(); append() compacts it
+  /// lazily so a slow-loris byte-at-a-time writer does not trigger O(n^2)
+  /// memmoves.
   std::size_t consumed_ = 0;
   DecodeError error_ = DecodeError::kNone;
   std::vector<std::uint8_t> poison_prefix_;
@@ -250,9 +293,9 @@ class CreditClient {
 // Small payload helpers
 // ---------------------------------------------------------------------------
 
-/// kCreditGrant payload: a single u32.
-[[nodiscard]] std::vector<std::uint8_t> encode_credit_grant(
-    std::uint32_t credits);
+/// Appends a whole kCreditGrant frame (payload: a single u32) to `out`.
+void append_credit_grant(std::vector<std::uint8_t>& out,
+                         std::uint32_t credits);
 /// Parses a grant payload; nullopt on malformed input (wrong size).
 [[nodiscard]] std::optional<std::uint32_t> decode_credit_grant(
     std::span<const std::uint8_t> payload);

@@ -45,10 +45,6 @@ std::uint64_t pack_w1(std::uint8_t kind, std::uint32_t a) {
   return (static_cast<std::uint64_t>(kind) << 32) | a;
 }
 
-// Sanity ceiling for decoding untrusted bytes: far above anything the
-// daemon writes, low enough that a mutated header cannot demand gigabytes.
-constexpr std::uint32_t kMaxRings = 4096;
-
 }  // namespace
 
 const char* flight_event_kind_name(std::uint8_t kind) {
@@ -283,7 +279,7 @@ FlightDump decode_flight(std::span<const std::uint8_t> bytes) {
   dump.ring_capacity = read_u32(p + 12);
   dump.crash_signo = read_u32(p + 16);
   if (dump.version != kFlightVersion) return dump;
-  if (ring_count == 0 || ring_count > kMaxRings) return dump;
+  if (ring_count == 0 || ring_count > kFlightMaxRings) return dump;
   if (dump.ring_capacity == 0 ||
       dump.ring_capacity > kFlightMaxRingCapacity) {
     return dump;

@@ -50,6 +50,9 @@ inline constexpr std::size_t kFlightEventBytes = 24;
 /// writer that wants its dumps readable sizes its rings at or below it.
 /// Low enough that a mutated header cannot demand gigabytes.
 inline constexpr std::uint32_t kFlightMaxRingCapacity = 1u << 20;
+/// decode_flight rejects a dump with more rings than this, for the same
+/// reason; a writer keeps its lane count at or below it.
+inline constexpr std::uint32_t kFlightMaxRings = 4096;
 
 /// What happened. Values are pinned (they live in FLIGHT.bin artifacts);
 /// add new kinds at the end only.

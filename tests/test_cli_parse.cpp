@@ -14,6 +14,7 @@
 #include "../examples/cli_parse.hpp"
 #include "core/checkpoint.hpp"
 #include "core/journal.hpp"
+#include "daemon/daemon.hpp"
 
 namespace {
 
@@ -64,6 +65,19 @@ TEST(ParseFlagDeathTest, BadValueExitsTwoNamingTheFlag) {
               "tlstop: bad value for --port: 70000 \\(want 1\\.\\.65535\\)");
   EXPECT_EXIT(tls::cli::parse_flag("loadgen", "--seed", "-3", 0, LONG_MAX),
               ::testing::ExitedWithCode(2), "loadgen: bad value for --seed");
+}
+
+// notary_daemon's --shards range: a shard count whose flight dump the
+// daemon could not decode is a usage error, and no thread is started.
+TEST(ParseFlagDeathTest, ShardsAtTheFlightRingCeilingExitTwo) {
+  constexpr long kMax = static_cast<long>(tls::daemon::kMaxShards);
+  EXPECT_EQ(kMax, 4095);
+  EXPECT_EQ(tls::cli::parse_flag("notary_daemon", "--shards", "4095", 0, kMax),
+            4095);
+  EXPECT_EXIT(
+      tls::cli::parse_flag("notary_daemon", "--shards", "4096", 0, kMax),
+      ::testing::ExitedWithCode(2),
+      "notary_daemon: bad value for --shards: 4096 \\(want 0\\.\\.4095\\)");
 }
 
 // Programmatic callers get the same guarantee as the CLI: a Config with

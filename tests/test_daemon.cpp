@@ -175,6 +175,53 @@ TEST(DaemonProtocol, UnknownFrameTypePoisons) {
   EXPECT_EQ(decoder.error(), DecodeError::kBadType);
 }
 
+/// Views stay valid until the next append(): a poison later in the same
+/// batch stops next() for good but leaves the earlier view's bytes alone.
+TEST(DaemonProtocol, PoisonMidBatchStopsNextAndKeepsEarlierViews) {
+  const auto payload = sample_payload();
+  std::vector<std::uint8_t> batch =
+      tls::daemon::encode_frame(FrameType::kCapture, payload);
+  const std::vector<std::uint8_t> junk(12, 0xFF);
+  batch.insert(batch.end(), junk.begin(), junk.end());
+  const auto after = tls::daemon::encode_frame(FrameType::kHello, {});
+  batch.insert(batch.end(), after.begin(), after.end());
+
+  FrameDecoder decoder;
+  decoder.append(batch);
+  const auto first = decoder.next();
+  ASSERT_TRUE(first.has_value());
+  EXPECT_EQ(first->type, FrameType::kCapture);
+  EXPECT_FALSE(decoder.next().has_value());
+  EXPECT_TRUE(decoder.poisoned());
+  EXPECT_EQ(decoder.error(), DecodeError::kBadMagic);
+  EXPECT_EQ(decoder.buffered_bytes(), 0u);
+  EXPECT_TRUE(std::equal(first->payload.begin(), first->payload.end(),
+                         payload.begin(), payload.end()));
+  // Poison is permanent: neither the frame behind it nor a fresh one
+  // comes out.
+  EXPECT_FALSE(decoder.next().has_value());
+  decoder.append(after);
+  EXPECT_FALSE(decoder.next().has_value());
+}
+
+TEST(DaemonProtocol, AppendFrameMatchesEncodeFrameAndGrantsRoundTrip) {
+  std::vector<std::uint8_t> out = {0xAA};
+  tls::daemon::append_frame(out, FrameType::kStats, sample_payload());
+  const auto whole = tls::daemon::encode_frame(FrameType::kStats,
+                                               sample_payload());
+  ASSERT_EQ(out.size(), 1 + whole.size());
+  EXPECT_EQ(out[0], 0xAA);
+  EXPECT_TRUE(std::equal(whole.begin(), whole.end(), out.begin() + 1));
+
+  std::vector<std::uint8_t> grant;
+  tls::daemon::append_credit_grant(grant, 0x01020304);
+  FrameDecoder decoder;
+  const auto frames = decoder.feed(grant);
+  ASSERT_EQ(frames.size(), 1u);
+  EXPECT_EQ(frames[0].type, FrameType::kCreditGrant);
+  EXPECT_EQ(tls::daemon::decode_credit_grant(frames[0].payload), 0x01020304u);
+}
+
 // ---------------------------------------------------------------------------
 // Capture payload codec
 // ---------------------------------------------------------------------------
@@ -215,6 +262,71 @@ TEST(DaemonProtocol, CaptureRejectsBadDateAndTrailingBytes) {
   auto truncated = bytes;
   truncated.pop_back();
   EXPECT_THROW(tls::daemon::decode_capture(truncated), tls::wire::ParseError);
+}
+
+void expect_same_capture(const CapturePayload& got,
+                         const CapturePayload& want) {
+  EXPECT_EQ(got.month_index, want.month_index);
+  EXPECT_EQ(got.day, want.day);
+  EXPECT_EQ(got.success, want.success);
+  EXPECT_EQ(got.used_fallback, want.used_fallback);
+  EXPECT_EQ(got.sslv2, want.sslv2);
+  EXPECT_EQ(got.client, want.client);
+  EXPECT_EQ(got.server, want.server);
+  EXPECT_EQ(got.ske, want.ske);
+  EXPECT_EQ(got.alert, want.alert);
+}
+
+/// A payload reused across captures decodes each exactly as a fresh one:
+/// fields of an earlier, longer capture never leak into a later one, and
+/// a field the later capture lacks comes back empty.
+TEST(DaemonProtocol, DecodeIntoReusedPayloadMatchesFreshDecode) {
+  CapturePayload big;
+  big.month_index = static_cast<std::uint32_t>(
+      tls::core::Month(2014, 4).index());
+  big.day = tls::core::Date(2014, 4, 8);
+  big.success = true;
+  big.used_fallback = true;
+  big.client = std::vector<std::uint8_t>(300, 0x16);
+  big.server = std::vector<std::uint8_t>(90, 0x02);
+  big.ske = std::vector<std::uint8_t>(400, 0x0c);
+  big.alert = {0x15, 0x03, 0x01, 0x00, 0x02, 0x02, 0x28};
+  CapturePayload small;
+  small.month_index = static_cast<std::uint32_t>(
+      tls::core::Month(2017, 1).index());
+  small.day = tls::core::Date(2017, 1, 2);
+  small.client = {0x16, 0x03, 0x01};
+  small.server = {0x16, 0x03, 0x03, 0x00};
+  CapturePayload sslv2;
+  sslv2.day = tls::core::Date(2013, 5, 1);
+  sslv2.sslv2 = true;
+
+  CapturePayload reused;
+  for (const auto* capture : {&big, &small, &sslv2, &big, &small}) {
+    const auto bytes = tls::daemon::encode_capture(*capture);
+    tls::daemon::decode_capture_into(bytes, reused);
+    expect_same_capture(reused, tls::daemon::decode_capture(bytes));
+    expect_same_capture(reused, *capture);
+  }
+  // The capacity of the longer capture is kept for reuse.
+  EXPECT_GE(reused.ske.capacity(), big.ske.size());
+}
+
+TEST(DaemonProtocol, ReleaseOversizedFieldsFreesOnlyLargeFields) {
+  CapturePayload capture;
+  capture.client.reserve(64);
+  capture.client = {1, 2, 3};
+  capture.server.reserve(4096);
+  capture.server = {4, 5};
+  capture.ske.reserve(65);
+  capture.alert.reserve(1 << 20);
+  tls::daemon::release_oversized_fields(capture, 64);
+  EXPECT_GE(capture.client.capacity(), 64u);  // at the cap: kept
+  EXPECT_EQ(capture.client, (std::vector<std::uint8_t>{1, 2, 3}));
+  EXPECT_EQ(capture.server.capacity(), 0u);
+  EXPECT_TRUE(capture.server.empty());
+  EXPECT_EQ(capture.ske.capacity(), 0u);
+  EXPECT_EQ(capture.alert.capacity(), 0u);
 }
 
 // ---------------------------------------------------------------------------
@@ -878,14 +990,18 @@ TEST(DaemonEndToEnd, CreditViolationShedsAndCloses) {
 // ---------------------------------------------------------------------------
 
 /// The always-on plane reports: after a short run the flight rings have
-/// recorded events and the gauge ticker has sampled outstanding credits.
+/// recorded events and the gauge ticker has sampled a non-empty queue.
+/// The ticker's gauges are registered by start(), so only a sampled
+/// value shows that it ran: a 2-ms observe keeps the queue non-empty for
+/// about 0.4 s, two ticker periods.
 TEST(DaemonObservability, MergedMetricsCarryFlightAndTickerGauges) {
   auto& fix = fixture();
-  const auto captures = fix.make_captures(50, 0xF1E7);
+  const auto captures = fix.make_captures(200, 0xF1E7);
 
   DaemonConfig config;
   config.shards = 1;
   config.database = &fix.database;
+  config.observe_delay_us_for_test = 2000;
   NotaryDaemon daemon(config);
   ASSERT_TRUE(daemon.start()) << daemon.last_error();
   SensorClient client;
@@ -893,20 +1009,17 @@ TEST(DaemonObservability, MergedMetricsCarryFlightAndTickerGauges) {
   for (const auto& capture : captures) {
     ASSERT_TRUE(send_capture(client, capture));
   }
-  // The ticker samples every 200 ms of event-loop time; poll until every
-  // capture is ingested and its first sample has landed.
-  const tls::telemetry::Metric* credits = nullptr;
-  tls::telemetry::MetricsRegistry reg;
-  for (int i = 0; i < 500; ++i) {
-    if (daemon.counters().ingested == captures.size()) {
-      reg = daemon.merged_metrics();
-      credits = reg.find("tls_repro_daemon_credits_outstanding");
-      if (credits != nullptr) break;
-    }
+  for (int i = 0; i < 500 && daemon.counters().ingested < captures.size();
+       ++i) {
     std::this_thread::sleep_for(std::chrono::milliseconds(10));
   }
   ASSERT_EQ(daemon.counters().ingested, captures.size());
-  EXPECT_NE(credits, nullptr) << "the gauge ticker never sampled";
+  const auto reg = daemon.merged_metrics();
+  EXPECT_NE(reg.find("tls_repro_daemon_credits_outstanding"), nullptr);
+  const auto* peak =
+      reg.find("tls_repro_daemon_queue_depth_peak", "shard=\"0\"");
+  ASSERT_NE(peak, nullptr);
+  EXPECT_GT(peak->gauge.value, 0u) << "the gauge ticker never sampled";
   const auto* flight = reg.find("tls_repro_daemon_flight_events");
   ASSERT_NE(flight, nullptr);
   EXPECT_GT(flight->gauge.value, 0u);
@@ -957,6 +1070,68 @@ TEST(DaemonObservability, MergedMetricsCarryNotaryCounters) {
   EXPECT_LE(value("tls_repro_notary_fp_memo_hits_total"),
             value("tls_repro_notary_fp_memo_lookups_total"));
 }
+
+/// Every daemon thread reports its CPU time: the event loop and each
+/// shard worker, live while they run and frozen at their exit.
+TEST(DaemonObservability, MergedMetricsCarryThreadCpuTime) {
+  auto& fix = fixture();
+  const auto captures = fix.make_captures(400, 0xC9U);
+
+  DaemonConfig config;
+  config.shards = 2;
+  config.database = &fix.database;
+  NotaryDaemon daemon(config);
+  ASSERT_TRUE(daemon.start()) << daemon.last_error();
+  SensorClient client;
+  ASSERT_TRUE(connect_to(client, daemon));
+  for (const auto& capture : captures) {
+    ASSERT_TRUE(send_capture(client, capture));
+  }
+  for (int i = 0; i < 500 && daemon.counters().ingested < captures.size();
+       ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  ASSERT_EQ(daemon.counters().ingested, captures.size());
+
+  const char* kName = "tls_repro_daemon_thread_cpu_us_total";
+  const std::string labels[] = {"thread=\"event\"",
+                                "thread=\"shard\",shard=\"0\"",
+                                "thread=\"shard\",shard=\"1\""};
+  const auto live = daemon.merged_metrics();
+  std::uint64_t live_us[3] = {};
+  for (int t = 0; t < 3; ++t) {
+    const auto* m = live.find(kName, labels[t]);
+    ASSERT_NE(m, nullptr) << labels[t];
+    EXPECT_TRUE(m->timing);
+    live_us[t] = m->counter.value;
+  }
+  EXPECT_GT(live_us[0], 0u) << "the event loop decoded 400 captures";
+  EXPECT_GT(live_us[1] + live_us[2], 0u) << "the workers observed them";
+
+  daemon.request_stop();
+  daemon.join();
+  const auto after = daemon.merged_metrics();
+  for (int t = 0; t < 3; ++t) {
+    const auto* m = after.find(kName, labels[t]);
+    ASSERT_NE(m, nullptr) << labels[t];
+    EXPECT_GE(m->counter.value, live_us[t]) << labels[t];
+  }
+}
+
+/// A shard count past the flight recorder's ring ceiling is refused before
+/// start() builds anything: no socket, no lane, no thread.
+TEST(DaemonObservability, StartRejectsMoreShardsThanFlightRings) {
+  DaemonConfig config;
+  config.shards = tls::daemon::kMaxShards + 1;
+  NotaryDaemon daemon(config);
+  EXPECT_FALSE(daemon.start());
+  EXPECT_NE(daemon.last_error().find("shards"), std::string::npos)
+      << daemon.last_error();
+  EXPECT_FALSE(daemon.running());
+  EXPECT_EQ(daemon.port(), 0);
+  EXPECT_EQ(tls::daemon::kMaxShards + 1, tls::telemetry::kFlightMaxRings);
+}
+
 
 /// Stats snapshots served under concurrent load must be monotonic between
 /// polls AND internally closure-consistent at every single poll, both the

@@ -27,6 +27,7 @@ using tls::telemetry::decode_flight;
 using tls::telemetry::FlightEventKind;
 using tls::telemetry::FlightRecorder;
 using tls::telemetry::FlightRing;
+using tls::telemetry::kFlightMaxRings;
 using tls::telemetry::render_flight;
 
 std::vector<std::uint8_t> read_file(const std::string& path) {
@@ -224,6 +225,16 @@ TEST(FlightRecorder, DecoderRejectsGarbageWithoutThrowing) {
     EXPECT_FALSE(decode_flight({image.data(), cut}).ok) << "cut=" << cut;
     (void)render_flight({image.data(), cut});  // must not throw either
   }
+}
+
+// kFlightMaxRings is the decoder's ceiling and the daemon's shard bound
+// (one ring per shard plus the event loop's): a recorder at the ceiling
+// writes a dump its decoder reads, one ring more does not.
+TEST(FlightRecorder, RingCountCeilingIsInclusive) {
+  const auto at = FlightRecorder(kFlightMaxRings, 2).serialize();
+  EXPECT_TRUE(decode_flight({at.data(), at.size()}).ok);
+  const auto over = FlightRecorder(kFlightMaxRings + 1, 2).serialize();
+  EXPECT_FALSE(decode_flight({over.data(), over.size()}).ok);
 }
 
 TEST(FlightRecorder, WriteFileRoundTrips) {

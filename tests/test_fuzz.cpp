@@ -812,7 +812,7 @@ Bytes sample_daemon_stream() {
   append(FrameType::kHello, {'f', 'u', 'z', 'z'});
   append(FrameType::kCapture, tls::daemon::encode_capture(sample_capture()));
   append(FrameType::kQueryStats, {});
-  append(FrameType::kCreditGrant, tls::daemon::encode_credit_grant(8));
+  tls::daemon::append_credit_grant(stream, 8);
   append(FrameType::kGoodbye, {});
   return stream;
 }
@@ -852,6 +852,35 @@ TEST(Fuzz, DaemonDecoderEveryChunkingYieldsTheSameFrames) {
     const auto frames = decoder.feed({stream.data(), cut});
     EXPECT_LE(frames.size(), 5u);
     EXPECT_FALSE(decoder.poisoned()) << "prefix " << cut;
+  }
+}
+
+// The view API is the same decoder: append() + next() under every fixed
+// chunking yields exactly the frames of one whole-stream feed(), each view
+// read before the next append().
+TEST(Fuzz, DaemonDecoderViewsMatchFeedUnderEveryChunking) {
+  const auto stream = sample_daemon_stream();
+  tls::daemon::FrameDecoder whole;
+  const auto expected = whole.feed(stream);
+  ASSERT_EQ(expected.size(), 5u);
+  for (std::size_t chunk = 1; chunk <= stream.size(); ++chunk) {
+    tls::daemon::FrameDecoder decoder;
+    std::vector<tls::daemon::Frame> got;
+    for (std::size_t off = 0; off < stream.size(); off += chunk) {
+      decoder.append({stream.data() + off,
+                      std::min(chunk, stream.size() - off)});
+      while (const auto view = decoder.next()) {
+        got.push_back(
+            {view->type, {view->payload.begin(), view->payload.end()}});
+      }
+    }
+    ASSERT_EQ(got.size(), expected.size()) << "chunk=" << chunk;
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      EXPECT_EQ(got[i].type, expected[i].type) << "chunk=" << chunk;
+      EXPECT_EQ(got[i].payload, expected[i].payload) << "chunk=" << chunk;
+    }
+    EXPECT_FALSE(decoder.poisoned());
+    EXPECT_EQ(decoder.buffered_bytes(), 0u);
   }
 }
 
