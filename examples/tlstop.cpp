@@ -7,7 +7,8 @@
 // the outcome ledger with ingest/shed rates derived between polls, the
 // per-shard queue-depth gauges from the metrics exposition, each daemon
 // thread's CPU time and busy share (delta CPU over delta wall time between
-// polls, so from the second poll on), and the stage-latency waterfall
+// polls, so from the second poll on), captures per event-loop iteration
+// and per worker batch, and the stage-latency waterfall
 // (percentile lines + slowest exemplars). --once prints one snapshot
 // without the ANSI screen clearing — the mode CI and scripts use.
 #include <chrono>
@@ -52,23 +53,45 @@ std::vector<std::string> metric_lines(const std::string& exposition,
   return out;
 }
 
-/// Each daemon thread's CPU time (us), keyed by its label set.
-std::map<std::string, std::uint64_t> thread_cpu_us(
-    const std::string& exposition) {
-  std::map<std::string, std::uint64_t> cpu;
-  for (const auto& line :
-       metric_lines(exposition, "tls_repro_daemon_thread_cpu_us_total")) {
+/// The values of one counter family (each a whole number), keyed by
+/// label set ("" for an unlabeled line).
+std::map<std::string, std::uint64_t> counter_values(
+    const std::string& exposition, const std::string& name) {
+  std::map<std::string, std::uint64_t> values;
+  for (const auto& line : metric_lines(exposition, name)) {
     const auto open = line.find('{');
     const auto close = line.find('}');
     const auto space = line.rfind(' ');
-    if (open == std::string::npos || close == std::string::npos ||
-        space == std::string::npos || close < open) {
+    if (space == std::string::npos ||
+        (open != std::string::npos &&
+         (close == std::string::npos || close < open))) {
       continue;
     }
-    cpu[line.substr(open + 1, close - open - 1)] =
-        std::strtoull(line.c_str() + space + 1, nullptr, 10);
+    const std::string labels =
+        open == std::string::npos ? "" : line.substr(open + 1, close - open - 1);
+    values[labels] = std::strtoull(line.c_str() + space + 1, nullptr, 10);
   }
-  return cpu;
+  return values;
+}
+
+/// The sum of a counter family over its label sets.
+std::uint64_t counter_sum(const std::string& exposition,
+                          const std::string& name) {
+  std::uint64_t sum = 0;
+  for (const auto& [labels, value] : counter_values(exposition, name)) {
+    sum += value;
+  }
+  return sum;
+}
+
+/// `num / den` with two decimals, or "-" when nothing was counted.
+std::string ratio(std::uint64_t num, std::uint64_t den) {
+  if (den == 0) return "-";
+  std::ostringstream out;
+  out.setf(std::ios::fixed);
+  out.precision(2);
+  out << static_cast<double>(num) / static_cast<double>(den);
+  return out.str();
 }
 
 }  // namespace
@@ -167,7 +190,19 @@ int main(int argc, char** argv) {
         screen << "  " << line << "\n";
       }
     }
-    const auto cpu = thread_cpu_us(*metrics_body);
+    // Since the daemon started: how many captures each event-loop pass
+    // read and each worker batch observed.
+    screen << "\nbatching captures/loop_iteration="
+           << ratio(stat("offered"),
+                    counter_sum(*metrics_body,
+                                "tls_repro_daemon_loop_iterations_total"))
+           << " captures/worker_batch="
+           << ratio(stat("ingested"),
+                    counter_sum(*metrics_body,
+                                "tls_repro_daemon_shard_batches_total"))
+           << "\n";
+    const auto cpu = counter_values(*metrics_body,
+                                    "tls_repro_daemon_thread_cpu_us_total");
     screen << "\nthreads  cpu_s and busy % (delta cpu / delta wall)\n";
     for (const auto& [labels, us] : cpu) {
       screen << "  {" << labels << "} cpu_s=" << static_cast<double>(us) / 1e6

@@ -233,14 +233,21 @@ struct NotaryDaemon::Shard {
   std::vector<Job> ring;
   std::size_t head = 0;
   std::size_t count = 0;
-  /// Event thread only: a job was admitted since the last notify.
-  bool wake_pending = false;
+  /// Jobs the worker popped as its current batch and has not finished:
+  /// admitted but maybe unobserved, so they count against the depth.
+  std::size_t in_batch = 0;
+  /// Batches the worker popped (tls_repro_daemon_shard_batches_total).
+  std::atomic<std::uint64_t> batches{0};
   ThreadCpu cpu;
 
-  /// The slot for the next job (under queue_mutex), or null when `depth`
-  /// jobs are queued.
+  /// Admitted jobs not yet observed (under queue_mutex): queued plus the
+  /// worker's batch. This is what shard_queue_depth bounds.
+  [[nodiscard]] std::size_t occupancy() const { return count + in_batch; }
+
+  /// The slot for the next job (under queue_mutex), or null when the
+  /// occupancy has reached `depth`.
   Job* push_slot(std::size_t depth) {
-    if (count >= depth) return nullptr;
+    if (occupancy() >= depth) return nullptr;
     if (count == ring.size()) {
       std::rotate(ring.begin(),
                   ring.begin() + static_cast<std::ptrdiff_t>(head),
@@ -252,12 +259,20 @@ struct NotaryDaemon::Shard {
     ++count;
     return &slot;
   }
-  /// Swaps the oldest queued job into `job` (under queue_mutex, count > 0):
-  /// its slot takes back `job`'s observed buffers for reuse.
-  void pop_into(Job& job) {
-    std::swap(job, ring[head]);
-    head = (head + 1) % ring.size();
-    --count;
+  /// Swaps every queued job into `batch` (under queue_mutex); each slot
+  /// takes back the observed buffers of the batch entry it traded with.
+  /// The batch grows to the ring's size, so like the ring it grows only
+  /// when a load queues more than ever before. Returns the jobs popped.
+  std::size_t pop_all_into(std::vector<Job>& batch) {
+    const std::size_t n = count;
+    if (batch.size() < n) batch.resize(ring.size());
+    for (std::size_t i = 0; i < n; ++i) {
+      std::swap(batch[i], ring[head]);
+      head = (head + 1) % ring.size();
+    }
+    count = 0;
+    in_batch = n;
+    return n;
   }
 
   // Observe plane: exclusive monitor access for the worker; checkpoint
@@ -398,7 +413,7 @@ bool NotaryDaemon::start() {
       ticker_->depth_peak.push_back(&reg.gauge(
           "tls_repro_daemon_queue_depth_peak",
           "shard=\"" + std::to_string(i) + "\"",
-          "High-water shard queue occupancy across ticker samples", true));
+          "High-water shard occupancy across ticker samples", true));
     }
     ticker_->credits_outstanding = &reg.gauge(
         "tls_repro_daemon_credits_outstanding", {},
@@ -465,10 +480,10 @@ DaemonCounters NotaryDaemon::counters() const {
   // One ordered read of the live atomics. The words are not read at one
   // instant, but every counter only grows, so this load order keeps each
   // read closure-consistent:
-  //  1. `ingested` (acquire) first. A worker bumps it (release) after it
-  //     pops the job, and the event thread counted that capture's `offered`
-  //     and `admitted` before the queue unlock that handed the job over,
-  //     so the later loads see admitted >= ingested.
+  //  1. `ingested` (acquire) first. A worker bumps it (release) once per
+  //     batch, after it pops the jobs, and the event thread counted each
+  //     capture's `offered` and `admitted` before the queue unlock that
+  //     handed the job over, so the later loads see admitted >= ingested.
   //  2. `admitted`, `shed`, `malformed` (acquire). The event thread bumps
   //     each (release) after the capture's `offered`, so the `offered`
   //     loaded last is >= admitted + shed + malformed.
@@ -607,18 +622,25 @@ tls::telemetry::MetricsRegistry NotaryDaemon::merged_metrics() {
     std::size_t depth = 0;
     {
       std::lock_guard<std::mutex> lock(shard.queue_mutex);
-      depth = shard.count;
+      depth = shard.occupancy();
     }
     const std::string label = "shard=\"" + std::to_string(i) + "\"";
     reg.gauge("tls_repro_daemon_queue_depth", label,
-              "Shard ingest-queue occupancy at scrape time", true)
+              "Shard occupancy (queued plus the worker's batch) at scrape time",
+              true)
         .set(depth);
     reg.counter(kThreadCpuName, "thread=\"shard\"," + label, kThreadCpuHelp,
                 true)
         .add(shard.cpu.cpu_us());
+    reg.counter("tls_repro_daemon_shard_batches_total", label,
+                "Batches of queued captures each shard worker popped", true)
+        .add(shard.batches.load(std::memory_order_relaxed));
   }
   reg.counter(kThreadCpuName, "thread=\"event\"", kThreadCpuHelp, true)
       .add(event_cpu_->cpu_us());
+  reg.counter("tls_repro_daemon_loop_iterations_total", {},
+              "Event-loop iterations (poll returns)", true)
+      .add(loop_iterations_.load(std::memory_order_relaxed));
   {
     std::lock_guard<std::mutex> lock(ticker_->mutex);
     reg.merge(ticker_->registry);
@@ -785,7 +807,7 @@ void NotaryDaemon::sample_gauges(std::uint64_t now) {
     std::size_t depth = 0;
     {
       std::lock_guard<std::mutex> lock(shards_[i]->queue_mutex);
-      depth = shards_[i]->count;
+      depth = shards_[i]->occupancy();
     }
     std::lock_guard<std::mutex> lock(ticker_->mutex);
     auto& peak = *ticker_->depth_peak[i];
@@ -864,57 +886,64 @@ void NotaryDaemon::write_snapshot_files() {
 void NotaryDaemon::worker_loop(std::size_t shard_index) {
   auto& shard = *shards_[shard_index];
   shard.cpu.begin();
-  // Kept across iterations: each pop swaps it with the head slot, which
-  // takes back this job's observed buffers for a later admission.
-  Job job;
+  // Kept across iterations: each pop trades these jobs' observed buffers
+  // for the queued ones.
+  std::vector<Job> batch;
   for (;;) {
+    std::size_t n = 0;
     {
       std::unique_lock<std::mutex> lock(shard.queue_mutex);
+      shard.in_batch = 0;  // the last batch is observed
       shard.cv.wait(lock, [&] {
         return workers_stop_.load(std::memory_order_acquire) ||
                shard.count != 0;
       });
-      if (shard.count == 0) {
-        if (workers_stop_.load(std::memory_order_acquire)) break;
-        continue;
+      if (shard.count == 0) break;  // stopping, and nothing is queued
+      n = shard.pop_all_into(batch);
+    }
+    shard.batches.fetch_add(1, std::memory_order_relaxed);
+    for (std::size_t i = 0; i < n; ++i) {
+      Job& job = batch[i];
+      job.at.dequeue = now_us();
+      if (config_.observe_delay_us_for_test != 0) {
+        std::this_thread::sleep_for(
+            std::chrono::microseconds(config_.observe_delay_us_for_test));
       }
-      shard.pop_into(job);
-    }
-    job.at.dequeue = now_us();
-    if (config_.observe_delay_us_for_test != 0) {
-      std::this_thread::sleep_for(
-          std::chrono::microseconds(config_.observe_delay_us_for_test));
-    }
-    const auto month = month_from_index(job.capture.month_index);
-    {
-      std::lock_guard<std::mutex> lock(shard.monitor_mutex);
-      if (job.capture.sslv2) {
-        shard.monitor->observe_sslv2(month);
-        counters_->sslv2.fetch_add(1, std::memory_order_relaxed);
-      } else {
-        shard.monitor->observe_wire(month, job.capture.day,
-                                    job.capture.client, job.capture.server,
-                                    job.capture.ske, job.capture.success,
-                                    job.capture.used_fallback,
-                                    job.capture.alert);
+      const auto month = month_from_index(job.capture.month_index);
+      {
+        std::lock_guard<std::mutex> lock(shard.monitor_mutex);
+        if (job.capture.sslv2) {
+          shard.monitor->observe_sslv2(month);
+          counters_->sslv2.fetch_add(1, std::memory_order_relaxed);
+        } else {
+          shard.monitor->observe_wire(month, job.capture.day,
+                                      job.capture.client, job.capture.server,
+                                      job.capture.ske, job.capture.success,
+                                      job.capture.used_fallback,
+                                      job.capture.alert);
+        }
       }
+      job.at.observe = now_us();
+      release_oversized_fields(job.capture, kRetainedFieldBytes);
+      // This lane's ring belongs to this worker alone (lane 1 + shard).
+      flight(1 + shard_index, tls::telemetry::FlightEventKind::kIngest,
+             static_cast<std::uint32_t>(shard_index),
+             job.at.observe - job.at.enqueue);
     }
-    job.at.observe = now_us();
-    release_oversized_fields(job.capture, kRetainedFieldBytes);
-    // This lane's ring belongs to this worker alone (lane 1 + shard).
-    flight(1 + shard_index, tls::telemetry::FlightEventKind::kIngest,
-           static_cast<std::uint32_t>(shard_index),
-           job.at.observe - job.at.enqueue);
-    counters_->ingested.fetch_add(1, std::memory_order_release);
+    counters_->ingested.fetch_add(n, std::memory_order_release);
+    // The event loop takes the whole vector at once, so only the push
+    // that finds it empty has to wake the loop.
+    bool was_empty = false;
     {
       std::lock_guard<std::mutex> lock(completion_mutex_);
-      Completion done;
-      done.conn_id = job.conn_id;
-      done.shard = static_cast<std::uint32_t>(shard_index);
-      done.at = job.at;
-      completions_.push_back(done);
+      was_empty = completions_.empty();
+      for (std::size_t i = 0; i < n; ++i) {
+        completions_.push_back(
+            {batch[i].conn_id, static_cast<std::uint32_t>(shard_index),
+             batch[i].at});
+      }
     }
-    wake();
+    if (was_empty) wake();
   }
   shard.cpu.end();
 }
@@ -1027,10 +1056,12 @@ void NotaryDaemon::handle_capture(Connection& conn,
           : tls::core::fnv1a64(scratch_.client) % shards_.size();
   auto& shard = *shards_[shard_index];
   bool admitted = false;
+  bool was_empty = false;
   std::size_t depth_at_refusal = 0;
   {
     std::lock_guard<std::mutex> lock(shard.queue_mutex);
     if (Job* slot = shard.push_slot(config_.shard_queue_depth)) {
+      was_empty = shard.count == 1;
       // The slot's payload holds an observed capture's buffers; they
       // become the scratch for the next decode.
       std::swap(slot->capture, scratch_);
@@ -1043,13 +1074,14 @@ void NotaryDaemon::handle_capture(Connection& conn,
       counters_->admitted.fetch_add(1, std::memory_order_release);
       admitted = true;
     } else {
-      depth_at_refusal = shard.count;
+      depth_at_refusal = shard.occupancy();
     }
   }
   if (admitted) {
     flight(0, tls::telemetry::FlightEventKind::kAdmit, conn_a, shard_index);
-    // read_ready wakes the worker once for the whole recv() batch.
-    shard.wake_pending = true;
+    // The worker pops the whole queue at once, so only the push that
+    // finds it empty has to wake the worker.
+    if (was_empty) shard.cv.notify_one();
   } else {
     counters_->shed.fetch_add(1, std::memory_order_release);
     flight(0, tls::telemetry::FlightEventKind::kShed, conn_a,
@@ -1096,14 +1128,6 @@ bool NotaryDaemon::process_frame(Connection& conn, const FrameView& frame) {
   return true;
 }
 
-void NotaryDaemon::wake_marked_shards() {
-  for (auto& shard : shards_) {
-    if (!shard->wake_pending) continue;
-    shard->wake_pending = false;
-    shard->cv.notify_one();
-  }
-}
-
 bool NotaryDaemon::read_ready(Connection& conn) {
   const std::uint64_t id = conn.id;
   std::uint8_t buf[65536];
@@ -1115,12 +1139,6 @@ bool NotaryDaemon::read_ready(Connection& conn) {
       if (errno == EINTR) continue;
       return false;
     }
-    // Admissions only mark their shard; each marked worker is woken once
-    // when this recv()'s batch ends, whichever way it ends.
-    struct WakeAtBatchEnd {
-      NotaryDaemon& daemon;
-      ~WakeAtBatchEnd() { daemon.wake_marked_shards(); }
-    } wake_at_batch_end{*this};
     // The views point into the decoder's buffer; they stay valid until
     // the next append(), i.e. for this whole batch.
     conn.decoder.append({buf, static_cast<std::size_t>(n)});
@@ -1227,6 +1245,7 @@ void NotaryDaemon::event_loop() {
       }
     }
     ::poll(pfds.data(), static_cast<nfds_t>(pfds.size()), 50);
+    loop_iterations_.fetch_add(1, std::memory_order_relaxed);
 
     if (pfds[0].revents & POLLIN) {
       std::uint8_t scratch[256];

@@ -27,9 +27,14 @@
 // non-blocking IO, per-connection outbound buffers); `shards` worker
 // threads own one PassiveMonitor each and drain their bounded queue.
 // Captures are routed to a shard by FNV-1a-64 of the ClientHello record,
-// a pure function of the bytes, so routing is reproducible. Workers
-// report completions back through a wake pipe; the event loop batches the
-// resolved credits into grant frames.
+// a pure function of the bytes, so routing is reproducible. A worker pops
+// its whole queue under one lock, observes that batch, and hands the
+// completions back under one lock; the event loop batches the resolved
+// credits into grant frames. Each side wakes the other only on an empty
+// to non-empty edge: the event loop notifies a worker when its queue was
+// empty, and a worker writes the wake pipe when the completion list was.
+// The admission bound (shard_queue_depth) counts the worker's current
+// batch as well as the queue.
 #pragma once
 
 #include <atomic>
@@ -71,7 +76,9 @@ struct DaemonConfig {
   /// (absorb is arrival-order-invariant over integer counters).
   std::size_t shards = 4;
   /// Bounded depth of each shard's ingest queue — the admission-control
-  /// knob. A capture arriving at a full queue is shed (and counted).
+  /// knob. It bounds the admitted-but-unobserved captures, queued plus
+  /// the worker's current batch; a capture arriving past it is shed (and
+  /// counted).
   std::size_t shard_queue_depth = 1024;
   /// Credits granted to each connection on accept; the client may have at
   /// most this many unresolved captures in flight.
@@ -218,8 +225,6 @@ class NotaryDaemon {
   bool read_ready(Connection& conn);
   bool process_frame(Connection& conn, const FrameView& frame);
   void handle_capture(Connection& conn, std::span<const std::uint8_t> payload);
-  /// Notifies each shard that handle_capture marked since the last call.
-  void wake_marked_shards();
   bool flush_outbound(Connection& conn);
   void close_connection(std::uint64_t id);
   void drain_completions();
@@ -260,6 +265,8 @@ class NotaryDaemon {
   std::vector<std::unique_ptr<Shard>> shards_;
 
   std::uint64_t next_conn_id_ = 1;
+  /// Event-loop passes (tls_repro_daemon_loop_iterations_total).
+  std::atomic<std::uint64_t> loop_iterations_{0};
   std::map<std::uint64_t, std::unique_ptr<Connection>> conns_;
 
   // Worker -> event loop completion channel (resolved captures with their

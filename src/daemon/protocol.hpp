@@ -7,7 +7,12 @@
 //   type       u8   FrameType
 //   payload    u32  payload length in bytes
 //   payload    ...  type-specific body
-//   checksum   u64  FNV-1a-64 over (type byte ++ payload bytes)
+//   checksum   u64  frame_checksum(type, payload), big-endian
+//
+// The checksum is FNV-1a over 64-bit little-endian payload words, each
+// step rotated, finished by murmur3's fmix64 (defined at frame_checksum).
+// A sensor that still writes the earlier byte-serial FNV-1a-64 trailer
+// fails closed: its first frame poisons the connection with kBadChecksum.
 //
 // The 9-byte header is parsed as soon as it is complete, and the declared
 // payload length is validated against the decoder's configurable
@@ -49,7 +54,7 @@ namespace tls::daemon {
 inline constexpr std::uint32_t kFrameMagic = 0x544C534E;  // "TLSN"
 /// Fixed bytes before the payload: magic u32 + type u8 + length u32.
 inline constexpr std::size_t kFrameHeaderBytes = 9;
-/// Fixed bytes after the payload: FNV-1a-64 checksum.
+/// Fixed bytes after the payload: the u64 frame_checksum, big-endian.
 inline constexpr std::size_t kFrameTrailerBytes = 8;
 /// Default cap on a frame's declared payload length. Generous for a
 /// capture (four TLS records plus ~20 bytes of framing) yet small enough
@@ -93,7 +98,17 @@ struct FrameView {
   std::span<const std::uint8_t> payload;
 };
 
-/// FNV-1a-64 over (type byte ++ payload) — the frame checksum.
+/// The frame checksum, word-at-a-time over the payload:
+///
+///   h = 0xcbf29ce484222325 ^ type ^ (payload_len << 8)
+///   for each full 8-byte little-endian word w:
+///     h = rotl64((h ^ w) * 0x100000001b3, 29)
+///   w = the last k = payload_len % 8 bytes (possibly none), little-endian
+///   h = rotl64((h ^ w ^ (k << 56)) * 0x100000001b3, 29)
+///   h = fmix64(h)   (murmur3's 64-bit finalizer)
+///
+/// Every step is a bijection of the state, so any corruption confined to
+/// one 8-byte word is always caught.
 [[nodiscard]] std::uint64_t frame_checksum(
     FrameType type, std::span<const std::uint8_t> payload);
 

@@ -8,13 +8,9 @@ void Histogram::record(std::uint64_t sample) {
   if (counts.size() != bounds.size() + 1) {
     counts.assign(bounds.size() + 1, 0);
   }
-  std::size_t bucket = bounds.size();  // +Inf by default
-  for (std::size_t i = 0; i < bounds.size(); ++i) {
-    if (sample <= bounds[i]) {
-      bucket = i;
-      break;
-    }
-  }
+  // The first bound >= sample (bounds ascend), or the +Inf bucket.
+  const auto bucket = static_cast<std::size_t>(
+      std::lower_bound(bounds.begin(), bounds.end(), sample) - bounds.begin());
   ++counts[bucket];
   if (count == 0 || sample < min) min = sample;
   if (count == 0 || sample > max) max = sample;

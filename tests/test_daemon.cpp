@@ -11,6 +11,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <cstdlib>
@@ -123,20 +124,56 @@ TEST(DaemonProtocol, BitFlippedChecksumPoisons) {
   EXPECT_EQ(decoder.error(), DecodeError::kBadChecksum);
 }
 
-TEST(DaemonProtocol, ChecksumIsFnv1a64OfTypeThenPayload) {
-  // FNV-1a-64 (offset basis 0xcbf29ce484222325, prime 0x100000001b3) over
-  // the bytes 02 de ad be ef 01, computed outside this code base.
-  constexpr std::uint64_t kWant = 0x082f401f833db236ull;
-  EXPECT_EQ(tls::daemon::frame_checksum(FrameType::kCapture, sample_payload()),
-            kWant);
-  const auto bytes = tls::daemon::encode_frame(FrameType::kCapture,
-                                               sample_payload());
-  std::uint64_t trailer = 0;
-  for (std::size_t i = bytes.size() - tls::daemon::kFrameTrailerBytes;
-       i < bytes.size(); ++i) {
-    trailer = (trailer << 8) | bytes[i];
+/// Known answers of the word-at-a-time frame checksum, computed outside
+/// this code base by this Python reference of the definition in
+/// daemon/protocol.hpp:
+///
+///   M = (1 << 64) - 1
+///   def rotl(x, r): return ((x << r) | (x >> (64 - r))) & M
+///   def checksum(t, payload):
+///       n = len(payload); full = n - n % 8
+///       h = 0xcbf29ce484222325 ^ t ^ (n << 8)
+///       for i in range(0, full, 8):
+///           w = int.from_bytes(payload[i:i+8], "little")
+///           h = rotl(((h ^ w) * 0x100000001b3) & M, 29)
+///       w = int.from_bytes(payload[full:], "little")
+///       h = rotl(((h ^ w ^ ((n % 8) << 56)) * 0x100000001b3) & M, 29)
+///       h ^= h >> 33; h = (h * 0xff51afd7ed558ccd) & M
+///       h ^= h >> 33; h = (h * 0xc4ceb9fe1a85ec53) & M
+///       return h ^ (h >> 33)
+TEST(DaemonProtocol, ChecksumMatchesWordAtATimeReference) {
+  struct Case {
+    FrameType type;
+    std::vector<std::uint8_t> payload;
+    std::uint64_t want;
+  };
+  std::vector<std::uint8_t> counting(16);
+  for (std::size_t i = 0; i < counting.size(); ++i) {
+    counting[i] = static_cast<std::uint8_t>(i);
   }
-  EXPECT_EQ(trailer, kWant);
+  const Case cases[] = {
+      // A tail only.
+      {FrameType::kCapture, sample_payload(), 0x2e152fa668b8daccull},
+      // Two full words and a 3-byte tail.
+      {FrameType::kHello, std::vector<std::uint8_t>(19, 0x5a),
+       0x4af090b32d6cb391ull},
+      // No payload: the empty tail still takes a step.
+      {FrameType::kCreditGrant, {}, 0x2bf929de2bdfed8full},
+      // Full words and an empty tail.
+      {FrameType::kCapture, counting, 0x2670df6751c22d70ull},
+  };
+  for (const auto& c : cases) {
+    EXPECT_EQ(tls::daemon::frame_checksum(c.type, c.payload), c.want)
+        << c.payload.size() << "-byte payload";
+    // The trailer carries the checksum big-endian.
+    const auto bytes = tls::daemon::encode_frame(c.type, c.payload);
+    std::uint64_t trailer = 0;
+    for (std::size_t i = bytes.size() - tls::daemon::kFrameTrailerBytes;
+         i < bytes.size(); ++i) {
+      trailer = (trailer << 8) | bytes[i];
+    }
+    EXPECT_EQ(trailer, c.want) << c.payload.size() << "-byte payload";
+  }
 }
 
 TEST(DaemonProtocol, OversizedLengthRejectedAtHeaderTime) {
@@ -423,6 +460,33 @@ struct TrafficFixture {
 TrafficFixture& fixture() {
   static TrafficFixture f;
   return f;
+}
+
+/// Any single flipped bit in a real capture frame's type byte, payload or
+/// trailer poisons the decoder. Payload and trailer flips are checksum
+/// failures, and so is a type flip that names another frame type; one
+/// that leaves the FrameType range is refused first, as kBadType.
+TEST(DaemonProtocol, EverySingleBitFlipOfACaptureFrameIsCaught) {
+  const auto capture = fixture().make_captures(1, 0xF11B).front();
+  const auto frame = tls::daemon::encode_frame(
+      FrameType::kCapture, tls::daemon::encode_capture(capture));
+  ASSERT_GT(frame.size(), 100u);
+  const std::size_t type_at = 4;
+  for (std::size_t at = type_at; at < frame.size(); ++at) {
+    if (at > type_at && at < tls::daemon::kFrameHeaderBytes) continue;
+    for (int bit = 0; bit < 8; ++bit) {
+      auto bad = frame;
+      bad[at] ^= static_cast<std::uint8_t>(1u << bit);
+      const bool known_type =
+          bad[type_at] >= static_cast<std::uint8_t>(FrameType::kHello) &&
+          bad[type_at] <= static_cast<std::uint8_t>(FrameType::kFlight);
+      FrameDecoder decoder;
+      EXPECT_TRUE(decoder.feed(bad).empty());
+      EXPECT_EQ(decoder.error(), known_type ? DecodeError::kBadChecksum
+                                            : DecodeError::kBadType)
+          << "byte " << at << " bit " << bit;
+    }
+  }
 }
 
 /// Daemon-ingested aggregates must be byte-identical to batch-mode
@@ -1116,6 +1180,145 @@ TEST(DaemonObservability, MergedMetricsCarryThreadCpuTime) {
     ASSERT_NE(m, nullptr) << labels[t];
     EXPECT_GE(m->counter.value, live_us[t]) << labels[t];
   }
+}
+
+// ---------------------------------------------------------------------------
+// Shard handoff: batch pops and empty-to-non-empty wakes
+// ---------------------------------------------------------------------------
+
+/// The worker pops its whole queue as one batch, and the queue depth bounds
+/// the queue plus that batch: with a slow observe and a credit window far
+/// above the depth, admitted-but-unobserved captures never exceed it.
+TEST(DaemonHandoff, AdmissionBoundCountsTheWorkersBatch) {
+  auto& fix = fixture();
+  const auto captures = fix.make_captures(200, 0xB0B);
+  constexpr std::size_t kDepth = 4;
+  DaemonConfig config;
+  config.shards = 1;
+  config.shard_queue_depth = kDepth;
+  config.credit_window = 32;
+  config.observe_delay_us_for_test = 500;
+  config.database = &fix.database;
+  NotaryDaemon daemon(config);
+  ASSERT_TRUE(daemon.start()) << daemon.last_error();
+  SensorClient client;
+  ASSERT_TRUE(connect_to(client, daemon));
+
+  // Admitted-but-unobserved is admitted - ingested. counters() loads
+  // `ingested` before `admitted`, so take `admitted` from one read and
+  // `ingested` from a later one: their difference never exceeds the true
+  // count at the later read.
+  std::atomic<bool> sending{true};
+  std::uint64_t worst = 0;
+  std::uint64_t samples = 0;
+  std::thread sampler([&] {
+    while (sending.load(std::memory_order_acquire)) {
+      const std::uint64_t admitted = daemon.counters().admitted;
+      const std::uint64_t ingested = daemon.counters().ingested;
+      if (admitted > ingested) worst = std::max(worst, admitted - ingested);
+      ++samples;
+    }
+  });
+  // Keep the queue full until the worker has been through many batches.
+  constexpr std::uint64_t kObserved = 40;
+  std::size_t sent = 0;
+  bool send_failed = false;
+  while (daemon.counters().ingested < kObserved && sent < 100'000) {
+    if (!send_capture(client, captures[sent % captures.size()])) {
+      send_failed = true;
+      break;
+    }
+    ++sent;
+  }
+  for (int i = 0; i < 500 && daemon.counters().offered < sent; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  sending.store(false, std::memory_order_release);
+  sampler.join();
+  daemon.request_stop();
+  daemon.join();
+
+  EXPECT_FALSE(send_failed);
+  EXPECT_GT(samples, 0u);
+  EXPECT_GE(worst, 1u);
+  EXPECT_LE(worst, kDepth) << "the worker's batch escaped the bound";
+  const auto c = daemon.counters();
+  EXPECT_EQ(c.offered, sent);
+  EXPECT_GT(c.shed, 0u) << "a 32-credit window over depth 4 must shed";
+  EXPECT_EQ(c.malformed, 0u);
+  EXPECT_EQ(c.offered, c.ingested + c.shed);
+}
+
+/// One capture at a time empties both handoffs every round, so each capture
+/// crosses both wake edges: queue empty -> non-empty (worker notify) and
+/// completions empty -> non-empty (wake pipe). A lost wake would leave the
+/// credit to the event loop's 50-ms poll timeout, or strand it for good.
+TEST(DaemonHandoff, SequentialCapturesAreGrantedWithoutLostWakeups) {
+  auto& fix = fixture();
+  const auto captures = fix.make_captures(1000, 0x1057);
+  DaemonConfig config;
+  config.shards = 2;
+  config.database = &fix.database;
+  NotaryDaemon daemon(config);
+  ASSERT_TRUE(daemon.start()) << daemon.last_error();
+  SensorClient client;
+  ASSERT_TRUE(connect_to(client, daemon));
+  ASSERT_TRUE(await_credits(client, config.credit_window));
+
+  std::uint64_t slowest_us = 0;
+  for (std::size_t i = 0; i < captures.size(); ++i) {
+    const std::uint64_t sent_us = tls::telemetry::now_us();
+    ASSERT_TRUE(send_capture(client, captures[i]));
+    ASSERT_TRUE(await_credits(client, config.credit_window))
+        << "capture " << i << " was never granted back";
+    slowest_us = std::max(slowest_us, tls::telemetry::now_us() - sent_us);
+  }
+  RecordProperty("slowest_grant_us", std::to_string(slowest_us));
+  EXPECT_LT(slowest_us, 25'000u)
+      << "a grant waited out most of the loop's 50-ms poll timeout";
+  EXPECT_EQ(daemon.counters().ingested, captures.size());
+  daemon.request_stop();
+  daemon.join();
+}
+
+/// The loop-iteration and worker-batch counters bound the batching: at
+/// least one of each, and never more batches than captures.
+TEST(DaemonHandoff, LoopAndBatchCountersBoundTheCaptures) {
+  auto& fix = fixture();
+  const auto captures = fix.make_captures(300, 0xBA7C);
+  DaemonConfig config;
+  config.shards = 2;
+  config.database = &fix.database;
+  NotaryDaemon daemon(config);
+  ASSERT_TRUE(daemon.start()) << daemon.last_error();
+  SensorClient client;
+  ASSERT_TRUE(connect_to(client, daemon));
+  for (const auto& capture : captures) {
+    ASSERT_TRUE(send_capture(client, capture));
+  }
+  for (int i = 0; i < 500 && daemon.counters().ingested < captures.size();
+       ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  ASSERT_EQ(daemon.counters().ingested, captures.size());
+
+  const auto reg = daemon.merged_metrics();
+  const auto* iterations = reg.find("tls_repro_daemon_loop_iterations_total");
+  ASSERT_NE(iterations, nullptr);
+  EXPECT_TRUE(iterations->timing);
+  EXPECT_GE(iterations->counter.value, 1u);
+  std::uint64_t batches = 0;
+  for (int i = 0; i < 2; ++i) {
+    const auto* m = reg.find("tls_repro_daemon_shard_batches_total",
+                             "shard=\"" + std::to_string(i) + "\"");
+    ASSERT_NE(m, nullptr) << "shard " << i;
+    EXPECT_TRUE(m->timing);
+    batches += m->counter.value;
+  }
+  EXPECT_GE(batches, 1u);
+  EXPECT_LE(batches, captures.size());
+  daemon.request_stop();
+  daemon.join();
 }
 
 /// A shard count past the flight recorder's ring ceiling is refused before

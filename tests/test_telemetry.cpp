@@ -14,6 +14,7 @@
 #include <fstream>
 #include <map>
 #include <sstream>
+#include <vector>
 
 #include "core/shard.hpp"
 #include "core/study.hpp"
@@ -47,6 +48,31 @@ TEST(Histogram, BucketBoundariesAreInclusiveUpperBounds) {
   EXPECT_EQ(h.sum, 0u + 10 + 11 + 100 + 101);
   EXPECT_EQ(h.min, 0u);
   EXPECT_EQ(h.max, 101u);
+}
+
+/// record() finds its bucket by binary search; every edge of the wide
+/// latency ladder must land where the linear rule (the first bound
+/// >= sample, else +Inf) puts it.
+TEST(Histogram, BinarySearchMatchesTheLinearRuleOnTheWideLadder) {
+  const auto& bounds = tls::telemetry::wide_latency_buckets_us();
+  const auto linear_bucket = [&](std::uint64_t sample) {
+    for (std::size_t i = 0; i < bounds.size(); ++i) {
+      if (sample <= bounds[i]) return i;
+    }
+    return bounds.size();
+  };
+  std::vector<std::uint64_t> samples = {0, UINT64_MAX};
+  for (const auto b : bounds) {
+    samples.insert(samples.end(), {b - 1, b, b + 1});
+  }
+  for (const auto sample : samples) {
+    Histogram h;
+    h.bounds = bounds;
+    h.record(sample);
+    const std::size_t want = linear_bucket(sample);
+    ASSERT_EQ(h.counts.size(), bounds.size() + 1);
+    EXPECT_EQ(h.counts[want], 1u) << "sample " << sample;
+  }
 }
 
 TEST(Histogram, MergeIsCommutative) {
