@@ -109,6 +109,12 @@ std::span<const std::uint8_t> as_bytes(const std::string& text) {
 
 }  // namespace
 
+std::size_t shard_of(const CapturePayload& capture, std::size_t shards) {
+  return capture.client.empty()
+             ? capture.month_index % shards
+             : tls::core::fnv1a64(capture.client) % shards;
+}
+
 struct NotaryDaemon::AtomicCounters {
   std::atomic<std::uint64_t> offered{0};
   std::atomic<std::uint64_t> admitted{0};
@@ -1050,10 +1056,7 @@ void NotaryDaemon::handle_capture(Connection& conn,
   }
   const std::uint64_t decode_us = now_us();
   conn.last_month = month_from_index(scratch_.month_index);
-  const std::size_t shard_index =
-      scratch_.client.empty()
-          ? scratch_.month_index % shards_.size()
-          : tls::core::fnv1a64(scratch_.client) % shards_.size();
+  const std::size_t shard_index = shard_of(scratch_, shards_.size());
   auto& shard = *shards_[shard_index];
   bool admitted = false;
   bool was_empty = false;

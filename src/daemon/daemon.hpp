@@ -67,6 +67,13 @@ namespace tls::daemon {
 /// daemon's own decoder refuses. NotaryDaemon::start() rejects more.
 inline constexpr std::size_t kMaxShards = tls::telemetry::kFlightMaxRings - 1;
 
+/// The shard of `shards` that observes `capture`: FNV-1a-64 of the client
+/// record modulo `shards`, or the month index modulo `shards` when the
+/// client record is empty (an SSLv2 tally). Per-shard arrival order feeds
+/// the position sums, so every router of captures must ask this function.
+[[nodiscard]] std::size_t shard_of(const CapturePayload& capture,
+                                   std::size_t shards);
+
 struct DaemonConfig {
   std::string bind_address = "127.0.0.1";
   /// 0 binds an ephemeral port; read the actual one back via port().

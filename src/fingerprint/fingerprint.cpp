@@ -1,5 +1,7 @@
 #include "fingerprint/fingerprint.hpp"
 
+#include <array>
+#include <cstring>
 #include <span>
 
 #include "fingerprint/md5.hpp"
@@ -9,25 +11,59 @@ namespace tls::fp {
 
 namespace {
 
-/// The plain digit writer behind every fingerprint string: `v` in decimal.
-void append_decimal(std::string& out, unsigned v) {
-  char digits[10];
-  char* const end = digits + sizeof(digits);
-  char* p = end;
-  do {
-    *--p = static_cast<char>('0' + v % 10);
-    v /= 10;
-  } while (v != 0);
-  out.append(p, end);
+/// "00".."99": the two digits of every value below 100.
+constexpr auto kDigitPairs = [] {
+  std::array<char, 200> pairs{};
+  for (int i = 0; i < 100; ++i) {
+    pairs[2 * i] = static_cast<char>('0' + i / 10);
+    pairs[2 * i + 1] = static_cast<char>('0' + i % 10);
+  }
+  return pairs;
+}();
+
+/// Decimal digits of `v`, for the u8/u16 values a fingerprint holds.
+constexpr std::size_t decimal_width(unsigned v) {
+  return 1 + std::size_t{v >= 10} + std::size_t{v >= 100} +
+         std::size_t{v >= 1000} + std::size_t{v >= 10000};
 }
 
-/// Appends "v1-v2-..." (nothing for an empty list).
+/// Writes `v` in decimal so that its last digit lands just before `end`,
+/// two digits per step.
+void write_decimal(char* end, unsigned v) {
+  while (v >= 100) {
+    end -= 2;
+    std::memcpy(end, &kDigitPairs[2 * (v % 100)], 2);
+    v /= 100;
+  }
+  if (v >= 10) {
+    std::memcpy(end - 2, &kDigitPairs[2 * v], 2);
+  } else {
+    end[-1] = static_cast<char>('0' + v);
+  }
+}
+
+/// The one digit writer behind every fingerprint string: appends
+/// "v1-v2-..." (nothing for an empty list). The string grows once, to the
+/// exact text length, and the digits are written straight into its tail,
+/// so a string that already has the capacity does not allocate.
 template <typename T>
 void append_list(std::string& out, std::span<const T> vals) {
+  static_assert(sizeof(T) <= 2, "decimal_width covers values below 100000");
+  if (vals.empty()) return;
+  std::size_t length = vals.size() - 1;  // the separators
+  for (const T v : vals) length += decimal_width(v);
+  const std::size_t at = out.size();
+  out.resize(at + length);
+  char* p = out.data() + at;
   for (std::size_t i = 0; i < vals.size(); ++i) {
-    if (i != 0) out.push_back('-');
-    append_decimal(out, vals[i]);
+    if (i != 0) *p++ = '-';
+    p += decimal_width(vals[i]);
+    write_decimal(p, vals[i]);
   }
+}
+
+void append_decimal(std::string& out, std::uint16_t v) {
+  append_list<std::uint16_t>(out, std::span<const std::uint16_t>(&v, 1));
 }
 
 std::vector<std::uint16_t> strip_grease(std::vector<std::uint16_t> vals) {

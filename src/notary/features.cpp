@@ -74,8 +74,13 @@ void build_client_features(const ClientHello& hello,
   // Semantics match exactly: offers() only sees registered non-SCSV suites
   // (GREASE ids are unregistered), positions skip GREASE entries and SCSVs
   // but count unknown ids in the denominator, and the fingerprint keeps
-  // every non-GREASE id (SCSVs included).
+  // every non-GREASE id (SCSVs included). Each suite costs one read of its
+  // trait word; a class's position is taken from the first suite that
+  // brings its bit.
+  using T = SuiteTraits;
   std::size_t real_index = 0;
+  std::uint16_t seen = 0;
+  unsigned aead_kinds = 0;  // bit k: some suite of AeadKind k
   std::optional<std::size_t> first_aead, first_cbc, first_rc4, first_des,
       first_3des;
   bool scsv_reneg = false;
@@ -83,45 +88,35 @@ void build_client_features(const ClientHello& hello,
     if (id == suites::TLS_EMPTY_RENEGOTIATION_INFO_SCSV) scsv_reneg = true;
     if (is_grease(id)) continue;
     out.fp.cipher_suites.push_back(id);
-    const auto* info = find_cipher_suite(id);
-    if (info == nullptr) {
-      ++real_index;
-      continue;
+    const SuiteTraits traits = suite_traits(id);
+    if ((traits.bits & T::kScsv) != 0) continue;
+    if (const std::uint16_t fresh = traits.bits & ~seen; fresh != 0) {
+      seen |= fresh;
+      if ((fresh & T::kRc4) != 0) first_rc4 = real_index;
+      if ((fresh & T::kSingleDes) != 0) first_des = real_index;
+      if ((fresh & T::k3Des) != 0) first_3des = real_index;
+      if ((fresh & T::kAead) != 0) first_aead = real_index;
+      if ((fresh & T::kCbc) != 0) first_cbc = real_index;
     }
-    if (info->scsv) continue;
-    if (is_rc4(*info)) {
-      out.adv_rc4 = true;
-      if (!first_rc4) first_rc4 = real_index;
-    }
-    if (is_single_des(*info)) {
-      out.adv_des = true;
-      if (!first_des) first_des = real_index;
-    }
-    if (is_3des(*info)) {
-      out.adv_3des = true;
-      if (!first_3des) first_3des = real_index;
-    }
-    if (is_aead(*info)) {
-      out.adv_aead = true;
-      if (!first_aead) first_aead = real_index;
-      switch (aead_kind(*info)) {
-        case AeadKind::kAes128Gcm: out.adv_aes128gcm = true; break;
-        case AeadKind::kAes256Gcm: out.adv_aes256gcm = true; break;
-        case AeadKind::kChaCha20Poly1305: out.adv_chacha = true; break;
-        case AeadKind::kAesCcm: out.adv_ccm = true; break;
-        default: break;
-      }
-    }
-    if (is_cbc(*info)) {
-      out.adv_cbc = true;
-      if (!first_cbc) first_cbc = real_index;
-    }
-    if (is_export(*info)) out.adv_export = true;
-    if (is_anonymous(*info)) out.adv_anon = true;
-    if (is_null_cipher(*info)) out.adv_null = true;
-    if (is_forward_secret(*info)) out.adv_fs = true;
+    aead_kinds |= 1u << static_cast<unsigned>(traits.aead);
     ++real_index;
   }
+  const auto has_kind = [aead_kinds](AeadKind k) {
+    return (aead_kinds & (1u << static_cast<unsigned>(k))) != 0;
+  };
+  out.adv_rc4 = (seen & T::kRc4) != 0;
+  out.adv_des = (seen & T::kSingleDes) != 0;
+  out.adv_3des = (seen & T::k3Des) != 0;
+  out.adv_aead = (seen & T::kAead) != 0;
+  out.adv_cbc = (seen & T::kCbc) != 0;
+  out.adv_export = (seen & T::kExport) != 0;
+  out.adv_anon = (seen & T::kAnonymous) != 0;
+  out.adv_null = (seen & T::kNullCipher) != 0;
+  out.adv_fs = (seen & T::kForwardSecret) != 0;
+  out.adv_aes128gcm = has_kind(AeadKind::kAes128Gcm);
+  out.adv_aes256gcm = has_kind(AeadKind::kAes256Gcm);
+  out.adv_chacha = has_kind(AeadKind::kChaCha20Poly1305);
+  out.adv_ccm = has_kind(AeadKind::kAesCcm);
   if (real_index > 0) {
     const auto rel = [real_index](std::size_t i) {
       return static_cast<double>(i) / static_cast<double>(real_index);

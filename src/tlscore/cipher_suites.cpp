@@ -292,14 +292,46 @@ constexpr CipherSuiteInfo kSuites[] = {
     row(0xff85, "TLS_GOSTR341112_256_WITH_28147_CNT_IMIT", KX::kGost, AU::kGost, BC::kGost28147, MO::kStream, MA::kGostImit, 256),
 };
 
-const std::unordered_map<std::uint16_t, const CipherSuiteInfo*>& id_index() {
-  static const auto* index = [] {
-    auto* m = new std::unordered_map<std::uint16_t, const CipherSuiteInfo*>();
-    m->reserve(std::size(kSuites));
-    for (const auto& s : kSuites) m->emplace(s.id, &s);
-    return m;
-  }();
-  return *index;
+static_assert(std::size(kSuites) < 0xffff, "row numbers must fit a u16");
+
+SuiteTraits traits_of(const CipherSuiteInfo& s) {
+  SuiteTraits t;
+  t.bits = SuiteTraits::kKnown;
+  const auto set = [&t](bool on, std::uint16_t bit) {
+    if (on) t.bits |= bit;
+  };
+  set(s.scsv, SuiteTraits::kScsv);
+  set(is_rc4(s), SuiteTraits::kRc4);
+  set(is_single_des(s), SuiteTraits::kSingleDes);
+  set(is_3des(s), SuiteTraits::k3Des);
+  set(is_aead(s), SuiteTraits::kAead);
+  set(is_cbc(s), SuiteTraits::kCbc);
+  set(is_export(s), SuiteTraits::kExport);
+  set(is_anonymous(s), SuiteTraits::kAnonymous);
+  set(is_null_cipher(s), SuiteTraits::kNullCipher);
+  set(is_forward_secret(s), SuiteTraits::kForwardSecret);
+  t.aead = aead_kind(s);
+  return t;
+}
+
+/// Wire id -> registry row, for all 65,536 ids, plus each row's traits.
+/// Row numbers count from 1; 0 means unregistered, and traits[0] is the
+/// empty word. Static storage, built on first use (128 KiB).
+struct SuiteTable {
+  std::array<std::uint16_t, 0x10000> row{};
+  std::array<SuiteTraits, std::size(kSuites) + 1> traits{};
+
+  SuiteTable() {
+    for (std::size_t i = 0; i < std::size(kSuites); ++i) {
+      row[kSuites[i].id] = static_cast<std::uint16_t>(i + 1);
+      traits[i + 1] = traits_of(kSuites[i]);
+    }
+  }
+};
+
+const SuiteTable& suite_table() {
+  static const SuiteTable table;
+  return table;
 }
 
 const std::unordered_map<std::string_view, const CipherSuiteInfo*>&
@@ -319,9 +351,13 @@ name_index() {
 std::span<const CipherSuiteInfo> all_cipher_suites() { return kSuites; }
 
 const CipherSuiteInfo* find_cipher_suite(std::uint16_t id) {
-  const auto& idx = id_index();
-  const auto it = idx.find(id);
-  return it == idx.end() ? nullptr : it->second;
+  const std::uint16_t row = suite_table().row[id];
+  return row == 0 ? nullptr : &kSuites[row - 1];
+}
+
+SuiteTraits suite_traits(std::uint16_t id) {
+  const auto& table = suite_table();
+  return table.traits[table.row[id]];
 }
 
 const CipherSuiteInfo* find_cipher_suite(std::string_view name) {

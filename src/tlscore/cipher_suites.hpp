@@ -106,7 +106,8 @@ struct CipherSuiteInfo {
 /// All registry entries, ascending by id.
 std::span<const CipherSuiteInfo> all_cipher_suites();
 
-/// Lookup by wire id; nullptr when unknown (GREASE or unregistered).
+/// Lookup by wire id; nullptr when unknown (GREASE or unregistered). One
+/// read of a flat table indexed by the id.
 const CipherSuiteInfo* find_cipher_suite(std::uint16_t id);
 
 /// Lookup by IANA name; nullptr when unknown.
@@ -160,6 +161,30 @@ enum class AeadKind : std::uint8_t {
 inline constexpr std::size_t kAeadKindCount = 6;
 AeadKind aead_kind(const CipherSuiteInfo& s);
 AeadKind aead_kind(std::uint16_t id);
+
+/// Every class above that a hello's suite list is scanned for, as one word
+/// per registry row. The bits are computed once per row from the predicates,
+/// which stay the only definition of each class; an unregistered id (GREASE
+/// included) has no bit set and `aead` kNotAead.
+struct SuiteTraits {
+  static constexpr std::uint16_t kKnown = 1u << 0;
+  static constexpr std::uint16_t kScsv = 1u << 1;
+  static constexpr std::uint16_t kRc4 = 1u << 2;
+  static constexpr std::uint16_t kSingleDes = 1u << 3;
+  static constexpr std::uint16_t k3Des = 1u << 4;
+  static constexpr std::uint16_t kAead = 1u << 5;
+  static constexpr std::uint16_t kCbc = 1u << 6;
+  static constexpr std::uint16_t kExport = 1u << 7;
+  static constexpr std::uint16_t kAnonymous = 1u << 8;
+  static constexpr std::uint16_t kNullCipher = 1u << 9;
+  static constexpr std::uint16_t kForwardSecret = 1u << 10;
+
+  std::uint16_t bits = 0;
+  AeadKind aead = AeadKind::kNotAead;
+};
+/// The traits of `id`'s registry row: the same flat-table read as
+/// find_cipher_suite.
+SuiteTraits suite_traits(std::uint16_t id);
 
 /// Well-known ids used throughout tests, benches and client catalogs.
 namespace suites {

@@ -26,6 +26,66 @@ TEST(Registry, IdLookupConsistent) {
   EXPECT_EQ(find_cipher_suite(std::uint16_t{0xeeee}), nullptr);
 }
 
+TEST(SuiteTable, FlatLookupMatchesLinearSearchForEveryId) {
+  const auto rows = all_cipher_suites();
+  std::size_t registered = 0;
+  for (std::uint32_t wide = 0; wide <= 0xffff; ++wide) {
+    const auto id = static_cast<std::uint16_t>(wide);
+    const CipherSuiteInfo* linear = nullptr;
+    for (const auto& s : rows) {
+      if (s.id == id) {
+        linear = &s;
+        break;
+      }
+    }
+    ASSERT_EQ(find_cipher_suite(id), linear) << "id 0x" << std::hex << id;
+    if (linear != nullptr) ++registered;
+  }
+  EXPECT_EQ(registered, rows.size());
+
+  for (const std::uint16_t grease : {0x0a0a, 0x4a4a, 0xfafa}) {
+    EXPECT_EQ(find_cipher_suite(grease), nullptr);
+  }
+  for (const std::uint16_t unassigned : {0x0a0b, 0x5601, 0xeeee, 0xffff}) {
+    EXPECT_EQ(find_cipher_suite(unassigned), nullptr);
+  }
+  for (const std::uint16_t scsv : {suites::TLS_EMPTY_RENEGOTIATION_INFO_SCSV,
+                                   suites::TLS_FALLBACK_SCSV}) {
+    const auto* row = find_cipher_suite(scsv);
+    ASSERT_NE(row, nullptr);
+    EXPECT_TRUE(row->scsv);
+    EXPECT_EQ(row->id, scsv);
+  }
+}
+
+TEST(SuiteTable, TraitBitsEqualThePredicatesOnEveryRow) {
+  using T = SuiteTraits;
+  for (const auto& s : all_cipher_suites()) {
+    SCOPED_TRACE(std::string(s.name));
+    const SuiteTraits t = suite_traits(s.id);
+    const auto has = [&t](std::uint16_t bit) { return (t.bits & bit) != 0; };
+    EXPECT_TRUE(has(T::kKnown));
+    EXPECT_EQ(has(T::kScsv), s.scsv);
+    EXPECT_EQ(has(T::kRc4), is_rc4(s));
+    EXPECT_EQ(has(T::kSingleDes), is_single_des(s));
+    EXPECT_EQ(has(T::k3Des), is_3des(s));
+    EXPECT_EQ(has(T::kAead), is_aead(s));
+    EXPECT_EQ(has(T::kCbc), is_cbc(s));
+    EXPECT_EQ(has(T::kExport), is_export(s));
+    EXPECT_EQ(has(T::kAnonymous), is_anonymous(s));
+    EXPECT_EQ(has(T::kNullCipher), is_null_cipher(s));
+    EXPECT_EQ(has(T::kForwardSecret), is_forward_secret(s));
+    EXPECT_EQ(t.aead, aead_kind(s));
+  }
+  // Unregistered ids, GREASE among them, carry no bit at all.
+  for (const std::uint16_t id : {0x0a0a, 0xdada, 0x0a0b, 0xeeee}) {
+    EXPECT_EQ(suite_traits(id).bits, 0u);
+    EXPECT_EQ(suite_traits(id).aead, AeadKind::kNotAead);
+  }
+  const auto scsv = suite_traits(suites::TLS_FALLBACK_SCSV);
+  EXPECT_EQ(scsv.bits, T::kKnown | T::kScsv);
+}
+
 TEST(Registry, NameLookupConsistent) {
   for (const auto& s : all_cipher_suites()) {
     const auto* found = find_cipher_suite(s.name);

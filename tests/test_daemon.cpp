@@ -42,6 +42,7 @@
 #include "telemetry/flight.hpp"
 #include "telemetry/metrics.hpp"
 #include "telemetry/stopwatch.hpp"
+#include "tlscore/fnv.hpp"
 #include "wire/buffer.hpp"
 
 namespace {
@@ -60,6 +61,43 @@ using tls::daemon::SensorClient;
 
 std::vector<std::uint8_t> sample_payload() {
   return {0xde, 0xad, 0xbe, 0xef, 0x01};
+}
+
+// ---------------------------------------------------------------------------
+// Shard routing
+// ---------------------------------------------------------------------------
+
+// Pins the routing value on fixed bytes: per-shard arrival order decides
+// the position sums, so a changed route changes the aggregates a
+// multi-shard run reports.
+TEST(DaemonRouting, ShardOfIsFnvOfTheClientRecordModuloShards) {
+  CapturePayload capture;
+  capture.month_index = 24203;
+  const auto client_of_length = [](std::uint8_t n) {
+    std::vector<std::uint8_t> bytes;
+    for (std::uint8_t i = 0; i < n; ++i) bytes.push_back(i);
+    return bytes;
+  };
+  // FNV-1a-64 of the bytes 0, 1, ..., n-1.
+  struct Case {
+    std::uint8_t length;
+    std::uint64_t fnv;
+    std::size_t two, three;
+  };
+  for (const Case c : {Case{1, 0xaf63bd4c8601b7dfULL, 1, 0},
+                       Case{4, 0x4475327f98e05411ULL, 1, 2},
+                       Case{6, 0xa54ac5bf0ea60ddeULL, 0, 1}}) {
+    capture.client = client_of_length(c.length);
+    ASSERT_EQ(tls::core::fnv1a64(capture.client), c.fnv);
+    EXPECT_EQ(tls::daemon::shard_of(capture, 1), 0u);
+    EXPECT_EQ(tls::daemon::shard_of(capture, 2), c.two);
+    EXPECT_EQ(tls::daemon::shard_of(capture, 3), c.three);
+  }
+  // An empty client record (an SSLv2 tally) routes by its month.
+  capture.client.clear();
+  EXPECT_EQ(tls::daemon::shard_of(capture, 1), 0u);
+  EXPECT_EQ(tls::daemon::shard_of(capture, 2), 1u);
+  EXPECT_EQ(tls::daemon::shard_of(capture, 3), 2u);
 }
 
 // ---------------------------------------------------------------------------

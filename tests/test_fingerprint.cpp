@@ -122,6 +122,65 @@ TEST(Fingerprint, MissingGroupsAndFormatsYieldEmptyFields) {
   EXPECT_EQ(fp.canonical(), "5,,,");
 }
 
+TEST(CanonicalWriter, EveryU16RendersAsToString) {
+  Fingerprint fp;
+  std::vector<std::uint16_t> all;
+  std::string joined;
+  for (std::uint32_t v = 0; v <= 0xffff; ++v) {
+    const auto id = static_cast<std::uint16_t>(v);
+    fp.cipher_suites = {id};
+    ASSERT_EQ(fp.canonical(), std::to_string(v) + ",,,");
+    all.push_back(id);
+    if (v != 0) joined.push_back('-');
+    joined += std::to_string(v);
+  }
+  // Every value again, as one list in a middle field.
+  fp.cipher_suites = {5, 10};
+  fp.groups = all;
+  EXPECT_EQ(fp.canonical(), "5-10,," + joined + ",");
+}
+
+TEST(CanonicalWriter, EveryU8PointFormatRendersAsToString) {
+  Fingerprint fp;
+  std::vector<std::uint8_t> all;
+  std::string joined;
+  for (unsigned v = 0; v <= 0xff; ++v) {
+    const auto format = static_cast<std::uint8_t>(v);
+    fp.ec_point_formats = {format};
+    ASSERT_EQ(fp.canonical(), ",,," + std::to_string(v));
+    all.push_back(format);
+    if (v != 0) joined.push_back('-');
+    joined += std::to_string(v);
+  }
+  fp.ec_point_formats = all;
+  EXPECT_EQ(fp.canonical(), ",,," + joined);
+}
+
+TEST(CanonicalWriter, EmptyListsAndAppendingKeepTheirText) {
+  EXPECT_EQ(Fingerprint{}.canonical(), ",,,");
+  Fingerprint fp;
+  fp.cipher_suites = {9, 10, 99, 100, 999, 1000, 9999, 10000, 65535};
+  fp.extensions = {0};
+  fp.ec_point_formats = {0, 1, 2};
+  const std::string text = "9-10-99-100-999-1000-9999-10000-65535,0,,0-1-2";
+  EXPECT_EQ(fp.canonical(), text);
+  // append_canonical keeps what the string already holds.
+  std::string out = "prefix|";
+  fp.append_canonical(out);
+  EXPECT_EQ(out, "prefix|" + text);
+}
+
+TEST(CanonicalWriter, Ja3AndExtendedVersionPrefixes) {
+  auto ch = base_hello();
+  for (const std::uint16_t version : {0, 7, 10, 99, 100, 769, 771, 65535}) {
+    ch.legacy_version = version;
+    const std::string v = std::to_string(version);
+    EXPECT_EQ(ja3_string(ch), v + ",49199-156-53,0-10-11,29-23,0");
+    EXPECT_EQ(extended_fingerprint_string(ch),
+              v + "|49199-156-53,0-10-11,29-23,0|0|");
+  }
+}
+
 TEST(Fingerprint, OffersUsesRegistry) {
   const auto fp = extract_fingerprint(base_hello());
   EXPECT_TRUE(fp.offers(
