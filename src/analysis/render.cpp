@@ -177,7 +177,6 @@ std::string render_recovery_table(const RecoveryReport& report) {
   table.push_back({"tasks skipped", std::to_string(report.tasks_skipped)});
   table.push_back(
       {"tasks recomputed", std::to_string(report.tasks_recomputed)});
-  table.push_back({"stuck reruns", std::to_string(report.stuck_reruns)});
   table.push_back(
       {"groups committed", std::to_string(report.groups_committed)});
   table.push_back({"groups torn", std::to_string(report.groups_torn)});

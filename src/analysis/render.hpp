@@ -69,7 +69,6 @@ struct RecoveryReport {
   std::uint64_t frames_duplicate = 0;  // same (kind, month, slot) twice
   std::uint64_t tasks_skipped = 0;     // satisfied from the journal
   std::uint64_t tasks_recomputed = 0;  // run (fresh, or frame unusable)
-  std::uint64_t stuck_reruns = 0;      // watchdog-discarded shard attempts
   // Group-commit journal accounting.
   std::uint64_t groups_committed = 0;  // checksummed groups written/replayed
   std::uint64_t groups_torn = 0;       // segments with a torn tail

@@ -33,17 +33,16 @@ void write_double(ByteWriter& w, double v) {
   w.u64(std::bit_cast<std::uint64_t>(v));
 }
 
-double read_double(ByteReader& r) { return std::bit_cast<double>(r.u64()); }
-
 }  // namespace
 
 std::uint64_t options_digest(const StudyOptions& options) {
-  // Canonical encoding of every byte-affecting option. Field order is part
-  // of the format: changing it (or what is included) orphans old journals,
-  // which is the safe failure mode. Deliberately absent: the pure
-  // performance toggles (fast_observe, gen_cache, the journal knobs) —
-  // none of them changes an exported byte, so a run may resume with any
-  // of them flipped.
+  // Canonical encoding of every option a passive frame's bytes depend on.
+  // Field order is part of the format: changing it (or what is included)
+  // orphans old journals, which is the safe failure mode. Deliberately
+  // absent: the scan policy (the sweep is recomputed on every run, never
+  // journaled) and the pure performance toggles (fast_observe, gen_cache,
+  // the journal knobs) — none of them changes a journaled byte, so a run
+  // may resume with any of them changed.
   ByteWriter w;
   w.u64(options.seed);
   w.u64(options.connections_per_month);
@@ -60,25 +59,11 @@ std::uint64_t options_digest(const StudyOptions& options) {
     write_double(w, rate);
   }
   w.u64(options.fault_seed);
-  const auto& net = options.scan_policy.network;
-  for (const double v : {net.unreachable, net.timeout, net.reset,
-                         net.flaky_hosts, net.flaky_penalty}) {
-    write_double(w, v);
-  }
-  const auto& retry = options.scan_policy.retry;
-  w.u32(retry.max_attempts);
-  for (const double v : {retry.attempt_timeout_ms, retry.base_backoff_ms,
-                         retry.backoff_factor, retry.jitter,
-                         retry.total_budget_ms}) {
-    write_double(w, v);
-  }
-  w.u64(options.scan_policy.seed);
   w.u64(options.shards_per_month);
   return fnv1a64(w.data());
 }
 
-CheckpointManifest make_manifest(const StudyOptions& options,
-                                 std::size_t scan_segments) {
+CheckpointManifest make_manifest(const StudyOptions& options, std::size_t) {
   CheckpointManifest m;
   m.options_digest = options_digest(options);
   m.seed = options.seed;
@@ -88,10 +73,6 @@ CheckpointManifest make_manifest(const StudyOptions& options,
   m.shards_per_month = static_cast<std::uint32_t>(
       std::max<std::size_t>(1, options.shards_per_month));
   m.connections_per_month = options.connections_per_month;
-  const auto scan = tls::core::censys_window();
-  m.scan_begin = static_cast<std::uint32_t>(scan.begin_month.index());
-  m.scan_end = static_cast<std::uint32_t>(scan.end_month.index());
-  m.scan_segments = static_cast<std::uint32_t>(scan_segments);
   return m;
 }
 
@@ -105,9 +86,6 @@ std::vector<std::uint8_t> encode_manifest(const CheckpointManifest& manifest) {
   w.u32(manifest.window_end);
   w.u32(manifest.shards_per_month);
   w.u64(manifest.connections_per_month);
-  w.u32(manifest.scan_begin);
-  w.u32(manifest.scan_end);
-  w.u32(manifest.scan_segments);
   w.u64(fnv1a64(w.data()));
   return w.take();
 }
@@ -134,9 +112,6 @@ CheckpointManifest decode_manifest(std::span<const std::uint8_t> bytes) {
   m.window_end = r.u32();
   m.shards_per_month = r.u32();
   m.connections_per_month = r.u64();
-  m.scan_begin = r.u32();
-  m.scan_end = r.u32();
-  m.scan_segments = r.u32();
   if (r.u64() != expected) {
     throw ParseError(ParseErrorCode::kBadValue, "manifest checksum");
   }
@@ -178,8 +153,7 @@ DecodedFrame decode_frame(std::span<const std::uint8_t> bytes,
   DecodedFrame frame;
   frame.options_digest = r.u64();
   const std::uint8_t kind = r.u8();
-  if (kind != static_cast<std::uint8_t>(FrameKind::kPassiveShard) &&
-      kind != static_cast<std::uint8_t>(FrameKind::kScanSegment)) {
+  if (kind != static_cast<std::uint8_t>(FrameKind::kPassiveShard)) {
     throw ParseError(ParseErrorCode::kBadValue,
                      "frame kind " + std::to_string(kind));
   }
@@ -201,52 +175,6 @@ DecodedFrame decode_frame(std::span<const std::uint8_t> bytes,
   }
   r.expect_empty("checkpoint frame");
   return frame;
-}
-
-std::vector<std::uint8_t> encode_segment_probe(
-    const tls::scan::SegmentProbe& probe) {
-  ByteWriter w;
-  w.u8(probe.included ? 1 : 0);
-  w.u8(probe.reached ? 1 : 0);
-  w.u8(probe.abandoned ? 1 : 0);
-  write_double(w, probe.weight);
-  w.u64(probe.attempts);
-  w.u64(probe.retries);
-  for (const double v :
-       {probe.ssl3, probe.expo, probe.rc4, probe.cbc, probe.aead, probe.tdes,
-        probe.rc4_support, probe.rc4_only, probe.heartbeat, probe.heartbleed,
-        probe.tls13}) {
-    write_double(w, v);
-  }
-  return w.take();
-}
-
-tls::scan::SegmentProbe decode_segment_probe(
-    std::span<const std::uint8_t> bytes) {
-  ByteReader r(bytes);
-  tls::scan::SegmentProbe probe;
-  const auto read_flag = [&r](const char* what) {
-    const std::uint8_t v = r.u8();
-    if (v > 1) {
-      throw ParseError(ParseErrorCode::kBadValue,
-                       std::string("segment probe ") + what);
-    }
-    return v == 1;
-  };
-  probe.included = read_flag("included");
-  probe.reached = read_flag("reached");
-  probe.abandoned = read_flag("abandoned");
-  probe.weight = read_double(r);
-  probe.attempts = r.u64();
-  probe.retries = r.u64();
-  for (double* v :
-       {&probe.ssl3, &probe.expo, &probe.rc4, &probe.cbc, &probe.aead,
-        &probe.tdes, &probe.rc4_support, &probe.rc4_only, &probe.heartbeat,
-        &probe.heartbleed, &probe.tls13}) {
-    *v = read_double(r);
-  }
-  r.expect_empty("segment probe");
-  return probe;
 }
 
 RunJournal::RunJournal(Config config) : config_(std::move(config)) {

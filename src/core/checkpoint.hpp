@@ -1,7 +1,8 @@
 // Crash-safe checkpoint journal for study runs and the live daemon. Each
-// completed (month, shard) passive task and each (month, segment) scan
-// probe is persisted as one checksummed frame; a manifest pins the run's
-// identity (options digest, seed, shard plan, format version). The daemon
+// completed (month, shard) passive task is persisted as one checksummed
+// frame; a manifest pins the run's identity (options digest, seed, shard
+// plan, format version). The active-scan sweep is not journaled: it is
+// recomputed, in 1-2 ms, on every run. The daemon
 // journals its aggregate epochs through the same class under a manifest of
 // its own, so the two kinds of journal never replay each other's frames.
 // On restart the journal replays: frames that verify are absorbed in plan
@@ -33,7 +34,6 @@
 #include "analysis/render.hpp"
 #include "core/journal.hpp"
 #include "faults/injector.hpp"
-#include "scan/scanner.hpp"
 #include "telemetry/metrics.hpp"
 #include "tlscore/dates.hpp"
 
@@ -43,7 +43,7 @@ struct StudyOptions;
 
 /// Journal wire-format version; manifests and frames carrying any other
 /// value are quarantined (kUnsupported), never migrated in place.
-inline constexpr std::uint32_t kCheckpointFormatVersion = 1;
+inline constexpr std::uint32_t kCheckpointFormatVersion = 2;
 
 /// Default ceiling on a frame's declared payload length. One monitor
 /// snapshot for a tiny shard is a few KiB; a full-catalog shard a few
@@ -62,14 +62,13 @@ enum class JournalMode : std::uint8_t {
 /// What a frame's payload holds.
 enum class FrameKind : std::uint8_t {
   kPassiveShard = 1,  // encode_monitor_state of one (month, shard) monitor
-  kScanSegment = 2,   // encode_segment_probe of one (month, segment) probe
 };
 
 /// Identity of one frame inside a run: which task's result it carries.
 struct FrameHeader {
   FrameKind kind = FrameKind::kPassiveShard;
   std::uint32_t month_index = 0;  // tls::core::Month::index()
-  std::uint32_t slot = 0;         // shard (passive) or segment (scan)
+  std::uint32_t slot = 0;         // shard
 };
 
 /// Everything that pins a journal to one specific run. A manifest whose
@@ -84,24 +83,23 @@ struct CheckpointManifest {
   std::uint32_t window_end = 0;
   std::uint32_t shards_per_month = 0;
   std::uint64_t connections_per_month = 0;
-  std::uint32_t scan_begin = 0;
-  std::uint32_t scan_end = 0;
-  std::uint32_t scan_segments = 0;
 
   friend bool operator==(const CheckpointManifest&,
                          const CheckpointManifest&) = default;
 };
 
-/// FNV-1a-64 digest over the byte-affecting StudyOptions fields only
-/// (seed, traffic volume, window, catalog, fault rates/seeds, scan policy,
-/// shard plan). Checkpoint/thread/cache knobs are excluded: they never
-/// change an exported byte, so flipping them must not orphan a journal.
+/// FNV-1a-64 digest over the StudyOptions fields a journaled frame's bytes
+/// depend on (seed, traffic volume, window, catalog, capture fault rates
+/// and seed, shard plan). The scan policy is excluded because no scan
+/// result is journaled, and the checkpoint/thread/cache knobs because they
+/// never change an exported byte: changing any of them must not orphan a
+/// journal.
 [[nodiscard]] std::uint64_t options_digest(const StudyOptions& options);
 
-/// Builds the manifest describing a run of `options` over a scan grid with
-/// `scan_segments` segments per month.
+/// Builds the manifest describing a run of `options`. The second parameter
+/// is unread. Kept for `perfbench/` until the next `[benchmark]` PR.
 [[nodiscard]] CheckpointManifest make_manifest(const StudyOptions& options,
-                                               std::size_t scan_segments);
+                                               std::size_t = 0);
 
 [[nodiscard]] std::vector<std::uint8_t> encode_manifest(
     const CheckpointManifest& manifest);
@@ -123,20 +121,14 @@ struct DecodedFrame {
 };
 
 /// Verifies and unwraps one frame. Throws tls::wire::ParseError on bad
-/// magic/kind/checksum (kBadValue), foreign format version (kUnsupported),
-/// truncation (kTruncated), trailing bytes (kTrailingBytes), or a declared
-/// payload length above `max_payload` (kBadLength, checked before any
-/// payload allocation). Never reads out of bounds regardless of input.
+/// magic or checksum or a kind other than kPassiveShard (kBadValue),
+/// foreign format version (kUnsupported), truncation (kTruncated),
+/// trailing bytes (kTrailingBytes), or a declared payload length above
+/// `max_payload` (kBadLength, checked before any payload allocation).
+/// Never reads out of bounds regardless of input.
 [[nodiscard]] DecodedFrame decode_frame(
     std::span<const std::uint8_t> bytes,
     std::uint32_t max_payload = kDefaultMaxFramePayload);
-
-/// Scan-probe payload codec; doubles are bit-cast so replayed probes fold
-/// to bit-identical snapshots.
-[[nodiscard]] std::vector<std::uint8_t> encode_segment_probe(
-    const tls::scan::SegmentProbe& probe);
-[[nodiscard]] tls::scan::SegmentProbe decode_segment_probe(
-    std::span<const std::uint8_t> bytes);
 
 /// The on-disk run journal. Construction replays whatever the directory
 /// holds (see Config::resume); append() persists one completed task.

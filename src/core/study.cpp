@@ -1,7 +1,6 @@
 #include "core/study.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <filesystem>
 
 #include "analysis/csv.hpp"
@@ -32,17 +31,8 @@ LongitudinalStudy::LongitudinalStudy(StudyOptions options)
       std::make_unique<tls::scan::ActiveScanner>(servers_, options_.scan_policy);
 }
 
-namespace {
-
-/// Internal watchdog signal: the shard blew its per-task deadline. Thrown
-/// from the generator sink and caught inside the same pool task — it must
-/// never escape into the ThreadPool, which would rethrow it from run().
-struct StuckShardError {};
-
-}  // namespace
-
-void LongitudinalStudy::ensure_journal() {
-  if (journal_ != nullptr || options_.checkpoint_dir.empty()) return;
+void LongitudinalStudy::open_journal() {
+  if (options_.checkpoint_dir.empty()) return;
   if (options_.checkpoint_faults.frame_total() +
           options_.checkpoint_faults.group_total() >
       0) {
@@ -52,7 +42,7 @@ void LongitudinalStudy::ensure_journal() {
   RunJournal::Config config;
   config.directory = options_.checkpoint_dir;
   config.resume = options_.resume;
-  config.manifest = make_manifest(options_, servers_.segments().size());
+  config.manifest = make_manifest(options_);
   config.frame_faults = frame_injector_.get();
   config.kill_after_frames = options_.checkpoint_kill_after_frames;
   config.term_after_frames = options_.checkpoint_term_after_frames;
@@ -75,7 +65,6 @@ void LongitudinalStudy::drain_checkpoint() {
 tls::analysis::RecoveryReport LongitudinalStudy::recovery() const {
   tls::analysis::RecoveryReport report;
   if (journal_ != nullptr) report = journal_->snapshot_report();
-  report.stuck_reruns = stuck_reruns_.load();
   // Checkpoint frames persist monitor state (including taxonomy stats)
   // but not the telemetry registry: after a resume the phase timings and
   // fault-trigger counters cover only the recomputed tasks.
@@ -96,76 +85,52 @@ tls::population::TrafficGenerator& LongitudinalStudy::worker_generator() {
 
 std::unique_ptr<tls::notary::PassiveMonitor> LongitudinalStudy::compute_shard(
     Month month, std::size_t shard, std::size_t count, TaskStamps& stamps) {
-  const bool faulty = options_.faults.total() > 0;
   const auto lane = static_cast<std::uint64_t>(month.index());
-  // Each attempt rebuilds monitor, injector and generator from their seeds,
-  // so a watchdog rerun consumes exactly the streams the discarded attempt
-  // did — determinism survives the discard.
-  const auto attempt = [&](bool enforce_deadline) {
-    auto mon = std::make_unique<tls::notary::PassiveMonitor>(&database_);
-    mon->set_fast_observe(options_.fast_observe);
-    std::unique_ptr<tls::faults::FaultInjector> injector;
-    if (faulty) {
-      injector = std::make_unique<tls::faults::FaultInjector>(
-          options_.faults,
-          tls::core::rng_stream_seed(options_.fault_seed, lane, shard));
-      mon->set_fault_injector(injector.get());
-    }
-    // Worker-local generator, re-seeded per task: every cache it carries
-    // is a pure function of the models, so the stream (and every exported
-    // byte) is identical to a freshly constructed generator's — but the
-    // gen-cache templates compile once per worker instead of once per task.
-    tls::population::TrafficGenerator& gen = worker_generator();
-    gen.set_gen_cache(options_.gen_cache);
-    gen.reseed(tls::core::rng_stream_seed(options_.seed, lane, shard));
-    const auto gen_before = gen.gen_cache_stats();
-    const auto deadline =
-        std::chrono::steady_clock::now() +
-        std::chrono::microseconds(options_.task_deadline_us);
-    const tls::telemetry::Stopwatch task_watch;
-    std::uint64_t observe_us = 0;
-    // Batched hand-off: one virtual-call boundary per 256 events instead of
-    // per event; the generator's RNG stream is unchanged. The watchdog
-    // piggybacks on the same boundary — a cooperative check per batch.
-    gen.generate_month_batched(
-        month, count, 256,
-        [&](std::span<const tls::population::ConnectionEvent> events) {
-          if (enforce_deadline &&
-              std::chrono::steady_clock::now() >= deadline) {
-            throw StuckShardError{};
-          }
-          const tls::telemetry::Stopwatch sw;
-          mon->observe_span(events);
-          observe_us += sw.elapsed_us();
-        });
-    mon->set_fault_injector(nullptr);
-    // Only a finished attempt stamps, so a discarded one counts nothing.
-    const std::uint64_t total_us = task_watch.elapsed_us();
-    stamps.computed = true;
-    stamps.start_us = task_watch.start_us();
-    stamps.generate_us = total_us > observe_us ? total_us - observe_us : 0;
-    stamps.observe_us = observe_us;
-    // Deltas against the task-start snapshot: the worker generator's cache
-    // (and its stats) persists across tasks.
-    const auto& gs = gen.gen_cache_stats();
-    stamps.gen = {gs.template_hits - gen_before.template_hits,
-                  gs.template_misses - gen_before.template_misses,
-                  gs.bypasses - gen_before.bypasses,
-                  gs.plan_hits - gen_before.plan_hits,
-                  gs.plan_misses - gen_before.plan_misses,
-                  gs.template_bytes - gen_before.template_bytes};
-    if (injector != nullptr) stamps.faults = injector->stats().applied;
-    return mon;
-  };
-  if (options_.task_deadline_us == 0) return attempt(false);
-  try {
-    return attempt(true);
-  } catch (const StuckShardError&) {
-    // Over budget: discard the partial shard and re-run once without a
-    // deadline so a genuinely slow machine still completes (and report it).
-    stuck_reruns_.fetch_add(1);
-    return attempt(false);
+  auto mon = std::make_unique<tls::notary::PassiveMonitor>(&database_);
+  mon->set_fast_observe(options_.fast_observe);
+  std::unique_ptr<tls::faults::FaultInjector> injector;
+  if (options_.faults.total() > 0) {
+    injector = std::make_unique<tls::faults::FaultInjector>(
+        options_.faults,
+        tls::core::rng_stream_seed(options_.fault_seed, lane, shard));
+    mon->set_fault_injector(injector.get());
   }
+  // Worker-local generator, re-seeded per task: every cache it carries
+  // is a pure function of the models, so the stream (and every exported
+  // byte) is identical to a freshly constructed generator's — but the
+  // gen-cache templates compile once per worker instead of once per task.
+  tls::population::TrafficGenerator& gen = worker_generator();
+  gen.set_gen_cache(options_.gen_cache);
+  gen.reseed(tls::core::rng_stream_seed(options_.seed, lane, shard));
+  const auto gen_before = gen.gen_cache_stats();
+  const tls::telemetry::Stopwatch task_watch;
+  std::uint64_t observe_us = 0;
+  // Batched hand-off: one virtual-call boundary per 256 events instead of
+  // per event; the generator's RNG stream is unchanged.
+  gen.generate_month_batched(
+      month, count, 256,
+      [&](std::span<const tls::population::ConnectionEvent> events) {
+        const tls::telemetry::Stopwatch sw;
+        mon->observe_span(events);
+        observe_us += sw.elapsed_us();
+      });
+  mon->set_fault_injector(nullptr);
+  const std::uint64_t total_us = task_watch.elapsed_us();
+  stamps.computed = true;
+  stamps.start_us = task_watch.start_us();
+  stamps.generate_us = total_us > observe_us ? total_us - observe_us : 0;
+  stamps.observe_us = observe_us;
+  // Deltas against the task-start snapshot: the worker generator's cache
+  // (and its stats) persists across tasks.
+  const auto& gs = gen.gen_cache_stats();
+  stamps.gen = {gs.template_hits - gen_before.template_hits,
+                gs.template_misses - gen_before.template_misses,
+                gs.bypasses - gen_before.bypasses,
+                gs.plan_hits - gen_before.plan_hits,
+                gs.plan_misses - gen_before.plan_misses,
+                gs.template_bytes - gen_before.template_bytes};
+  if (injector != nullptr) stamps.faults = injector->stats().applied;
+  return mon;
 }
 
 void LongitudinalStudy::fold_task(Month month, std::size_t shard,
@@ -309,7 +274,7 @@ void LongitudinalStudy::run() {
     }
   }
 
-  ensure_journal();
+  open_journal();
   std::vector<std::unique_ptr<tls::notary::PassiveMonitor>> shard_monitors(
       tasks.size());
   std::vector<TaskStamps> stamps(tasks.size());
@@ -424,7 +389,7 @@ void LongitudinalStudy::collect_run_metrics(const tls::core::ThreadPool& pool) {
                "Connections within the fingerprint-feature window")
       .value = monitor_->fingerprintable_connections();
 
-  // ---- pool + watchdog accounting (wall-clock / schedule dependent) ----
+  // ---- pool accounting (wall-clock / schedule dependent) ----
   const auto ps = pool.stats();
   metrics_
       .counter("tls_repro_pool_tasks_total", "",
@@ -443,11 +408,6 @@ void LongitudinalStudy::collect_run_metrics(const tls::core::ThreadPool& pool) {
              "Threads that run tasks: the workers plus the draining caller",
              /*timing=*/true)
       .set(pool.size() + 1);
-  metrics_
-      .counter("tls_repro_watchdog_stuck_reruns_total", "",
-               "Shard attempts discarded by the stuck-shard watchdog",
-               /*timing=*/true)
-      .value = stuck_reruns_.load();
 
   // ---- journal health (writer histograms, IO taxonomy, torn bytes) ----
   if (journal_ != nullptr) journal_->collect_metrics(metrics_);
@@ -546,74 +506,37 @@ std::vector<std::string> LongitudinalStudy::export_figures(
   }
   const auto scan_path =
       (std::filesystem::path(directory) / "censys_scans.csv").string();
-  // One probe per (month, segment) on the pool, folded in plan order:
-  // the same bytes as the serial scan_range at any thread count. With a
-  // journal, a verified frame replaces a probe and a computed probe is
-  // appended; the fold is the same either way.
-  tls::core::ThreadPool pool(options_.threads);
+  // One serial probe per (month, segment), in plan order. The whole sweep
+  // takes 1-2 ms, so neither a worker pool nor a journal frame per probe
+  // pays for itself (DESIGN.md §11): it is recomputed on every run,
+  // resumed or not.
   tls::telemetry::Span sweep_span(trace_, "scan_sweep", "scan", 0);
   const auto range = tls::core::censys_window();
-  ensure_journal();
-  const auto n_months = static_cast<std::size_t>(range.size());
   const std::size_t n_segments = servers_.segments().size();
-  std::vector<tls::scan::SegmentProbe> probes(n_months * n_segments);
-  struct ProbeStamp {
-    bool probed = false;
-    std::uint64_t start_us = 0;
-    std::uint64_t us = 0;
-  };
-  std::vector<ProbeStamp> probe_stamps(probes.size());
-  pool.run(probes.size(), [&](std::size_t i) {
-    const Month month = range.begin_month + static_cast<int>(i / n_segments);
-    const std::size_t si = i % n_segments;
-    const auto month_index = static_cast<std::uint32_t>(month.index());
-    const auto slot = static_cast<std::uint32_t>(si);
-    if (journal_ != nullptr) {
-      if (const auto* payload =
-              journal_->replayed(FrameKind::kScanSegment, month_index, slot)) {
-        try {
-          probes[i] = decode_segment_probe(*payload);
-          journal_->note_task(true);
-          return;
-        } catch (const tls::wire::ParseError&) {
-          journal_->invalidate(FrameKind::kScanSegment, month_index, slot);
-        }
-      }
-    }
-    const tls::telemetry::Stopwatch sw;
-    probes[i] = scanner_->probe_segment(month, si, /*by_traffic=*/false);
-    probe_stamps[i] = {true, sw.start_us(), sw.elapsed_us()};
-    if (journal_ != nullptr) {
-      journal_->append(FrameKind::kScanSegment, month_index, slot,
-                       encode_segment_probe(probes[i]));
-      journal_->note_task(false);
-    }
-  });
-  if (journal_ != nullptr) journal_->flush();  // durable before folding
+  std::vector<tls::scan::SegmentProbe> probes;
+  probes.reserve(static_cast<std::size_t>(range.size()) * n_segments);
   auto& probe_us = metrics_.histogram(
       "tls_repro_scan_probe_us", tls::telemetry::wide_latency_buckets_us(),
       "", "Active-scan segment probe time per (month, segment)");
-  for (std::size_t i = 0; i < probes.size(); ++i) {
-    const auto& ps = probe_stamps[i];
-    if (!ps.probed) continue;
-    probe_us.record(ps.us);
-    const Month month = range.begin_month + static_cast<int>(i / n_segments);
-    trace_.add({"scan_probe",
-                "scan",
-                ps.start_us,
-                ps.us,
-                static_cast<std::uint32_t>(i + 1),
-                {{"month", static_cast<std::uint64_t>(month.index())},
-                 {"segment", i % n_segments}}});
+  for (Month month = range.begin_month; month <= range.end_month; ++month) {
+    for (std::size_t si = 0; si < n_segments; ++si) {
+      const tls::telemetry::Stopwatch sw;
+      probes.push_back(
+          scanner_->probe_segment(month, si, /*by_traffic=*/false));
+      const std::uint64_t us = sw.elapsed_us();
+      probe_us.record(us);
+      trace_.add({"scan_probe",
+                  "scan",
+                  sw.start_us(),
+                  us,
+                  static_cast<std::uint32_t>(probes.size()),
+                  {{"month", static_cast<std::uint64_t>(month.index())},
+                   {"segment", si}}});
+    }
   }
   tls::analysis::write_scan_csv_file(scan_path,
-                                     scanner().fold_range(range, probes));
+                                     scanner_->fold_range(range, probes));
   sweep_span.close();
-  // Fold this pool's accounting on top of run()'s (counter add).
-  const auto ps = pool.stats();
-  metrics_.counter("tls_repro_pool_tasks_total").add(ps.tasks);
-  metrics_.counter("tls_repro_pool_busy_us", "", "", true).add(ps.busy_us);
-  metrics_.counter("tls_repro_pool_wall_us", "", "", true).add(ps.wall_us);
   written.push_back(scan_path);
   return written;
 }

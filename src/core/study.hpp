@@ -84,11 +84,6 @@ struct StudyOptions {
   /// Replay a compatible journal found in checkpoint_dir instead of wiping
   /// it. Frames that fail verification are quarantined and recomputed.
   bool resume = false;
-  /// Cooperative stuck-shard watchdog: a passive shard task exceeding this
-  /// budget (microseconds of wall clock) is discarded mid-generation and
-  /// re-run once from scratch; the rerun is exempt so a slow machine can
-  /// still finish. 0 disables.
-  std::uint64_t task_deadline_us = 0;
   /// Chaos tap for the journal itself (frame_* rates): soak-tests the
   /// torn/corrupt/duplicate recovery paths. All-zero (default) keeps the
   /// journal bytes pristine.
@@ -137,8 +132,8 @@ class LongitudinalStudy {
   }
   [[nodiscard]] const StudyOptions& options() const { return options_; }
 
-  /// Journal replay + watchdog accounting for the last run()/export. All
-  /// zeros (resumed=false) when checkpointing is disabled.
+  /// Journal replay accounting for the last run(). All zeros
+  /// (resumed=false) when checkpointing is disabled.
   [[nodiscard]] tls::analysis::RecoveryReport recovery() const;
 
   /// Blocks until every checkpoint frame appended so far is durable:
@@ -201,7 +196,6 @@ class LongitudinalStudy {
   /// edge to the run() thread that constructed it.
   std::atomic<RunJournal*> drain_journal_{nullptr};
   std::unique_ptr<tls::faults::FaultInjector> frame_injector_;
-  std::atomic<std::uint64_t> stuck_reruns_{0};
   /// One TrafficGenerator per worker thread, reused (re-seeded) across
   /// shard tasks so the gen-cache templates compile once per worker, not
   /// once per task. Guarded by worker_gen_mutex_ for slot creation; each
@@ -239,14 +233,13 @@ class LongitudinalStudy {
     std::array<std::uint64_t, tls::faults::kFaultKindCount> faults{};
   };
 
-  /// Lazily opens (and replays) the journal; no-op without checkpoint_dir.
-  void ensure_journal();
+  /// Opens (and replays) the journal; no-op without checkpoint_dir.
+  void open_journal();
   /// Returns this worker thread's reusable generator (created on first
   /// use). Callers must reseed() it before generating.
   tls::population::TrafficGenerator& worker_generator();
-  /// One passive (month, shard) task under the watchdog; returns the
-  /// shard's monitor (rerun once if the first attempt blows the deadline).
-  /// `stamps` receives the successful attempt's timings and counts.
+  /// Generates and observes one passive (month, shard) task; returns the
+  /// shard's monitor. `stamps` receives the task's timings and counts.
   std::unique_ptr<tls::notary::PassiveMonitor> compute_shard(
       tls::core::Month month, std::size_t shard, std::size_t count,
       TaskStamps& stamps);

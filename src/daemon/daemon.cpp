@@ -36,11 +36,6 @@ std::uint64_t now_us() {
 
 std::uint64_t now_ms() { return now_us() / 1000; }
 
-tls::core::Month month_from_index(std::uint32_t index) {
-  return tls::core::Month(static_cast<int>(index / 12),
-                          static_cast<int>(index % 12) + 1);
-}
-
 /// Stage timeline vocabulary (DESIGN.md §17). The ISSUE's "journal-enqueue"
 /// edge is `complete` here: the daemon journals aggregate epochs rather
 /// than individual frames, so the edge a frame crosses after observe is
@@ -915,7 +910,7 @@ void NotaryDaemon::worker_loop(std::size_t shard_index) {
         std::this_thread::sleep_for(
             std::chrono::microseconds(config_.observe_delay_us_for_test));
       }
-      const auto month = month_from_index(job.capture.month_index);
+      const auto month = tls::core::month_from_index(job.capture.month_index);
       {
         std::lock_guard<std::mutex> lock(shard.monitor_mutex);
         if (job.capture.sslv2) {
@@ -1055,7 +1050,7 @@ void NotaryDaemon::handle_capture(Connection& conn,
     return;
   }
   const std::uint64_t decode_us = now_us();
-  conn.last_month = month_from_index(scratch_.month_index);
+  conn.last_month = tls::core::month_from_index(scratch_.month_index);
   const std::size_t shard_index = shard_of(scratch_, shards_.size());
   auto& shard = *shards_[shard_index];
   bool admitted = false;
@@ -1227,7 +1222,6 @@ void NotaryDaemon::sweep_idle(std::uint64_t now) {
 
 void NotaryDaemon::event_loop() {
   event_cpu_->begin();
-  bool draining = false;
   std::vector<pollfd> pfds;
   std::vector<std::uint64_t> pfd_conn;
   for (;;) {
@@ -1235,17 +1229,15 @@ void NotaryDaemon::event_loop() {
     pfd_conn.clear();
     pfds.push_back({wake_rx_, POLLIN, 0});
     pfd_conn.push_back(0);
-    if (!draining && listen_fd_ >= 0) {
+    if (listen_fd_ >= 0) {
       pfds.push_back({listen_fd_, POLLIN, 0});
       pfd_conn.push_back(0);
     }
-    if (!draining) {
-      for (auto& [id, conn] : conns_) {
-        short events = POLLIN;
-        if (!conn->outbound.empty()) events |= POLLOUT;
-        pfds.push_back({conn->fd, events, 0});
-        pfd_conn.push_back(id);
-      }
+    for (auto& [id, conn] : conns_) {
+      short events = POLLIN;
+      if (!conn->outbound.empty()) events |= POLLOUT;
+      pfds.push_back({conn->fd, events, 0});
+      pfd_conn.push_back(id);
     }
     ::poll(pfds.data(), static_cast<nfds_t>(pfds.size()), 50);
     loop_iterations_.fetch_add(1, std::memory_order_relaxed);
@@ -1258,33 +1250,31 @@ void NotaryDaemon::event_loop() {
     drain_completions();
 
     std::size_t index = 1;
-    if (!draining && listen_fd_ >= 0) {
+    if (listen_fd_ >= 0) {
       if (pfds[index].revents & POLLIN) accept_ready();
       ++index;
     }
-    if (!draining) {
-      for (; index < pfds.size(); ++index) {
-        const std::uint64_t id = pfd_conn[index];
-        auto it = conns_.find(id);
-        if (it == conns_.end()) continue;
-        auto& conn = *it->second;
-        const short re = pfds[index].revents;
-        if (re & (POLLERR | POLLHUP | POLLNVAL)) {
-          close_connection(id);
-          continue;
-        }
-        if ((re & POLLOUT) && !flush_outbound(conn)) {
-          close_connection(id);
-          continue;
-        }
-        if ((re & POLLIN) && !read_ready(conn)) {
-          close_connection(id);
-          continue;
-        }
+    for (; index < pfds.size(); ++index) {
+      const std::uint64_t id = pfd_conn[index];
+      auto it = conns_.find(id);
+      if (it == conns_.end()) continue;
+      auto& conn = *it->second;
+      const short re = pfds[index].revents;
+      if (re & (POLLERR | POLLHUP | POLLNVAL)) {
+        close_connection(id);
+        continue;
       }
-      drain_completions();
-      sweep_idle(now_ms());
+      if ((re & POLLOUT) && !flush_outbound(conn)) {
+        close_connection(id);
+        continue;
+      }
+      if ((re & POLLIN) && !read_ready(conn)) {
+        close_connection(id);
+        continue;
+      }
     }
+    drain_completions();
+    sweep_idle(now_ms());
 
     const std::uint64_t now = now_ms();
     sample_gauges(now);
@@ -1311,29 +1301,24 @@ void NotaryDaemon::event_loop() {
       }
     }
 
-    if (!draining && stop_requested_.load(std::memory_order_acquire)) {
-      draining = true;
-      flight(0, tls::telemetry::FlightEventKind::kDrainStart, 0, 0);
-      if (listen_fd_ >= 0) {
-        ::close(listen_fd_);
-        listen_fd_ = -1;
-      }
-      // Admission stops here; already-admitted work drains below. The
-      // sockets close now — sensors reconnect after the restart.
-      std::vector<std::uint64_t> ids;
-      ids.reserve(conns_.size());
-      for (auto& [id, conn] : conns_) ids.push_back(id);
-      for (const auto id : ids) close_connection(id);
-    }
-    if (draining) {
-      const auto admitted =
-          counters_->admitted.load(std::memory_order_relaxed);
-      const auto ingested =
-          counters_->ingested.load(std::memory_order_relaxed);
-      if (admitted == ingested) break;
-    }
+    if (stop_requested_.load(std::memory_order_acquire)) break;
   }
 
+  // Drain. Admission stops here: the listener and the sockets close now,
+  // and sensors reconnect after the restart.
+  flight(0, tls::telemetry::FlightEventKind::kDrainStart, 0, 0);
+  if (listen_fd_ >= 0) {
+    ::close(listen_fd_);
+    listen_fd_ = -1;
+  }
+  std::vector<std::uint64_t> ids;
+  ids.reserve(conns_.size());
+  for (auto& [id, conn] : conns_) ids.push_back(id);
+  for (const auto id : ids) close_connection(id);
+  // A worker observes everything still queued before it exits, so once
+  // the joins return every admitted capture is ingested. No wakeup is
+  // waited on: the stop notify below reaches each worker even if an
+  // admission notify was lost.
   workers_stop_.store(true, std::memory_order_release);
   for (auto& shard : shards_) {
     // Pass through the queue lock: a worker that checked the predicate
@@ -1343,6 +1328,9 @@ void NotaryDaemon::event_loop() {
   }
   for (auto& worker : workers_) worker.join();
   workers_.clear();
+  // The last batches' completions: their stage telemetry is recorded here
+  // (their connections are gone, so no credit is granted).
+  drain_completions();
 
   if (journal_) checkpoint_epoch();
   write_snapshot_files();

@@ -144,6 +144,12 @@ void decode_capture_into(std::span<const std::uint8_t> payload,
                          CapturePayload& capture) {
   tls::wire::ByteReader r(payload);
   capture.month_index = r.u32();
+  if (capture.month_index > tls::core::kMaxMonthIndex) {
+    // The snapshot codec refuses such an index, so observing it would make
+    // every later checkpoint of the aggregate undecodable.
+    throw tls::wire::ParseError(tls::wire::ParseErrorCode::kBadValue,
+                                "capture: month index out of range");
+  }
   const int year = static_cast<int>(r.u16());
   const int month = static_cast<int>(r.u8());
   const int day = static_cast<int>(r.u8());

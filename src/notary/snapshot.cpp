@@ -20,20 +20,13 @@ using tls::wire::ParseErrorCode;
 constexpr std::uint8_t kSoftwareClassCount = 9;
 // Rejects month indices outside any plausible study window before they
 // turn into absurd map keys.
-constexpr std::uint32_t kMaxMonthIndex = 12u * 3000u;
-
 std::uint32_t checked_month_index(ByteReader& r) {
   const std::uint32_t index = r.u32();
-  if (index > kMaxMonthIndex) {
+  if (index > tls::core::kMaxMonthIndex) {
     throw ParseError(ParseErrorCode::kBadValue,
                      "snapshot month index " + std::to_string(index));
   }
   return index;
-}
-
-tls::core::Month month_from_index(std::uint32_t index) {
-  return tls::core::Month(static_cast<int>(index / 12),
-                          static_cast<int>(index % 12) + 1);
 }
 
 template <typename Enum>
@@ -249,7 +242,7 @@ struct MonitorSnapshotCodec {
     PassiveMonitor mon(database);
 
     for (std::uint32_t i = r.u32(); i > 0; --i) {
-      const auto m = month_from_index(checked_month_index(r));
+      const auto m = tls::core::month_from_index(checked_month_index(r));
       decode_stats(r, mon.months_[m]);
     }
 
@@ -291,7 +284,7 @@ struct MonitorSnapshotCodec {
           checked_enum<IngestStage>(r, kIngestStageCount, "ingest stage");
       const auto code = checked_enum<ParseErrorCode>(
           r, tls::wire::kParseErrorCodeCount, "parse error code");
-      const auto m = month_from_index(checked_month_index(r));
+      const auto m = tls::core::month_from_index(checked_month_index(r));
       const auto prefix = r.length_prefixed_u8();
       mon.quarantine_.push(stage, code, m, prefix);
     }

@@ -98,6 +98,10 @@ std::string Month::to_string() const {
   return buf;
 }
 
+Month month_from_index(std::uint32_t index) {
+  return Month(static_cast<int>(index / 12), static_cast<int>(index % 12) + 1);
+}
+
 MonthRange notary_window() { return {Month(2012, 2), Month(2018, 4)}; }
 MonthRange censys_window() { return {Month(2015, 8), Month(2018, 5)}; }
 

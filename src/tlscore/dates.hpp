@@ -75,6 +75,15 @@ class Month {
   int index_ = 1970 * 12;
 };
 
+/// The largest month index a decoder accepts (the year 3000). Anything
+/// above is a corrupt or hostile field, not a month of any study window;
+/// the bound also keeps year * 12 inside an int.
+inline constexpr std::uint32_t kMaxMonthIndex = 12u * 3000u;
+
+/// The Month whose index() is `index`. `index` must not exceed
+/// kMaxMonthIndex; decoders check it before calling this.
+Month month_from_index(std::uint32_t index);
+
 /// Inclusive month range [begin, end]; iterable in for-loops via months().
 struct MonthRange {
   Month begin_month;

@@ -7,9 +7,8 @@
 // byte-compared against an uninterrupted reference at multiple thread
 // counts and fault rates.
 //
-// Also covered in-process: frame/manifest/probe codecs, the options
-// digest, journal replay/quarantine mechanics, frame-fault soak, and the
-// stuck-shard watchdog.
+// Also covered in-process: frame/manifest codecs, the options digest,
+// journal replay/quarantine mechanics, and the frame-fault soak.
 #include <gtest/gtest.h>
 
 #include <sys/wait.h>
@@ -247,11 +246,11 @@ int spawn_child(const std::string& ckpt, const std::string& out,
 
 TEST(CheckpointCodec, FrameRoundTrip) {
   const std::vector<std::uint8_t> payload = {1, 2, 3, 250, 0, 77};
-  const FrameHeader header{FrameKind::kScanSegment, 24184u, 3u};
+  const FrameHeader header{FrameKind::kPassiveShard, 24184u, 3u};
   const auto bytes = tls::study::encode_frame(0xdeadbeefcafe1234ull, header,
                                               payload);
   const auto frame = tls::study::decode_frame(bytes);
-  EXPECT_EQ(frame.header.kind, FrameKind::kScanSegment);
+  EXPECT_EQ(frame.header.kind, FrameKind::kPassiveShard);
   EXPECT_EQ(frame.header.month_index, 24184u);
   EXPECT_EQ(frame.header.slot, 3u);
   EXPECT_EQ(frame.options_digest, 0xdeadbeefcafe1234ull);
@@ -259,6 +258,21 @@ TEST(CheckpointCodec, FrameRoundTrip) {
   // Empty payloads are legal frames.
   const auto empty = tls::study::encode_frame(1, {}, {});
   EXPECT_TRUE(tls::study::decode_frame(empty).payload.empty());
+}
+
+TEST(CheckpointCodec, OnlyPassiveShardFramesDecode) {
+  // Kind 2 held a scan-segment probe in format 1. A checksum-valid frame of
+  // any kind but kPassiveShard is refused as a bad value.
+  for (const std::uint8_t kind : {0, 2, 255}) {
+    const auto bytes = tls::study::encode_frame(
+        42, {static_cast<FrameKind>(kind), 10, 2}, Bytes(8, 0x11));
+    try {
+      (void)tls::study::decode_frame(bytes);
+      FAIL() << "frame kind " << int{kind} << " must throw";
+    } catch (const ParseError& e) {
+      EXPECT_EQ(e.code(), tls::wire::ParseErrorCode::kBadValue);
+    }
+  }
 }
 
 TEST(CheckpointCodec, FrameTamperingIsAlwaysDetected) {
@@ -323,9 +337,6 @@ TEST(CheckpointCodec, ManifestRoundTripAndVersionGate) {
   m.window_end = 24185;
   m.shards_per_month = 8;
   m.connections_per_month = 1200;
-  m.scan_begin = 24187;
-  m.scan_end = 24220;
-  m.scan_segments = 6;
   const auto bytes = tls::study::encode_manifest(m);
   EXPECT_EQ(tls::study::decode_manifest(bytes), m);
 
@@ -338,54 +349,6 @@ TEST(CheckpointCodec, ManifestRoundTripAndVersionGate) {
   EXPECT_THROW((void)tls::study::decode_manifest(
                    tls::study::encode_manifest(foreign)),
                ParseError);
-}
-
-TEST(CheckpointCodec, SegmentProbeRoundTripIsBitExact) {
-  tls::scan::SegmentProbe p;
-  p.included = true;
-  p.reached = true;
-  p.abandoned = false;
-  p.weight = 0.12345678901234567;  // exercises full double precision
-  p.attempts = 17;
-  p.retries = 4;
-  p.ssl3 = 0.25;
-  p.expo = 1e-9;
-  p.rc4 = 0.5;
-  p.cbc = 0.75;
-  p.aead = 0.125;
-  p.tdes = 0.0625;
-  p.rc4_support = 0.3;
-  p.rc4_only = 0.01;
-  p.heartbeat = 0.6;
-  p.heartbleed = 0.07;
-  p.tls13 = 0.001;
-  const auto bytes = tls::study::encode_segment_probe(p);
-  const auto back = tls::study::decode_segment_probe(bytes);
-  EXPECT_EQ(back.included, p.included);
-  EXPECT_EQ(back.reached, p.reached);
-  EXPECT_EQ(back.abandoned, p.abandoned);
-  EXPECT_EQ(back.weight, p.weight);  // bit-exact, not approximate
-  EXPECT_EQ(back.attempts, p.attempts);
-  EXPECT_EQ(back.retries, p.retries);
-  EXPECT_EQ(back.ssl3, p.ssl3);
-  EXPECT_EQ(back.expo, p.expo);
-  EXPECT_EQ(back.rc4, p.rc4);
-  EXPECT_EQ(back.cbc, p.cbc);
-  EXPECT_EQ(back.aead, p.aead);
-  EXPECT_EQ(back.tdes, p.tdes);
-  EXPECT_EQ(back.rc4_support, p.rc4_support);
-  EXPECT_EQ(back.rc4_only, p.rc4_only);
-  EXPECT_EQ(back.heartbeat, p.heartbeat);
-  EXPECT_EQ(back.heartbleed, p.heartbleed);
-  EXPECT_EQ(back.tls13, p.tls13);
-
-  for (std::size_t len = 0; len < bytes.size(); ++len) {
-    EXPECT_THROW((void)tls::study::decode_segment_probe({bytes.data(), len}),
-                 ParseError);
-  }
-  auto bad_flag = bytes;
-  bad_flag[0] = 2;  // bools must be 0/1
-  EXPECT_THROW((void)tls::study::decode_segment_probe(bad_flag), ParseError);
 }
 
 TEST(CheckpointCodec, OptionsDigestTracksByteAffectingFieldsOnly) {
@@ -415,17 +378,17 @@ TEST(CheckpointCodec, OptionsDigestTracksByteAffectingFieldsOnly) {
   o = base;
   o.shards_per_month = 4;
   EXPECT_NE(tls::study::options_digest(o), digest);
-  o = base;
-  o.scan_policy.retry.max_attempts += 1;
-  EXPECT_NE(tls::study::options_digest(o), digest);
 
-  // Pure accelerator / checkpoint knobs must NOT orphan a journal.
+  // Pure accelerator / checkpoint knobs must NOT orphan a journal, and
+  // neither may the scan policy: no scan result is journaled.
   o = base;
   o.threads = 8;
   o.fast_observe = false;
   o.checkpoint_dir = "/anywhere";
   o.resume = true;
-  o.task_deadline_us = 12345;
+  o.scan_policy.retry.max_attempts += 1;
+  o.scan_policy.network.timeout = 0.25;
+  o.scan_policy.seed ^= 1;
   o.checkpoint_faults = tls::faults::FaultConfig::frames_only(0.5);
   o.checkpoint_fault_seed ^= 1;
   o.checkpoint_kill_after_frames = 3;
@@ -447,7 +410,7 @@ TEST(RunJournal, AppendThenResumeReplaysVerifiedFrames) {
   {
     RunJournal journal({dir.string(), /*resume=*/false, manifest});
     journal.append(FrameKind::kPassiveShard, 100, 0, pay_a);
-    journal.append(FrameKind::kScanSegment, 200, 5, pay_b);
+    journal.append(FrameKind::kPassiveShard, 200, 5, pay_b);
   }
   RunJournal resumed({dir.string(), /*resume=*/true, manifest});
   const auto report = resumed.snapshot_report();
@@ -456,8 +419,8 @@ TEST(RunJournal, AppendThenResumeReplaysVerifiedFrames) {
   EXPECT_EQ(report.frames_corrupt, 0u);
   ASSERT_NE(resumed.replayed(FrameKind::kPassiveShard, 100, 0), nullptr);
   EXPECT_EQ(*resumed.replayed(FrameKind::kPassiveShard, 100, 0), pay_a);
-  ASSERT_NE(resumed.replayed(FrameKind::kScanSegment, 200, 5), nullptr);
-  EXPECT_EQ(*resumed.replayed(FrameKind::kScanSegment, 200, 5), pay_b);
+  ASSERT_NE(resumed.replayed(FrameKind::kPassiveShard, 200, 5), nullptr);
+  EXPECT_EQ(*resumed.replayed(FrameKind::kPassiveShard, 200, 5), pay_b);
   EXPECT_EQ(resumed.replayed(FrameKind::kPassiveShard, 100, 1), nullptr);
   fs::remove_all(dir);
 }
@@ -631,6 +594,50 @@ TEST(CheckpointStudy, JournalingChangesNoExportedByte) {
   for (const auto& d : {ckpt, out_plain, out_journaled, out_resumed}) {
     fs::remove_all(d);
   }
+}
+
+TEST(CheckpointStudy, ExportJournalsOnlyThePassivePlan) {
+  // A journaled export writes one frame per (month, shard) task and none
+  // for the scan sweep. A resume accounts for exactly those tasks, even
+  // with a different scan policy: the sweep is recomputed, so the policy
+  // is not part of the journal's identity.
+  const auto ckpt = fresh_dir("study_plan_only");
+  const auto out = fresh_dir("study_plan_only_out");
+  const auto opts = journal_options(ckpt.string());
+  const std::size_t plan = static_cast<std::size_t>(opts.window.size()) *
+                           opts.shards_per_month;
+  {
+    LongitudinalStudy first(opts);
+    (void)first.export_figures(out.string());
+    EXPECT_EQ(first.recovery().tasks_recomputed, plan);
+  }
+  const auto frames = journal_frames(ckpt);
+  ASSERT_EQ(frames.size(), plan);
+  for (const auto& frame : frames) {
+    EXPECT_EQ(tls::study::decode_frame(frame).header.kind,
+              FrameKind::kPassiveShard);
+  }
+
+  auto ropts = opts;
+  ropts.resume = true;
+  ropts.scan_policy.network.timeout = 0.2;
+  auto plain = ropts;
+  plain.checkpoint_dir.clear();
+  const auto out_plain = fresh_dir("study_plan_only_plain");
+  LongitudinalStudy reference(plain);
+  const auto ref_files = reference.export_figures(out_plain.string());
+  LongitudinalStudy resumed(ropts);
+  const auto files = resumed.export_figures(out.string());
+  ASSERT_EQ(files.size(), ref_files.size());
+  for (std::size_t i = 0; i < files.size(); ++i) {
+    EXPECT_EQ(slurp(files[i]), slurp(ref_files[i])) << ref_files[i];
+  }
+  const auto report = resumed.recovery();
+  EXPECT_TRUE(report.resumed);
+  EXPECT_EQ(report.tasks_skipped + report.tasks_recomputed, plan);
+  EXPECT_EQ(report.tasks_skipped, plan);
+  EXPECT_EQ(report.frames_mismatched, 0u);
+  for (const auto& d : {ckpt, out, out_plain}) fs::remove_all(d);
 }
 
 TEST(CheckpointStudy, GroupCommitIssuesFewerFsyncsThanFrames) {
@@ -910,30 +917,6 @@ TEST(CheckpointStudy, FrameFaultSoakNeverChangesBytes) {
   fs::remove_all(ckpt);
 }
 
-TEST(CheckpointStudy, WatchdogRerunsStuckShardsWithoutChangingBytes) {
-  auto opts = journal_options("");  // watchdog is independent of journaling
-  LongitudinalStudy reference(opts);
-  const auto ref_csv = chart_csv(reference);
-  EXPECT_EQ(reference.recovery().stuck_reruns, 0u);
-
-  // A 1 µs budget trips the per-batch deadline check in (essentially)
-  // every shard; each is discarded and re-run once without a deadline, and
-  // the rerun reproduces the identical stream.
-  auto strict = opts;
-  strict.task_deadline_us = 1;
-  strict.threads = 8;
-  LongitudinalStudy watched(strict);
-  EXPECT_EQ(chart_csv(watched), ref_csv);
-  EXPECT_GT(watched.recovery().stuck_reruns, 0u);
-
-  // A generous budget never trips.
-  auto lax = opts;
-  lax.task_deadline_us = 60'000'000;
-  LongitudinalStudy relaxed(lax);
-  EXPECT_EQ(chart_csv(relaxed), ref_csv);
-  EXPECT_EQ(relaxed.recovery().stuck_reruns, 0u);
-}
-
 // ---- the crash matrix ---------------------------------------------------
 
 TEST(CheckpointCrashMatrix, KillResumeByteIdenticalAcrossThreadsAndFaults) {
@@ -948,9 +931,9 @@ TEST(CheckpointCrashMatrix, KillResumeByteIdenticalAcrossThreadsAndFaults) {
     ASSERT_EQ(ref_files.size(), 11u);
 
     // One complete journaled run establishes the total frame count (one
-    // frame per computed task) so the kill offsets below provably land
-    // inside the journal — early in the passive phase, mid-run, and inside
-    // the scan phase.
+    // frame per passive task) so the kill offsets below provably land
+    // inside the journal: after the first frame, mid-plan, and two frames
+    // before the plan's end.
     const auto probe_ckpt =
         fresh_dir("crash_probe_" + std::to_string(fault_milli));
     const auto probe_out =
@@ -1006,6 +989,24 @@ TEST(CheckpointCrashMatrix, KillResumeByteIdenticalAcrossThreadsAndFaults) {
           ASSERT_TRUE(WIFSIGNALED(killed)) << "status " << killed;
           EXPECT_EQ(WTERMSIG(killed), SIGKILL);
           EXPECT_GE(journal_frames(ckpt).size(), kill_after);
+          // The killed journal really replays: a probe over a copy (phase 2
+          // must meet the journal exactly as the kill left it) accepts the
+          // child's manifest and verifies at least kill_after frames. A
+          // manifest or digest bug would turn the resume into a cold run
+          // that still exports the right bytes.
+          const auto copy = fresh_dir("crash_copy_" + tag);
+          fs::copy(ckpt, copy, fs::copy_options::recursive);
+          {
+            RunJournal probe({copy.string(), /*resume=*/true,
+                              tls::study::make_manifest(
+                                  matrix_options(fault_milli))});
+            const auto report = probe.snapshot_report();
+            EXPECT_TRUE(report.resumed);
+            EXPECT_GE(report.frames_replayed, kill_after);
+            EXPECT_EQ(report.frames_corrupt, 0u);
+            EXPECT_EQ(report.frames_mismatched, 0u);
+          }
+          fs::remove_all(copy);
 
           // Phase 2: resume to completion in a fresh process.
           const int resumed = spawn_child(ckpt.string(), out.string(),
@@ -1056,9 +1057,7 @@ TEST(CheckpointSignalDrain, SigtermFlushesLingeringGroupAndResumeCompletes) {
   // manifest sees at least kTermAfter verified frames, none of which
   // could have committed organically.
   {
-    const auto manifest = tls::study::make_manifest(
-        matrix_options(0),
-        tls::servers::ServerPopulation::standard().segments().size());
+    const auto manifest = tls::study::make_manifest(matrix_options(0));
     RunJournal probe({ckpt.string(), /*resume=*/true, manifest});
     const auto report = probe.snapshot_report();
     EXPECT_TRUE(report.resumed);

@@ -339,6 +339,30 @@ TEST(DaemonProtocol, CaptureRejectsBadDateAndTrailingBytes) {
   EXPECT_THROW(tls::daemon::decode_capture(truncated), tls::wire::ParseError);
 }
 
+TEST(DaemonProtocol, CaptureMonthIndexIsBoundedLikeTheSnapshotCodec) {
+  // The snapshot codec refuses month indexes above kMaxMonthIndex, so the
+  // capture decoder refuses them too, as a bad value.
+  CapturePayload capture;
+  capture.day = tls::core::Date(2016, 7, 13);
+  for (const std::uint32_t index :
+       {tls::core::kMaxMonthIndex, tls::core::kMaxMonthIndex + 1,
+        0xFFFFFFFFu}) {
+    capture.month_index = index;
+    const auto bytes = tls::daemon::encode_capture(capture);
+    if (index <= tls::core::kMaxMonthIndex) {
+      EXPECT_EQ(tls::daemon::decode_capture(bytes).month_index, index);
+      continue;
+    }
+    try {
+      (void)tls::daemon::decode_capture(bytes);
+      ADD_FAILURE() << "month index " << index << " must be rejected";
+    } catch (const tls::wire::ParseError& e) {
+      EXPECT_EQ(e.code(), tls::wire::ParseErrorCode::kBadValue) << index;
+    }
+  }
+  EXPECT_EQ(tls::core::kMaxMonthIndex, 36000u);
+}
+
 void expect_same_capture(const CapturePayload& got,
                          const CapturePayload& want) {
   EXPECT_EQ(got.month_index, want.month_index);
@@ -668,6 +692,42 @@ TEST(DaemonEndToEnd, MalformedAndGarbageAreBookedNotFatal) {
   EXPECT_EQ(c.malformed, 1u);
   EXPECT_GE(c.frame_errors, 1u);
   EXPECT_EQ(c.offered, c.ingested + c.shed + c.malformed);
+}
+
+/// A capture whose month index the snapshot codec would refuse is booked
+/// as malformed and never observed, so the aggregate (and every epoch and
+/// SNAPSHOT.bin written from it) still decodes.
+TEST(DaemonEndToEnd, OutOfRangeMonthIndexIsMalformedAndSnapshotsDecode) {
+  auto& fix = fixture();
+  const auto captures = fix.make_captures(3, 0x40000);
+  DaemonConfig config;
+  config.shards = 1;
+  config.database = &fix.database;
+  NotaryDaemon daemon(config);
+  ASSERT_TRUE(daemon.start()) << daemon.last_error();
+  {
+    SensorClient client;
+    ASSERT_TRUE(connect_to(client, daemon));
+    ASSERT_TRUE(send_capture(client, captures[0]));
+    auto hostile = captures[1];
+    hostile.month_index = 40000;
+    ASSERT_TRUE(send_capture(client, hostile));
+    ASSERT_TRUE(send_capture(client, captures[2]));
+    ASSERT_TRUE(client.query(FrameType::kQueryStats));
+  }
+  daemon.request_stop();
+  daemon.join();
+  const auto c = daemon.counters();
+  EXPECT_EQ(c.malformed, 1u);
+  EXPECT_EQ(c.ingested, 2u);
+  EXPECT_EQ(c.offered, c.ingested + c.shed + c.malformed);
+  const auto aggregate = daemon.aggregate_monitor();
+  EXPECT_EQ(aggregate.total_connections(), 2u);
+  const auto state = tls::notary::encode_monitor_state(aggregate);
+  std::vector<std::uint8_t> again;
+  ASSERT_NO_THROW(again = tls::notary::encode_monitor_state(
+                      tls::notary::decode_monitor_state(state, &fix.database)));
+  EXPECT_EQ(again, state);
 }
 
 TEST(DaemonEndToEnd, StatsAndMetricsQueriesServeLiveAggregates) {
@@ -1317,6 +1377,53 @@ TEST(DaemonHandoff, SequentialCapturesAreGrantedWithoutLostWakeups) {
   EXPECT_EQ(daemon.counters().ingested, captures.size());
   daemon.request_stop();
   daemon.join();
+}
+
+/// A stop with captures still queued behind a slow observe: the workers
+/// observe the whole queue before they exit, so join() returns with every
+/// admitted capture ingested and the snapshot records a clean drain.
+TEST(DaemonHandoff, StopWithQueuedCapturesDrainsTheQueue) {
+  auto& fix = fixture();
+  const auto captures = fix.make_captures(32, 0xD4A1);
+  const auto dir =
+      std::filesystem::temp_directory_path() / "tls_daemon_queued_drain";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  DaemonConfig config;
+  config.shards = 2;
+  config.credit_window = 32;
+  config.shard_queue_depth = 32;
+  config.observe_delay_us_for_test = 20'000;
+  config.database = &fix.database;
+  config.checkpoint_dir = dir.string();
+  NotaryDaemon daemon(config);
+  ASSERT_TRUE(daemon.start()) << daemon.last_error();
+  SensorClient client;
+  ASSERT_TRUE(connect_to(client, daemon));
+  for (const auto& capture : captures) {
+    ASSERT_TRUE(send_capture(client, capture));
+  }
+  for (int i = 0; i < 500 && daemon.counters().offered < captures.size();
+       ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  const auto before = daemon.counters();
+  daemon.request_stop();
+  daemon.join();
+  const auto c = daemon.counters();
+  // 32 captures at 20 ms each take at least 320 ms on two shards, so the
+  // stop found most of them still queued.
+  EXPECT_GT(before.admitted, before.ingested);
+  EXPECT_EQ(c.offered, captures.size());
+  EXPECT_EQ(c.ingested, c.admitted);
+  EXPECT_EQ(c.offered, c.ingested + c.shed + c.malformed);
+  std::ifstream txt(dir / "SNAPSHOT.txt");
+  const std::string content((std::istreambuf_iterator<char>(txt)),
+                            std::istreambuf_iterator<char>());
+  EXPECT_NE(content.find("clean_drain=1\n"), std::string::npos);
+  EXPECT_NE(content.find("ingested=" + std::to_string(c.admitted) + "\n"),
+            std::string::npos);
+  std::filesystem::remove_all(dir);
 }
 
 /// The loop-iteration and worker-batch counters bound the batching: at

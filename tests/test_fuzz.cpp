@@ -542,7 +542,7 @@ TEST(Fuzz, CheckpointFrameHostileLengthPrefix) {
   // A flipped payload_len must be caught by the bounds/size checks, never
   // trusted. Craft frames whose declared length disagrees with reality.
   auto frame = tls::study::encode_frame(
-      7, {tls::study::FrameKind::kScanSegment, 1, 1}, Bytes(16, 0x55));
+      7, {tls::study::FrameKind::kPassiveShard, 1, 1}, Bytes(16, 0x55));
   // payload_len is the u32 right before the 16 payload bytes + 8 checksum.
   const std::size_t len_off = frame.size() - 16 - 8 - 4;
   for (const std::uint8_t hostile : {0x00, 0x01, 0x7f, 0xff}) {
@@ -606,7 +606,7 @@ TEST(Fuzz, JournalGroupHostileCounts) {
   // frame_count and payload_len live in the fixed header; hostile values
   // must be bounds-rejected before any allocation is sized from them.
   const std::vector<Bytes> frames = {tls::study::encode_frame(
-      1, {tls::study::FrameKind::kScanSegment, 2, 2}, Bytes(8, 0x11))};
+      1, {tls::study::FrameKind::kPassiveShard, 2, 2}, Bytes(8, 0x11))};
   const auto group = tls::study::encode_group(1, frames);
   std::size_t consumed = 0;
   // offsets: magic u32 | format u32 | digest u64 | frame_count u32 @16 |
@@ -694,10 +694,6 @@ TEST(Fuzz, CheckpointManifestGarbage) {
     expect_parse_or_parse_error(
         garbage, [](const Bytes& b) { (void)tls::study::decode_manifest(b); },
         "garbage manifest");
-    expect_parse_or_parse_error(
-        garbage,
-        [](const Bytes& b) { (void)tls::study::decode_segment_probe(b); },
-        "garbage segment probe");
   }
 }
 
