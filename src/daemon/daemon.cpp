@@ -83,6 +83,13 @@ constexpr std::size_t kRetainedFieldBytes = (1u << 14) + 5;
 /// meets a field (an alert, say) that most captures leave empty.
 constexpr std::size_t kInitialFieldBytes = 512;
 
+/// Observe time after which a worker hands back the completions of its
+/// batch so far instead of at the batch's end, so a capture's credit does
+/// not wait behind every later observe of a long batch. Read off the
+/// dequeue and observe stamps the worker takes anyway; at microsecond
+/// observes and batches of a few jobs it never fires mid-batch.
+constexpr std::uint64_t kCompletionBudgetUs = 1000;
+
 /// Ring slots a shard starts with (or shard_queue_depth, if smaller): the
 /// in-flight captures of a few sensors at the default credit window.
 /// The ring doubles, up to the depth, when a load queues more.
@@ -234,8 +241,8 @@ struct NotaryDaemon::Shard {
   std::vector<Job> ring;
   std::size_t head = 0;
   std::size_t count = 0;
-  /// Jobs the worker popped as its current batch and has not finished:
-  /// admitted but maybe unobserved, so they count against the depth.
+  /// Jobs the worker popped as its current batch and has not handed
+  /// back: admitted but maybe unobserved, so they count against the depth.
   std::size_t in_batch = 0;
   /// Batches the worker popped (tls_repro_daemon_shard_batches_total).
   std::atomic<std::uint64_t> batches{0};
@@ -482,7 +489,7 @@ DaemonCounters NotaryDaemon::counters() const {
   // instant, but every counter only grows, so this load order keeps each
   // read closure-consistent:
   //  1. `ingested` (acquire) first. A worker bumps it (release) once per
-  //     batch, after it pops the jobs, and the event thread counted each
+  //     hand-back, after it pops the jobs, and the event thread counted each
   //     capture's `offered` and `admitted` before the queue unlock that
   //     handed the job over, so the later loads see admitted >= ingested.
   //  2. `admitted`, `shed`, `malformed` (acquire). The event thread bumps
@@ -695,7 +702,9 @@ void NotaryDaemon::finalize_completion(const Completion& done,
   }
 
   std::lock_guard<std::mutex> lock(trace_->mutex);
-  const std::uint64_t now = now_ms();
+  // The batch's grant stamp, not a clock read per completion: the
+  // exemplar window is batch-grained like the grant edge.
+  const std::uint64_t now = grant_us / 1000;
   if (now - trace_->window_start_ms >= kTraceWindowMs) {
     trace_->previous.swap(trace_->current);
     trace_->prev_window_events = trace_->window_events;
@@ -890,6 +899,23 @@ void NotaryDaemon::worker_loop(std::size_t shard_index) {
   // Kept across iterations: each pop trades these jobs' observed buffers
   // for the queued ones.
   std::vector<Job> batch;
+  // Hands back batch[from, to): counts the jobs ingested, then queues
+  // their completions. The event loop takes the whole vector at once, so
+  // only the push that finds it empty has to wake the loop.
+  const auto hand_back = [&](std::size_t from, std::size_t to) {
+    counters_->ingested.fetch_add(to - from, std::memory_order_release);
+    bool was_empty = false;
+    {
+      std::lock_guard<std::mutex> lock(completion_mutex_);
+      was_empty = completions_.empty();
+      for (std::size_t i = from; i < to; ++i) {
+        completions_.push_back(
+            {batch[i].conn_id, static_cast<std::uint32_t>(shard_index),
+             batch[i].at});
+      }
+    }
+    if (was_empty) wake();
+  };
   for (;;) {
     std::size_t n = 0;
     {
@@ -903,6 +929,7 @@ void NotaryDaemon::worker_loop(std::size_t shard_index) {
       n = shard.pop_all_into(batch);
     }
     shard.batches.fetch_add(1, std::memory_order_relaxed);
+    std::size_t handed = 0;  // batch[0, handed) is handed back
     for (std::size_t i = 0; i < n; ++i) {
       Job& job = batch[i];
       job.at.dequeue = now_us();
@@ -930,21 +957,19 @@ void NotaryDaemon::worker_loop(std::size_t shard_index) {
       flight(1 + shard_index, tls::telemetry::FlightEventKind::kIngest,
              static_cast<std::uint32_t>(shard_index),
              job.at.observe - job.at.enqueue);
-    }
-    counters_->ingested.fetch_add(n, std::memory_order_release);
-    // The event loop takes the whole vector at once, so only the push
-    // that finds it empty has to wake the loop.
-    bool was_empty = false;
-    {
-      std::lock_guard<std::mutex> lock(completion_mutex_);
-      was_empty = completions_.empty();
-      for (std::size_t i = 0; i < n; ++i) {
-        completions_.push_back(
-            {batch[i].conn_id, static_cast<std::uint32_t>(shard_index),
-             batch[i].at});
+      if (i + 1 < n &&
+          job.at.observe - batch[handed].at.dequeue >= kCompletionBudgetUs) {
+        // Mid-batch hand-back. `ingested` rises before the jobs leave
+        // in_batch, so admitted - ingested never exceeds the depth.
+        hand_back(handed, i + 1);
+        {
+          std::lock_guard<std::mutex> lock(shard.queue_mutex);
+          shard.in_batch -= i + 1 - handed;
+        }
+        handed = i + 1;
       }
     }
-    if (was_empty) wake();
+    hand_back(handed, n);
   }
   shard.cpu.end();
 }
@@ -1140,8 +1165,14 @@ bool NotaryDaemon::read_ready(Connection& conn) {
     // The views point into the decoder's buffer; they stay valid until
     // the next append(), i.e. for this whole batch.
     conn.decoder.append({buf, static_cast<std::size_t>(n)});
+    // One progress stamp per recv() that yields a frame: the idle sweep
+    // reads it in milliseconds, so a stamp per frame buys nothing.
+    bool progressed = false;
     while (const auto frame = conn.decoder.next()) {
-      conn.last_progress_ms = now_ms();
+      if (!progressed) {
+        conn.last_progress_ms = now_ms();
+        progressed = true;
+      }
       if (!process_frame(conn, *frame)) return false;
       if (conns_.find(id) == conns_.end()) return true;  // closed inside
     }
@@ -1274,9 +1305,8 @@ void NotaryDaemon::event_loop() {
       }
     }
     drain_completions();
-    sweep_idle(now_ms());
-
     const std::uint64_t now = now_ms();
+    sweep_idle(now);
     sample_gauges(now);
     if (journal_ && !journal_drop_booked_) {
       const std::uint64_t dropped = journal_->dropped_frames();

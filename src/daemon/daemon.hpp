@@ -29,12 +29,14 @@
 // Captures are routed to a shard by FNV-1a-64 of the ClientHello record,
 // a pure function of the bytes, so routing is reproducible. A worker pops
 // its whole queue under one lock, observes that batch, and hands the
-// completions back under one lock; the event loop batches the resolved
-// credits into grant frames. Each side wakes the other only on an empty
-// to non-empty edge: the event loop notifies a worker when its queue was
-// empty, and a worker writes the wake pipe when the completion list was.
-// The admission bound (shard_queue_depth) counts the worker's current
-// batch as well as the queue.
+// completions back under one lock: at the batch's end, or earlier once
+// its observes since the last hand-back reach a fixed time budget. The
+// event loop batches the resolved credits into grant frames. Each side
+// wakes the other only on an empty to non-empty edge: the event loop
+// notifies a worker when its queue was empty, and a worker writes the
+// wake pipe when the completion list was. The admission bound
+// (shard_queue_depth) counts the queue and the jobs of the worker's
+// current batch it has not handed back.
 #pragma once
 
 #include <atomic>

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <bit>
 #include <charconv>
-#include <cstring>
 #include <stdexcept>
 
 #include "tlscore/fnv.hpp"
@@ -60,39 +59,10 @@ bool is_client_frame(FrameType type) {
 
 std::uint64_t frame_checksum(FrameType type,
                              std::span<const std::uint8_t> payload) {
-  // One FNV-1a step per 8-byte word, rotated so high bits feed back low.
-  // Each step is a bijection of the state, so a corruption confined to one
-  // word always changes the result. The tail word carries its byte count
-  // in its top byte, and fmix64 spreads the last word over every bit.
-  const auto step = [](std::uint64_t h, std::uint64_t w) {
-    return std::rotl((h ^ w) * tls::core::kFnvPrime, 29);
-  };
-  // A memcpy into a word compiles to one 8-byte load; a shift-or byte
-  // loop is not merged and runs no faster than FNV-1a.
-  const auto load_le64 = [](const std::uint8_t* p) {
-    std::uint64_t w = 0;
-    std::memcpy(&w, p, sizeof(w));
-    if constexpr (std::endian::native == std::endian::big) {
-      w = __builtin_bswap64(w);
-    }
-    return w;
-  };
-  const std::uint8_t* p = payload.data();
-  const std::size_t len = payload.size();
-  std::uint64_t h = tls::core::kFnvOffset ^ static_cast<std::uint8_t>(type) ^
-                    (static_cast<std::uint64_t>(len) << 8);
-  std::size_t i = 0;
-  for (; i + 8 <= len; i += 8) h = step(h, load_le64(p + i));
-  const std::size_t k = len - i;
-  std::uint64_t tail = 0;  // the last k < 8 bytes, little-endian
-  for (std::size_t j = k; j-- > 0;) tail = (tail << 8) | p[i + j];
-  h = step(h ^ (static_cast<std::uint64_t>(k) << 56), tail);
-  h ^= h >> 33;
-  h *= 0xff51afd7ed558ccdULL;
-  h ^= h >> 33;
-  h *= 0xc4ceb9fe1a85ec53ULL;
-  h ^= h >> 33;
-  return h;
+  // The frame type and the payload length seed the shared word hash.
+  return tls::core::word_hash64(
+      payload, tls::core::kFnvOffset ^ static_cast<std::uint8_t>(type) ^
+                   (static_cast<std::uint64_t>(payload.size()) << 8));
 }
 
 std::vector<std::uint8_t> encode_frame(FrameType type,

@@ -10,7 +10,7 @@
 //   checksum   u64  frame_checksum(type, payload), big-endian
 //
 // The checksum is FNV-1a over 64-bit little-endian payload words, each
-// step rotated, finished by murmur3's fmix64 (defined at frame_checksum).
+// step rotated, finished by murmur3's fmix64 (tls::core::word_hash64).
 // A sensor that still writes the earlier byte-serial FNV-1a-64 trailer
 // fails closed: its first frame poisons the connection with kBadChecksum.
 //

@@ -26,8 +26,8 @@ struct Fingerprint {
   /// Canonical text: "c1-c2-...,e1-e2-...,g1-...,f1-..." (decimal values).
   [[nodiscard]] std::string canonical() const;
   /// Appends canonical() to `out`: the one writer of the canonical text,
-  /// shared by JA3, the extended fingerprint and the monitor's reused
-  /// buffer.
+  /// shared by JA3, the extended fingerprint and the fingerprint memo's
+  /// miss scratch.
   void append_canonical(std::string& out) const;
 
   /// MD5 of canonical(), lowercase hex — the database key.

@@ -1,6 +1,9 @@
 #include "notary/features.hpp"
 
+#include <span>
+
 #include "fingerprint/md5.hpp"
+#include "tlscore/fnv.hpp"
 #include "tlscore/grease.hpp"
 #include "tlscore/version.hpp"
 #include "wire/extension_codec.hpp"
@@ -32,32 +35,50 @@ void ClientHelloFeatures::reset() {
   fp.extensions.clear();
   fp.groups.clear();
   fp.ec_point_formats.clear();
-  fp_canonical.clear();
   fp_hash.clear();
   fp_flags = 0;
   label_cls.reset();
 }
 
-const FingerprintMemo::Entry* FingerprintMemo::find(
-    const std::string& canonical) {
-  ++lookups_;
-  const auto it = entries_.find(canonical);
-  if (it == entries_.end()) return nullptr;
-  ++hits_;
-  return &it->second;
+std::size_t FingerprintMemo::KeyHash::operator()(
+    const tls::fp::Fingerprint& fp) const {
+  const auto chain = [](std::uint64_t h, const auto& list) {
+    const std::span<const std::uint8_t> bytes(
+        reinterpret_cast<const std::uint8_t*>(list.data()),
+        list.size() * sizeof(list[0]));
+    return tls::core::word_hash64(bytes, h ^ bytes.size());
+  };
+  std::uint64_t h = tls::core::kFnvOffset;
+  h = chain(h, fp.cipher_suites);
+  h = chain(h, fp.extensions);
+  h = chain(h, fp.groups);
+  h = chain(h, fp.ec_point_formats);
+  return static_cast<std::size_t>(h);
 }
 
-void FingerprintMemo::insert(const std::string& canonical,
-                             const std::string& hash,
-                             std::optional<tls::fp::SoftwareClass> cls) {
+const FingerprintMemo::Entry& FingerprintMemo::resolve(
+    const tls::fp::Fingerprint& fp, const tls::fp::FingerprintDatabase* db) {
+  ++lookups_;
+  if (const auto it = entries_.find(fp); it != entries_.end()) {
+    ++hits_;
+    return it->second;
+  }
+  canonical_.clear();
+  fp.append_canonical(canonical_);
+  Entry entry;
+  tls::fp::Md5::hex_into(canonical_, entry.hash);
+  if (db != nullptr) {
+    if (const auto* label = db->lookup(entry.hash)) entry.cls = label->cls;
+  }
   if (entries_.size() >= capacity_) entries_.clear();
-  entries_.emplace(canonical, Entry{hash, cls});
+  return entries_.emplace(fp, std::move(entry)).first->second;
 }
 
 void FingerprintMemo::release() {
   // Move-assigning a fresh table frees the nodes and the bucket array;
   // clear() would keep the buckets.
   entries_ = decltype(entries_)();
+  canonical_ = std::string();
 }
 
 void build_client_features(const ClientHello& hello,
@@ -201,19 +222,9 @@ void build_client_features(const ClientHello& hello,
             tls::wire::ec_point_formats_list(ext_formats->body);
         out.fp.ec_point_formats.assign(formats.begin(), formats.end());
       }
-      out.fp.append_canonical(out.fp_canonical);
-      if (const auto* known = memo.find(out.fp_canonical)) {
-        out.fp_hash.assign(known->hash);
-        out.label_cls = known->cls;
-      } else {
-        tls::fp::Md5::hex_into(out.fp_canonical, out.fp_hash);
-        if (db != nullptr) {
-          if (const auto* label = db->lookup(out.fp_hash)) {
-            out.label_cls = label->cls;
-          }
-        }
-        memo.insert(out.fp_canonical, out.fp_hash, out.label_cls);
-      }
+      const auto& known = memo.resolve(out.fp, db);
+      out.fp_hash.assign(known.hash);
+      out.label_cls = known.cls;
       out.fingerprint_computed = true;
       if (out.adv_rc4) out.fp_flags |= kFpRc4;
       if (out.adv_des) out.fp_flags |= kFpDes;

@@ -60,9 +60,8 @@ struct ClientHelloFeatures {
   // requested" from "extraction failed" (the latter also records an error).
   bool fingerprint_computed = false;
   tls::fp::Fingerprint fp;
-  /// fp's canonical text; fp_hash is its MD5 hex. Both are rewritten in
-  /// place, so a reused instance hashes without allocating.
-  std::string fp_canonical;
+  /// MD5 hex of fp's canonical text, rewritten in place, so a reused
+  /// instance takes a memo hit without allocating.
   std::string fp_hash;
   std::uint8_t fp_flags = 0;
   std::optional<tls::fp::SoftwareClass> label_cls;
@@ -91,13 +90,15 @@ struct ServerHelloFeatures {
   const tls::core::CipherSuiteInfo* suite = nullptr;
 };
 
-/// Canonical fingerprint text -> (MD5 hex, database label). The
+/// Fingerprint -> (MD5 hex of its canonical text, database label). The
 /// fingerprint is what repeats across captures (every hello carries a fresh
-/// random, so record bytes never do), so MD5 and the label run once per
-/// distinct fingerprint instead of once per capture. A hit returns exactly
-/// what a miss computes, so nothing a monitor exports depends on the
-/// memo's contents. Bounded: an insert into a full table clears it first,
-/// a deterministic flush. A memo serves one fingerprint database.
+/// random, so record bytes never do), so the canonical text, MD5 and the
+/// label run once per distinct fingerprint instead of once per capture.
+/// The key is the four GREASE-stripped lists themselves: a hit hashes
+/// their bytes and compares them, and writes no text. A hit returns
+/// exactly what a miss computes, so nothing a monitor exports depends on
+/// the memo's contents. Bounded: an insert into a full table clears it
+/// first, a deterministic flush. A memo serves one fingerprint database.
 class FingerprintMemo {
  public:
   static constexpr std::size_t kCapacity = 4096;
@@ -112,12 +113,13 @@ class FingerprintMemo {
   explicit FingerprintMemo(std::size_t capacity = kCapacity)
       : capacity_(capacity) {}
 
-  /// The entry for `canonical`, or null; counts one lookup (and a hit).
-  const Entry* find(const std::string& canonical);
-  /// Records a miss's result, clearing the table first when it is full.
-  void insert(const std::string& canonical, const std::string& hash,
-              std::optional<tls::fp::SoftwareClass> cls);
-  /// Frees the table's memory. The counters stay.
+  /// The entry for `fp`; counts one lookup (and a hit). On a miss, writes
+  /// the canonical text, MD5s it, looks the hash up in `db` (when not
+  /// null) and stores the result. The reference stays valid until the next
+  /// resolve() or release().
+  const Entry& resolve(const tls::fp::Fingerprint& fp,
+                       const tls::fp::FingerprintDatabase* db);
+  /// Frees the table's and the miss scratch's memory. The counters stay.
   void release();
 
   [[nodiscard]] std::size_t size() const { return entries_.size(); }
@@ -126,8 +128,16 @@ class FingerprintMemo {
   [[nodiscard]] std::uint64_t hits() const { return hits_; }
 
  private:
+  /// tls::core::word_hash64 chained over the four lists' bytes, each
+  /// list's length mixed into its seed.
+  struct KeyHash {
+    std::size_t operator()(const tls::fp::Fingerprint& fp) const;
+  };
+
   std::size_t capacity_;
-  std::unordered_map<std::string, Entry> entries_;
+  std::unordered_map<tls::fp::Fingerprint, Entry, KeyHash> entries_;
+  /// A miss's canonical text, reused across misses.
+  std::string canonical_;
   std::uint64_t lookups_ = 0;
   std::uint64_t hits_ = 0;
 };
@@ -136,7 +146,8 @@ class FingerprintMemo {
 /// ParseErrors are appended to `errors` in the same order the byte path
 /// notes them (heartbeat, supported_versions, fingerprint extraction). Single
 /// pass over the cipher-suite and extension lists. The fingerprint's hash
-/// and label come from `memo`, computed (MD5, then `db`) on a miss.
+/// and label come from `memo.resolve`, computed (canonical text, MD5, then
+/// `db`) on a miss.
 void build_client_features(const tls::wire::ClientHello& hello,
                            const tls::fp::FingerprintDatabase* db,
                            FingerprintMemo& memo, bool want_fingerprint,

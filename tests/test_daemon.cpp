@@ -1426,6 +1426,45 @@ TEST(DaemonHandoff, StopWithQueuedCapturesDrainsTheQueue) {
   std::filesystem::remove_all(dir);
 }
 
+/// A long batch behind slow observes hands its completions back as it
+/// goes: a capture's `complete` stage (observe to the event loop's drain)
+/// stays near the time budget instead of waiting for the whole batch. At
+/// 300 us per observe, a 63-job batch handed back only at its end holds
+/// its first completion for about 19 ms.
+TEST(DaemonHandoff, CompletionsReturnWithinABudgetNotABatch) {
+  auto& fix = fixture();
+  const auto captures = fix.make_captures(64, 0xB4D6);
+  DaemonConfig config;
+  config.shards = 1;
+  config.credit_window = 64;
+  config.observe_delay_us_for_test = 300;
+  config.database = &fix.database;
+  NotaryDaemon daemon(config);
+  ASSERT_TRUE(daemon.start()) << daemon.last_error();
+  SensorClient client;
+  ASSERT_TRUE(connect_to(client, daemon));
+  ASSERT_TRUE(await_credits(client, config.credit_window));
+  for (const auto& capture : captures) {
+    ASSERT_TRUE(send_capture(client, capture));
+  }
+  // Every credit back means every completion was drained; the stop then
+  // lets the drain that granted the last one finish its telemetry.
+  ASSERT_TRUE(await_credits(client, config.credit_window));
+  daemon.request_stop();
+  daemon.join();
+
+  // One shard, so its histogram is the merged one.
+  const auto reg = daemon.merged_metrics();
+  const auto* stage = reg.find("tls_repro_daemon_stage_us",
+                               "shard=\"0\",stage=\"complete\"");
+  ASSERT_NE(stage, nullptr);
+  const auto& complete = stage->histogram;
+  ASSERT_EQ(complete.count, captures.size());
+  RecordProperty("complete_p99_us", std::to_string(complete.quantile(0.99)));
+  EXPECT_LE(complete.quantile(0.99), 5'000u)
+      << "completions waited for the end of their batch";
+}
+
 /// The loop-iteration and worker-batch counters bound the batching: at
 /// least one of each, and never more batches than captures.
 TEST(DaemonHandoff, LoopAndBatchCountersBoundTheCaptures) {

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <optional>
 #include <set>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -239,7 +240,7 @@ TEST(Fingerprint, OnePassFeaturesMatchReferenceExtraction) {
   EXPECT_GT(greased, 0u);
 }
 
-// ---- the monitor's fingerprint memo (canonical text -> MD5 hex, label) ----
+// ---- the monitor's fingerprint memo (fingerprint -> MD5 hex, label) ----
 
 /// One hello per standard-catalog version, GREASE included.
 std::vector<tls::wire::ClientHello> catalog_hellos(
@@ -269,8 +270,9 @@ void expect_reference(const tls::wire::ClientHello& hello,
   const auto want = extract_fingerprint(hello).hash();
   std::optional<SoftwareClass> want_cls;
   if (const auto* label = db.lookup(want)) want_cls = label->cls;
-  EXPECT_EQ(features.fp_hash, want) << features.fp_canonical;
-  EXPECT_EQ(features.label_cls, want_cls) << features.fp_canonical;
+  EXPECT_EQ(features.fp_hash, want) << extract_fingerprint(hello).canonical();
+  EXPECT_EQ(features.label_cls, want_cls)
+      << extract_fingerprint(hello).canonical();
   EXPECT_LE(memo.size(), memo.capacity());
 }
 
@@ -320,6 +322,57 @@ TEST(FingerprintMemo, OneEntryCapacityFlushesAndStillMatchesReference) {
   EXPECT_EQ(memo.lookups(), 4 * hellos.size());
   EXPECT_GE(memo.hits(), hellos.size());
   EXPECT_LT(memo.hits(), memo.lookups());
+}
+
+/// The memo keys on the four lists, not on their values run together:
+/// hellos that carry the same values in the same order, split at
+/// different list boundaries, are different fingerprints. The first pair
+/// is the smallest case; the rest split {1, 2, 3, 4} at every boundary,
+/// so many of them share a cipher-suite list (supported_groups is
+/// extension 10, ec_point_formats 11).
+TEST(FingerprintMemo, ListBoundaryIsPartOfTheKey) {
+  const auto catalog = tls::clients::Catalog::standard();
+  const auto db = tls::study::LongitudinalStudy::build_database(catalog);
+  const auto bare = [](std::uint16_t type) {
+    return tls::wire::Extension{type, {}};
+  };
+  std::vector<tls::wire::ClientHello> hellos(2);
+  hellos[0].cipher_suites = {1, 2};
+  hellos[1].cipher_suites = {1};
+  hellos[1].extensions = {bare(2)};
+  const std::vector<std::uint16_t> v = {1, 2, 3, 4};
+  const std::size_t n = v.size();
+  for (std::size_t i = 0; i <= n; ++i) {
+    for (std::size_t j = i; j <= n; ++j) {
+      for (std::size_t k = j; k <= n; ++k) {
+        tls::wire::ClientHello h;
+        h.cipher_suites.assign(v.begin(), v.begin() + i);
+        for (std::size_t x = i; x < j; ++x) h.extensions.push_back(bare(v[x]));
+        if (k > j) {
+          h.extensions.push_back(tls::wire::make_supported_groups(
+              std::span<const std::uint16_t>(v.data() + j, k - j)));
+        }
+        if (n > k) {
+          const std::vector<std::uint8_t> formats(v.begin() + k, v.end());
+          h.extensions.push_back(tls::wire::make_ec_point_formats(formats));
+        }
+        hellos.push_back(std::move(h));
+      }
+    }
+  }
+  std::set<std::string> distinct;
+  for (const auto& h : hellos) {
+    distinct.insert(extract_fingerprint(h).canonical());
+  }
+  ASSERT_EQ(distinct.size(), hellos.size());
+
+  tls::notary::FingerprintMemo memo;
+  for (const auto& h : hellos) expect_reference(h, db, memo);
+  EXPECT_EQ(memo.size(), hellos.size());
+  EXPECT_EQ(memo.hits(), 0u);
+  // Each one now hits its own entry.
+  for (const auto& h : hellos) expect_reference(h, db, memo);
+  EXPECT_EQ(memo.hits(), hellos.size());
 }
 
 }  // namespace

@@ -2,6 +2,7 @@
 
 #include <span>
 #include <string_view>
+#include <vector>
 
 #include "tlscore/fnv.hpp"
 #include "tlscore/rng.hpp"
@@ -118,6 +119,29 @@ TEST(Fnv1a64, StandardVectors) {
 TEST(Fnv1a64, SeedChainsPiecewiseInput) {
   EXPECT_EQ(fnv1a64(ascii("bar"), fnv1a64(ascii("foo"))),
             fnv1a64(ascii("foobar")));
+}
+
+/// The daemon's frame trailer is word_hash64 seeded with the frame type
+/// and the payload length: the known answers of
+/// DaemonProtocol.ChecksumMatchesWordAtATimeReference, through the kernel.
+TEST(WordHash, FrameChecksumIsTheSharedKernel) {
+  const auto frame_seed = [](std::uint8_t type, std::size_t len) {
+    return kFnvOffset ^ type ^ (static_cast<std::uint64_t>(len) << 8);
+  };
+  const std::vector<std::uint8_t> tail_only = {0xde, 0xad, 0xbe, 0xef, 0x01};
+  const std::vector<std::uint8_t> words_and_tail(19, 0x5a);
+  std::vector<std::uint8_t> counting(16);
+  for (std::size_t i = 0; i < counting.size(); ++i) {
+    counting[i] = static_cast<std::uint8_t>(i);
+  }
+  // Frame types: 1 kHello, 2 kCapture, 3 kCreditGrant.
+  EXPECT_EQ(word_hash64(tail_only, frame_seed(2, tail_only.size())),
+            0x2e152fa668b8daccull);
+  EXPECT_EQ(word_hash64(words_and_tail, frame_seed(1, words_and_tail.size())),
+            0x4af090b32d6cb391ull);
+  EXPECT_EQ(word_hash64({}, frame_seed(3, 0)), 0x2bf929de2bdfed8full);
+  EXPECT_EQ(word_hash64(counting, frame_seed(2, counting.size())),
+            0x2670df6751c22d70ull);
 }
 
 }  // namespace
