@@ -22,10 +22,12 @@
 // from SIGSEGV/SIGABRT/SIGBUS.
 //
 // Runs until SIGINT/SIGTERM, then drains gracefully: admission stops, the
-// shard queues quiesce, the group-commit journal flushes, and a final
-// checksummed snapshot (SNAPSHOT.bin/SNAPSHOT.txt under --checkpoint-dir)
-// is written before exit 0. kill -9 at any point is recovered on the next
-// --resume start from the last durable journal group.
+// shard queues quiesce, and the final epoch (a checksummed SNAPSHOT.bin)
+// and SNAPSHOT.txt are written under --checkpoint-dir before exit 0. Each
+// epoch replaces SNAPSHOT.bin atomically and keeps its predecessor as
+// SNAPSHOT.prev.bin; kill -9 at any point is recovered on the next
+// --resume start from the newest of the two that decodes. A start without
+// --resume deletes both.
 //
 // Signal pattern: signals are blocked in main before any thread spawns,
 // then a dedicated watcher thread sigwait()s and calls request_stop() —

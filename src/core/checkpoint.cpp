@@ -306,19 +306,6 @@ const std::vector<std::uint8_t>* RunJournal::replayed(
   return &it->second.payload;
 }
 
-std::vector<std::uint32_t> RunJournal::replayed_slots(
-    FrameKind kind, std::uint32_t month_index) const {
-  const auto k = static_cast<std::uint8_t>(kind);
-  std::vector<std::uint32_t> slots;
-  for (auto it = frames_.lower_bound(FrameKey{k, month_index, 0});
-       it != frames_.end() && std::get<0>(it->first) == k &&
-       std::get<1>(it->first) == month_index;
-       ++it) {
-    if (it->second.usable) slots.push_back(std::get<2>(it->first));
-  }
-  return slots;
-}
-
 void RunJournal::append(FrameKind kind, std::uint32_t month_index,
                         std::uint32_t slot,
                         std::span<const std::uint8_t> payload) {
@@ -439,10 +426,6 @@ tls::analysis::RecoveryReport RunJournal::snapshot_report() const {
   }
   report.io_errors = errors.failures();
   return report;
-}
-
-std::uint64_t RunJournal::dropped_frames() const {
-  return writer_->stats().dropped_frames;
 }
 
 }  // namespace tls::study

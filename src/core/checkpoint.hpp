@@ -1,16 +1,13 @@
-// Crash-safe checkpoint journal for study runs and the live daemon. Each
-// completed (month, shard) passive task is persisted as one checksummed
-// frame; a manifest pins the run's identity (options digest, seed, shard
-// plan, format version). The active-scan sweep is not journaled: it is
-// recomputed, in 1-2 ms, on every run. The daemon
-// journals its aggregate epochs through the same class under a manifest of
-// its own, so the two kinds of journal never replay each other's frames.
-// On restart the journal replays: frames that verify are absorbed in plan
-// order and their tasks skipped, while torn, corrupt, mismatched, or
-// duplicate frames are quarantined to a sidecar directory and their tasks
-// deterministically recomputed — a half-written journal can degrade a
-// resume back toward a cold run, but can never corrupt a result or crash
-// the study.
+// Crash-safe checkpoint journal for study runs. Each completed (month,
+// shard) passive task is persisted as one checksummed frame; a manifest
+// pins the run's identity (options digest, seed, shard plan, format
+// version). The active-scan sweep is not journaled: it is recomputed, in
+// 1-2 ms, on every run. On restart the journal replays: frames that verify
+// are absorbed in plan order and their tasks skipped, while torn, corrupt,
+// mismatched, or duplicate frames are quarantined to a sidecar directory
+// and their tasks deterministically recomputed — a half-written journal
+// can degrade a resume back toward a cold run, but can never corrupt a
+// result or crash the study.
 //
 // Completed frames are handed to a group-commit writer (core/journal.hpp)
 // that batches them into append-only segment files and pays ONE fsync per
@@ -183,11 +180,6 @@ class RunJournal {
   [[nodiscard]] const std::vector<std::uint8_t>* replayed(
       FrameKind kind, std::uint32_t month_index, std::uint32_t slot) const;
 
-  /// Slots of (kind, month_index) that hold a verified payload, ascending.
-  /// Lock-free, like replayed().
-  [[nodiscard]] std::vector<std::uint32_t> replayed_slots(
-      FrameKind kind, std::uint32_t month_index) const;
-
   /// Hands one completed task's payload to the writer; it is durable once
   /// its group commits (flush() waits for that). Thread-safe. IO failures
   /// are counted, never thrown: checkpointing is an aid, losing a frame
@@ -214,10 +206,6 @@ class RunJournal {
   void collect_metrics(tls::telemetry::MetricsRegistry& out) const;
 
   [[nodiscard]] tls::analysis::RecoveryReport snapshot_report() const;
-
-  /// Frames of groups the writer dropped so far (snapshot_report()'s
-  /// frames_dropped without copying the report).
-  [[nodiscard]] std::uint64_t dropped_frames() const;
 
   [[nodiscard]] const std::string& directory() const {
     return config_.directory;

@@ -373,7 +373,7 @@ class GroupCommitWriter {
 // ---- shared durable-file helper -----------------------------------------
 
 /// Durable whole-file write for small sidecars (the manifest, the daemon's
-/// snapshot and flight dumps): write `<path>.tmp` (retrying EINTR and
+/// snapshot epochs and flight dumps): write `<path>.tmp` (retrying EINTR and
 /// short writes with bounded backoff), fsync, rename atomically over
 /// `path`, fsync the directory. Returns false on failure
 /// (partial temp files removed best-effort); errors are booked into

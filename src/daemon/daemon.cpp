@@ -15,6 +15,9 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstring>
+#include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <sstream>
 
 #include "core/checkpoint.hpp"
@@ -36,11 +39,10 @@ std::uint64_t now_us() {
 
 std::uint64_t now_ms() { return now_us() / 1000; }
 
-/// Stage timeline vocabulary (DESIGN.md §17). The ISSUE's "journal-enqueue"
-/// edge is `complete` here: the daemon journals aggregate epochs rather
-/// than individual frames, so the edge a frame crosses after observe is
-/// the worker->event-loop completion handoff that makes it journal- and
-/// credit-visible.
+/// Stage timeline vocabulary (DESIGN.md §17). The edge a frame crosses
+/// after observe is `complete`, the worker->event-loop completion handoff
+/// that makes it credit-visible; the daemon checkpoints aggregate epochs,
+/// not individual frames.
 constexpr std::size_t kStageCount = 7;
 constexpr const char* kStageNames[kStageCount] = {
     "decode", "enqueue", "queue", "observe", "complete", "grant", "total"};
@@ -67,10 +69,10 @@ static_assert(kFlightEvents <= tls::telemetry::kFlightMaxRingCapacity);
 constexpr std::size_t kTraceExemplars = 8;
 constexpr std::uint64_t kTraceWindowMs = 5000;
 
-/// Journal group commit for the aggregate epochs: flush at this many
-/// pending frames or when the oldest is this old, whichever comes first.
-constexpr std::size_t kJournalGroupFrames = 8;
-constexpr std::uint64_t kJournalGroupMs = 50;
+/// The two epoch slots under checkpoint_dir: the newest epoch, and the one
+/// before it, kept until the newest is durable.
+constexpr const char* kSnapshotFiles[2] = {"/SNAPSHOT.bin",
+                                           "/SNAPSHOT.prev.bin"};
 
 /// Largest field capacity a recycled capture payload keeps after its
 /// observe: one maximal TLS record (2^14-byte fragment plus the 5-byte
@@ -130,6 +132,7 @@ struct NotaryDaemon::AtomicCounters {
   std::atomic<std::uint64_t> connections_closed{0};
   std::atomic<std::uint64_t> sslv2{0};
   std::atomic<std::uint64_t> checkpoint_epochs{0};
+  std::atomic<std::uint64_t> checkpoint_write_failures{0};
 };
 
 /// Absolute monotonic stamps (us) as a frame crosses each stage edge.
@@ -388,7 +391,7 @@ bool NotaryDaemon::start() {
   wake_rx_ = pipefd[0];
   wake_tx_ = pipefd[1];
 
-  if (!config_.checkpoint_dir.empty()) open_journal();
+  if (!config_.checkpoint_dir.empty()) open_snapshots();
 
   start_us_ = now_us();
   trace_->window_start_ms = ticker_->last_sample_ms = start_us_ / 1000;
@@ -438,31 +441,36 @@ bool NotaryDaemon::start() {
   return true;
 }
 
-void NotaryDaemon::open_journal() {
-  tls::study::RunJournal::Config jc;
-  jc.directory = config_.checkpoint_dir;
-  jc.resume = config_.resume;
-  jc.manifest.options_digest = kDaemonOptionsDigest;
-  jc.group_frames = kJournalGroupFrames;
-  jc.group_ms = kJournalGroupMs;
-  journal_ = std::make_unique<tls::study::RunJournal>(jc);
-
-  // The newest verified epoch that decodes wins; one that does not (e.g.
-  // an older snapshot version) is invalidated and the next older tried.
-  // New epochs number above every verified slot, decodable or not, so a
-  // later resume never prefers an undecodable epoch over newer data.
-  constexpr auto kEpoch = tls::study::FrameKind::kPassiveShard;
-  const auto slots = journal_->replayed_slots(kEpoch, 0);
-  if (!slots.empty()) epoch_ = slots.back();
-  for (auto it = slots.rbegin(); it != slots.rend(); ++it) {
+void NotaryDaemon::open_snapshots() {
+  std::error_code ec;
+  std::filesystem::create_directories(config_.checkpoint_dir, ec);
+  if (!config_.resume) {
+    // A cold start forgets every earlier run's epochs before it admits a
+    // capture, so a later resume can only restore this run's.
+    for (const char* name : kSnapshotFiles) {
+      std::filesystem::remove(config_.checkpoint_dir + name, ec);
+    }
+    return;
+  }
+  // The newest epoch that decodes wins: SNAPSHOT.bin always holds a higher
+  // slot than SNAPSHOT.prev.bin, because epochs rotate and a cold start
+  // deletes both. A frame that fails its checksum, or whose payload does
+  // not decode (e.g. an older monitor snapshot version), is counted and
+  // the older slot tried. New epochs number above every checksum-valid
+  // slot, decodable or not.
+  for (const char* name : kSnapshotFiles) {
+    std::ifstream in(config_.checkpoint_dir + name, std::ios::binary);
+    if (!in) continue;
+    const std::vector<std::uint8_t> bytes(
+        (std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>());
     try {
+      const auto frame = tls::study::decode_frame(bytes);
+      epoch_ = std::max<std::uint64_t>(epoch_, frame.header.slot);
       baseline_ = std::make_unique<tls::notary::PassiveMonitor>(
-          tls::notary::decode_monitor_state(*journal_->replayed(kEpoch, 0, *it),
-                                            config_.database));
-      resumed_epoch_ = *it;
-      break;
+          tls::notary::decode_monitor_state(frame.payload, config_.database));
+      resumed_epoch_ = frame.header.slot;
+      return;
     } catch (const tls::wire::ParseError&) {
-      journal_->invalidate(kEpoch, 0, *it);
       ++resume_decode_failures_;
     }
   }
@@ -512,6 +520,8 @@ DaemonCounters NotaryDaemon::counters() const {
   c.connections_accepted =
       a.connections_accepted.load(std::memory_order_relaxed);
   c.checkpoint_epochs = a.checkpoint_epochs.load(std::memory_order_relaxed);
+  c.checkpoint_write_failures =
+      a.checkpoint_write_failures.load(std::memory_order_relaxed);
   c.offered = a.offered.load(std::memory_order_relaxed);
   return c;
 }
@@ -540,11 +550,10 @@ std::string NotaryDaemon::stats_text() {
   }
   // Ingest latency is the merged ingress->grant `total` stage.
   const tls::telemetry::Histogram latency = merged_stages()[kStageCount - 1];
-  const std::uint64_t journal_dropped =
-      journal_ ? journal_->dropped_frames() : 0;
   std::ostringstream out;
   out << "admitted=" << c.admitted << '\n'
       << "checkpoint_epochs=" << c.checkpoint_epochs << '\n'
+      << "checkpoint_write_failures=" << c.checkpoint_write_failures << '\n'
       << "connections_accepted=" << c.connections_accepted << '\n'
       << "connections_closed=" << c.connections_closed << '\n'
       << "credit_violations=" << c.credit_violations << '\n'
@@ -554,7 +563,6 @@ std::string NotaryDaemon::stats_text() {
       << "ingest_p99_us=" << latency.quantile(0.99) << '\n'
       << "ingest_p999_us=" << latency.quantile(0.999) << '\n'
       << "ingested=" << c.ingested << '\n'
-      << "journal_dropped_frames=" << journal_dropped << '\n'
       << "malformed=" << c.malformed << '\n'
       << "offered=" << c.offered << '\n'
       << "resume_decode_failures=" << resume_decode_failures_ << '\n'
@@ -593,8 +601,10 @@ tls::telemetry::MetricsRegistry NotaryDaemon::merged_metrics() {
   add("tls_repro_daemon_connections_total", "Connections accepted",
       c.connections_accepted);
   add("tls_repro_daemon_checkpoint_epochs_total",
-      "Aggregate checkpoint epochs committed to the journal",
-      c.checkpoint_epochs);
+      "Aggregate checkpoint epochs written durably", c.checkpoint_epochs);
+  add("tls_repro_daemon_checkpoint_write_failures_total",
+      "Durable writes under the checkpoint directory that failed",
+      c.checkpoint_write_failures);
   {
     std::lock_guard<std::mutex> lock(wire_mutex_);
     for (std::size_t s = 0; s < tls::notary::kIngestStageCount; ++s) {
@@ -653,7 +663,6 @@ tls::telemetry::MetricsRegistry NotaryDaemon::merged_metrics() {
     std::lock_guard<std::mutex> lock(ticker_->mutex);
     reg.merge(ticker_->registry);
   }
-  if (journal_) journal_->collect_metrics(reg);
   std::uint64_t recorded = 0, dropped = 0;
   const std::size_t lanes = flight_ ? flight_->lanes() : 0;  // before start()
   for (std::size_t i = 0; i < lanes; ++i) {
@@ -837,14 +846,10 @@ void NotaryDaemon::sample_gauges(std::uint64_t now) {
 }
 
 void NotaryDaemon::write_flight_files() {
-  if (config_.checkpoint_dir.empty()) return;
   flight(0, tls::telemetry::FlightEventKind::kFlightDump, /*a=*/1, 0);
   const auto bytes = flight_->serialize();
-  tls::study::write_file_durable(config_.checkpoint_dir + "/FLIGHT.bin",
-                                 bytes);
-  const std::string text = tls::telemetry::render_flight(bytes);
-  tls::study::write_file_durable(config_.checkpoint_dir + "/FLIGHT.txt",
-                                 as_bytes(text));
+  write_durable("/FLIGHT.bin", bytes);
+  write_durable("/FLIGHT.txt", as_bytes(tls::telemetry::render_flight(bytes)));
 }
 
 tls::notary::PassiveMonitor NotaryDaemon::aggregate_monitor() {
@@ -857,36 +862,43 @@ tls::notary::PassiveMonitor NotaryDaemon::aggregate_monitor() {
   return aggregate;
 }
 
-void NotaryDaemon::checkpoint_epoch() {
-  const auto state = tls::notary::encode_monitor_state(aggregate_monitor());
-  ++epoch_;
-  journal_->append(tls::study::FrameKind::kPassiveShard, 0,
-                   static_cast<std::uint32_t>(epoch_), state);
-  journal_->flush();
-  counters_->checkpoint_epochs.fetch_add(1, std::memory_order_relaxed);
-  flight(0, tls::telemetry::FlightEventKind::kCheckpointEpoch,
-         static_cast<std::uint32_t>(epoch_),
-         counters_->ingested.load(std::memory_order_relaxed));
-  last_checkpoint_ingested_ =
-      counters_->ingested.load(std::memory_order_relaxed);
+bool NotaryDaemon::write_durable(const char* name,
+                                 std::span<const std::uint8_t> bytes) {
+  if (tls::study::write_file_durable(config_.checkpoint_dir + name, bytes)) {
+    return true;
+  }
+  counters_->checkpoint_write_failures.fetch_add(1, std::memory_order_relaxed);
+  return false;
 }
 
-void NotaryDaemon::write_snapshot_files() {
-  if (config_.checkpoint_dir.empty()) return;
-  auto aggregate = aggregate_monitor();
-  const auto state = tls::notary::encode_monitor_state(aggregate);
-  tls::study::FrameHeader header;
-  header.kind = tls::study::FrameKind::kPassiveShard;
-  header.month_index = 0;
-  header.slot = static_cast<std::uint32_t>(epoch_);
-  const auto frame =
-      tls::study::encode_frame(kDaemonOptionsDigest, header, state);
-  tls::study::write_file_durable(config_.checkpoint_dir + "/SNAPSHOT.bin",
-                                 frame);
+bool NotaryDaemon::checkpoint_epoch() {
+  const auto state = tls::notary::encode_monitor_state(aggregate_monitor());
+  ++epoch_;
+  last_checkpoint_ingested_ =
+      counters_->ingested.load(std::memory_order_relaxed);
+  const tls::study::FrameHeader header{tls::study::FrameKind::kPassiveShard,
+                                       0, static_cast<std::uint32_t>(epoch_)};
+  // The previous epoch stays as SNAPSHOT.prev.bin until the new one is
+  // durable; write_file_durable's directory fsync persists both renames.
+  // The first epoch, or the one after a failed write, finds nothing to
+  // rotate and keeps the older SNAPSHOT.prev.bin.
+  ::rename((config_.checkpoint_dir + kSnapshotFiles[0]).c_str(),
+           (config_.checkpoint_dir + kSnapshotFiles[1]).c_str());
+  if (!write_durable(kSnapshotFiles[0], tls::study::encode_frame(
+                                            kDaemonOptionsDigest, header,
+                                            state))) {
+    return false;
+  }
+  counters_->checkpoint_epochs.fetch_add(1, std::memory_order_relaxed);
+  flight(0, tls::telemetry::FlightEventKind::kCheckpointEpoch,
+         static_cast<std::uint32_t>(epoch_), last_checkpoint_ingested_);
+  return true;
+}
+
+void NotaryDaemon::write_snapshot_text(bool clean_drain) {
   std::string text = stats_text();
-  text += "clean_drain=1\n";
-  tls::study::write_file_durable(config_.checkpoint_dir + "/SNAPSHOT.txt",
-                                 as_bytes(text));
+  text += clean_drain ? "clean_drain=1\n" : "clean_drain=0\n";
+  write_durable("/SNAPSHOT.txt", as_bytes(text));
 }
 
 // ---------------------------------------------------------------------------
@@ -1308,22 +1320,14 @@ void NotaryDaemon::event_loop() {
     const std::uint64_t now = now_ms();
     sweep_idle(now);
     sample_gauges(now);
-    if (journal_ && !journal_drop_booked_) {
-      const std::uint64_t dropped = journal_->dropped_frames();
-      if (dropped != 0) {
-        journal_drop_booked_ = true;
-        flight(0, tls::telemetry::FlightEventKind::kJournalDrop,
-               static_cast<std::uint32_t>(dropped), 0);
-      }
-    }
     if (config_.flight_autodump_ms > 0 && !config_.checkpoint_dir.empty() &&
         now - last_flight_dump_ms_ >= config_.flight_autodump_ms) {
       last_flight_dump_ms_ = now;
       flight(0, tls::telemetry::FlightEventKind::kFlightDump, /*a=*/0, 0);
-      flight_->write_file(config_.checkpoint_dir + "/FLIGHT.bin");
+      write_durable("/FLIGHT.bin", flight_->serialize());
     }
 
-    if (config_.checkpoint_every > 0 && journal_) {
+    if (config_.checkpoint_every > 0 && !config_.checkpoint_dir.empty()) {
       const auto ingested =
           counters_->ingested.load(std::memory_order_relaxed);
       if (ingested - last_checkpoint_ingested_ >= config_.checkpoint_every) {
@@ -1362,9 +1366,10 @@ void NotaryDaemon::event_loop() {
   // (their connections are gone, so no credit is granted).
   drain_completions();
 
-  if (journal_) checkpoint_epoch();
-  write_snapshot_files();
-  write_flight_files();
+  if (!config_.checkpoint_dir.empty()) {
+    write_snapshot_text(/*clean_drain=*/checkpoint_epoch());
+    write_flight_files();
+  }
   event_cpu_->end();
   running_.store(false, std::memory_order_release);
 }

@@ -18,10 +18,10 @@
 //     machinery, so the loss is measurable, not silent
 //   * slow-loris defense — a connection stalled mid-frame past
 //     idle_timeout_ms is booked and dropped
-//   * clean SIGTERM drain — stop accepting, quiesce the queues, flush
-//     the checkpoint journal (the study's RunJournal, core/checkpoint.hpp),
-//     emit a final checksummed snapshot, exit 0; kill -9 at any point
-//     still resumes from the last durable journal group
+//   * clean SIGTERM drain — stop accepting, quiesce the queues, write
+//     the final aggregate epoch as a checksummed snapshot, exit 0; kill -9
+//     at any point still resumes from the last durable epoch (one of two
+//     atomically replaced snapshot files)
 //
 // Threading model: one event-loop thread owns every socket (poll(2),
 // non-blocking IO, per-connection outbound buffers); `shards` worker
@@ -57,10 +57,6 @@ namespace tls::fp {
 class FingerprintDatabase;
 }
 
-namespace tls::study {
-class RunJournal;
-}
-
 namespace tls::daemon {
 
 /// The most shards a daemon runs: the flight recorder keeps one ring per
@@ -81,8 +77,10 @@ struct DaemonConfig {
   /// 0 binds an ephemeral port; read the actual one back via port().
   std::uint16_t port = 0;
   /// Worker threads / monitor shards, at most kMaxShards. Shard routing is
-  /// content-hashed, and the shard count never changes any aggregate byte
-  /// (absorb is arrival-order-invariant over integer counters).
+  /// content-hashed (shard_of), so a given shard count and capture order
+  /// always give the same bytes; a different shard count can change them,
+  /// because the position sums are doubles summed in each shard's arrival
+  /// order.
   std::size_t shards = 4;
   /// Bounded depth of each shard's ingest queue — the admission-control
   /// knob. It bounds the admitted-but-unobserved captures, queued plus
@@ -108,15 +106,18 @@ struct DaemonConfig {
   std::uint64_t observe_delay_us_for_test = 0;
 
   // ---- durability (empty checkpoint_dir disables) ----
-  /// Group-commit journal directory; periodic checkpoint epochs and the
-  /// drain snapshot live here.
+  /// Snapshot directory: each checkpoint epoch replaces SNAPSHOT.bin
+  /// atomically, after renaming the previous one to SNAPSHOT.prev.bin, so
+  /// it never holds more than two epochs. The drain's SNAPSHOT.txt and
+  /// the flight dumps live here too.
   std::string checkpoint_dir{};
-  /// Replay an existing journal: the newest valid epoch frame becomes the
-  /// aggregate baseline instead of starting from zero.
+  /// Restore the newest snapshot file that decodes as the aggregate
+  /// baseline instead of starting from zero. Without it, start() deletes
+  /// both snapshot files, so no later resume picks an older run's epoch.
   bool resume = false;
   /// Write a checkpoint epoch every N ingested captures (0 = only at
-  /// drain). Epochs are full aggregate snapshots — the newest valid one
-  /// wins on resume, so torn tails just fall back one epoch.
+  /// drain). Epochs are full aggregate snapshots, so a newest epoch that
+  /// is missing or does not decode just falls back one epoch.
   std::uint64_t checkpoint_every = 0;
 
   // ---- observability (DESIGN.md §17) ----
@@ -152,12 +153,14 @@ struct DaemonCounters {
   std::uint64_t connections_closed = 0;
   std::uint64_t sslv2 = 0;
   std::uint64_t checkpoint_epochs = 0;
+  /// Durable writes under checkpoint_dir that failed (epochs, SNAPSHOT.txt,
+  /// flight dumps).
+  std::uint64_t checkpoint_write_failures = 0;
 };
 
-/// The options digest of the daemon journal's MANIFEST and frames. Daemon
+/// The options digest in the header of every daemon snapshot frame. Daemon
 /// frames carry aggregate snapshots, not per-(month,shard) study tasks;
-/// the distinct digest makes a study journal and a daemon journal book
-/// each other's frames as mismatched instead of replaying them.
+/// the distinct digest tells the two kinds of frame apart.
 inline constexpr std::uint64_t kDaemonOptionsDigest = 0xdae302e9a11dull;
 
 class NotaryDaemon {
@@ -168,7 +171,7 @@ class NotaryDaemon {
   NotaryDaemon(const NotaryDaemon&) = delete;
   NotaryDaemon& operator=(const NotaryDaemon&) = delete;
 
-  /// Binds, listens, replays the journal when resuming, and spawns the
+  /// Binds, listens, restores the snapshot when resuming, and spawns the
   /// event loop + workers. Returns false (with a message in last_error())
   /// on more than kMaxShards shards or a bind/listen failure.
   bool start();
@@ -181,7 +184,7 @@ class NotaryDaemon {
   }
 
   /// Begins a graceful drain: stop accepting, stop reading, quiesce the
-  /// shard queues, flush the journal, write the final snapshot, exit the
+  /// shard queues, write the final epoch and snapshot text, exit the
   /// loop. Safe to call from a signal-watcher thread; idempotent.
   void request_stop();
 
@@ -200,14 +203,14 @@ class NotaryDaemon {
 
   /// Daemon + per-shard telemetry folded into one registry (counters,
   /// stage-latency histograms, queue gauges, per-thread CPU time,
-  /// wire-error taxonomy, journal health).
+  /// wire-error taxonomy, checkpoint write failures).
   [[nodiscard]] tls::telemetry::MetricsRegistry merged_metrics();
 
   /// The live aggregate: resume baseline + every shard monitor absorbed
   /// in shard order. Stalls admission briefly (locks each shard monitor).
   [[nodiscard]] tls::notary::PassiveMonitor aggregate_monitor();
 
-  /// Epoch index restored from the journal (0 when starting fresh).
+  /// Epoch index restored from the snapshot (0 when starting fresh).
   [[nodiscard]] std::uint64_t resumed_epoch() const { return resumed_epoch_; }
 
   /// The kTrace body: stage-percentile lines followed by the slowest-frame
@@ -252,11 +255,15 @@ class NotaryDaemon {
   /// Both trace windows' exemplars, slowest first, at most kTraceExemplars.
   [[nodiscard]] std::vector<Exemplar> slowest_exemplars();
 
-  /// Opens (or, with resume, replays) the journal under checkpoint_dir and
-  /// restores the newest decodable epoch as the aggregate baseline.
-  void open_journal();
-  void checkpoint_epoch();
-  void write_snapshot_files();
+  /// Creates checkpoint_dir. With resume, restores the newest snapshot
+  /// file that decodes as the aggregate baseline; without, deletes both.
+  void open_snapshots();
+  /// Rotates SNAPSHOT.bin to SNAPSHOT.prev.bin and writes the next epoch
+  /// as SNAPSHOT.bin. Returns false when the epoch did not reach the disk.
+  bool checkpoint_epoch();
+  void write_snapshot_text(bool clean_drain);
+  /// write_file_durable under checkpoint_dir, counting a failure.
+  bool write_durable(const char* name, std::span<const std::uint8_t> bytes);
 
   DaemonConfig config_;
   std::uint16_t port_ = 0;
@@ -298,7 +305,6 @@ class NotaryDaemon {
   std::unique_ptr<ThreadCpu> event_cpu_;
   std::uint64_t start_us_ = 0;
   std::uint64_t last_flight_dump_ms_ = 0;
-  bool journal_drop_booked_ = false;
   bool crash_handler_installed_ = false;
 
   // Wire-level loss accounting (event thread writes; stats readers lock).
@@ -309,11 +315,10 @@ class NotaryDaemon {
   struct AtomicCounters;
   std::unique_ptr<AtomicCounters> counters_;
 
-  // Durability plane (created by open_journal when checkpoint_dir set).
-  std::unique_ptr<tls::study::RunJournal> journal_;
+  // Durability plane (set up by open_snapshots when checkpoint_dir set).
   std::unique_ptr<tls::notary::PassiveMonitor> baseline_;
   std::uint64_t resumed_epoch_ = 0;
-  /// Checksum-valid epochs skipped on resume because they did not decode.
+  /// Snapshot files present on resume that yielded no baseline.
   std::uint64_t resume_decode_failures_ = 0;
   std::uint64_t epoch_ = 0;
   std::uint64_t last_checkpoint_ingested_ = 0;

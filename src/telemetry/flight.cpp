@@ -178,30 +178,6 @@ std::vector<std::uint8_t> FlightRecorder::serialize() const {
   return out;
 }
 
-bool FlightRecorder::write_file(const std::string& path) const {
-  const std::vector<std::uint8_t> bytes = serialize();
-  const std::string tmp = path + ".tmp";
-  const int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
-  if (fd < 0) return false;
-  std::size_t off = 0;
-  while (off < bytes.size()) {
-    const ssize_t n = ::write(fd, bytes.data() + off, bytes.size() - off);
-    if (n <= 0) {
-      ::close(fd);
-      ::unlink(tmp.c_str());
-      return false;
-    }
-    off += static_cast<std::size_t>(n);
-  }
-  ::fsync(fd);
-  ::close(fd);
-  if (::rename(tmp.c_str(), path.c_str()) != 0) {
-    ::unlink(tmp.c_str());
-    return false;
-  }
-  return true;
-}
-
 namespace {
 
 // Buffered fd writer restricted to async-signal-safe calls (write(2)

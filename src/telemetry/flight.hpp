@@ -69,7 +69,7 @@ enum class FlightEventKind : std::uint8_t {
   kCreditGrant = 9,      // a=conn id, b=credits granted
   kIdleTimeout = 10,     // a=conn id
   kCheckpointEpoch = 11, // a=epoch, b=ingested at epoch
-  kJournalDrop = 12,     // journal writer first dropped a group; a=frames
+  kJournalDrop = 12,     // no longer emitted; kept so older dumps decode
   kDrainStart = 13,
   kFlightDump = 14,      // a=reason (0 ticker, 1 drain, 2 query)
   kCrashSignal = 15,     // never recorded in a ring; rendered from header
@@ -159,9 +159,6 @@ class FlightRecorder {
   /// Consistent snapshot serialized to the FLIGHT.bin format. Safe while
   /// writers are live (torn-slot-excluding snapshot per ring).
   [[nodiscard]] std::vector<std::uint8_t> serialize() const;
-
-  /// Writes serialize() to `path` durably (tmp + fsync + rename).
-  bool write_file(const std::string& path) const;
 
   /// Async-signal-safe raw dump: header + ring memory + checksum, using
   /// only write(2). Called from the crash handler; events being written at

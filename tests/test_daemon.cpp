@@ -2,7 +2,7 @@
 // credit/backpressure state machines, and real-socket end-to-end lanes —
 // byte-identical determinism against batch mode, overload shedding with
 // accounting closure, graceful drain with a parseable snapshot, and
-// journal resume.
+// snapshot resume.
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
@@ -802,62 +802,94 @@ TEST(DaemonEndToEnd, IngestQuantilesResolveBelowADecade) {
   daemon.join();
 }
 
+/// Starts a daemon on `config`, sends it `captures`, drains it, and
+/// stores the drained aggregate's snapshot bytes in `state`. With periodic
+/// epochs it waits for each one before sending on, so a run of N captures
+/// always writes N / checkpoint_every epochs before the drain's.
+void ingest_and_drain(const DaemonConfig& config,
+                      const std::vector<CapturePayload>& captures,
+                      std::vector<std::uint8_t>& state) {
+  NotaryDaemon daemon(config);
+  ASSERT_TRUE(daemon.start()) << daemon.last_error();
+  SensorClient client;
+  ASSERT_TRUE(connect_to(client, daemon));
+  const std::uint64_t every = config.checkpoint_every;
+  for (std::size_t i = 0; i < captures.size(); ++i) {
+    ASSERT_TRUE(send_capture(client, captures[i]));
+    if (every == 0 || (i + 1) % every != 0) continue;
+    const std::uint64_t epochs = (i + 1) / every;
+    for (int t = 0; t < 5000 && daemon.counters().checkpoint_epochs < epochs;
+         ++t) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    ASSERT_EQ(daemon.counters().checkpoint_epochs, epochs);
+  }
+  ASSERT_TRUE(client.query(FrameType::kQueryStats));
+  daemon.request_stop();
+  daemon.join();
+  ASSERT_EQ(daemon.counters().ingested, captures.size());
+  state = tls::notary::encode_monitor_state(daemon.aggregate_monitor());
+}
+
+/// Resumes a daemon on `config`, checks the restored epoch, the count of
+/// snapshot files that yielded no baseline and the restored aggregate,
+/// then drains it without a capture (which writes the next epoch).
+void expect_resume(DaemonConfig config, std::uint64_t epoch,
+                   std::uint64_t decode_failures,
+                   const std::vector<std::uint8_t>& state) {
+  config.resume = true;
+  NotaryDaemon daemon(config);
+  ASSERT_TRUE(daemon.start()) << daemon.last_error();
+  EXPECT_EQ(daemon.resumed_epoch(), epoch);
+  EXPECT_EQ(tls::daemon::decode_stats(daemon.stats_text())
+                .at("resume_decode_failures"),
+            decode_failures);
+  EXPECT_EQ(tls::notary::encode_monitor_state(daemon.aggregate_monitor()),
+            state);
+  daemon.request_stop();
+  daemon.join();
+}
+
+std::vector<std::uint8_t> read_bytes(const std::filesystem::path& path) {
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in),
+          std::istreambuf_iterator<char>()};
+}
+
+std::string read_text(const std::filesystem::path& path) {
+  const auto bytes = read_bytes(path);
+  return {bytes.begin(), bytes.end()};
+}
+
+/// A fresh, empty directory under the system temp directory.
+std::filesystem::path fresh_dir(const char* name) {
+  const auto dir = std::filesystem::temp_directory_path() / name;
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  return dir;
+}
+
 TEST(DaemonEndToEnd, DrainWritesSnapshotAndResumeRestoresAggregate) {
   auto& fix = fixture();
   const auto captures = fix.make_captures(120, 0xCAFE);
-  const auto dir =
-      std::filesystem::temp_directory_path() / "tls_daemon_resume_test";
-  std::filesystem::remove_all(dir);
-  std::filesystem::create_directories(dir);
+  const auto dir = fresh_dir("tls_daemon_resume_test");
 
+  DaemonConfig config;
+  config.shards = 2;
+  config.database = &fix.database;
+  config.checkpoint_dir = dir.string();
   std::vector<std::uint8_t> first_state;
-  {
-    DaemonConfig config;
-    config.shards = 2;
-    config.database = &fix.database;
-    config.checkpoint_dir = dir.string();
-    NotaryDaemon daemon(config);
-    ASSERT_TRUE(daemon.start()) << daemon.last_error();
-    SensorClient client;
-    ASSERT_TRUE(connect_to(client, daemon));
-    for (const auto& capture : captures) {
-      ASSERT_TRUE(send_capture(client, capture));
-    }
-    ASSERT_TRUE(client.query(FrameType::kQueryStats));
-    daemon.request_stop();
-    daemon.join();
-    first_state = tls::notary::encode_monitor_state(daemon.aggregate_monitor());
-    EXPECT_EQ(daemon.counters().ingested, captures.size());
-    // A healthy disk drops no journal frame.
-    EXPECT_NE(daemon.stats_text().find("journal_dropped_frames=0\n"),
-              std::string::npos);
-  }
-  // The drain must have produced both snapshot artifacts.
+  ASSERT_NO_FATAL_FAILURE(ingest_and_drain(config, captures, first_state));
+  // The drain must have produced both snapshot artifacts, and a healthy
+  // disk fails no write.
   EXPECT_TRUE(std::filesystem::exists(dir / "SNAPSHOT.bin"));
-  {
-    std::ifstream txt(dir / "SNAPSHOT.txt");
-    std::string content((std::istreambuf_iterator<char>(txt)),
-                        std::istreambuf_iterator<char>());
-    EXPECT_NE(content.find("clean_drain=1"), std::string::npos);
-    EXPECT_NE(content.find("ingested=120"), std::string::npos);
-  }
-  {
-    // Resume: the baseline restored from the journal must reproduce the
-    // pre-restart aggregate bit-exactly before any new capture arrives.
-    DaemonConfig config;
-    config.shards = 2;
-    config.database = &fix.database;
-    config.checkpoint_dir = dir.string();
-    config.resume = true;
-    NotaryDaemon daemon(config);
-    ASSERT_TRUE(daemon.start()) << daemon.last_error();
-    EXPECT_EQ(daemon.resumed_epoch(), 1u);
-    const auto resumed_state =
-        tls::notary::encode_monitor_state(daemon.aggregate_monitor());
-    EXPECT_EQ(resumed_state, first_state);
-    daemon.request_stop();
-    daemon.join();
-  }
+  const std::string content = read_text(dir / "SNAPSHOT.txt");
+  EXPECT_NE(content.find("clean_drain=1\n"), std::string::npos);
+  EXPECT_NE(content.find("ingested=120\n"), std::string::npos);
+  EXPECT_NE(content.find("checkpoint_write_failures=0\n"), std::string::npos);
+  // Resume: the baseline restored from SNAPSHOT.bin must reproduce the
+  // pre-restart aggregate bit-exactly before any new capture arrives.
+  expect_resume(config, 1, 0, first_state);
   std::filesystem::remove_all(dir);
 }
 
@@ -874,172 +906,177 @@ std::vector<std::uint8_t> version1_payload(
 }
 
 /// A checksum-valid newest epoch whose payload no longer decodes must not
-/// cost the older epochs: resume falls back to the newest decodable one,
-/// counts the skip, and numbers its next epoch above the bad slot so a
-/// later resume does not pick the bad slot again.
+/// cost the older epoch: resume falls back to SNAPSHOT.prev.bin, counts
+/// the skip, and numbers its next epoch above the bad slot so a later
+/// resume does not pick the bad slot again.
 TEST(DaemonEndToEnd, ResumeFallsBackPastAnUndecodableNewestEpoch) {
   auto& fix = fixture();
-  const auto captures = fix.make_captures(120, 0xE90C);
-  const auto dir = std::filesystem::temp_directory_path() /
-                   "tls_daemon_resume_fallback_test";
-  std::filesystem::remove_all(dir);
-  std::filesystem::create_directories(dir);
-
+  const auto dir = fresh_dir("tls_daemon_resume_fallback_test");
   DaemonConfig config;
   config.shards = 2;
   config.database = &fix.database;
   config.checkpoint_dir = dir.string();
-
   std::vector<std::uint8_t> epoch1_state;
-  {
-    NotaryDaemon daemon(config);
-    ASSERT_TRUE(daemon.start()) << daemon.last_error();
-    SensorClient client;
-    ASSERT_TRUE(connect_to(client, daemon));
-    for (const auto& capture : captures) {
-      ASSERT_TRUE(send_capture(client, capture));
-    }
-    ASSERT_TRUE(client.query(FrameType::kQueryStats));
-    daemon.request_stop();
-    daemon.join();  // the drain journals epoch 1
-    ASSERT_EQ(daemon.counters().ingested, captures.size());
-    epoch1_state =
-        tls::notary::encode_monitor_state(daemon.aggregate_monitor());
-  }
-  {
-    // Epoch 2: a well-formed frame in a fresh segment, but its payload is
-    // an (empty) version-1 monitor snapshot.
-    tls::study::PosixJournalBackend backend(dir.string());
-    const auto segments = backend.list_segments();
-    ASSERT_FALSE(segments.empty());
-    tls::study::GroupCommitWriter::Config wcfg;
-    wcfg.group_frames = 1;
-    wcfg.options_digest = tls::daemon::kDaemonOptionsDigest;
-    wcfg.first_segment_id =
-        *std::max_element(segments.begin(), segments.end()) + 1;
-    tls::study::GroupCommitWriter writer(&backend, wcfg, nullptr);
-    tls::study::FrameHeader header;
-    header.kind = tls::study::FrameKind::kPassiveShard;
-    header.slot = 2;
-    writer.enqueue(tls::study::encode_frame(
-        tls::daemon::kDaemonOptionsDigest, header,
-        version1_payload(tls::notary::PassiveMonitor(&fix.database))));
-    writer.stop();
-    ASSERT_EQ(writer.stats().frames, 1u);
-  }
-  config.resume = true;
-  {
-    NotaryDaemon daemon(config);
-    ASSERT_TRUE(daemon.start()) << daemon.last_error();
-    EXPECT_EQ(daemon.resumed_epoch(), 1u);
-    EXPECT_NE(daemon.stats_text().find("resume_decode_failures=1\n"),
-              std::string::npos);
-    EXPECT_EQ(tls::notary::encode_monitor_state(daemon.aggregate_monitor()),
-              epoch1_state);
-    daemon.request_stop();
-    daemon.join();  // the drain journals epoch 3, above the bad slot
-  }
-  {
-    NotaryDaemon daemon(config);
-    ASSERT_TRUE(daemon.start()) << daemon.last_error();
-    EXPECT_EQ(daemon.resumed_epoch(), 3u);
-    EXPECT_NE(daemon.stats_text().find("resume_decode_failures=0\n"),
-              std::string::npos);
-    EXPECT_EQ(tls::notary::encode_monitor_state(daemon.aggregate_monitor()),
-              epoch1_state);
-    daemon.request_stop();
-    daemon.join();
-  }
+  ASSERT_NO_FATAL_FAILURE(ingest_and_drain(
+      config, fix.make_captures(120, 0xE90C), epoch1_state));
+
+  // Epoch 2, rotated in the daemon's order: a well-formed frame whose
+  // payload is an (empty) version-1 monitor snapshot.
+  std::filesystem::rename(dir / "SNAPSHOT.bin", dir / "SNAPSHOT.prev.bin");
+  tls::study::FrameHeader header;
+  header.kind = tls::study::FrameKind::kPassiveShard;
+  header.slot = 2;
+  ASSERT_TRUE(tls::study::write_file_durable(
+      (dir / "SNAPSHOT.bin").string(),
+      tls::study::encode_frame(
+          tls::daemon::kDaemonOptionsDigest, header,
+          version1_payload(tls::notary::PassiveMonitor(&fix.database)))));
+
+  // The first resume's drain writes epoch 3, above the bad slot.
+  expect_resume(config, 1, 1, epoch1_state);
+  expect_resume(config, 3, 0, epoch1_state);
   std::filesystem::remove_all(dir);
 }
 
-/// A daemon journal written before the daemon stamped a MANIFEST resumes
-/// at epoch 0 once; its epochs must not come back on the next resume. The
-/// old epochs use the same digest and (kind, month, slot) keys as the new
-/// ones, so if they stayed on disk, old epoch 1 would shadow new epoch 1
-/// and old epoch 3 would be restored over everything since the upgrade.
-TEST(DaemonEndToEnd, OldLayoutEpochsNeverReturnAfterTheFirstResume) {
+/// A crash between the rotation and the new epoch's rename leaves only
+/// SNAPSHOT.prev.bin, which is then the newest durable epoch.
+TEST(DaemonEndToEnd, ResumeAfterACrashMidRotationUsesThePreviousEpoch) {
   auto& fix = fixture();
-  const auto dir =
-      std::filesystem::temp_directory_path() / "tls_daemon_old_layout_test";
-  std::filesystem::remove_all(dir);
-  std::filesystem::create_directories(dir);
+  const auto dir = fresh_dir("tls_daemon_mid_rotation_test");
+  DaemonConfig config;
+  config.shards = 2;
+  config.database = &fix.database;
+  config.checkpoint_dir = dir.string();
+  std::vector<std::uint8_t> state;
+  ASSERT_NO_FATAL_FAILURE(
+      ingest_and_drain(config, fix.make_captures(60, 0x207A), state));
+  std::filesystem::rename(dir / "SNAPSHOT.bin", dir / "SNAPSHOT.prev.bin");
 
+  // A missing SNAPSHOT.bin is no decode failure. The resumed drain writes
+  // epoch 2 as SNAPSHOT.bin and leaves epoch 1 in SNAPSHOT.prev.bin.
+  expect_resume(config, 1, 0, state);
+  EXPECT_EQ(tls::study::decode_frame(read_bytes(dir / "SNAPSHOT.prev.bin"))
+                .header.slot,
+            1u);
+  expect_resume(config, 2, 0, state);
+  std::filesystem::remove_all(dir);
+}
+
+/// Each epoch replaces SNAPSHOT.bin and keeps one predecessor, so the
+/// directory holds two epoch frames however many epochs were written, and
+/// no journal.
+TEST(DaemonEndToEnd, CheckpointDirectoryHoldsAtMostTwoEpochs) {
+  auto& fix = fixture();
+  const auto dir = fresh_dir("tls_daemon_two_epochs_test");
+  DaemonConfig config;
+  config.shards = 2;
+  config.database = &fix.database;
+  config.checkpoint_dir = dir.string();
+  config.checkpoint_every = 10;
+  std::vector<std::uint8_t> state;
+  ASSERT_NO_FATAL_FAILURE(
+      ingest_and_drain(config, fix.make_captures(120, 0x2E90), state));
+
+  // Twelve periodic epochs and the drain's.
+  const std::uint64_t epochs = 13;
+  EXPECT_EQ(tls::daemon::decode_stats(read_text(dir / "SNAPSHOT.txt"))
+                .at("checkpoint_epochs"),
+            epochs);
+  std::vector<std::string> frames;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    const std::string name = entry.path().filename().string();
+    if (name.starts_with("SNAPSHOT") && name.ends_with(".bin")) {
+      frames.push_back(name);
+    }
+  }
+  EXPECT_EQ(frames.size(), 2u);
+  EXPECT_FALSE(std::filesystem::exists(dir / "segments"));
+  EXPECT_FALSE(std::filesystem::exists(dir / "MANIFEST"));
+  const auto newest = tls::study::decode_frame(read_bytes(dir / "SNAPSHOT.bin"));
+  EXPECT_EQ(newest.header.slot, epochs);
+  EXPECT_EQ(newest.payload, state);
+  EXPECT_EQ(tls::study::decode_frame(read_bytes(dir / "SNAPSHOT.prev.bin"))
+                .header.slot,
+            epochs - 1);
+  std::filesystem::remove_all(dir);
+}
+
+/// A start without resume deletes both snapshot files before it admits a
+/// capture: an older run's epochs, numbered higher than the new run's,
+/// must never be restored over it, not even from SNAPSHOT.prev.bin.
+TEST(DaemonEndToEnd, ColdStartNeverResumesAnOlderRunsEpoch) {
+  auto& fix = fixture();
+  const auto dir = fresh_dir("tls_daemon_cold_start_test");
   DaemonConfig config;
   config.shards = 1;
   config.database = &fix.database;
-
-  // The old build's payload: a real aggregate, distinct from what the
-  // upgraded daemon ingests below.
-  std::vector<std::uint8_t> old_state;
-  {
-    NotaryDaemon daemon(config);
-    ASSERT_TRUE(daemon.start()) << daemon.last_error();
-    SensorClient client;
-    ASSERT_TRUE(connect_to(client, daemon));
-    for (const auto& capture : fix.make_captures(60, 0x01D)) {
-      ASSERT_TRUE(send_capture(client, capture));
-    }
-    ASSERT_TRUE(client.query(FrameType::kQueryStats));
-    daemon.request_stop();
-    daemon.join();
-    old_state = tls::notary::encode_monitor_state(daemon.aggregate_monitor());
-  }
-  {
-    // Epochs 1..3 in segments written straight to the store, no MANIFEST.
-    tls::study::PosixJournalBackend backend(dir.string());
-    tls::study::GroupCommitWriter::Config wcfg;
-    wcfg.group_frames = 1;
-    wcfg.options_digest = tls::daemon::kDaemonOptionsDigest;
-    tls::study::GroupCommitWriter writer(&backend, wcfg, nullptr);
-    for (std::uint32_t epoch = 1; epoch <= 3; ++epoch) {
-      tls::study::FrameHeader header;
-      header.kind = tls::study::FrameKind::kPassiveShard;
-      header.slot = epoch;
-      writer.enqueue(tls::study::encode_frame(
-          tls::daemon::kDaemonOptionsDigest, header, old_state));
-    }
-    writer.stop();
-    ASSERT_EQ(writer.stats().frames, 3u);
-  }
-  ASSERT_FALSE(std::filesystem::exists(dir / "MANIFEST"));
-
   config.checkpoint_dir = dir.string();
-  config.resume = true;
-  std::vector<std::uint8_t> new_state;
+  config.checkpoint_every = 10;
+  std::vector<std::uint8_t> old_state;
+  ASSERT_NO_FATAL_FAILURE(
+      ingest_and_drain(config, fix.make_captures(60, 0x01D), old_state));
+  ASSERT_EQ(tls::study::decode_frame(read_bytes(dir / "SNAPSHOT.bin"))
+                .header.slot,
+            7u);
+
+  config.checkpoint_every = 0;
   {
     NotaryDaemon daemon(config);
     ASSERT_TRUE(daemon.start()) << daemon.last_error();
-    EXPECT_EQ(daemon.resumed_epoch(), 0u);
-    EXPECT_EQ(daemon.aggregate_monitor().total_connections(), 0u);
-    SensorClient client;
-    ASSERT_TRUE(connect_to(client, daemon));
-    for (const auto& capture : fix.make_captures(20, 0x2E3)) {
-      ASSERT_TRUE(send_capture(client, capture));
-    }
-    ASSERT_TRUE(client.query(FrameType::kQueryStats));
-    daemon.request_stop();
-    daemon.join();  // the drain journals epoch 1
-    new_state = tls::notary::encode_monitor_state(daemon.aggregate_monitor());
-  }
-  ASSERT_NE(new_state, old_state);
-  {
-    NotaryDaemon daemon(config);
-    ASSERT_TRUE(daemon.start()) << daemon.last_error();
-    EXPECT_EQ(daemon.resumed_epoch(), 1u);
-    EXPECT_EQ(tls::notary::encode_monitor_state(daemon.aggregate_monitor()),
-              new_state);
+    EXPECT_FALSE(std::filesystem::exists(dir / "SNAPSHOT.bin"));
+    EXPECT_FALSE(std::filesystem::exists(dir / "SNAPSHOT.prev.bin"));
     daemon.request_stop();
     daemon.join();
   }
+  // The new run's only epoch is 1; the resume must restore it.
+  std::vector<std::uint8_t> new_state;
+  ASSERT_NO_FATAL_FAILURE(
+      ingest_and_drain(config, fix.make_captures(20, 0x2E3), new_state));
+  ASSERT_NE(new_state, old_state);
+  expect_resume(config, 1, 0, new_state);
   std::filesystem::remove_all(dir);
 }
 
-/// Study and daemon journals share one segment format but never replay
-/// each other's frames: each kind's MANIFEST marks the other's frames as
-/// mismatched. A daemon resumed on a study checkpoint starts at epoch 0;
-/// a study resumed on a daemon's journal recomputes every task and
-/// exports the same bytes as an unjournaled run.
+/// An epoch that never reaches the disk is counted, and the drain does not
+/// call itself clean. A directory in the way of SNAPSHOT.bin.tmp makes
+/// open() fail with EISDIR, whatever the user's privileges.
+TEST(DaemonEndToEnd, FailedSnapshotWriteIsCountedAndNotClean) {
+  auto& fix = fixture();
+  const auto dir = fresh_dir("tls_daemon_failed_write_test");
+  std::filesystem::create_directories(dir / "SNAPSHOT.bin.tmp");
+  DaemonConfig config;
+  config.shards = 1;
+  config.database = &fix.database;
+  config.checkpoint_dir = dir.string();
+  NotaryDaemon daemon(config);
+  ASSERT_TRUE(daemon.start()) << daemon.last_error();
+  {
+    SensorClient client;
+    ASSERT_TRUE(connect_to(client, daemon));
+    for (const auto& capture : fix.make_captures(10, 0xFA11)) {
+      ASSERT_TRUE(send_capture(client, capture));
+    }
+    ASSERT_TRUE(client.query(FrameType::kQueryStats));
+  }
+  daemon.request_stop();
+  daemon.join();
+  EXPECT_EQ(daemon.counters().checkpoint_write_failures, 1u);
+  EXPECT_EQ(daemon.counters().checkpoint_epochs, 0u);
+  EXPECT_FALSE(std::filesystem::exists(dir / "SNAPSHOT.bin"));
+  const std::string content = read_text(dir / "SNAPSHOT.txt");
+  EXPECT_NE(content.find("clean_drain=0\n"), std::string::npos) << content;
+  EXPECT_NE(content.find("checkpoint_write_failures=1\n"), std::string::npos)
+      << content;
+  EXPECT_NE(tls::telemetry::to_prometheus(daemon.merged_metrics())
+                .find("tls_repro_daemon_checkpoint_write_failures_total 1\n"),
+            std::string::npos);
+  std::filesystem::remove_all(dir);
+}
+
+/// The daemon keeps its snapshots beside a study's journal without
+/// touching it: a daemon resumed on a study checkpoint starts at epoch 0,
+/// and the study resumed afterwards still replays every frame and exports
+/// the same bytes as an unjournaled run.
 TEST(DaemonEndToEnd, StudyAndDaemonJournalsStayApart) {
   auto& fix = fixture();
   const auto dir =
@@ -1071,21 +1108,11 @@ TEST(DaemonEndToEnd, StudyAndDaemonJournalsStayApart) {
   config.shards = 1;
   config.database = &fix.database;
   config.checkpoint_dir = dir.string();
-  config.resume = true;
-  {
-    NotaryDaemon daemon(config);
-    ASSERT_TRUE(daemon.start()) << daemon.last_error();
-    EXPECT_EQ(daemon.resumed_epoch(), 0u);
-    EXPECT_EQ(daemon.aggregate_monitor().total_connections(), 0u);
-    SensorClient client;
-    ASSERT_TRUE(connect_to(client, daemon));
-    for (const auto& capture : fix.make_captures(20, 0xA9A7)) {
-      ASSERT_TRUE(send_capture(client, capture));
-    }
-    ASSERT_TRUE(client.query(FrameType::kQueryStats));
-    daemon.request_stop();
-    daemon.join();  // the drain journals epoch 1 under the daemon's manifest
-  }
+  // Its drain writes epoch 1 and the flight dumps into the directory.
+  expect_resume(config, 0, 0,
+                tls::notary::encode_monitor_state(
+                    tls::notary::PassiveMonitor(&fix.database)));
+  ASSERT_TRUE(std::filesystem::exists(dir / "SNAPSHOT.bin"));
 
   opts.resume = true;
   tls::study::LongitudinalStudy resumed(opts);
@@ -1093,21 +1120,13 @@ TEST(DaemonEndToEnd, StudyAndDaemonJournalsStayApart) {
   ASSERT_NO_THROW(files = resumed.export_figures(out_resumed));
   ASSERT_EQ(files.size(), ref_files.size());
   for (std::size_t i = 0; i < files.size(); ++i) {
-    std::ifstream a(files[i], std::ios::binary);
-    std::ifstream b(ref_files[i], std::ios::binary);
-    const std::string got((std::istreambuf_iterator<char>(a)),
-                          std::istreambuf_iterator<char>());
-    const std::string want((std::istreambuf_iterator<char>(b)),
-                           std::istreambuf_iterator<char>());
-    EXPECT_EQ(got, want) << ref_files[i];
+    EXPECT_EQ(read_bytes(files[i]), read_bytes(ref_files[i])) << ref_files[i];
   }
   const auto report = resumed.recovery();
-  EXPECT_FALSE(report.resumed);
-  EXPECT_EQ(report.frames_replayed, 0u);
-  // Only the daemon's epoch: the daemon's resume deleted the study's
-  // segments after rejecting their frames.
-  EXPECT_EQ(report.frames_mismatched, 1u);
-  EXPECT_EQ(report.tasks_skipped, 0u);
+  EXPECT_TRUE(report.resumed);
+  EXPECT_EQ(report.frames_replayed, study_frames);
+  EXPECT_EQ(report.frames_mismatched, 0u);
+  EXPECT_EQ(report.tasks_skipped, study_frames);
   for (const auto& d : {dir.string(), out_plain, out_resumed}) {
     std::filesystem::remove_all(d);
   }
@@ -1782,6 +1801,7 @@ TEST(DaemonEndToEnd, DecodeStatsHoldsEveryCounterField) {
       {"connections_closed", c.connections_closed},
       {"sslv2", c.sslv2},
       {"checkpoint_epochs", c.checkpoint_epochs},
+      {"checkpoint_write_failures", c.checkpoint_write_failures},
   };
   for (const auto& [key, value] : fields) {
     ASSERT_EQ(stats.count(key), 1u) << key;

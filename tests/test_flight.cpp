@@ -19,6 +19,7 @@
 #include <thread>
 #include <vector>
 
+#include "core/journal.hpp"
 #include "telemetry/flight.hpp"
 
 namespace {
@@ -237,12 +238,13 @@ TEST(FlightRecorder, RingCountCeilingIsInclusive) {
   EXPECT_FALSE(decode_flight({over.data(), over.size()}).ok);
 }
 
+// The daemon's drain and autodump write FLIGHT.bin this way.
 TEST(FlightRecorder, WriteFileRoundTrips) {
   const auto path = temp_path("tls_flight_write");
   FlightRecorder recorder(2, 8);
   recorder.lane(0).record(FlightEventKind::kConnAccept, 9, 0, 10);
   recorder.lane(1).record(FlightEventKind::kIngest, 0, 55, 20);
-  ASSERT_TRUE(recorder.write_file(path));
+  ASSERT_TRUE(tls::study::write_file_durable(path, recorder.serialize()));
   const auto bytes = read_file(path);
   const auto dump = decode_flight({bytes.data(), bytes.size()});
   EXPECT_TRUE(dump.ok);
